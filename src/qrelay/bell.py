@@ -123,6 +123,22 @@ def project_bell(
     return StateVector(state.num_qubits - 2, row / np.sqrt(prob)), prob
 
 
+def _sample_pair(
+    amps: np.ndarray, num_qubits: int, q1: int, q2: int, gen: np.random.Generator
+) -> tuple[int, np.ndarray] | None:
+    """One Born-rule Bell measurement on raw amplitudes, which need not be
+    normalized: (outcome index, unnormalized row over the surviving qubits),
+    or None when every outcome is below ``NULL_PROB_EPS``."""
+    rows = _pair_rows(amps, num_qubits, q1, q2)
+    probs = np.einsum("kr,kr->k", rows.conj(), rows).real
+    probs[probs < NULL_PROB_EPS] = 0.0
+    total = probs.sum()
+    if total <= 0.0:
+        return None
+    k = int(gen.choice(4, p=probs / total))
+    return k, rows[k]
+
+
 def measure_bell_sampled(
     state: StateVector, q1: int, q2: int, rng
 ) -> tuple[BellOutcome, StateVector]:
@@ -132,12 +148,8 @@ def measure_bell_sampled(
     drawn. ``rng`` may be a seed or a Generator shared across draws.
     """
     _check_pair(state, q1, q2)
-    gen = as_rng(rng)
-    rows = _pair_rows(state.amps, state.num_qubits, q1, q2)
-    probs = np.einsum("kr,kr->k", rows.conj(), rows).real
-    probs[probs < NULL_PROB_EPS] = 0.0
-    k = int(gen.choice(4, p=probs / probs.sum()))
-    row = rows[k]
+    # A normalized state always has an outcome above NULL_PROB_EPS.
+    k, row = _sample_pair(state.amps, state.num_qubits, q1, q2, as_rng(rng))
     post = StateVector(state.num_qubits - 2, row / np.linalg.norm(row))
     return BELL_OUTCOMES[k], post
 

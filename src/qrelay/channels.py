@@ -99,7 +99,7 @@ def _validate_spec(spec: ChannelSpec) -> None:
     if not spec.components:
         raise ChannelValidationError("components: at least one component required")
     total_weight = sum(c.weight for c in spec.components)
-    if abs(total_weight - 1.0) > WEIGHT_ATOL:
+    if not abs(total_weight - 1.0) <= WEIGHT_ATOL:
         raise ChannelValidationError(f"weights: component weights sum to {total_weight}, expected 1")
     for idx, comp in enumerate(spec.components):
         if not 0.0 < comp.weight <= 1.0:
@@ -125,7 +125,7 @@ def _validate_spec(spec: ChannelSpec) -> None:
                 raise ChannelValidationError(
                     f"domino-support: '{bits}' is not of the form 0..01..1"
                 )
-        if abs(norm_sq - 1.0) > COEFF_NORM_ATOL:
+        if not abs(norm_sq - 1.0) <= COEFF_NORM_ATOL:
             raise ChannelValidationError(
                 f"normalization: component {idx} has sum |amp|^2 = {norm_sq}, expected 1"
             )
@@ -214,7 +214,7 @@ class Ensemble:
         if not self.entries:
             raise ValueError("ensemble must be nonempty")
         total = sum(w for w, _ in self.entries)
-        if abs(total - 1.0) > WEIGHT_ATOL:
+        if not abs(total - 1.0) <= WEIGHT_ATOL:
             raise ValueError(f"ensemble weights sum to {total}, expected 1")
         if len({s.num_qubits for _, s in self.entries}) != 1:
             raise ValueError("ensemble states must share a qubit count")

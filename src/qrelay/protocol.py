@@ -17,13 +17,15 @@ their joint probabilities) or sampled (one trajectory drawn from them).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import lru_cache
 
 import numpy as np
 
 from .bell import (
+    _BELL_ROWS,
     BELL_OUTCOMES,
     CORRECTION_FOR_OUTCOME,
     NULL_PROB_EPS,
@@ -31,6 +33,7 @@ from .bell import (
     BellOutcome,
     PauliLabel,
     _pair_rows,
+    _sample_pair,
     as_rng,
     pauli_product,
 )
@@ -51,7 +54,7 @@ class InputQubit:
 
     def __post_init__(self) -> None:
         norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm_sq - 1.0) > 1e-10:
+        if not abs(norm_sq - 1.0) <= 1e-10:
             raise ValueError(f"input amplitudes have |a|^2+|b|^2 = {norm_sq}, expected 1")
 
     def to_state(self) -> StateVector:
@@ -65,47 +68,17 @@ def random_input(rng) -> InputQubit:
     return InputQubit(complex(vec[0]), complex(vec[1]))
 
 
-class Measured(NamedTuple):
-    party: str
-    pair: tuple[int, int]
-    outcome: BellOutcome
-
-
-class Broadcast(NamedTuple):
-    party: str
-    recipients: tuple[str, ...]
-    outcome: BellOutcome
-
-
-class Corrected(NamedTuple):
-    party: str
-    pauli: PauliLabel
-
-
-def event_to_json(event) -> dict:
-    if isinstance(event, Measured):
-        return {"kind": "measured", "party": event.party, "pair": list(event.pair),
-                "outcome": event.outcome.value}
-    if isinstance(event, Broadcast):
-        return {"kind": "broadcast", "party": event.party, "outcome": event.outcome.value}
-    if isinstance(event, Corrected):
-        return {"kind": "corrected", "party": event.party, "pauli": event.pauli.value}
-    raise TypeError(f"not a transcript event: {event!r}")
-
-
-def transcript_to_json_lines(transcript) -> list[dict]:
-    return [event_to_json(e) for e in transcript]
-
-
 @dataclass(frozen=True, eq=False)
 class BranchState:
     """One measurement branch: the post-correction state (None when the
     branch has zero probability), its joint probability including mixture
-    weights, and the classical transcript that produced it."""
+    weights, the Bell outcomes that produced it (sender first, then parties
+    1..n) and the receiver's correction (None before concentration)."""
 
     state: StateVector | None
     joint_prob: float
-    transcript: tuple
+    outcomes: tuple[BellOutcome, ...] = ()
+    correction: PauliLabel | None = None
     component_index: int = 0
 
 
@@ -197,7 +170,6 @@ def distribute(
         raise ValueError("distribution needs a sender-side channel (endpoint 'sender')")
     n = channel.n_parties
     input_state = input_qubit.to_state()
-    bob_names = tuple(f"bob{i}" for i in range(1, n + 1))
 
     branches: list[BranchState] = []
     for ci, comp in enumerate(channel.components):
@@ -207,25 +179,19 @@ def distribute(
         for outcome in BELL_OUTCOMES:
             row = rows[outcome.index]
             raw = float(np.real(np.vdot(row, row)))
-            if channel.faithfulness_guaranteed:
-                assert abs(4.0 * raw - 1.0) < PROB_SANITY_ATOL, (
+            if channel.faithfulness_guaranteed and not abs(4.0 * raw - 1.0) < PROB_SANITY_ATOL:
+                raise ValueError(
                     f"outcome {outcome.value} has conditional probability {raw}, expected 1/4"
                 )
-            corrections = distribution_correction(channel.variant, outcome, n)
-            transcript = [
-                Measured("alice", (1, 2), outcome),
-                Broadcast("alice", bob_names, outcome),
-            ]
-            transcript += [Corrected(bob_names[i], corrections[i]) for i in range(n)]
             if raw < NULL_PROB_EPS:
-                branches.append(BranchState(None, comp.weight * raw, tuple(transcript), ci))
+                branches.append(BranchState(None, comp.weight * raw, (outcome,), None, ci))
                 continue
             amps = row / math.sqrt(raw)
-            for i, label in enumerate(corrections):
+            for i, label in enumerate(distribution_correction(channel.variant, outcome, n)):
                 if label is not PauliLabel.I:
                     amps = _apply_1q(amps, n, i + 1, PAULI_MATRICES[label])
             branches.append(
-                BranchState(StateVector(n, amps), comp.weight * raw, tuple(transcript), ci)
+                BranchState(StateVector(n, amps), comp.weight * raw, (outcome,), None, ci)
             )
 
     if mode == "exhaustive":
@@ -236,18 +202,30 @@ def distribute(
     return [branches[pick]]
 
 
-def _conc_events(n: int):
-    """Measurement/broadcast event pairs per (party index, outcome), built
-    once so exhaustive enumeration reuses them across branches."""
-    table = []
-    for i in range(1, n + 1):
-        name = f"bob{i}"
-        pair = (i, n + i)
-        table.append({
-            o: (Measured(name, pair, o), Broadcast(name, ("charlie",), o))
-            for o in BELL_OUTCOMES
-        })
-    return table
+@lru_cache(maxsize=None)
+def _outcome_table(variant: Variant, n: int) -> tuple[tuple[tuple[BellOutcome, ...], PauliLabel], ...]:
+    """Every concentration outcome tuple in lexicographic Bell order (party 1
+    most significant), paired with its receiver correction."""
+    return tuple(
+        (outcomes, concentration_correction(variant, outcomes))
+        for outcomes in itertools.product(BELL_OUTCOMES, repeat=n)
+    )
+
+
+def _all_pair_rows(amps: np.ndarray, n: int) -> np.ndarray:
+    """Unnormalized receiver vectors of every concentration outcome, as the
+    rows of a (4**n, 2) array in ``_outcome_table`` order.
+
+    The joint register is (party qubits 1..n, channel qubits n+1..2n,
+    receiver 2n+1). Moving each pair (i, n+i) onto adjacent axes makes the
+    n simultaneous Bell measurements one Bell-bra contraction per pair axis.
+    """
+    order = [ax for i in range(n) for ax in (i, n + i)] + [2 * n]
+    psi = amps.reshape([2] * (2 * n + 1)).transpose(order)
+    bras = _BELL_ROWS.conj()
+    for k in range(n):
+        psi = bras @ psi.reshape(4**k, 4, -1)
+    return psi.reshape(4**n, 2)
 
 
 def concentrate(
@@ -257,8 +235,8 @@ def concentrate(
 
     Registers are ordered (bob qubits 1..n, channel qubits n+1..2n+1):
     party i measures the pair (i, n+i) and the receiver holds qubit 2n+1.
-    Exhaustive mode enumerates all 4^n outcome tuples per component, sharing
-    the projection work along common outcome prefixes.
+    Exhaustive mode returns all 4^n outcome tuples per component, from one
+    rewrite of the joint state in the Bell basis of every pair.
     """
     _check_mode(mode, seed)
     if channel.endpoint is not Endpoint.RECEIVER_LAST:
@@ -275,7 +253,6 @@ def concentrate(
             f"exhaustive enumeration capped at {MAX_EXHAUSTIVE_PARTIES} parties, got {n}"
         )
 
-    events = _conc_events(n)
     branches: list[BranchState] = []
     gen = as_rng(seed) if mode == "sampled" else None
 
@@ -288,80 +265,51 @@ def concentrate(
     for cj, comp in component_items:
         comp_state = build_channel_component(comp, channel.variant, Endpoint.RECEIVER_LAST, n)
         joint = tensor(bobs.state, comp_state)
+        scale = bobs.joint_prob * comp.weight
+        index = bobs.component_index * len(channel.components) + cj
 
-        def emit(amps: np.ndarray, outcomes: tuple[BellOutcome, ...], cj=cj, comp=comp):
+        def emit(amps: np.ndarray, outcomes: tuple[BellOutcome, ...], label: PauliLabel):
             raw = float(np.real(np.vdot(amps, amps)))
-            label = concentration_correction(channel.variant, outcomes)
-            transcript = list(bobs.transcript)
-            for i, o in enumerate(outcomes):
-                transcript.extend(events[i][o])
-            transcript.append(Corrected("charlie", label))
-            joint_p = bobs.joint_prob * comp.weight * raw
-            index = bobs.component_index * len(channel.components) + cj
+            outcomes = bobs.outcomes + outcomes
             if raw < NULL_PROB_EPS:
-                branches.append(BranchState(None, joint_p, tuple(transcript), index))
+                branches.append(BranchState(None, scale * raw, outcomes, label, index))
                 return
             vec = PAULI_MATRICES[label] @ (amps / math.sqrt(raw))
-            branches.append(BranchState(StateVector(1, vec), joint_p, tuple(transcript), index))
+            branches.append(BranchState(StateVector(1, vec), scale * raw, outcomes, label, index))
 
         if mode == "exhaustive":
-            def walk(amps: np.ndarray, step: int, outcomes: tuple[BellOutcome, ...]):
-                if step == n:
-                    emit(amps, outcomes)
-                    return
-                # After `step` measurements the live registers are
-                # (bob qubits step+1..n, channel qubits n+1..2n+1), so the
-                # next pair sits at positions (1, n-step+1) of 2n+1-2*step.
-                num = 2 * n + 1 - 2 * step
-                rows = _pair_rows(amps, num, 1, n - step + 1)
-                for outcome in BELL_OUTCOMES:
-                    walk(rows[outcome.index], step + 1, outcomes + (outcome,))
-
-            walk(joint.amps, 0, ())
+            rows = _all_pair_rows(joint.amps, n)
+            for row, (outcomes, label) in zip(rows, _outcome_table(channel.variant, n)):
+                emit(row, outcomes, label)
         else:
             amps = joint.amps
             outcomes: tuple[BellOutcome, ...] = ()
-            dead = False
             for step in range(n):
-                num = 2 * n + 1 - 2 * step
-                rows = _pair_rows(amps, num, 1, n - step + 1)
-                probs = np.real(np.einsum("ij,ij->i", rows.conj(), rows))
-                probs[probs < NULL_PROB_EPS] = 0.0
-                total = probs.sum()
-                if total <= 0.0:
-                    dead = True
+                # After `step` measurements the live registers are
+                # (bob qubits step+1..n, channel qubits n+1..2n+1), so the
+                # next pair sits at positions (1, n-step+1) of 2n+1-2*step.
+                drawn = _sample_pair(amps, 2 * n + 1 - 2 * step, 1, n - step + 1, gen)
+                if drawn is None:
                     break
-                pick = int(gen.choice(4, p=probs / total))
+                pick, amps = drawn
                 outcomes += (BELL_OUTCOMES[pick],)
-                amps = rows[pick]
-            if not dead:
-                emit(amps, outcomes)
+            else:
+                emit(amps, outcomes, concentration_correction(channel.variant, outcomes))
 
     return branches
 
 
 def report_from_branch(branch: BranchState, input_state: StateVector) -> OutcomeReport:
     """Summarize a fully concentrated branch against the original input."""
-    alice = None
-    bob_outcomes: list[BellOutcome] = []
-    correction = None
-    for event in branch.transcript:
-        if isinstance(event, Measured):
-            if event.party == "alice":
-                alice = event.outcome
-            else:
-                bob_outcomes.append(event.outcome)
-        elif isinstance(event, Corrected) and event.party == "charlie":
-            correction = event.pauli
     fidelity = None
     if branch.state is not None and branch.joint_prob > NULL_PROB_EPS:
         fidelity = fidelity_pure(branch.state, input_state)
     return OutcomeReport(
         component_index=branch.component_index,
-        alice_outcome=alice,
-        bob_outcomes=tuple(bob_outcomes),
+        alice_outcome=branch.outcomes[0],
+        bob_outcomes=branch.outcomes[1:],
         joint_prob=branch.joint_prob,
-        correction=correction,
+        correction=branch.correction,
         fidelity=fidelity,
     )
 

@@ -48,7 +48,7 @@ class StateVector:
             raise ValueError("num_qubits must be non-negative")
         amps = _frozen_array(self.amps, (1 << self.num_qubits,))
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_ATOL:
+        if not abs(norm_sq - 1.0) <= NORM_ATOL:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm_sq}")
         object.__setattr__(self, "amps", amps)
 
@@ -120,9 +120,9 @@ class DensityMatrix:
         if not np.allclose(entries, entries.conj().T, rtol=0.0, atol=HERMITIAN_ATOL):
             raise ValueError("density matrix is not Hermitian")
         trace = complex(np.trace(entries))
-        if abs(trace - 1.0) > NORM_ATOL:
+        if not abs(trace - 1.0) <= NORM_ATOL:
             raise ValueError(f"density matrix trace is {trace}, expected 1")
-        if float(np.linalg.eigvalsh(entries).min()) < EIGVAL_FLOOR:
+        if not float(np.linalg.eigvalsh(entries).min()) >= EIGVAL_FLOOR:
             raise ValueError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "entries", entries)
 

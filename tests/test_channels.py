@@ -65,6 +65,13 @@ class TestValidation:
                 [(0.5, {"0": 1.0}), (0.4, {"0": 1.0})],
             )
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ChannelValidationError, match="weights"):
+            mixed_channel(
+                Variant.PARITY, 1, Endpoint.SENDER_FIRST,
+                [(float("nan"), {"0": 1.0}), (1.0, {"0": 1.0})],
+            )
+
     def test_support_length_checked(self):
         with pytest.raises(ChannelValidationError, match="support-shape"):
             pure_channel(Variant.PARITY, 3, {"01": 1.0}, Endpoint.SENDER_FIRST)
@@ -81,6 +88,11 @@ class TestValidation:
     def test_normalization_checked(self):
         with pytest.raises(ChannelValidationError, match="normalization"):
             pure_channel(Variant.PARITY, 2, {"01": 0.5, "10": 0.5}, Endpoint.SENDER_FIRST)
+
+    @pytest.mark.parametrize("amp", [float("nan"), complex(SQ, float("nan"))])
+    def test_nan_coefficient_rejected(self, amp):
+        with pytest.raises(ChannelValidationError, match="normalization"):
+            pure_channel(Variant.CUSTOM, 2, {"01": SQ, "10": amp}, Endpoint.SENDER_FIRST)
 
     def test_parity_rejects_even_zero_support(self):
         with pytest.raises(ChannelValidationError, match="parity-support"):
@@ -180,6 +192,8 @@ class TestEnsembles:
         from qrelay.statevec import make_basis_state
         with pytest.raises(ValueError):
             Ensemble(((0.5, make_basis_state("0")),))
+        with pytest.raises(ValueError, match="nan"):
+            Ensemble(((float("nan"), make_basis_state("0")), (1.0, make_basis_state("1"))))
 
     def test_expand_mixture_density_trace_one(self):
         rho = expand_mixture(smolin_channel()).to_density()

@@ -48,6 +48,10 @@ class TestInputParsing:
         with pytest.raises(ValueError):
             parse_input_spec("1,0+1,0")
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            parse_input_spec("nan,0+1,0")
+
 
 class TestChannelResolution:
     def test_preset(self):
@@ -98,6 +102,26 @@ class TestExitCodes:
         assert code == 1
         report = load_report(out)
         assert any(not v["passed"] for v in report["summary"]["verdicts"])
+
+    def test_nan_input_is_usage_error(self, capsys):
+        code = run_cli([
+            "enumerate", "--dist", "preset:ghz(1)", "--conc", "preset:ghz(1)",
+            "--input", "nan,0+1,0",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9", "tight"])
+    def test_verify_rejects_bad_tolerance(self, tmp_path, capsys, value):
+        out = tmp_path / "report.json"
+        code = run_cli([
+            "verify", "--suite", "clone", f"--tolerance={value}", "--output", str(out),
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unreadable_channel_file(self, capsys):
         code = run_cli([

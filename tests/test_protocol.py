@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from qrelay.bell import BELL_OUTCOMES, PAULI_MATRICES, BellOutcome, PauliLabel
+from qrelay.bell import BELL_OUTCOMES, PAULI_MATRICES, BellOutcome, PauliLabel, project_bell
 from qrelay.channels import (
     Endpoint,
     Variant,
+    build_channel_component,
     ghz_channel,
     pure_channel,
     random_channel,
@@ -13,19 +14,15 @@ from qrelay.channels import (
 )
 from qrelay.protocol import (
     MAX_EXHAUSTIVE_PARTIES,
-    Broadcast,
-    Corrected,
     InputQubit,
-    Measured,
     concentrate,
     concentration_correction,
     distribute,
     distribution_correction,
     random_input,
     run_end_to_end,
-    transcript_to_json_lines,
 )
-from qrelay.statevec import CapacityError, StateVector, fidelity_pure
+from qrelay.statevec import CapacityError, StateVector, fidelity_pure, tensor
 
 from conftest import equal_up_to_phase, random_state
 
@@ -44,6 +41,11 @@ class TestInputQubit:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             InputQubit(1.0, 1.0)
+
+    @pytest.mark.parametrize("alpha, beta", [(float("nan"), 0.0), (1.0, complex(0.0, float("nan")))])
+    def test_rejects_nan(self, alpha, beta):
+        with pytest.raises(ValueError, match="nan"):
+            InputQubit(alpha, beta)
 
     def test_to_state(self):
         s = InputQubit(0.6, 0.8).to_state()
@@ -132,7 +134,7 @@ class TestDistribute:
                 want[int(bits, 2)] += inp.alpha * amp
                 want[int(flipped, 2)] += inp.beta * amp
             for branch in distribute(inp, spec):
-                assert equal_up_to_phase(branch.state.amps, want), (variant, branch.transcript)
+                assert equal_up_to_phase(branch.state.amps, want), (variant, branch.outcomes)
 
     def test_probabilities_sum_to_one(self):
         gen = np.random.default_rng(31)
@@ -146,14 +148,17 @@ class TestDistribute:
             distribute(InputQubit(1, 0), spec)
 
     def test_transcript_structure(self):
-        dist, _ = bell_pair_channels()
+        # A distribution branch records the sender's outcome and no receiver
+        # correction; concentration appends the parties' outcomes and the
+        # receiver's Pauli.
+        dist, conc = bell_pair_channels()
         branch = distribute(InputQubit(1, 0), dist)[1]
-        kinds = [type(e) for e in branch.transcript]
-        assert kinds == [Measured, Broadcast, Corrected]
-        assert branch.transcript[0].party == "alice"
-        assert branch.transcript[0].pair == (1, 2)
-        assert branch.transcript[1].recipients == ("bob1",)
-        assert branch.transcript[2] == Corrected("bob1", PauliLabel.X)
+        assert branch.outcomes == (PSI_P,)
+        assert branch.correction is None
+        assert equal_up_to_phase(branch.state.amps, [1, 0])
+        cb = concentrate(branch, conc)[PSI_M.index]
+        assert cb.outcomes == (PSI_P, PSI_M)
+        assert cb.correction is PauliLabel.Y
 
     def test_sampled_requires_seed(self):
         dist, _ = bell_pair_channels()
@@ -167,7 +172,7 @@ class TestDistribute:
         a = distribute(inp, spec, mode="sampled", seed=11)
         b = distribute(inp, spec, mode="sampled", seed=11)
         assert len(a) == len(b) == 1
-        assert a[0].transcript == b[0].transcript
+        assert a[0].outcomes == b[0].outcomes
         assert np.allclose(a[0].state.amps, b[0].state.amps)
 
     def test_bad_mode_rejected(self):
@@ -193,11 +198,7 @@ class TestConcentrate:
         inp = random_input(np.random.default_rng(6))
         db = distribute(inp, dist)[0]
         target = (PHI_P, PHI_M)
-        matches = [
-            cb for cb in concentrate(db, conc)
-            if tuple(e.outcome for e in cb.transcript if isinstance(e, Measured)
-                     and e.party != "alice") == target
-        ]
+        matches = [cb for cb in concentrate(db, conc) if cb.outcomes[1:] == target]
         assert len(matches) == 1
         assert fidelity_pure(matches[0].state, inp.to_state()) == pytest.approx(1.0, abs=1e-9)
 
@@ -230,14 +231,25 @@ class TestConcentrate:
             concentrate(db, conc)
 
     def test_pair_registers_in_transcript(self):
+        # Party i measures the pair (i, n+i): every exhaustive branch equals
+        # sequential Bell projections of those pairs, then the receiver Pauli.
         gen = np.random.default_rng(8)
         dist = random_channel(Variant.PARITY, 3, Endpoint.SENDER_FIRST, gen)
         conc = random_channel(Variant.PARITY, 3, Endpoint.RECEIVER_LAST, gen)
         db = distribute(random_input(gen), dist)[0]
-        cb = concentrate(db, conc)[0]
-        pairs = [e.pair for e in cb.transcript if isinstance(e, Measured) and e.party != "alice"]
-        assert pairs == [(1, 4), (2, 5), (3, 6)]
-        assert cb.transcript[-1].party == "charlie"
+        chan = build_channel_component(conc.components[0], conc.variant, Endpoint.RECEIVER_LAST, 3)
+        branches = concentrate(db, conc)
+        assert len(branches) == 4 ** 3
+        for cb in branches:
+            state, prob = tensor(db.state, chan), db.joint_prob
+            for step, outcome in enumerate(cb.outcomes[1:]):
+                # Earlier pairs are gone, so party step+1 is qubit 1 and its
+                # channel qubit sits at 3 + 1 - step.
+                state, p = project_bell(state, 1, 4 - step, outcome)
+                prob *= p
+            assert cb.joint_prob == pytest.approx(prob, abs=1e-15)
+            assert cb.correction is concentration_correction(Variant.PARITY, cb.outcomes[1:])
+            assert equal_up_to_phase(cb.state.amps, PAULI_MATRICES[cb.correction] @ state.amps)
 
 
 class TestRunEndToEnd:
@@ -360,7 +372,7 @@ class TestRunEndToEnd:
             out = []
             for db in distribute(inp, dist):
                 for cb in concentrate(db, conc):
-                    out.append(cb.transcript)
+                    out.append((cb.outcomes, cb.correction))
             return out
 
         t1 = transcripts(InputQubit(1, 0))
@@ -394,12 +406,3 @@ class TestReportsAndTranscripts:
         assert set(data) == {"component", "alice", "bobs", "joint_prob", "correction", "fidelity"}
         assert data["alice"] == "phi+"
         assert data["bobs"] == ["phi+"]
-
-    def test_transcript_json_lines(self):
-        dist, _ = bell_pair_channels()
-        branch = distribute(InputQubit(1, 0), dist)[2]
-        lines = transcript_to_json_lines(branch.transcript)
-        assert lines[0] == {"kind": "measured", "party": "alice", "pair": [1, 2],
-                            "outcome": "psi-"}
-        assert lines[1] == {"kind": "broadcast", "party": "alice", "outcome": "psi-"}
-        assert lines[2] == {"kind": "corrected", "party": "bob1", "pauli": "Y"}

@@ -34,6 +34,10 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(1, np.array([1, 1], dtype=complex))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="nan"):
+            StateVector(1, np.array([np.nan, 0], dtype=complex))
+
     def test_scalar_unit_allowed(self):
         # A full Bell projection of a 2-qubit state leaves zero qubits.
         s = StateVector(0, np.array([1.0], dtype=complex))
@@ -129,6 +133,12 @@ class TestDensityMatrix:
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError):
             DensityMatrix(1, np.eye(2, dtype=complex))
+
+    def test_rejects_nan_trace(self):
+        # Opposite infinities pass the Hermitian check and sum to a NaN trace.
+        bad = np.array([[np.inf, 0.0], [0.0, -np.inf]], dtype=complex)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="trace"):
+            DensityMatrix(1, bad)
 
     def test_rejects_negative_eigenvalue(self):
         bad = np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex)

@@ -127,6 +127,13 @@ class TestCheckFaithful:
         v = check_faithful(dist, conc, trials=2, seed=0, tolerance=1e-18)
         assert not v.passed
 
+    def test_zero_trials_fail(self):
+        dist = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.SENDER_FIRST)
+        conc = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.RECEIVER_LAST)
+        v = check_faithful(dist, conc, trials=0, seed=0)
+        assert v.details["branches_checked"] == 0
+        assert not v.passed
+
     def test_capacity_cap(self):
         dist = ghz_channel(7, Endpoint.SENDER_FIRST)
         conc = ghz_channel(7, Endpoint.RECEIVER_LAST)
@@ -160,6 +167,54 @@ class TestOracleAgreement:
         v = oracle_agreement(telecloning_channel(), smolin_channel(), trials=2, seed=1)
         assert v.passed
         assert v.details["branches_compared"] == 2 * 4 * 4 * 64
+
+    @pytest.mark.parametrize("variant", [Variant.PARITY, Variant.DOMINO],
+                             ids=lambda v: v.value)
+    def test_four_parties(self, variant):
+        gen = np.random.default_rng(40)
+        dist = random_channel(variant, 4, Endpoint.SENDER_FIRST, gen)
+        conc = random_channel(variant, 4, Endpoint.RECEIVER_LAST, gen)
+        v = oracle_agreement(dist, conc, trials=1, seed=4)
+        assert v.passed, v.worst_deviation
+        assert v.details["branches_compared"] == 4 ** 5
+
+    def test_zero_trials_fail(self):
+        dist = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.SENDER_FIRST)
+        conc = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.RECEIVER_LAST)
+        v = oracle_agreement(dist, conc, trials=0, seed=0)
+        assert v.details["branches_compared"] == 0
+        assert not v.passed
+
+    def test_reversed_branch_order_fails(self, monkeypatch):
+        # On Bell-pair channels every branch has probability 1/16 and
+        # fidelity 1, so only the order check can notice the reversal.
+        import qrelay.verify as verify_mod
+
+        evaluate = verify_mod.run_end_to_end
+        monkeypatch.setattr(verify_mod, "run_end_to_end",
+                            lambda *args, **kwargs: evaluate(*args, **kwargs)[::-1])
+        dist = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.SENDER_FIRST)
+        conc = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.RECEIVER_LAST)
+        v = oracle_agreement(dist, conc, trials=1, seed=0)
+        assert not v.passed
+        assert v.worst_deviation == 1.0
+
+    @pytest.mark.parametrize("change", ["drop", "extra"])
+    def test_missing_or_extra_branch_fails(self, monkeypatch, change):
+        import qrelay.verify as verify_mod
+
+        evaluate = verify_mod.run_end_to_end
+
+        def tampered(*args, **kwargs):
+            reports = evaluate(*args, **kwargs)
+            return reports[:-1] if change == "drop" else reports + reports[-1:]
+
+        monkeypatch.setattr(verify_mod, "run_end_to_end", tampered)
+        dist = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.SENDER_FIRST)
+        conc = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.RECEIVER_LAST)
+        v = oracle_agreement(dist, conc, trials=1, seed=0)
+        assert not v.passed
+        assert v.worst_deviation == 1.0
 
     def test_agreement_holds_even_when_unfaithful(self):
         gen = np.random.default_rng(11)
@@ -238,6 +293,9 @@ class TestSmolin:
         assert v.details["purity"] == pytest.approx(0.25, abs=1e-10)
         assert v.details["concentration_worst_deviation"] <= FAITHFUL_TOL
 
+    def test_zero_trials_fail(self):
+        assert not verify_smolin(seed=0, trials=0).passed
+
 
 class TestCloneFidelities:
     def test_basis_input(self):
@@ -262,6 +320,9 @@ class TestCloneFidelities:
         assert v.passed
         assert v.worst_deviation <= v.tolerance
         assert v.details["max_pair_gap"] <= 1e-12
+
+    def test_zero_trials_fail(self):
+        assert not clone_fidelity_verdict(trials=0, seed=0).passed
 
 
 def random_input_for_test(seed):
