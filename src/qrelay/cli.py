@@ -109,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=1)
     ver.add_argument("--n", type=int, help="restrict suite checks to one party count")
     ver.add_argument("--tolerance", type=_tolerance_arg,
-                     help="override the faithfulness tolerance")
+                     help="override the faithfulness tolerance (suites 'all' and "
+                     "'faithfulness' only; any other suite rejects it)")
     ver.add_argument("--output", help="write the JSON report to this path instead of stdout")
     return parser
 

@@ -16,7 +16,6 @@ their joint probabilities) or sampled (one trajectory drawn from them).
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ from .bell import (
     pauli_product,
 )
 from .channels import ChannelSpec, Endpoint, Variant, build_channel_component
-from .statevec import CapacityError, StateVector, _apply_1q, fidelity_pure, tensor
+from .statevec import NORM_ATOL, CapacityError, StateVector, _apply_1q, fidelity_pure, tensor
 
 MAX_EXHAUSTIVE_PARTIES = 6
 
@@ -212,6 +211,15 @@ def _outcome_table(variant: Variant, n: int) -> tuple[tuple[tuple[BellOutcome, .
     )
 
 
+@lru_cache(maxsize=None)
+def _correction_stack(variant: Variant, n: int) -> np.ndarray:
+    """The receiver Pauli of every ``_outcome_table`` row, as a read-only
+    (4**n, 2, 2) array."""
+    stack = np.array([PAULI_MATRICES[label] for _, label in _outcome_table(variant, n)])
+    stack.setflags(write=False)
+    return stack
+
+
 def _all_pair_rows(amps: np.ndarray, n: int) -> np.ndarray:
     """Unnormalized receiver vectors of every concentration outcome, as the
     rows of a (4**n, 2) array in ``_outcome_table`` order.
@@ -228,6 +236,95 @@ def _all_pair_rows(amps: np.ndarray, n: int) -> np.ndarray:
     return psi.reshape(4**n, 2)
 
 
+def _finish_rows(rows: np.ndarray, paulis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Finish a block of unnormalized receiver rows: (raw Born probability
+    of each row, corrected and normalized receiver vectors).
+
+    ``paulis[k]`` is row k's receiver correction. A row is live unless its
+    raw probability is below ``NULL_PROB_EPS``; null rows keep their
+    corrected but unnormalized vector, which callers must not read. Every
+    live vector must come out normalized to within ``NORM_ATOL``, the same
+    check a ``StateVector`` makes.
+    """
+    raw = np.einsum("kj,kj->k", rows.conj(), rows).real
+    live = ~(raw < NULL_PROB_EPS)
+    vecs = np.einsum("kij,kj->ki", paulis, rows) / np.sqrt(np.where(live, raw, 1.0))[:, None]
+    norms = np.einsum("kj,kj->k", vecs.conj(), vecs).real[live]
+    if not np.all(np.abs(norms - 1.0) <= NORM_ATOL):
+        raise ValueError("concentrated receiver state not normalized")
+    return raw, vecs
+
+
+def _exhaustive_blocks(bobs: BranchState, channel: ChannelSpec):
+    """Every outcome of each receiver component, one block per component.
+    This is the one place exhaustive branches are evaluated."""
+    n = channel.n_parties
+    if n > MAX_EXHAUSTIVE_PARTIES:
+        raise CapacityError(
+            f"exhaustive enumeration capped at {MAX_EXHAUSTIVE_PARTIES} parties, got {n}"
+        )
+    table = _outcome_table(channel.variant, n)
+    paulis = _correction_stack(channel.variant, n)
+    for cj, comp in enumerate(channel.components):
+        comp_state = build_channel_component(comp, channel.variant, Endpoint.RECEIVER_LAST, n)
+        rows = _all_pair_rows(tensor(bobs.state, comp_state).amps, n)
+        raw, vecs = _finish_rows(rows, paulis)
+        index = bobs.component_index * len(channel.components) + cj
+        yield index, bobs.joint_prob * comp.weight * raw, raw, vecs, table
+
+
+def _sampled_block(bobs: BranchState, channel: ChannelSpec, gen: np.random.Generator):
+    """One trajectory drawn under the Born rule, as a one-row block; no
+    block when every outcome of a step is null."""
+    n = channel.n_parties
+    n_comps = len(channel.components)
+    cj = 0
+    if n_comps > 1:
+        weights = np.array([c.weight for c in channel.components])
+        cj = int(gen.choice(n_comps, p=weights / weights.sum()))
+    comp = channel.components[cj]
+    comp_state = build_channel_component(comp, channel.variant, Endpoint.RECEIVER_LAST, n)
+    amps = tensor(bobs.state, comp_state).amps
+    outcomes: tuple[BellOutcome, ...] = ()
+    for step in range(n):
+        # After `step` measurements the live registers are
+        # (bob qubits step+1..n, channel qubits n+1..2n+1), so the
+        # next pair sits at positions (1, n-step+1) of 2n+1-2*step.
+        drawn = _sample_pair(amps, 2 * n + 1 - 2 * step, 1, n - step + 1, gen)
+        if drawn is None:
+            return []
+        pick, amps = drawn
+        outcomes += (BELL_OUTCOMES[pick],)
+    label = concentration_correction(channel.variant, outcomes)
+    raw, vecs = _finish_rows(amps[None, :], PAULI_MATRICES[label][None])
+    index = bobs.component_index * n_comps + cj
+    return [(index, bobs.joint_prob * comp.weight * raw, raw, vecs, ((outcomes, label),))]
+
+
+def _concentration_blocks(bobs: BranchState, channel: ChannelSpec, mode: str, gen):
+    """The concentration phase's finished branches, as array blocks: every
+    outcome in exhaustive mode, one trajectory drawn from ``gen`` in sampled
+    mode.
+
+    Each block is (flattened component index, joint probabilities, raw
+    probabilities, corrected receiver vectors, each row's (party outcomes,
+    receiver correction)). A row whose raw probability is below
+    ``NULL_PROB_EPS`` is a null branch and its vector is meaningless.
+    """
+    if channel.endpoint is not Endpoint.RECEIVER_LAST:
+        raise ValueError("concentration needs a receiver-side channel (endpoint 'receiver')")
+    if bobs.state is None:
+        raise ValueError("cannot concentrate a zero-probability branch")
+    n = channel.n_parties
+    if bobs.state.num_qubits != n:
+        raise ValueError(
+            f"distributed state has {bobs.state.num_qubits} qubits, channel expects {n}"
+        )
+    if mode == "exhaustive":
+        return _exhaustive_blocks(bobs, channel)
+    return _sampled_block(bobs, channel, gen)
+
+
 def concentrate(
     bobs: BranchState, channel: ChannelSpec, mode: str = "exhaustive", seed=None
 ) -> list[BranchState]:
@@ -239,64 +336,15 @@ def concentrate(
     rewrite of the joint state in the Bell basis of every pair.
     """
     _check_mode(mode, seed)
-    if channel.endpoint is not Endpoint.RECEIVER_LAST:
-        raise ValueError("concentration needs a receiver-side channel (endpoint 'receiver')")
-    if bobs.state is None:
-        raise ValueError("cannot concentrate a zero-probability branch")
-    n = channel.n_parties
-    if bobs.state.num_qubits != n:
-        raise ValueError(
-            f"distributed state has {bobs.state.num_qubits} qubits, channel expects {n}"
-        )
-    if mode == "exhaustive" and n > MAX_EXHAUSTIVE_PARTIES:
-        raise CapacityError(
-            f"exhaustive enumeration capped at {MAX_EXHAUSTIVE_PARTIES} parties, got {n}"
-        )
-
-    branches: list[BranchState] = []
     gen = as_rng(seed) if mode == "sampled" else None
-
-    component_items = list(enumerate(channel.components))
-    if mode == "sampled" and len(component_items) > 1:
-        weights = np.array([c.weight for c in channel.components])
-        keep = int(gen.choice(len(weights), p=weights / weights.sum()))
-        component_items = [component_items[keep]]
-
-    for cj, comp in component_items:
-        comp_state = build_channel_component(comp, channel.variant, Endpoint.RECEIVER_LAST, n)
-        joint = tensor(bobs.state, comp_state)
-        scale = bobs.joint_prob * comp.weight
-        index = bobs.component_index * len(channel.components) + cj
-
-        def emit(amps: np.ndarray, outcomes: tuple[BellOutcome, ...], label: PauliLabel):
-            raw = float(np.real(np.vdot(amps, amps)))
-            outcomes = bobs.outcomes + outcomes
-            if raw < NULL_PROB_EPS:
-                branches.append(BranchState(None, scale * raw, outcomes, label, index))
-                return
-            vec = PAULI_MATRICES[label] @ (amps / math.sqrt(raw))
-            branches.append(BranchState(StateVector(1, vec), scale * raw, outcomes, label, index))
-
-        if mode == "exhaustive":
-            rows = _all_pair_rows(joint.amps, n)
-            for row, (outcomes, label) in zip(rows, _outcome_table(channel.variant, n)):
-                emit(row, outcomes, label)
-        else:
-            amps = joint.amps
-            outcomes: tuple[BellOutcome, ...] = ()
-            for step in range(n):
-                # After `step` measurements the live registers are
-                # (bob qubits step+1..n, channel qubits n+1..2n+1), so the
-                # next pair sits at positions (1, n-step+1) of 2n+1-2*step.
-                drawn = _sample_pair(amps, 2 * n + 1 - 2 * step, 1, n - step + 1, gen)
-                if drawn is None:
-                    break
-                pick, amps = drawn
-                outcomes += (BELL_OUTCOMES[pick],)
-            else:
-                emit(amps, outcomes, concentration_correction(channel.variant, outcomes))
-
-    return branches
+    return [
+        BranchState(
+            None if r < NULL_PROB_EPS else StateVector(1, vec),
+            p, bobs.outcomes + outcomes, label, index,
+        )
+        for index, joint, raw, vecs, table in _concentration_blocks(bobs, channel, mode, gen)
+        for r, p, vec, (outcomes, label) in zip(raw.tolist(), joint.tolist(), vecs, table)
+    ]
 
 
 def report_from_branch(branch: BranchState, input_state: StateVector) -> OutcomeReport:
@@ -340,9 +388,19 @@ def run_end_to_end(
     reports: list[OutcomeReport] = []
     for db in distribute(input_qubit, dist_channel, mode, gen):
         if db.state is None:
-            padded = dataclasses.replace(db, component_index=db.component_index * n_conc)
-            reports.append(report_from_branch(padded, input_state))
+            index = db.component_index * n_conc
+            reports.append(OutcomeReport(index, db.outcomes[0], (), db.joint_prob, None, None))
             continue
-        for cb in concentrate(db, conc_channel, mode, gen):
-            reports.append(report_from_branch(cb, input_state))
+        alice = db.outcomes[0]
+        for index, joint, raw, vecs, table in _concentration_blocks(db, conc_channel, mode, gen):
+            fids = np.abs(vecs.conj() @ input_state.amps) ** 2
+            reports.extend(
+                OutcomeReport(
+                    index, alice, outcomes, p, label,
+                    None if r < NULL_PROB_EPS or p <= NULL_PROB_EPS else f,
+                )
+                for r, p, f, (outcomes, label) in zip(
+                    raw.tolist(), joint.tolist(), fids.tolist(), table
+                )
+            )
     return reports

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
@@ -158,6 +159,12 @@ def domino_correction_by_counter(outcomes) -> PauliLabel:
     return PauliLabel(_COUNTER_TABLE[count % 2][outcomes[0].index])
 
 
+def _worse(worst: float, dev: float) -> float:
+    """The larger deviation, NaN if either is NaN: ``max`` would drop a NaN
+    deviation and let a verdict pass on it."""
+    return math.nan if math.isnan(worst) or math.isnan(dev) else max(worst, dev)
+
+
 def _misplaced(report: OutcomeReport | None, component_index: int, alice: BellOutcome, bobs) -> bool:
     """Whether the evaluator's report at an oracle branch's position is
     absent or belongs to a different branch."""
@@ -229,16 +236,16 @@ def check_faithful(
     for _ in range(trials):
         reports = run_end_to_end(random_input(gen), dist, conc, mode="exhaustive")
         total = sum(r.joint_prob for r in reports)
-        prob_gap = max(prob_gap, abs(total - 1.0))
+        prob_gap = _worse(prob_gap, abs(total - 1.0))
         for r in reports:
             if r.fidelity is None:
                 continue
             branches_checked += 1
             dev = abs(1.0 - r.fidelity)
-            if dev > tolerance and len(witnesses) < MAX_WITNESSES:
+            if not dev <= tolerance and len(witnesses) < MAX_WITNESSES:
                 witnesses.append(r)
-            worst = max(worst, dev)
-    worst = max(worst, prob_gap)
+            worst = _worse(worst, dev)
+    worst = _worse(worst, prob_gap)
     if claim_id is None:
         claim_id = f"faithful-{dist.variant.value}-n{dist.n_parties}"
     return Verdict(
@@ -287,7 +294,7 @@ def oracle_agreement(
                         dev = abs(r.joint_prob - comp.weight * raw_a)
                         if r.fidelity is not None:
                             dev = max(dev, 1.0)
-                    worst = max(worst, dev)
+                    worst = _worse(worst, dev)
                     compared += 1
                     continue
                 for cj, ccomp in enumerate(conc.components):
@@ -306,13 +313,13 @@ def oracle_agreement(
                                 dev = max(dev, 1.0)
                             elif vec_c is not None:
                                 fid = float(abs(np.vdot(inp_vec, vec_c)) ** 2)
-                                dev = max(dev, abs(fid - r.fidelity))
+                                dev = _worse(dev, abs(fid - r.fidelity))
                         compared += 1
-                        worst = max(worst, dev)
-                        if dev > tolerance and r is not None and len(witnesses) < MAX_WITNESSES:
+                        worst = _worse(worst, dev)
+                        if not dev <= tolerance and r is not None and len(witnesses) < MAX_WITNESSES:
                             witnesses.append(r)
         if next(reports, None) is not None:
-            worst = max(worst, 1.0)  # the evaluator returned more branches than the oracle
+            worst = _worse(worst, 1.0)  # the evaluator returned more branches than the oracle
 
     if claim_id is None:
         claim_id = f"oracle-{dist.variant.value}-n{n}"
@@ -351,6 +358,9 @@ def even_n_counterexample(
         dist = random_channel(Variant.PARITY, n, Endpoint.SENDER_FIRST, gen)
     if conc is None:
         conc = random_channel(Variant.PARITY, n, Endpoint.RECEIVER_LAST, gen)
+    for side, spec in (("dist", dist), ("conc", conc)):
+        if spec.n_parties != n:
+            raise ValueError(f"{side} channel has {spec.n_parties} parties, expected n = {n}")
     if input_qubit is None:
         input_qubit = random_input(gen)
     input_state = input_qubit.to_state()
@@ -478,11 +488,14 @@ def run_suite(suite: str, seed=1, n: int | None = None, tolerance: float | None 
     Suites: ``faithfulness`` (random parity channels at odd sizes, staircase
     channels at all sizes), ``smolin``, ``clone``, ``even-n``, or ``all``.
     ``n`` restricts the size lists; ``tolerance`` overrides the faithfulness
-    tolerance for that run only.
+    tolerance for that run only, so it is rejected for a suite that runs no
+    faithfulness check.
     """
     known = {"all", "faithfulness", "smolin", "clone", "even-n"}
     if suite not in known:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(known)}")
+    if tolerance is not None and suite not in ("all", "faithfulness"):
+        raise ValueError(f"tolerance only applies to the faithfulness checks, not suite {suite!r}")
     gen = as_rng(seed)
     verdicts: list[Verdict] = []
     if suite in ("all", "faithfulness"):

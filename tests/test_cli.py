@@ -123,6 +123,17 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_verify_tolerance_without_faithfulness_suite(self, tmp_path, capsys):
+        # Only the faithfulness checks take a tolerance; echoing one that
+        # judged nothing would misreport the run.
+        out = tmp_path / "report.json"
+        code = run_cli([
+            "verify", "--suite", "clone", "--tolerance", "1e-30", "--output", str(out),
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreadable_channel_file(self, capsys):
         code = run_cli([
             "enumerate", "--dist", "/definitely/missing.json",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from qrelay.channels import (
     ghz_channel,
     pure_channel,
     random_channel,
+    resolve_preset,
     smolin_channel,
     telecloning_channel,
 )
@@ -20,6 +23,7 @@ from qrelay.protocol import (
     distribute,
     distribution_correction,
     random_input,
+    report_from_branch,
     run_end_to_end,
 )
 from qrelay.statevec import CapacityError, StateVector, fidelity_pure, tensor
@@ -396,6 +400,76 @@ class TestRunEndToEnd:
                                  mode="sampled", seed=3)
         assert len(reports) == 1
         assert reports[0].fidelity == pytest.approx(1.0, abs=1e-9)
+
+
+def reports_via_branches(inp, dist, conc):
+    """End-to-end reports rebuilt from distribute -> concentrate ->
+    report_from_branch, with null sender branches padded as in the
+    flattened component index."""
+    out = []
+    for db in distribute(inp, dist):
+        if db.state is None:
+            padded = dataclasses.replace(db, component_index=db.component_index * len(conc.components))
+            out.append(report_from_branch(padded, inp.to_state()))
+            continue
+        out.extend(report_from_branch(cb, inp.to_state()) for cb in concentrate(db, conc))
+    return out
+
+
+def agreement_cases():
+    gen = np.random.default_rng(17)
+    yield "parity-n3", (random_channel(Variant.PARITY, 3, Endpoint.SENDER_FIRST, gen),
+                        random_channel(Variant.PARITY, 3, Endpoint.RECEIVER_LAST, gen))
+    yield "domino-n4", (random_channel(Variant.DOMINO, 4, Endpoint.SENDER_FIRST, gen),
+                        random_channel(Variant.DOMINO, 4, Endpoint.RECEIVER_LAST, gen))
+    yield "ghz3", (resolve_preset("ghz(3)", Endpoint.SENDER_FIRST),
+                   resolve_preset("ghz(3)", Endpoint.RECEIVER_LAST))
+    yield "telecloning-smolin", (telecloning_channel(), smolin_channel())
+
+
+class TestEvaluatorConsumersAgree:
+    @pytest.mark.parametrize("name, channels", list(agreement_cases()),
+                             ids=[name for name, _ in agreement_cases()])
+    def test_end_to_end_matches_branch_states(self, name, channels):
+        # run_end_to_end finishes whole blocks without BranchStates; it must
+        # report exactly what concentrate's BranchStates give.
+        dist, conc = channels
+        inp = random_input(np.random.default_rng(18))
+        fast = run_end_to_end(inp, dist, conc)
+        slow = reports_via_branches(inp, dist, conc)
+        assert len(fast) == len(slow)
+        for f, s in zip(fast, slow):
+            assert (f.component_index, f.alice_outcome, f.bob_outcomes, f.correction) == (
+                s.component_index, s.alice_outcome, s.bob_outcomes, s.correction)
+            assert (f.fidelity is None) == (s.fidelity is None)
+            assert f.joint_prob == pytest.approx(s.joint_prob, rel=0, abs=1e-12)
+            if f.fidelity is not None:
+                assert f.fidelity == pytest.approx(s.fidelity, rel=0, abs=1e-12)
+        nulls = sum(r.fidelity is None for r in fast)
+        if name == "ghz3":
+            assert nulls == 192
+        if name == "telecloning-smolin":
+            assert {r.component_index for r in fast} == {0, 1, 2, 3}
+            assert nulls == 256
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sampled_end_to_end_matches_branch_states(self, seed):
+        # Same draws from one generator: distribute, then concentrate, then
+        # report_from_branch must give the sampled run_end_to_end report.
+        dist, conc = telecloning_channel(), smolin_channel()
+        inp = random_input(np.random.default_rng(19))
+        fast = run_end_to_end(inp, dist, conc, mode="sampled", seed=seed)
+        gen = np.random.default_rng(seed)
+        db = distribute(inp, dist, mode="sampled", seed=gen)[0]
+        slow = [report_from_branch(cb, inp.to_state())
+                for cb in concentrate(db, conc, mode="sampled", seed=gen)]
+        assert len(fast) == len(slow) == 1
+        f, s = fast[0], slow[0]
+        assert (f.component_index, f.alice_outcome, f.bob_outcomes, f.correction) == (
+            s.component_index, s.alice_outcome, s.bob_outcomes, s.correction)
+        assert f.joint_prob == s.joint_prob
+        assert f.fidelity == pytest.approx(s.fidelity, rel=0, abs=1e-12)
 
 
 class TestReportsAndTranscripts:

@@ -1,7 +1,11 @@
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
+
+import qrelay.verify as verify_mod
 
 from qrelay.bell import BELL_OUTCOMES, BellOutcome, PauliLabel, bell_vector
 from qrelay.channels import (
@@ -39,6 +43,18 @@ from conftest import equal_up_to_phase
 SQ = 1 / np.sqrt(2)
 
 PHI_P, PSI_P, PSI_M, PHI_M = BELL_OUTCOMES
+
+
+def with_nan_fidelity(evaluate):
+    """The evaluator with the first non-null report's fidelity set to NaN."""
+
+    def tampered(*args, **kwargs):
+        reports = evaluate(*args, **kwargs)
+        i = next(i for i, r in enumerate(reports) if r.fidelity is not None)
+        reports[i] = dataclasses.replace(reports[i], fidelity=math.nan)
+        return reports
+
+    return tampered
 
 
 class TestBraMatrix:
@@ -140,6 +156,17 @@ class TestCheckFaithful:
         with pytest.raises(CapacityError):
             check_faithful(dist, conc, trials=1, seed=0)
 
+    def test_nan_fidelity_fails(self, monkeypatch):
+        # max(worst, nan) is worst, so a NaN deviation must be carried
+        # explicitly into the verdict.
+        monkeypatch.setattr(verify_mod, "run_end_to_end", with_nan_fidelity(verify_mod.run_end_to_end))
+        dist = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.SENDER_FIRST)
+        conc = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.RECEIVER_LAST)
+        v = check_faithful(dist, conc, trials=2, seed=0)
+        assert not v.passed
+        assert math.isnan(v.worst_deviation)
+        assert any(math.isnan(w.fidelity) for w in v.witnesses)
+
     def test_seed_reproducibility(self):
         gen1 = np.random.default_rng(9)
         gen2 = np.random.default_rng(9)
@@ -216,6 +243,14 @@ class TestOracleAgreement:
         assert not v.passed
         assert v.worst_deviation == 1.0
 
+    def test_nan_fidelity_fails(self, monkeypatch):
+        monkeypatch.setattr(verify_mod, "run_end_to_end", with_nan_fidelity(verify_mod.run_end_to_end))
+        dist = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.SENDER_FIRST)
+        conc = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.RECEIVER_LAST)
+        v = oracle_agreement(dist, conc, trials=1, seed=0)
+        assert not v.passed
+        assert math.isnan(v.worst_deviation)
+
     def test_agreement_holds_even_when_unfaithful(self):
         gen = np.random.default_rng(11)
         dist = random_channel(Variant.PARITY, 2, Endpoint.SENDER_FIRST, gen)
@@ -284,6 +319,18 @@ class TestEvenNCounterexample:
     def test_seed_reproducible(self):
         assert even_n_counterexample(2, seed=5) == even_n_counterexample(2, seed=5)
 
+    @pytest.mark.parametrize("side", ["dist", "conc"])
+    def test_party_count_mismatch_rejected(self, side):
+        gen = np.random.default_rng(3)
+        channels = {
+            "dist": random_channel(Variant.PARITY, 2, Endpoint.SENDER_FIRST, gen),
+            "conc": random_channel(Variant.PARITY, 2, Endpoint.RECEIVER_LAST, gen),
+        }
+        endpoint = Endpoint.SENDER_FIRST if side == "dist" else Endpoint.RECEIVER_LAST
+        channels[side] = random_channel(Variant.PARITY, 4, endpoint, gen)
+        with pytest.raises(ValueError, match=f"{side} channel has 4 parties"):
+            even_n_counterexample(2, **channels)
+
 
 class TestSmolin:
     def test_verdict(self):
@@ -344,6 +391,11 @@ class TestRunSuite:
         verdicts = run_suite("even-n", seed=1)
         assert [v.claim_id for v in verdicts] == ["even-n-2", "even-n-4"]
         assert all(v.passed for v in verdicts)
+
+    @pytest.mark.parametrize("suite", ["smolin", "clone", "even-n"])
+    def test_tolerance_needs_a_faithfulness_check(self, suite):
+        with pytest.raises(ValueError, match="tolerance"):
+            run_suite(suite, seed=1, tolerance=1e-30)
 
     def test_faithfulness_restricted_size(self):
         verdicts = run_suite("faithfulness", seed=2, n=2)
