@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -81,9 +81,10 @@ class BranchState:
     component_index: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OutcomeReport:
-    """Flattened record of one end-to-end branch."""
+    """Flattened record of one end-to-end branch: a plain slotted record,
+    not frozen or hashable, built in bulk from each block's columns."""
 
     component_index: int
     alice_outcome: BellOutcome
@@ -202,20 +203,21 @@ def distribute(
 
 
 @lru_cache(maxsize=None)
-def _outcome_table(variant: Variant, n: int) -> tuple[tuple[tuple[BellOutcome, ...], PauliLabel], ...]:
-    """Every concentration outcome tuple in lexicographic Bell order (party 1
-    most significant), paired with its receiver correction."""
-    return tuple(
-        (outcomes, concentration_correction(variant, outcomes))
-        for outcomes in itertools.product(BELL_OUTCOMES, repeat=n)
-    )
+def _outcome_table(
+    variant: Variant, n: int
+) -> tuple[tuple[tuple[BellOutcome, ...], ...], tuple[PauliLabel, ...]]:
+    """Two parallel columns: every concentration outcome tuple in
+    lexicographic Bell order (party 1 most significant), and its receiver
+    correction."""
+    outcomes = tuple(itertools.product(BELL_OUTCOMES, repeat=n))
+    return outcomes, tuple(concentration_correction(variant, o) for o in outcomes)
 
 
 @lru_cache(maxsize=None)
 def _correction_stack(variant: Variant, n: int) -> np.ndarray:
     """The receiver Pauli of every ``_outcome_table`` row, as a read-only
     (4**n, 2, 2) array."""
-    stack = np.array([PAULI_MATRICES[label] for _, label in _outcome_table(variant, n)])
+    stack = np.array([PAULI_MATRICES[label] for label in _outcome_table(variant, n)[1]])
     stack.setflags(write=False)
     return stack
 
@@ -263,14 +265,14 @@ def _exhaustive_blocks(bobs: BranchState, channel: ChannelSpec):
         raise CapacityError(
             f"exhaustive enumeration capped at {MAX_EXHAUSTIVE_PARTIES} parties, got {n}"
         )
-    table = _outcome_table(channel.variant, n)
+    outcomes, labels = _outcome_table(channel.variant, n)
     paulis = _correction_stack(channel.variant, n)
     for cj, comp in enumerate(channel.components):
         comp_state = build_channel_component(comp, channel.variant, Endpoint.RECEIVER_LAST, n)
         rows = _all_pair_rows(tensor(bobs.state, comp_state).amps, n)
         raw, vecs = _finish_rows(rows, paulis)
         index = bobs.component_index * len(channel.components) + cj
-        yield index, bobs.joint_prob * comp.weight * raw, raw, vecs, table
+        yield index, bobs.joint_prob * comp.weight * raw, raw, vecs, outcomes, labels
 
 
 def _sampled_block(bobs: BranchState, channel: ChannelSpec, gen: np.random.Generator):
@@ -298,7 +300,7 @@ def _sampled_block(bobs: BranchState, channel: ChannelSpec, gen: np.random.Gener
     label = concentration_correction(channel.variant, outcomes)
     raw, vecs = _finish_rows(amps[None, :], PAULI_MATRICES[label][None])
     index = bobs.component_index * n_comps + cj
-    return [(index, bobs.joint_prob * comp.weight * raw, raw, vecs, ((outcomes, label),))]
+    return [(index, bobs.joint_prob * comp.weight * raw, raw, vecs, (outcomes,), (label,))]
 
 
 def _concentration_blocks(bobs: BranchState, channel: ChannelSpec, mode: str, gen):
@@ -307,8 +309,8 @@ def _concentration_blocks(bobs: BranchState, channel: ChannelSpec, mode: str, ge
     mode.
 
     Each block is (flattened component index, joint probabilities, raw
-    probabilities, corrected receiver vectors, each row's (party outcomes,
-    receiver correction)). A row whose raw probability is below
+    probabilities, corrected receiver vectors, each row's party outcomes, each
+    row's receiver correction). A row whose raw probability is below
     ``NULL_PROB_EPS`` is a null branch and its vector is meaningless.
     """
     if channel.endpoint is not Endpoint.RECEIVER_LAST:
@@ -342,8 +344,8 @@ def concentrate(
             None if r < NULL_PROB_EPS else StateVector(1, vec),
             p, bobs.outcomes + outcomes, label, index,
         )
-        for index, joint, raw, vecs, table in _concentration_blocks(bobs, channel, mode, gen)
-        for r, p, vec, (outcomes, label) in zip(raw.tolist(), joint.tolist(), vecs, table)
+        for index, joint, raw, vecs, column, labels in _concentration_blocks(bobs, channel, mode, gen)
+        for r, p, vec, outcomes, label in zip(raw.tolist(), joint.tolist(), vecs, column, labels)
     ]
 
 
@@ -392,15 +394,13 @@ def run_end_to_end(
             reports.append(OutcomeReport(index, db.outcomes[0], (), db.joint_prob, None, None))
             continue
         alice = db.outcomes[0]
-        for index, joint, raw, vecs, table in _concentration_blocks(db, conc_channel, mode, gen):
+        for index, joint, raw, vecs, outcomes, labels in _concentration_blocks(
+            db, conc_channel, mode, gen
+        ):
             fids = np.abs(vecs.conj() @ input_state.amps) ** 2
-            reports.extend(
-                OutcomeReport(
-                    index, alice, outcomes, p, label,
-                    None if r < NULL_PROB_EPS or p <= NULL_PROB_EPS else f,
-                )
-                for r, p, f, (outcomes, label) in zip(
-                    raw.tolist(), joint.tolist(), fids.tolist(), table
-                )
-            )
+            live = ~(raw < NULL_PROB_EPS) & ~(joint <= NULL_PROB_EPS)
+            reports.extend(map(
+                OutcomeReport, itertools.repeat(index), itertools.repeat(alice), outcomes,
+                joint.tolist(), labels, np.where(live, fids, None).tolist(),
+            ))
     return reports

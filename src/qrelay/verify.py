@@ -71,14 +71,22 @@ class Verdict:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
+        """JSON fields, with each non-finite number written as None, so a
+        NaN verdict still serializes as strict JSON."""
+        return _finite_or_none({
             "claim_id": self.claim_id,
             "passed": self.passed,
             "worst_deviation": self.worst_deviation,
             "tolerance": self.tolerance,
-            "witnesses": [w.to_json() for w in self.witnesses],
-            "details": dict(self.details),
-        }
+            "witnesses": [_finite_or_none(w.to_json()) for w in self.witnesses],
+            "details": _finite_or_none(self.details),
+        })
+
+
+def _finite_or_none(fields: dict) -> dict:
+    return {
+        k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in fields.items()
+    }
 
 
 # Oracle-local literals: Bell bras by outcome index over basis 00,01,10,11,
@@ -237,14 +245,13 @@ def check_faithful(
         reports = run_end_to_end(random_input(gen), dist, conc, mode="exhaustive")
         total = sum(r.joint_prob for r in reports)
         prob_gap = _worse(prob_gap, abs(total - 1.0))
-        for r in reports:
-            if r.fidelity is None:
-                continue
-            branches_checked += 1
-            dev = abs(1.0 - r.fidelity)
-            if not dev <= tolerance and len(witnesses) < MAX_WITNESSES:
-                witnesses.append(r)
-            worst = _worse(worst, dev)
+        live = [r for r in reports if r.fidelity is not None]
+        devs = np.abs(1.0 - np.array([r.fidelity for r in live], dtype=float))
+        branches_checked += len(live)
+        if live:
+            worst = _worse(worst, float(devs.max()))  # max propagates NaN
+        for k in np.flatnonzero(~(devs <= tolerance))[: MAX_WITNESSES - len(witnesses)]:
+            witnesses.append(live[k])
     worst = _worse(worst, prob_gap)
     if claim_id is None:
         claim_id = f"faithful-{dist.variant.value}-n{dist.n_parties}"

@@ -1,12 +1,17 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import qrelay.cli as cli_mod
+from qrelay.bell import BellOutcome, PauliLabel
 from qrelay.channels import Endpoint, ghz_channel, save_channel, telecloning_channel
 from qrelay.cli import build_parser, main, parse_input_spec, resolve_channel_arg
+from qrelay.protocol import OutcomeReport
+from qrelay.verify import Verdict
 
 
 def run_cli(args):
@@ -102,6 +107,29 @@ class TestExitCodes:
         assert code == 1
         report = load_report(out)
         assert any(not v["passed"] for v in report["summary"]["verdicts"])
+
+    def test_nan_verdict_is_strict_json_failure(self, tmp_path, monkeypatch):
+        witness = OutcomeReport(
+            0, BellOutcome.PHI_PLUS, (BellOutcome.PSI_MINUS,), 0.25, PauliLabel.Y, math.nan
+        )
+        verdict = Verdict(
+            "faithful-parity-n1", False, math.nan, 1e-9, (witness,),
+            {"trials": 1, "max_prob_gap": math.nan},
+        )
+        monkeypatch.setattr(cli_mod, "run_suite", lambda *args, **kwargs: [verdict])
+        out = tmp_path / "report.json"
+        code = run_cli(["verify", "--suite", "faithfulness", "--output", str(out)])
+        assert code == 1
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)
+        (data,) = report["summary"]["verdicts"]
+        assert data["passed"] is False
+        assert data["worst_deviation"] is None
+        assert data["details"] == {"trials": 1, "max_prob_gap": None}
+        assert data["witnesses"][0]["fidelity"] is None
 
     def test_nan_input_is_usage_error(self, capsys):
         code = run_cli([

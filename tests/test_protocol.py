@@ -472,6 +472,28 @@ class TestEvaluatorConsumersAgree:
         assert f.fidelity == pytest.approx(s.fidelity, rel=0, abs=1e-12)
 
 
+class TestReportFieldTypes:
+    # Reports hold plain Python values, never numpy scalars or object-array
+    # elements, so their JSON stays byte-identical (criterion 8).
+    @pytest.mark.parametrize("mode, seed", [("exhaustive", None)] + [("sampled", s) for s in range(4)])
+    @pytest.mark.parametrize("name", ["ghz3", "telecloning-smolin"])
+    def test_plain_python_fields(self, name, mode, seed):
+        dist, conc = dict(agreement_cases())[name]
+        inp = random_input(np.random.default_rng(20))
+        reports = run_end_to_end(inp, dist, conc, mode=mode, seed=seed)
+        assert reports
+        for r in reports:
+            assert type(r.component_index) is int
+            assert type(r.alice_outcome) is BellOutcome
+            assert type(r.joint_prob) is float
+            assert r.fidelity is None or type(r.fidelity) is float
+            assert type(r.bob_outcomes) is tuple
+            assert all(type(o) is BellOutcome for o in r.bob_outcomes)
+            assert type(r.correction) is PauliLabel
+        if mode == "exhaustive":
+            assert {r.fidelity is None for r in reports} == {True, False}
+
+
 class TestReportsAndTranscripts:
     def test_report_json_shape(self):
         dist, conc = bell_pair_channels()

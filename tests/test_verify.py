@@ -7,7 +7,7 @@ import pytest
 
 import qrelay.verify as verify_mod
 
-from qrelay.bell import BELL_OUTCOMES, BellOutcome, PauliLabel, bell_vector
+from qrelay.bell import BELL_OUTCOMES, BellOutcome, PauliLabel, as_rng, bell_vector
 from qrelay.channels import (
     Endpoint,
     Variant,
@@ -17,12 +17,13 @@ from qrelay.channels import (
     smolin_channel,
     telecloning_channel,
 )
-from qrelay.protocol import InputQubit, concentration_correction
+from qrelay.protocol import InputQubit, concentration_correction, random_input
 from qrelay.statevec import CapacityError
 from qrelay.verify import (
     CLONE_TARGET,
     EVEN_N_FID_CEILING,
     FAITHFUL_TOL,
+    MAX_WITNESSES,
     WITNESS_PROB_FLOOR,
     Verdict,
     _bra_matrix,
@@ -176,6 +177,64 @@ class TestCheckFaithful:
         conc2 = random_channel(Variant.DOMINO, 2, Endpoint.RECEIVER_LAST, gen2)
         assert check_faithful(dist1, conc1, trials=3, seed=8) == check_faithful(
             dist2, conc2, trials=3, seed=8)
+
+
+def reference_check_faithful(dist, conc, trials, seed, tolerance=FAITHFUL_TOL):
+    """check_faithful's (worst_deviation, details, witnesses) from a plain
+    loop over the reports of the same run_end_to_end binding."""
+
+    def worse(a, b):
+        return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
+
+    gen = as_rng(seed)
+    worst = prob_gap = 0.0
+    checked = 0
+    witnesses = []
+    for _ in range(trials):
+        reports = verify_mod.run_end_to_end(random_input(gen), dist, conc, mode="exhaustive")
+        prob_gap = worse(prob_gap, abs(sum(r.joint_prob for r in reports) - 1.0))
+        for r in reports:
+            if r.fidelity is None:
+                continue
+            checked += 1
+            dev = abs(1.0 - r.fidelity)
+            if not dev <= tolerance and len(witnesses) < MAX_WITNESSES:
+                witnesses.append(r)
+            worst = worse(worst, dev)
+    details = {"trials": trials, "branches_checked": checked, "max_prob_gap": prob_gap}
+    return worse(worst, prob_gap), details, witnesses
+
+
+class TestCheckFaithfulMatchesReferenceLoop:
+    # repr compares floats exactly and treats NaN as equal to itself.
+    def assert_matches_reference(self, dist, conc, trials, seed):
+        v = check_faithful(dist, conc, trials=trials, seed=seed)
+        worst, details, witnesses = reference_check_faithful(dist, conc, trials, seed)
+        assert repr(v.worst_deviation) == repr(worst)
+        assert repr(v.details) == repr(details)
+        assert [repr(w) for w in v.witnesses] == [repr(w) for w in witnesses]
+        return v
+
+    def test_faithful_domino_four(self):
+        gen = np.random.default_rng(3)
+        dist = random_channel(Variant.DOMINO, 4, Endpoint.SENDER_FIRST, gen)
+        conc = random_channel(Variant.DOMINO, 4, Endpoint.RECEIVER_LAST, gen)
+        v = self.assert_matches_reference(dist, conc, trials=3, seed=4)
+        assert v.passed and v.witnesses == ()
+
+    def test_failing_parity_two_reaches_witness_cap(self):
+        gen = np.random.default_rng(5)
+        dist = random_channel(Variant.PARITY, 2, Endpoint.SENDER_FIRST, gen)
+        conc = random_channel(Variant.PARITY, 2, Endpoint.RECEIVER_LAST, gen)
+        v = self.assert_matches_reference(dist, conc, trials=3, seed=6)
+        assert not v.passed and len(v.witnesses) == MAX_WITNESSES
+
+    def test_nan_fidelity(self, monkeypatch):
+        monkeypatch.setattr(verify_mod, "run_end_to_end", with_nan_fidelity(verify_mod.run_end_to_end))
+        dist = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.SENDER_FIRST)
+        conc = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.RECEIVER_LAST)
+        v = self.assert_matches_reference(dist, conc, trials=2, seed=0)
+        assert math.isnan(v.worst_deviation) and len(v.witnesses) == 2
 
 
 class TestOracleAgreement:
