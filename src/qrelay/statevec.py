@@ -73,7 +73,8 @@ def tensor(a: StateVector, b: StateVector, cap: int = DEFAULT_QUBIT_CAP) -> Stat
     total = a.num_qubits + b.num_qubits
     if total > cap:
         raise CapacityError(f"tensor product would need {total} qubits, cap is {cap}")
-    return StateVector(total, np.kron(a.amps, b.amps))
+    # The products np.kron forms for two vectors, without its reshaping.
+    return StateVector(total, np.multiply.outer(a.amps, b.amps).ravel())
 
 
 def _check_qubit(qubit: int, num_qubits: int) -> None:

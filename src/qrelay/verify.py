@@ -12,7 +12,6 @@ one of the checks.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
@@ -184,6 +183,69 @@ def _misplaced(report: OutcomeReport | None, component_index: int, alice: BellOu
     )
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two vectors: the products np.kron forms, without
+    its per-call reshaping."""
+    return np.multiply.outer(a, b).ravel()
+
+
+@lru_cache(maxsize=None)
+def _oracle_dist_gate(variant: Variant, outcome: BellOutcome, n_parties: int) -> np.ndarray:
+    """Dense n-qubit distribution correction for one sender outcome."""
+    letters = _oracle_dist_letters(variant, outcome, n_parties)
+    gate = reduce(np.kron, [_ORACLE_GATE[letter] for letter in letters])
+    gate.setflags(write=False)
+    return gate
+
+
+def _corrected(vec: np.ndarray, gate: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """(raw probability, normalized ``gate @ vec`` or None on a null branch)."""
+    raw = float(np.real(np.vdot(vec, vec)))
+    if raw < NULL_PROB_EPS:
+        return raw, None
+    return raw, (gate @ vec) / np.sqrt(raw)
+
+
+def _sender_branch(full: np.ndarray, variant: Variant, n_parties: int, outcome: BellOutcome):
+    """One distribution branch of ``input (x) sender channel``."""
+    vec = _bra_matrix(n_parties + 2, 1, 2, outcome.index) @ full
+    return _corrected(vec, _oracle_dist_gate(variant, outcome, n_parties))
+
+
+def _concentration_leaves(start: np.ndarray, variant: Variant, n_parties: int, levels):
+    """Walk the concentration outcome tree below ``start`` = ``bobs (x)
+    receiver channel`` depth first, taking the outcomes ``levels[i]`` for
+    party i+1. Yields (outcomes, raw probability, corrected 2-vector or None)
+    per leaf, in lexicographic order of ``levels``.
+
+    A node at depth i applies one dense projection of the pair (party i+1,
+    channel qubit i+1) to its parent's vector, and the parity receiver gate
+    is the left fold of the outcome letters along the path, so each leaf is
+    the same sequence of products as a per-branch loop over its outcomes.
+    """
+    domino = variant is Variant.DOMINO
+    steps = [
+        [
+            (o, _bra_matrix(2 * n_parties + 1 - 2 * depth, 1, n_parties - depth + 1, o.index),
+             _ORACLE_GATE[_CORR_LETTER[o.index]])
+            for o in outcomes
+        ]
+        for depth, outcomes in enumerate(levels)
+    ]
+
+    def walk(vec, depth, prefix, gate):
+        if depth == n_parties:
+            if domino:
+                gate = _ORACLE_GATE[domino_correction_by_counter(prefix).value]
+            yield prefix, *_corrected(vec, gate)
+            return
+        for outcome, bra, letter in steps[depth]:
+            path_gate = letter if domino or gate is None else gate @ letter
+            yield from walk(bra @ vec, depth + 1, prefix + (outcome,), path_gate)
+
+    return walk(start, 0, (), None)
+
+
 def oracle_distribution_branch(
     input_qubit: InputQubit, component: Component, variant: Variant, n_parties: int, outcome: BellOutcome
 ):
@@ -192,14 +254,8 @@ def oracle_distribution_branch(
     Returns (raw probability, corrected n-qubit amplitude vector or None).
     """
     chan = build_channel_component(component, variant, Endpoint.SENDER_FIRST, n_parties)
-    full = np.kron(np.array([input_qubit.alpha, input_qubit.beta], dtype=complex), chan.amps)
-    vec = _bra_matrix(n_parties + 2, 1, 2, outcome.index) @ full
-    raw = float(np.real(np.vdot(vec, vec)))
-    if raw < NULL_PROB_EPS:
-        return raw, None
-    letters = _oracle_dist_letters(variant, outcome, n_parties)
-    gate = reduce(np.kron, [_ORACLE_GATE[letter] for letter in letters])
-    return raw, (gate @ vec) / np.sqrt(raw)
+    full = _outer(np.array([input_qubit.alpha, input_qubit.beta], dtype=complex), chan.amps)
+    return _sender_branch(full, variant, n_parties, outcome)
 
 
 def oracle_concentration_branch(
@@ -209,19 +265,12 @@ def oracle_concentration_branch(
     of pairs (party i, channel qubit i), then the receiver gate. Returns
     (raw probability, corrected 2-vector or None)."""
     outcomes = tuple(outcomes)
+    if len(outcomes) != n_parties:
+        raise ValueError(f"expected {n_parties} outcomes, got {len(outcomes)}")
     chan = build_channel_component(component, variant, Endpoint.RECEIVER_LAST, n_parties)
-    vec = np.kron(np.asarray(bobs_vec, dtype=complex), chan.amps)
-    for i, outcome in enumerate(outcomes):
-        num = 2 * n_parties + 1 - 2 * i
-        vec = _bra_matrix(num, 1, n_parties - i + 1, outcome.index) @ vec
-    raw = float(np.real(np.vdot(vec, vec)))
-    if raw < NULL_PROB_EPS:
-        return raw, None
-    if variant is Variant.DOMINO:
-        gate = _ORACLE_GATE[domino_correction_by_counter(outcomes).value]
-    else:
-        gate = reduce(np.matmul, [_ORACLE_GATE[_CORR_LETTER[o.index]] for o in outcomes])
-    return raw, (gate @ vec) / np.sqrt(raw)
+    start = _outer(np.asarray(bobs_vec, dtype=complex), chan.amps)
+    ((_, raw, vec),) = _concentration_leaves(start, variant, n_parties, [(o,) for o in outcomes])
+    return raw, vec
 
 
 def check_faithful(
@@ -265,6 +314,29 @@ def check_faithful(
     )
 
 
+def _oracle_branches(inp_vec: np.ndarray, dist: ChannelSpec, conc: ChannelSpec, senders, receivers):
+    """Every end-to-end branch of one input in the evaluator's report order,
+    as (component index, sender outcome, receiver outcomes, joint
+    probability, corrected 2-vector or None). A null sender branch has no
+    receiver outcomes. ``senders`` and ``receivers`` are the channel
+    components' amplitude vectors."""
+    n = dist.n_parties
+    levels = [BELL_OUTCOMES] * n
+    for ci, (comp, sender) in enumerate(zip(dist.components, senders)):
+        full = _outer(inp_vec, sender)
+        for a_outcome in BELL_OUTCOMES:
+            raw_a, vec_a = _sender_branch(full, dist.variant, n, a_outcome)
+            if vec_a is None:
+                yield ci * len(conc.components), a_outcome, (), comp.weight * raw_a, None
+                continue
+            for cj, (ccomp, receiver) in enumerate(zip(conc.components, receivers)):
+                index = ci * len(conc.components) + cj
+                weight = comp.weight * raw_a * ccomp.weight
+                start = _outer(vec_a, receiver)
+                for tup, raw_c, vec_c in _concentration_leaves(start, conc.variant, n, levels):
+                    yield index, a_outcome, tup, weight * raw_c, vec_c
+
+
 def oracle_agreement(
     dist: ChannelSpec,
     conc: ChannelSpec,
@@ -279,9 +351,19 @@ def oracle_agreement(
     The evaluator's reports must come in the oracle's branch order: a report
     whose component or outcomes differ from the oracle branch at its
     position, and a missing or extra report, each count as deviation 1.0.
+    Each channel component is built once per call, and the oracle walks each
+    receiver component's outcome tree once per live sender branch.
     """
     gen = as_rng(seed)
     n = dist.n_parties
+    senders = [
+        build_channel_component(comp, dist.variant, Endpoint.SENDER_FIRST, n).amps
+        for comp in dist.components
+    ]
+    receivers = [
+        build_channel_component(comp, conc.variant, Endpoint.RECEIVER_LAST, n).amps
+        for comp in conc.components
+    ]
     worst = 0.0
     compared = 0
     witnesses: list[OutcomeReport] = []
@@ -290,41 +372,21 @@ def oracle_agreement(
         inp = random_input(gen)
         inp_vec = np.array([inp.alpha, inp.beta], dtype=complex)
         reports = iter(run_end_to_end(inp, dist, conc, mode="exhaustive"))
-        for ci, comp in enumerate(dist.components):
-            for a_outcome in BELL_OUTCOMES:
-                raw_a, vec_a = oracle_distribution_branch(inp, comp, dist.variant, n, a_outcome)
-                if vec_a is None:
-                    r = next(reports, None)
-                    if _misplaced(r, ci * len(conc.components), a_outcome, ()):
-                        dev = 1.0
-                    else:
-                        dev = abs(r.joint_prob - comp.weight * raw_a)
-                        if r.fidelity is not None:
-                            dev = max(dev, 1.0)
-                    worst = _worse(worst, dev)
-                    compared += 1
-                    continue
-                for cj, ccomp in enumerate(conc.components):
-                    index = ci * len(conc.components) + cj
-                    for tup in itertools.product(BELL_OUTCOMES, repeat=n):
-                        raw_c, vec_c = oracle_concentration_branch(
-                            vec_a, ccomp, conc.variant, n, tup
-                        )
-                        r = next(reports, None)
-                        if _misplaced(r, index, a_outcome, tup):
-                            dev = 1.0
-                        else:
-                            joint = comp.weight * raw_a * ccomp.weight * raw_c
-                            dev = abs(r.joint_prob - joint)
-                            if (vec_c is None) != (r.fidelity is None):
-                                dev = max(dev, 1.0)
-                            elif vec_c is not None:
-                                fid = float(abs(np.vdot(inp_vec, vec_c)) ** 2)
-                                dev = _worse(dev, abs(fid - r.fidelity))
-                        compared += 1
-                        worst = _worse(worst, dev)
-                        if not dev <= tolerance and r is not None and len(witnesses) < MAX_WITNESSES:
-                            witnesses.append(r)
+        for index, a_outcome, tup, joint, vec in _oracle_branches(inp_vec, dist, conc, senders, receivers):
+            r = next(reports, None)
+            if _misplaced(r, index, a_outcome, tup):
+                dev = 1.0
+            else:
+                dev = abs(r.joint_prob - joint)
+                if (vec is None) != (r.fidelity is None):
+                    dev = max(dev, 1.0)
+                elif vec is not None:
+                    fid = float(abs(np.vdot(inp_vec, vec)) ** 2)
+                    dev = _worse(dev, abs(fid - r.fidelity))
+            compared += 1
+            worst = _worse(worst, dev)
+            if not dev <= tolerance and r is not None and len(witnesses) < MAX_WITNESSES:
+                witnesses.append(r)
         if next(reports, None) is not None:
             worst = _worse(worst, 1.0)  # the evaluator returned more branches than the oracle
 
@@ -426,7 +488,7 @@ def verify_smolin(seed=0, trials: int = 5) -> Verdict:
         seed=seed,
         claim_id="smolin-concentration",
     )
-    worst = max(td * (FAITHFUL_TOL / SMOLIN_DECOMP_TOL), faithful.worst_deviation)
+    worst = _worse(td * (FAITHFUL_TOL / SMOLIN_DECOMP_TOL), faithful.worst_deviation)
     return Verdict(
         "smolin-channel",
         faithful.passed and worst <= FAITHFUL_TOL,
@@ -469,8 +531,8 @@ def clone_fidelity_verdict(trials: int = 100, seed=0) -> Verdict:
     anticlone_lo, anticlone_hi = 1.0, 0.0
     for _ in range(trials):
         f1, f2, f3 = clone_report(random_input(gen))
-        worst = max(worst, abs(f2 - CLONE_TARGET), abs(f3 - CLONE_TARGET))
-        pair_gap = max(pair_gap, abs(f2 - f3))
+        worst = _worse(_worse(worst, abs(f2 - CLONE_TARGET)), abs(f3 - CLONE_TARGET))
+        pair_gap = _worse(pair_gap, abs(f2 - f3))
         anticlone_lo = min(anticlone_lo, f1)
         anticlone_hi = max(anticlone_hi, f1)
     return Verdict(

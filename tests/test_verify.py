@@ -1,9 +1,12 @@
 import dataclasses
 import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qrelay.verify as verify_mod
 
@@ -17,13 +20,14 @@ from qrelay.channels import (
     smolin_channel,
     telecloning_channel,
 )
-from qrelay.protocol import InputQubit, concentration_correction, random_input
+from qrelay.protocol import InputQubit, concentration_correction, random_input, run_end_to_end
 from qrelay.statevec import CapacityError
 from qrelay.verify import (
     CLONE_TARGET,
     EVEN_N_FID_CEILING,
     FAITHFUL_TOL,
     MAX_WITNESSES,
+    ORACLE_TOL,
     WITNESS_PROB_FLOOR,
     Verdict,
     _bra_matrix,
@@ -310,12 +314,188 @@ class TestOracleAgreement:
         assert not v.passed
         assert math.isnan(v.worst_deviation)
 
+    def test_deviating_null_sender_branch_is_a_witness(self, monkeypatch):
+        # With input |+> the |+>|+> channel nulls the psi- sender branch; an
+        # evaluator that gives that branch a fidelity must be named.
+        monkeypatch.setattr(verify_mod, "random_input", lambda gen: InputQubit(SQ, SQ))
+        evaluate = verify_mod.run_end_to_end
+
+        def tampered(*args, **kwargs):
+            reports = evaluate(*args, **kwargs)
+            i = next(i for i, r in enumerate(reports) if r.alice_outcome is PSI_M)
+            if reports[i].bob_outcomes != () or reports[i].fidelity is not None:
+                raise AssertionError(f"psi- sender branch is not null: {reports[i]}")
+            reports[i] = dataclasses.replace(reports[i], fidelity=1.0)
+            return reports
+
+        monkeypatch.setattr(verify_mod, "run_end_to_end", tampered)
+        dist = pure_channel(Variant.CUSTOM, 1, {"0": SQ, "1": SQ}, Endpoint.SENDER_FIRST)
+        conc = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.RECEIVER_LAST)
+        v = oracle_agreement(dist, conc, trials=1, seed=0)
+        assert not v.passed
+        assert v.worst_deviation == 1.0
+        assert [(w.alice_outcome, w.bob_outcomes, w.fidelity) for w in v.witnesses] == [(PSI_M, (), 1.0)]
+
     def test_agreement_holds_even_when_unfaithful(self):
         gen = np.random.default_rng(11)
         dist = random_channel(Variant.PARITY, 2, Endpoint.SENDER_FIRST, gen)
         conc = random_channel(Variant.PARITY, 2, Endpoint.RECEIVER_LAST, gen)
         v = oracle_agreement(dist, conc, trials=2, seed=12)
         assert v.passed
+
+
+def reference_oracle_agreement(dist, conc, trials, seed, tolerance=ORACLE_TOL):
+    """oracle_agreement's verdict from a per-branch loop: every branch
+    rebuilds its channel component, forms its Kronecker product and applies
+    all of its projections from scratch."""
+    bra, gates, letters = verify_mod._bra_matrix, verify_mod._ORACLE_GATE, verify_mod._CORR_LETTER
+
+    def worse(a, b):
+        return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
+
+    def finish(vec, gate):
+        raw = float(np.real(np.vdot(vec, vec)))
+        if raw < verify_mod.NULL_PROB_EPS:
+            return raw, None
+        return raw, (gate @ vec) / np.sqrt(raw)
+
+    def dist_branch(inp, comp, outcome):
+        chan = verify_mod.build_channel_component(comp, dist.variant, Endpoint.SENDER_FIRST, n)
+        full = np.kron(np.array([inp.alpha, inp.beta], dtype=complex), chan.amps)
+        vec = bra(n + 2, 1, 2, outcome.index) @ full
+        dist_letters = verify_mod._oracle_dist_letters(dist.variant, outcome, n)
+        return finish(vec, reduce(np.kron, [gates[x] for x in dist_letters]))
+
+    def conc_branch(bobs_vec, comp, tup):
+        chan = verify_mod.build_channel_component(comp, conc.variant, Endpoint.RECEIVER_LAST, n)
+        vec = np.kron(bobs_vec, chan.amps)
+        for i, o in enumerate(tup):
+            vec = bra(2 * n + 1 - 2 * i, 1, n - i + 1, o.index) @ vec
+        if conc.variant is Variant.DOMINO:
+            gate = gates[domino_correction_by_counter(tup).value]
+        else:
+            gate = reduce(np.matmul, [gates[letters[o.index]] for o in tup])
+        return finish(vec, gate)
+
+    gen = as_rng(seed)
+    n = dist.n_parties
+    worst = 0.0
+    compared = 0
+    witnesses = []
+
+    def compare(r, index, alice, bobs, joint, vec):
+        nonlocal worst, compared
+        if verify_mod._misplaced(r, index, alice, bobs):
+            dev = 1.0
+        else:
+            dev = abs(r.joint_prob - joint)
+            if (vec is None) != (r.fidelity is None):
+                dev = max(dev, 1.0)
+            elif vec is not None:
+                dev = worse(dev, abs(float(abs(np.vdot(inp_vec, vec)) ** 2) - r.fidelity))
+        compared += 1
+        worst = worse(worst, dev)
+        if not dev <= tolerance and r is not None and len(witnesses) < MAX_WITNESSES:
+            witnesses.append(r)
+
+    for _ in range(trials):
+        inp = random_input(gen)
+        inp_vec = np.array([inp.alpha, inp.beta], dtype=complex)
+        reports = iter(verify_mod.run_end_to_end(inp, dist, conc, mode="exhaustive"))
+        for ci, comp in enumerate(dist.components):
+            for a in BELL_OUTCOMES:
+                raw_a, vec_a = dist_branch(inp, comp, a)
+                if vec_a is None:
+                    compare(next(reports, None), ci * len(conc.components), a, (),
+                            comp.weight * raw_a, None)
+                    continue
+                for cj, ccomp in enumerate(conc.components):
+                    for tup in itertools.product(BELL_OUTCOMES, repeat=n):
+                        raw_c, vec_c = conc_branch(vec_a, ccomp, tup)
+                        compare(next(reports, None), ci * len(conc.components) + cj, a, tup,
+                                comp.weight * raw_a * ccomp.weight * raw_c, vec_c)
+        if next(reports, None) is not None:
+            worst = worse(worst, 1.0)
+    return Verdict(
+        f"oracle-{dist.variant.value}-n{n}",
+        compared > 0 and worst <= tolerance,
+        worst,
+        tolerance,
+        tuple(witnesses),
+        {"trials": trials, "branches_compared": compared},
+    )
+
+
+class TestOracleMatchesPerBranchLoop:
+    # The tree walk does the same float operations as the per-branch loop,
+    # so the verdicts agree exactly; repr also tells NaN and -0.0 apart.
+    @pytest.mark.parametrize("variant", [Variant.PARITY, Variant.DOMINO], ids=lambda v: v.value)
+    def test_random_three_parties(self, variant):
+        gen = np.random.default_rng(31)
+        dist = random_channel(variant, 3, Endpoint.SENDER_FIRST, gen)
+        conc = random_channel(variant, 3, Endpoint.RECEIVER_LAST, gen)
+        v = oracle_agreement(dist, conc, trials=2, seed=3)
+        assert repr(v) == repr(reference_oracle_agreement(dist, conc, trials=2, seed=3))
+        assert v.passed
+
+    def test_telecloning_smolin(self):
+        dist, conc = telecloning_channel(), smolin_channel()
+        v = oracle_agreement(dist, conc, trials=1, seed=2)
+        assert repr(v) == repr(reference_oracle_agreement(dist, conc, trials=1, seed=2))
+        assert v.passed
+
+    def test_failing_parity_two_reaches_witness_cap(self):
+        # At tolerance 0 every last-bit difference between the evaluator and
+        # the oracle deviates, which fills the witness list.
+        gen = np.random.default_rng(5)
+        dist = random_channel(Variant.PARITY, 2, Endpoint.SENDER_FIRST, gen)
+        conc = random_channel(Variant.PARITY, 2, Endpoint.RECEIVER_LAST, gen)
+        v = oracle_agreement(dist, conc, trials=2, seed=0, tolerance=0.0)
+        expected = reference_oracle_agreement(dist, conc, trials=2, seed=0, tolerance=0.0)
+        assert repr(v) == repr(expected)
+        assert not v.passed and len(v.witnesses) == MAX_WITNESSES
+
+    @pytest.mark.parametrize("variant", [Variant.PARITY, Variant.DOMINO], ids=lambda v: v.value)
+    def test_branch_function_is_the_tree_leaf(self, variant):
+        gen = np.random.default_rng(8)
+        comp = random_channel(variant, 2, Endpoint.RECEIVER_LAST, gen).components[0]
+        bobs = gen.normal(size=4) + 1j * gen.normal(size=4)
+        bobs /= np.linalg.norm(bobs)
+        chan = verify_mod.build_channel_component(comp, variant, Endpoint.RECEIVER_LAST, 2)
+        leaves = list(verify_mod._concentration_leaves(
+            np.kron(bobs, chan.amps), variant, 2, [BELL_OUTCOMES] * 2))
+        assert [tup for tup, _, _ in leaves] == list(itertools.product(BELL_OUTCOMES, repeat=2))
+        for tup, raw, vec in leaves:
+            raw_b, vec_b = oracle_concentration_branch(bobs, comp, variant, 2, tup)
+            assert repr(raw_b) == repr(raw)
+            assert vec_b.tobytes() == vec.tobytes()
+
+    def test_branch_function_needs_one_outcome_per_party(self):
+        comp = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.RECEIVER_LAST).components[0]
+        with pytest.raises(ValueError, match="expected 1 outcomes"):
+            oracle_concentration_branch(np.array([1.0, 0.0]), comp, Variant.PARITY, 1, (PHI_P, PHI_P))
+
+
+class TestOracleProperties:
+    # Random channels and inputs at n <= 3: the evaluator agrees with the
+    # oracle on every branch, and its branch probabilities sum to one.
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        variant=st.sampled_from([Variant.PARITY, Variant.DOMINO, Variant.CUSTOM]),
+        n=st.integers(1, 3),
+        channel_seed=st.integers(0, 2**32 - 1),
+        input_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_evaluator_matches_oracle_and_conserves_probability(self, variant, n, channel_seed, input_seed):
+        gen = np.random.default_rng(channel_seed)
+        dist = random_channel(variant, n, Endpoint.SENDER_FIRST, gen)
+        conc = random_channel(variant, n, Endpoint.RECEIVER_LAST, gen)
+        v = oracle_agreement(dist, conc, trials=1, seed=input_seed)
+        assert v.passed, (v.worst_deviation, v.witnesses[:1])
+        # oracle_agreement's single trial drew its input from the same seed.
+        reports = run_end_to_end(random_input(as_rng(input_seed)), dist, conc, mode="exhaustive")
+        assert len(reports) == v.details["branches_compared"]
+        assert sum(r.joint_prob for r in reports) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestDominoCounterAlgorithm:
@@ -402,6 +582,13 @@ class TestSmolin:
     def test_zero_trials_fail(self):
         assert not verify_smolin(seed=0, trials=0).passed
 
+    def test_nan_concentration_deviation_is_reported(self, monkeypatch):
+        nan_verdict = Verdict("smolin-concentration", False, math.nan, FAITHFUL_TOL)
+        monkeypatch.setattr(verify_mod, "check_faithful", lambda *args, **kwargs: nan_verdict)
+        v = verify_smolin(seed=0, trials=1)
+        assert not v.passed
+        assert math.isnan(v.worst_deviation)
+
 
 class TestCloneFidelities:
     def test_basis_input(self):
@@ -429,6 +616,13 @@ class TestCloneFidelities:
 
     def test_zero_trials_fail(self):
         assert not clone_fidelity_verdict(trials=0, seed=0).passed
+
+    def test_nan_clone_fidelity_fails(self, monkeypatch):
+        monkeypatch.setattr(verify_mod, "clone_report", lambda input_qubit: [0.5, math.nan, math.nan])
+        v = clone_fidelity_verdict(trials=3, seed=0)
+        assert not v.passed
+        assert math.isnan(v.worst_deviation)
+        assert math.isnan(v.details["max_pair_gap"])
 
 
 def random_input_for_test(seed):
