@@ -36,10 +36,15 @@ from .bell import (
     as_rng,
     pauli_product,
 )
-from .channels import ChannelSpec, Endpoint, Variant, build_channel_component
-from .statevec import NORM_ATOL, CapacityError, StateVector, _apply_1q, fidelity_pure, tensor
+from .channels import ChannelSpec, Component, Endpoint, Variant, build_channel_component
+from .statevec import NORM_ATOL, CapacityError, StateVector, fidelity_pure, tensor
 
 MAX_EXHAUSTIVE_PARTIES = 6
+
+# Exhaustive concentration stacks joint states and finishes them in blocks of
+# at most this many amplitudes: one joint state at the party cap, so a stack
+# never needs more memory than the largest single state.
+_BLOCK_AMPS = 1 << (2 * MAX_EXHAUSTIVE_PARTIES + 1)
 
 PROB_SANITY_ATOL = 1e-9
 
@@ -156,6 +161,74 @@ def _check_mode(mode: str, seed) -> None:
         raise ValueError("sampled mode needs a seed or Generator")
 
 
+def _check_receiver_side(channel: ChannelSpec) -> None:
+    if channel.endpoint is not Endpoint.RECEIVER_LAST:
+        raise ValueError("concentration needs a receiver-side channel (endpoint 'receiver')")
+
+
+# 32 entries hold every component of the channel pairs one check uses; a
+# check over larger mixtures still works, rebuilding what it evicts.
+@lru_cache(maxsize=32)
+def _channel_state(component: Component, variant: Variant, endpoint: Endpoint, n: int) -> StateVector:
+    """``build_channel_component``, cached: a multi-trial check builds each
+    channel component once."""
+    return build_channel_component(component, variant, endpoint, n)
+
+
+@lru_cache(maxsize=16)  # the four sender outcomes of four (variant, n) pairs
+def _distribution_frame(
+    variant: Variant, outcome: BellOutcome, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``distribution_correction``'s party Paulis as one basis-index
+    permutation and phase vector: applying them to ``v`` gives
+    ``phase * v[perm]``.
+
+    Each Pauli has one nonzero entry per row, so it maps basis index x to
+    x with party i's bit flipped (X, Y) and scales it by a unit phase read
+    off the matrix; the phases are exact, so the result equals applying
+    the Paulis one party at a time.
+    """
+    index = np.arange(1 << n)
+    perm = index.copy()
+    phase = np.ones(1 << n, dtype=complex)
+    for i, label in enumerate(distribution_correction(variant, outcome, n)):
+        mat = PAULI_MATRICES[label]
+        shift = n - 1 - i
+        flip = int(mat[0, 0] == 0)
+        bit = (index >> shift) & 1
+        phase *= mat[bit, bit ^ flip]
+        perm ^= flip << shift
+    perm.setflags(write=False)
+    phase.setflags(write=False)
+    return perm, phase
+
+
+def _distribution_rows(input_state: StateVector, channel: ChannelSpec) -> list[tuple]:
+    """Every sender outcome of every channel component, components first and
+    outcomes in Bell order within each: (component index, outcome, joint
+    probability, corrected and normalized party vector, or None on a null
+    branch)."""
+    if channel.endpoint is not Endpoint.SENDER_FIRST:
+        raise ValueError("distribution needs a sender-side channel (endpoint 'sender')")
+    n = channel.n_parties
+    out = []
+    for ci, comp in enumerate(channel.components):
+        joint = tensor(input_state, _channel_state(comp, channel.variant, Endpoint.SENDER_FIRST, n))
+        rows = _pair_rows(joint.amps, joint.num_qubits, 1, 2)
+        for outcome, row in zip(BELL_OUTCOMES, rows):
+            raw = float(np.real(np.vdot(row, row)))
+            if channel.faithfulness_guaranteed and not abs(4.0 * raw - 1.0) < PROB_SANITY_ATOL:
+                raise ValueError(
+                    f"outcome {outcome.value} has conditional probability {raw}, expected 1/4"
+                )
+            vec = None
+            if not raw < NULL_PROB_EPS:
+                perm, phase = _distribution_frame(channel.variant, outcome, n)
+                vec = phase * (row / math.sqrt(raw))[perm]
+            out.append((ci, outcome, comp.weight * raw, vec))
+    return out
+
+
 def distribute(
     input_qubit: InputQubit, channel: ChannelSpec, mode: str = "exhaustive", seed=None
 ) -> list[BranchState]:
@@ -166,34 +239,11 @@ def distribute(
     branch in sampled mode.
     """
     _check_mode(mode, seed)
-    if channel.endpoint is not Endpoint.SENDER_FIRST:
-        raise ValueError("distribution needs a sender-side channel (endpoint 'sender')")
     n = channel.n_parties
-    input_state = input_qubit.to_state()
-
-    branches: list[BranchState] = []
-    for ci, comp in enumerate(channel.components):
-        comp_state = build_channel_component(comp, channel.variant, Endpoint.SENDER_FIRST, n)
-        joint = tensor(input_state, comp_state)
-        rows = _pair_rows(joint.amps, joint.num_qubits, 1, 2)
-        for outcome in BELL_OUTCOMES:
-            row = rows[outcome.index]
-            raw = float(np.real(np.vdot(row, row)))
-            if channel.faithfulness_guaranteed and not abs(4.0 * raw - 1.0) < PROB_SANITY_ATOL:
-                raise ValueError(
-                    f"outcome {outcome.value} has conditional probability {raw}, expected 1/4"
-                )
-            if raw < NULL_PROB_EPS:
-                branches.append(BranchState(None, comp.weight * raw, (outcome,), None, ci))
-                continue
-            amps = row / math.sqrt(raw)
-            for i, label in enumerate(distribution_correction(channel.variant, outcome, n)):
-                if label is not PauliLabel.I:
-                    amps = _apply_1q(amps, n, i + 1, PAULI_MATRICES[label])
-            branches.append(
-                BranchState(StateVector(n, amps), comp.weight * raw, (outcome,), None, ci)
-            )
-
+    branches = [
+        BranchState(None if vec is None else StateVector(n, vec), prob, (outcome,), None, ci)
+        for ci, outcome, prob, vec in _distribution_rows(input_qubit.to_state(), channel)
+    ]
     if mode == "exhaustive":
         return branches
     gen = as_rng(seed)
@@ -223,56 +273,76 @@ def _correction_stack(variant: Variant, n: int) -> np.ndarray:
 
 
 def _all_pair_rows(amps: np.ndarray, n: int) -> np.ndarray:
-    """Unnormalized receiver vectors of every concentration outcome, as the
-    rows of a (4**n, 2) array in ``_outcome_table`` order.
+    """Unnormalized receiver vectors of every concentration outcome of a
+    stack of b joint states, (b, 2**(2n+1)), as a (b, 4**n, 2) array whose
+    rows follow ``_outcome_table`` order.
 
-    The joint register is (party qubits 1..n, channel qubits n+1..2n,
+    Each joint register is (party qubits 1..n, channel qubits n+1..2n,
     receiver 2n+1). Moving each pair (i, n+i) onto adjacent axes makes the
     n simultaneous Bell measurements one Bell-bra contraction per pair axis.
     """
-    order = [ax for i in range(n) for ax in (i, n + i)] + [2 * n]
-    psi = amps.reshape([2] * (2 * n + 1)).transpose(order)
+    b = len(amps)
+    order = [0] + [1 + ax for i in range(n) for ax in (i, n + i)] + [2 * n + 1]
+    psi = amps.reshape([b] + [2] * (2 * n + 1)).transpose(order)
     bras = _BELL_ROWS.conj()
     for k in range(n):
-        psi = bras @ psi.reshape(4**k, 4, -1)
-    return psi.reshape(4**n, 2)
+        psi = bras @ psi.reshape(b * 4**k, 4, -1)
+    return psi.reshape(b, 4**n, 2)
+
+
+def _check_normalized(vecs: np.ndarray, what: str) -> None:
+    """The check a ``StateVector`` makes, on every vector along the last
+    axis of ``vecs``."""
+    norms = np.einsum("...j,...j->...", vecs.conj(), vecs).real
+    if not (np.abs(norms - 1.0) <= NORM_ATOL).all():
+        raise ValueError(f"{what} not normalized")
 
 
 def _finish_rows(rows: np.ndarray, paulis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Finish a block of unnormalized receiver rows: (raw Born probability
+    """Finish unnormalized receiver rows, (..., K, 2): (raw Born probability
     of each row, corrected and normalized receiver vectors).
 
     ``paulis[k]`` is row k's receiver correction. A row is live unless its
     raw probability is below ``NULL_PROB_EPS``; null rows keep their
     corrected but unnormalized vector, which callers must not read. Every
-    live vector must come out normalized to within ``NORM_ATOL``, the same
-    check a ``StateVector`` makes.
+    live vector must come out normalized to within ``NORM_ATOL``.
     """
-    raw = np.einsum("kj,kj->k", rows.conj(), rows).real
+    raw = np.einsum("...kj,...kj->...k", rows.conj(), rows).real
     live = ~(raw < NULL_PROB_EPS)
-    vecs = np.einsum("kij,kj->ki", paulis, rows) / np.sqrt(np.where(live, raw, 1.0))[:, None]
-    norms = np.einsum("kj,kj->k", vecs.conj(), vecs).real[live]
-    if not np.all(np.abs(norms - 1.0) <= NORM_ATOL):
-        raise ValueError("concentrated receiver state not normalized")
+    vecs = np.einsum("kij,...kj->...ki", paulis, rows) / np.sqrt(np.where(live, raw, 1.0))[..., None]
+    _check_normalized(vecs[live], "concentrated receiver state")
     return raw, vecs
 
 
-def _exhaustive_blocks(bobs: BranchState, channel: ChannelSpec):
-    """Every outcome of each receiver component, one block per component.
-    This is the one place exhaustive branches are evaluated."""
+def _exhaustive_blocks(states: np.ndarray, channel: ChannelSpec):
+    """Every concentration outcome of each (party state, receiver component)
+    pair, for a stack of normalized n-party states. The joint states are
+    stacked state by state, components in order within each, and finished
+    in blocks of at most ``_BLOCK_AMPS`` amplitudes. Yields (raw, vecs) per
+    block: (b, 4**n) raw probabilities and (b, 4**n, 2) corrected receiver
+    vectors, rows in ``_outcome_table`` order.
+
+    This is the one place exhaustive branches are evaluated.
+    """
     n = channel.n_parties
     if n > MAX_EXHAUSTIVE_PARTIES:
         raise CapacityError(
             f"exhaustive enumeration capped at {MAX_EXHAUSTIVE_PARTIES} parties, got {n}"
         )
-    outcomes, labels = _outcome_table(channel.variant, n)
+    _check_normalized(states, "distributed state")
+    receivers = np.array([
+        _channel_state(comp, channel.variant, Endpoint.RECEIVER_LAST, n).amps
+        for comp in channel.components
+    ])
     paulis = _correction_stack(channel.variant, n)
-    for cj, comp in enumerate(channel.components):
-        comp_state = build_channel_component(comp, channel.variant, Endpoint.RECEIVER_LAST, n)
-        rows = _all_pair_rows(tensor(bobs.state, comp_state).amps, n)
-        raw, vecs = _finish_rows(rows, paulis)
-        index = bobs.component_index * len(channel.components) + cj
-        yield index, bobs.joint_prob * comp.weight * raw, raw, vecs, outcomes, labels
+    which_state, which_comp = np.divmod(np.arange(len(states) * len(receivers)), len(receivers))
+    per_block = _BLOCK_AMPS >> (2 * n + 1)
+    for start in range(0, len(which_state), per_block):
+        s = which_state[start:start + per_block]
+        c = which_comp[start:start + per_block]
+        joint = (states[s, :, None] * receivers[c, None, :]).reshape(len(s), -1)
+        _check_normalized(joint, "joint state")
+        yield _finish_rows(_all_pair_rows(joint, n), paulis)
 
 
 def _sampled_block(bobs: BranchState, channel: ChannelSpec, gen: np.random.Generator):
@@ -285,8 +355,7 @@ def _sampled_block(bobs: BranchState, channel: ChannelSpec, gen: np.random.Gener
         weights = np.array([c.weight for c in channel.components])
         cj = int(gen.choice(n_comps, p=weights / weights.sum()))
     comp = channel.components[cj]
-    comp_state = build_channel_component(comp, channel.variant, Endpoint.RECEIVER_LAST, n)
-    amps = tensor(bobs.state, comp_state).amps
+    amps = tensor(bobs.state, _channel_state(comp, channel.variant, Endpoint.RECEIVER_LAST, n)).amps
     outcomes: tuple[BellOutcome, ...] = ()
     for step in range(n):
         # After `step` measurements the live registers are
@@ -304,17 +373,16 @@ def _sampled_block(bobs: BranchState, channel: ChannelSpec, gen: np.random.Gener
 
 
 def _concentration_blocks(bobs: BranchState, channel: ChannelSpec, mode: str, gen):
-    """The concentration phase's finished branches, as array blocks: every
-    outcome in exhaustive mode, one trajectory drawn from ``gen`` in sampled
-    mode.
+    """The concentration phase's finished branches, as array blocks: one per
+    receiver component in exhaustive mode, one trajectory drawn from ``gen``
+    in sampled mode.
 
     Each block is (flattened component index, joint probabilities, raw
     probabilities, corrected receiver vectors, each row's party outcomes, each
     row's receiver correction). A row whose raw probability is below
     ``NULL_PROB_EPS`` is a null branch and its vector is meaningless.
     """
-    if channel.endpoint is not Endpoint.RECEIVER_LAST:
-        raise ValueError("concentration needs a receiver-side channel (endpoint 'receiver')")
+    _check_receiver_side(channel)
     if bobs.state is None:
         raise ValueError("cannot concentrate a zero-probability branch")
     n = channel.n_parties
@@ -322,9 +390,17 @@ def _concentration_blocks(bobs: BranchState, channel: ChannelSpec, mode: str, ge
         raise ValueError(
             f"distributed state has {bobs.state.num_qubits} qubits, channel expects {n}"
         )
-    if mode == "exhaustive":
-        return _exhaustive_blocks(bobs, channel)
-    return _sampled_block(bobs, channel, gen)
+    if mode == "sampled":
+        return _sampled_block(bobs, channel, gen)
+    outcomes, labels = _outcome_table(channel.variant, n)
+    finished = itertools.chain.from_iterable(
+        zip(*block) for block in _exhaustive_blocks(bobs.state.amps[None], channel)
+    )
+    base = bobs.component_index * len(channel.components)
+    return [
+        (base + cj, bobs.joint_prob * comp.weight * raw, raw, vecs, outcomes, labels)
+        for (cj, comp), (raw, vecs) in zip(enumerate(channel.components), finished)
+    ]
 
 
 def concentrate(
@@ -364,6 +440,22 @@ def report_from_branch(branch: BranchState, input_state: StateVector) -> Outcome
     )
 
 
+def _fidelities(vecs: np.ndarray, input_amps: np.ndarray, raw: np.ndarray, joint: np.ndarray) -> list:
+    """Each row's fidelity against the input as a (nested) list of Python
+    floats, None where the branch is null by raw or joint probability."""
+    fids = np.abs(vecs.conj() @ input_amps) ** 2
+    live = ~(raw < NULL_PROB_EPS) & ~(joint <= NULL_PROB_EPS)
+    return np.where(live, fids, None).tolist()
+
+
+def _report_rows(reports: list, index: int, alice: BellOutcome, joint, fids, outcomes, labels) -> None:
+    """Append one block row's branches to ``reports``: plain Python values
+    from the rows' columns, fidelity None on a null branch."""
+    reports.extend(map(
+        OutcomeReport, itertools.repeat(index), itertools.repeat(alice), outcomes, joint, labels, fids,
+    ))
+
+
 def run_end_to_end(
     input_qubit: InputQubit,
     dist_channel: ChannelSpec,
@@ -372,7 +464,14 @@ def run_end_to_end(
     seed=None,
 ) -> list[OutcomeReport]:
     """Distribute then concentrate, reporting every branch (or one sampled
-    trajectory) with its fidelity against the input."""
+    trajectory) with its fidelity against the input.
+
+    Exhaustive mode stacks the joint state of every live sender branch with
+    every receiver component and finishes the stack with one batched
+    Bell-basis kernel; reports follow component, sender outcome, receiver
+    component and party outcomes in order, with one record per null sender
+    branch.
+    """
     _check_mode(mode, seed)
     if dist_channel.n_parties != conc_channel.n_parties:
         raise ValueError(
@@ -383,24 +482,47 @@ def run_end_to_end(
     if len(families) > 1:
         raise ValueError("distribution and concentration channels use different support families")
 
-    gen = as_rng(seed) if mode == "sampled" else None
     input_state = input_qubit.to_state()
+    input_amps = input_state.amps
     n_conc = len(conc_channel.components)
-
     reports: list[OutcomeReport] = []
-    for db in distribute(input_qubit, dist_channel, mode, gen):
-        if db.state is None:
-            index = db.component_index * n_conc
-            reports.append(OutcomeReport(index, db.outcomes[0], (), db.joint_prob, None, None))
+    if mode == "sampled":
+        gen = as_rng(seed)
+        for db in distribute(input_qubit, dist_channel, mode, gen):
+            alice = db.outcomes[0]
+            if db.state is None:
+                index = db.component_index * n_conc
+                reports.append(OutcomeReport(index, alice, (), db.joint_prob, None, None))
+                continue
+            for index, joint, raw, vecs, outcomes, labels in _concentration_blocks(
+                db, conc_channel, mode, gen
+            ):
+                fids = _fidelities(vecs, input_amps, raw, joint)
+                _report_rows(reports, index, alice, joint.tolist(), fids, outcomes, labels)
+        return reports
+
+    # Each stacked state's rows go after the null sender records that precede
+    # it; `pending` carries those records to the next live slot.
+    states, slots, pending = [], [], []
+    for ci, alice, prob, vec in _distribution_rows(input_state, dist_channel):
+        if vec is None:
+            pending.append(OutcomeReport(ci * n_conc, alice, (), prob, None, None))
             continue
-        alice = db.outcomes[0]
-        for index, joint, raw, vecs, outcomes, labels in _concentration_blocks(
-            db, conc_channel, mode, gen
-        ):
-            fids = np.abs(vecs.conj() @ input_state.amps) ** 2
-            live = ~(raw < NULL_PROB_EPS) & ~(joint <= NULL_PROB_EPS)
-            reports.extend(map(
-                OutcomeReport, itertools.repeat(index), itertools.repeat(alice), outcomes,
-                joint.tolist(), labels, np.where(live, fids, None).tolist(),
-            ))
+        states.append(vec)
+        for cj, comp in enumerate(conc_channel.components):
+            slots.append((ci * n_conc + cj, alice, prob * comp.weight, pending))
+            pending = []
+    _check_receiver_side(conc_channel)
+
+    outcomes, labels = _outcome_table(conc_channel.variant, conc_channel.n_parties)
+    done = 0
+    for raw, vecs in _exhaustive_blocks(np.array(states), conc_channel):
+        block = slots[done:done + len(raw)]
+        done += len(raw)
+        joint = np.array([slot[2] for slot in block])[:, None] * raw
+        fids = _fidelities(vecs, input_amps, raw, joint)
+        for (index, alice, _, nulls), joint_row, fid_row in zip(block, joint.tolist(), fids):
+            reports.extend(nulls)
+            _report_rows(reports, index, alice, joint_row, fid_row, outcomes, labels)
+    reports.extend(pending)
     return reports

@@ -40,7 +40,7 @@ from .protocol import (
     report_from_branch,
     run_end_to_end,
 )
-from .statevec import reduced_density, trace_distance
+from .statevec import CapacityError, reduced_density, trace_distance
 
 FAITHFUL_TOL = 1e-9
 ORACLE_TOL = 1e-10
@@ -50,6 +50,11 @@ CLONE_TARGET = 5.0 / 6.0
 EVEN_N_FID_CEILING = 1.0 - 1e-6
 WITNESS_PROB_FLOOR = 1e-12
 MAX_WITNESSES = 8
+
+# The oracle's dense projections of an m-qubit vector are (2^(m-2), 2^m)
+# matrices. The first concentration level at five parties needs four of
+# them at 16 MiB each; at six it would need four at 256 MiB.
+MAX_ORACLE_PARTIES = 5
 
 
 @dataclass(frozen=True)
@@ -246,6 +251,13 @@ def _concentration_leaves(start: np.ndarray, variant: Variant, n_parties: int, l
     return walk(start, 0, (), None)
 
 
+def _check_oracle_size(n_parties: int) -> None:
+    if n_parties > MAX_ORACLE_PARTIES:
+        raise CapacityError(
+            f"dense oracle capped at {MAX_ORACLE_PARTIES} parties, got {n_parties}"
+        )
+
+
 def oracle_distribution_branch(
     input_qubit: InputQubit, component: Component, variant: Variant, n_parties: int, outcome: BellOutcome
 ):
@@ -263,7 +275,9 @@ def oracle_concentration_branch(
 ):
     """Recompute one concentration branch: sequential dense Bell projections
     of pairs (party i, channel qubit i), then the receiver gate. Returns
-    (raw probability, corrected 2-vector or None)."""
+    (raw probability, corrected 2-vector or None). Raises ``CapacityError``
+    above ``MAX_ORACLE_PARTIES`` parties."""
+    _check_oracle_size(n_parties)
     outcomes = tuple(outcomes)
     if len(outcomes) != n_parties:
         raise ValueError(f"expected {n_parties} outcomes, got {len(outcomes)}")
@@ -352,10 +366,12 @@ def oracle_agreement(
     whose component or outcomes differ from the oracle branch at its
     position, and a missing or extra report, each count as deviation 1.0.
     Each channel component is built once per call, and the oracle walks each
-    receiver component's outcome tree once per live sender branch.
+    receiver component's outcome tree once per live sender branch. Raises
+    ``CapacityError`` above ``MAX_ORACLE_PARTIES`` parties.
     """
-    gen = as_rng(seed)
     n = dist.n_parties
+    _check_oracle_size(n)
+    gen = as_rng(seed)
     senders = [
         build_channel_component(comp, dist.variant, Endpoint.SENDER_FIRST, n).amps
         for comp in dist.components

@@ -9,6 +9,7 @@ from qrelay.channels import (
     Variant,
     build_channel_component,
     ghz_channel,
+    mixed_channel,
     pure_channel,
     random_channel,
     resolve_preset,
@@ -18,6 +19,7 @@ from qrelay.channels import (
 from qrelay.protocol import (
     MAX_EXHAUSTIVE_PARTIES,
     InputQubit,
+    _distribution_frame,
     concentrate,
     concentration_correction,
     distribute,
@@ -26,7 +28,7 @@ from qrelay.protocol import (
     report_from_branch,
     run_end_to_end,
 )
-from qrelay.statevec import CapacityError, StateVector, fidelity_pure, tensor
+from qrelay.statevec import CapacityError, StateVector, _apply_1q, fidelity_pure, tensor
 
 from conftest import equal_up_to_phase, random_state
 
@@ -80,6 +82,22 @@ class TestDistributionCorrection:
 
     def test_custom_uses_parity_rule(self):
         assert distribution_correction(Variant.CUSTOM, PSI_M, 2) == (PauliLabel.Y,) * 2
+
+    @pytest.mark.parametrize("n", range(1, MAX_EXHAUSTIVE_PARTIES + 1))
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_frame_is_the_sequential_paulis_exactly(self, variant, n):
+        # distribute applies each outcome's party Paulis as one cached
+        # permutation and phase; it must give the same floats, bit for bit,
+        # as applying the Paulis one party at a time.
+        gen = np.random.default_rng(40 + n)
+        for outcome in BELL_OUTCOMES:
+            perm, phase = _distribution_frame(variant, outcome, n)
+            for _ in range(3):
+                vec = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
+                want = vec
+                for i, label in enumerate(distribution_correction(variant, outcome, n)):
+                    want = _apply_1q(want, n, i + 1, PAULI_MATRICES[label])
+                assert np.array_equal(phase * vec[perm], want), outcome
 
 
 class TestConcentrationCorrection:
@@ -310,7 +328,6 @@ class TestRunEndToEnd:
         gen = np.random.default_rng(12)
         comp_a = random_channel(Variant.PARITY, 2, Endpoint.RECEIVER_LAST, gen)
         comp_b = random_channel(Variant.PARITY, 2, Endpoint.RECEIVER_LAST, gen)
-        from qrelay.channels import mixed_channel
         mixture = mixed_channel(
             Variant.PARITY, 2, Endpoint.RECEIVER_LAST,
             [(0.3, dict(comp_a.components[0].coeffs)),
@@ -425,6 +442,21 @@ def agreement_cases():
     yield "ghz3", (resolve_preset("ghz(3)", Endpoint.SENDER_FIRST),
                    resolve_preset("ghz(3)", Endpoint.RECEIVER_LAST))
     yield "telecloning-smolin", (telecloning_channel(), smolin_channel())
+    # Each block of the stacked evaluator holds one joint state of the cap size.
+    yield "domino-n6", (random_channel(Variant.DOMINO, 6, Endpoint.SENDER_FIRST, gen),
+                        random_channel(Variant.DOMINO, 6, Endpoint.RECEIVER_LAST, gen))
+    # For the |+> input (NULL_SENDER_INPUT) the first sender component nulls
+    # psi- and phi-, and the second is live on every outcome, so null sender
+    # records fall between stacked live states.
+    yield "custom-null", (
+        mixed_channel(Variant.CUSTOM, 2, Endpoint.SENDER_FIRST,
+                      [(0.5, {"00": SQ, "11": SQ}), (0.5, {"01": 0.6, "10": 0.8})]),
+        mixed_channel(Variant.CUSTOM, 2, Endpoint.RECEIVER_LAST,
+                      [(0.4, {"00": 1.0}), (0.6, {"01": SQ, "10": SQ})]),
+    )
+
+
+NULL_SENDER_INPUT = InputQubit(SQ, SQ)
 
 
 class TestEvaluatorConsumersAgree:
@@ -434,7 +466,7 @@ class TestEvaluatorConsumersAgree:
         # run_end_to_end finishes whole blocks without BranchStates; it must
         # report exactly what concentrate's BranchStates give.
         dist, conc = channels
-        inp = random_input(np.random.default_rng(18))
+        inp = NULL_SENDER_INPUT if name == "custom-null" else random_input(np.random.default_rng(18))
         fast = run_end_to_end(inp, dist, conc)
         slow = reports_via_branches(inp, dist, conc)
         assert len(fast) == len(slow)
@@ -451,6 +483,11 @@ class TestEvaluatorConsumersAgree:
         if name == "telecloning-smolin":
             assert {r.component_index for r in fast} == {0, 1, 2, 3}
             assert nulls == 256
+        if name == "custom-null":
+            sender_nulls = [i for i, r in enumerate(fast) if not r.bob_outcomes]
+            assert [(fast[i].component_index, fast[i].alice_outcome) for i in sender_nulls] == [
+                (0, PSI_M), (0, PHI_M)]
+            assert 0 < sender_nulls[0] and sender_nulls[-1] < len(fast) - 1
 
 
     @pytest.mark.parametrize("seed", range(6))

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 from functools import reduce
 
@@ -20,12 +21,19 @@ from qrelay.channels import (
     smolin_channel,
     telecloning_channel,
 )
-from qrelay.protocol import InputQubit, concentration_correction, random_input, run_end_to_end
+from qrelay.protocol import (
+    InputQubit,
+    OutcomeReport,
+    concentration_correction,
+    random_input,
+    run_end_to_end,
+)
 from qrelay.statevec import CapacityError
 from qrelay.verify import (
     CLONE_TARGET,
     EVEN_N_FID_CEILING,
     FAITHFUL_TOL,
+    MAX_ORACLE_PARTIES,
     MAX_WITNESSES,
     ORACLE_TOL,
     WITNESS_PROB_FLOOR,
@@ -476,6 +484,26 @@ class TestOracleMatchesPerBranchLoop:
             oracle_concentration_branch(np.array([1.0, 0.0]), comp, Variant.PARITY, 1, (PHI_P, PHI_P))
 
 
+class TestOracleCapacity:
+    def test_six_parties_refused_before_any_projection(self, monkeypatch):
+        # One first-level projection at six parties is a 256 MiB matrix, so
+        # the cap must hold before the oracle builds any.
+        def refuse(*args):
+            raise RuntimeError("_bra_matrix built above the oracle's party cap")
+
+        monkeypatch.setattr(verify_mod, "_bra_matrix", refuse)
+        n = MAX_ORACLE_PARTIES + 1
+        gen = np.random.default_rng(66)
+        dist = random_channel(Variant.DOMINO, n, Endpoint.SENDER_FIRST, gen)
+        conc = random_channel(Variant.DOMINO, n, Endpoint.RECEIVER_LAST, gen)
+        with pytest.raises(CapacityError, match="oracle"):
+            oracle_agreement(dist, conc, trials=1, seed=0)
+        bobs = np.zeros(1 << n, dtype=complex)
+        bobs[0] = 1.0
+        with pytest.raises(CapacityError, match="oracle"):
+            oracle_concentration_branch(bobs, conc.components[0], Variant.DOMINO, n, (PHI_P,) * n)
+
+
 class TestOracleProperties:
     # Random channels and inputs at n <= 3: the evaluator agrees with the
     # oracle on every branch, and its branch probabilities sum to one.
@@ -496,6 +524,60 @@ class TestOracleProperties:
         reports = run_end_to_end(random_input(as_rng(input_seed)), dist, conc, mode="exhaustive")
         assert len(reports) == v.details["branches_compared"]
         assert sum(r.joint_prob for r in reports) == pytest.approx(1.0, abs=1e-9)
+
+
+_OUTCOMES = st.sampled_from(BELL_OUTCOMES)
+
+
+def _reports(values):
+    return st.builds(
+        OutcomeReport,
+        component_index=st.integers(0, 64),
+        alice_outcome=_OUTCOMES,
+        bob_outcomes=st.lists(_OUTCOMES, max_size=6).map(tuple),
+        joint_prob=values,
+        correction=st.none() | st.sampled_from(list(PauliLabel)),
+        fidelity=st.none() | values,
+    )
+
+
+def _json_round_trip(data):
+    return json.loads(json.dumps(data, allow_nan=False))
+
+
+def _finite_or_null(value):
+    return value if not isinstance(value, float) or math.isfinite(value) else None
+
+
+class TestJsonRoundTrip:
+    # Reports and verdicts are written with allow_nan=False: every field must
+    # come back unchanged, and a non-finite verdict float as null.
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_reports(st.floats(allow_nan=False, allow_infinity=False)))
+    def test_report_round_trip(self, report):
+        assert _json_round_trip(report.to_json()) == report.to_json()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.builds(
+        Verdict,
+        claim_id=st.text(max_size=12),
+        passed=st.booleans(),
+        worst_deviation=st.floats(),
+        tolerance=st.floats(),
+        witnesses=st.lists(_reports(st.floats()), max_size=3).map(tuple),
+        details=st.dictionaries(
+            st.text(max_size=8), st.floats() | st.integers() | st.text(max_size=8), max_size=4),
+    ))
+    def test_verdict_round_trip_nulls_non_finite_floats(self, verdict):
+        data = verdict.to_json()
+        back = _json_round_trip(data)
+        assert back == data
+        assert back["worst_deviation"] == _finite_or_null(verdict.worst_deviation)
+        assert back["tolerance"] == _finite_or_null(verdict.tolerance)
+        assert back["details"] == {k: _finite_or_null(v) for k, v in verdict.details.items()}
+        for w, report in zip(back["witnesses"], verdict.witnesses, strict=True):
+            assert w["joint_prob"] == _finite_or_null(report.joint_prob)
+            assert w["fidelity"] == _finite_or_null(report.fidelity)
 
 
 class TestDominoCounterAlgorithm:
