@@ -1,18 +1,21 @@
 """Independent verification of the protocol's claims.
 
-Everything here recomputes branch physics from scratch with dense matrix
-arithmetic: Bell projections as explicit rectangular matrices, corrections
-as Kronecker/matrix products of 2x2 gate literals, and the staircase
-receiver correction via the counter-based two-table algorithm. The only
-shared ingredient with the protocol module is channel-state construction,
-which is data, not branch logic. Agreement between the two paths is itself
-one of the checks.
+The oracle recomputes branch physics from its own literals: every branch
+is linear in the input, so it is one 2x2 map, summed over the channel
+components' support pairs from Bell-bra coefficients, with corrections as
+Kronecker/matrix products of 2x2 gate literals and the staircase receiver
+correction via the counter-based two-table algorithm. The only shared
+ingredient with the protocol module is channel-state construction, which
+is data, not branch logic. Agreement between the two paths is itself one
+of the checks.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
@@ -32,6 +35,7 @@ from .channels import (
     telecloning_channel,
 )
 from .protocol import (
+    MAX_EXHAUSTIVE_PARTIES,
     InputQubit,
     OutcomeReport,
     concentrate,
@@ -50,11 +54,6 @@ CLONE_TARGET = 5.0 / 6.0
 EVEN_N_FID_CEILING = 1.0 - 1e-6
 WITNESS_PROB_FLOOR = 1e-12
 MAX_WITNESSES = 8
-
-# The oracle's dense projections of an m-qubit vector are (2^(m-2), 2^m)
-# matrices. The first concentration level at five parties needs four of
-# them at 16 MiB each; at six it would need four at 256 MiB.
-MAX_ORACLE_PARTIES = 5
 
 
 @dataclass(frozen=True)
@@ -125,29 +124,6 @@ _COUNTER_TABLE = {
 }
 
 
-@lru_cache(maxsize=None)
-def _bra_matrix(num_qubits: int, q1: int, q2: int, outcome_index: int) -> np.ndarray:
-    """Dense (2^(m-2), 2^m) matrix projecting qubits q1 < q2 of an m-qubit
-    column vector onto one Bell bra, keeping the remaining qubits in their
-    original order. Qubit 1 is the most significant bit."""
-    m = num_qubits
-    mat = np.zeros((1 << (m - 2), 1 << m), dtype=complex)
-    for col in range(1 << m):
-        t = (col >> (m - q1)) & 1
-        u = (col >> (m - q2)) & 1
-        coeff = _ORACLE_BELL[outcome_index, 2 * t + u]
-        if coeff == 0.0:
-            continue
-        r = 0
-        for q in range(1, m + 1):
-            if q == q1 or q == q2:
-                continue
-            r = (r << 1) | ((col >> (m - q)) & 1)
-        mat[r, col] = np.conj(coeff)
-    mat.setflags(write=False)
-    return mat
-
-
 def _oracle_dist_letters(variant: Variant, outcome: BellOutcome, n_parties: int) -> list[str]:
     if variant is Variant.DOMINO:
         table = {
@@ -177,114 +153,85 @@ def _worse(worst: float, dev: float) -> float:
     return math.nan if math.isnan(worst) or math.isnan(dev) else max(worst, dev)
 
 
-def _misplaced(report: OutcomeReport | None, component_index: int, alice: BellOutcome, bobs) -> bool:
-    """Whether the evaluator's report at an oracle branch's position is
-    absent or belongs to a different branch."""
-    return (
-        report is None
-        or report.component_index != component_index
-        or report.alice_outcome is not alice
-        or report.bob_outcomes != bobs
-    )
-
-
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two vectors: the products np.kron forms, without
-    its per-call reshaping."""
-    return np.multiply.outer(a, b).ravel()
+@lru_cache(maxsize=None)
+def _outcome_tuples(n: int) -> tuple[tuple[BellOutcome, ...], ...]:
+    """Every concentration outcome tuple, party 1 most significant."""
+    return tuple(itertools.product(BELL_OUTCOMES, repeat=n))
 
 
 @lru_cache(maxsize=None)
-def _oracle_dist_gate(variant: Variant, outcome: BellOutcome, n_parties: int) -> np.ndarray:
-    """Dense n-qubit distribution correction for one sender outcome."""
-    letters = _oracle_dist_letters(variant, outcome, n_parties)
-    gate = reduce(np.kron, [_ORACLE_GATE[letter] for letter in letters])
-    gate.setflags(write=False)
-    return gate
+def _receiver_gates(variant: Variant, n: int) -> np.ndarray:
+    """The receiver gate of every ``_outcome_tuples`` row, as a read-only
+    (4^n, 2, 2) array: the counter table for the staircase variant, else the
+    left fold L(o_1) @ ... @ L(o_n) of the outcome letters."""
+    if variant is Variant.DOMINO:
+        labels = [domino_correction_by_counter(tup).value for tup in _outcome_tuples(n)]
+        gates = np.array([_ORACLE_GATE[label] for label in labels])
+    else:
+        letters = np.array([_ORACLE_GATE[letter] for letter in _CORR_LETTER])
+        gates = letters
+        for _ in range(n - 1):
+            gates = (gates[:, None] @ letters).reshape(-1, 2, 2)
+    gates.setflags(write=False)
+    return gates
 
 
-def _corrected(vec: np.ndarray, gate: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """(raw probability, normalized ``gate @ vec`` or None on a null branch)."""
-    raw = float(np.real(np.vdot(vec, vec)))
-    if raw < NULL_PROB_EPS:
-        return raw, None
-    return raw, (gate @ vec) / np.sqrt(raw)
+def _sender_maps(component: Component, variant: Variant, n: int) -> np.ndarray:
+    """(4, 2^n, 2): column x of map a is the corrected, unnormalized party
+    vector that sender outcome a leaves for the input |x>.
 
-
-def _sender_branch(full: np.ndarray, variant: Variant, n_parties: int, outcome: BellOutcome):
-    """One distribution branch of ``input (x) sender channel``."""
-    vec = _bra_matrix(n_parties + 2, 1, 2, outcome.index) @ full
-    return _corrected(vec, _oracle_dist_gate(variant, outcome, n_parties))
-
-
-def _concentration_leaves(start: np.ndarray, variant: Variant, n_parties: int, levels):
-    """Walk the concentration outcome tree below ``start`` = ``bobs (x)
-    receiver channel`` depth first, taking the outcomes ``levels[i]`` for
-    party i+1. Yields (outcomes, raw probability, corrected 2-vector or None)
-    per leaf, in lexicographic order of ``levels``.
-
-    A node at depth i applies one dense projection of the pair (party i+1,
-    channel qubit i+1) to its parent's vector, and the parity receiver gate
-    is the left fold of the outcome letters along the path, so each leaf is
-    the same sequence of products as a per-branch loop over its outcomes.
-    """
-    domino = variant is Variant.DOMINO
-    steps = [
-        [
-            (o, _bra_matrix(2 * n_parties + 1 - 2 * depth, 1, n_parties - depth + 1, o.index),
-             _ORACLE_GATE[_CORR_LETTER[o.index]])
-            for o in outcomes
-        ]
-        for depth, outcomes in enumerate(levels)
+    The sender's bra on (input bit x, endpoint bit e) is
+    conj(_ORACLE_BELL[a, 2x + e]); endpoint e = 0 carries the supports and
+    e = 1 their complements. The party correction is the Kronecker product
+    of the distribution letters."""
+    chan = build_channel_component(component, variant, Endpoint.SENDER_FIRST, n).amps.reshape(2, -1)
+    maps = np.einsum("axe,ep->apx", _ORACLE_BELL.conj().reshape(4, 2, 2), chan)
+    gates = [
+        reduce(np.kron, [_ORACLE_GATE[letter] for letter in _oracle_dist_letters(variant, a, n)])
+        for a in BELL_OUTCOMES
     ]
-
-    def walk(vec, depth, prefix, gate):
-        if depth == n_parties:
-            if domino:
-                gate = _ORACLE_GATE[domino_correction_by_counter(prefix).value]
-            yield prefix, *_corrected(vec, gate)
-            return
-        for outcome, bra, letter in steps[depth]:
-            path_gate = letter if domino or gate is None else gate @ letter
-            yield from walk(bra @ vec, depth + 1, prefix + (outcome,), path_gate)
-
-    return walk(start, 0, (), None)
+    return np.array(gates) @ maps
 
 
-def _check_oracle_size(n_parties: int) -> None:
-    if n_parties > MAX_ORACLE_PARTIES:
-        raise CapacityError(
-            f"dense oracle capped at {MAX_ORACLE_PARTIES} parties, got {n_parties}"
-        )
+def _pair_bras(parties: np.ndarray, channels: np.ndarray, n: int) -> np.ndarray:
+    """(len(parties), len(channels), 4^n): for party string p and channel
+    string u (basis indices), the amplitude prod_i conj(_ORACLE_BELL[o_i,
+    2 p_i + u_i]) of every outcome tuple o, as the outer product of one
+    4-vector per party, o_1 most significant."""
+    shifts = np.arange(n - 1, -1, -1)  # party 1 is the most significant bit
+    bits = 2 * ((parties[:, None, None] >> shifts) & 1) + ((channels[:, None] >> shifts) & 1)
+    factors = _ORACLE_BELL.conj().T[bits]
+    out = factors[:, :, 0]
+    for i in range(1, n):
+        out = (out[..., None] * factors[:, :, i, None]).reshape(len(parties), len(channels), -1)
+    return out
 
 
-def oracle_distribution_branch(
-    input_qubit: InputQubit, component: Component, variant: Variant, n_parties: int, outcome: BellOutcome
-):
-    """Recompute one distribution branch by dense matrix arithmetic.
+# Party strings per step of the support-pair sum: bounds each step's bra
+# block to this many amplitudes (4 MiB), whatever the supports.
+_PAIR_BLOCK = 1 << 18
 
-    Returns (raw probability, corrected n-qubit amplitude vector or None).
+
+def _branch_maps(senders: np.ndarray, receiver: np.ndarray, gates: np.ndarray, n: int) -> np.ndarray:
+    """(4, 4^n, 2, 2): column x of map (a, o) is the corrected, unnormalized
+    receiver vector of sender outcome a and party outcomes o for the input
+    |x>; its squared norm is the product of the two raw probabilities.
+
+    ``senders`` are one sender component's ``_sender_maps``, ``receiver``
+    one receiver component's amplitudes as (channel string, receiver bit).
+    The maps sum over support pairs: each party string p the sender maps
+    reach and each channel string u of the receiver add the pair's Bell
+    bras times senders[:, p] (x) receiver[u]. Then the receiver gates act.
     """
-    chan = build_channel_component(component, variant, Endpoint.SENDER_FIRST, n_parties)
-    full = _outer(np.array([input_qubit.alpha, input_qubit.beta], dtype=complex), chan.amps)
-    return _sender_branch(full, variant, n_parties, outcome)
-
-
-def oracle_concentration_branch(
-    bobs_vec: np.ndarray, component: Component, variant: Variant, n_parties: int, outcomes
-):
-    """Recompute one concentration branch: sequential dense Bell projections
-    of pairs (party i, channel qubit i), then the receiver gate. Returns
-    (raw probability, corrected 2-vector or None). Raises ``CapacityError``
-    above ``MAX_ORACLE_PARTIES`` parties."""
-    _check_oracle_size(n_parties)
-    outcomes = tuple(outcomes)
-    if len(outcomes) != n_parties:
-        raise ValueError(f"expected {n_parties} outcomes, got {len(outcomes)}")
-    chan = build_channel_component(component, variant, Endpoint.RECEIVER_LAST, n_parties)
-    start = _outer(np.asarray(bobs_vec, dtype=complex), chan.amps)
-    ((_, raw, vec),) = _concentration_leaves(start, variant, n_parties, [(o,) for o in outcomes])
-    return raw, vec
+    parties = np.flatnonzero(np.any(senders != 0, axis=(0, 2)))
+    channels = np.flatnonzero(np.any(receiver != 0, axis=1))
+    step = max(1, _PAIR_BLOCK // (len(channels) * 4**n))
+    maps = np.zeros((4**n, 2, 4, 2), dtype=complex)  # (o, r, a, x)
+    for start in range(0, len(parties), step):
+        p = parties[start:start + step]
+        rows = _pair_bras(p, channels, n).transpose(0, 2, 1) @ receiver[channels]  # (p, o, r)
+        maps += np.tensordot(rows, senders[:, p], axes=([0], [1]))
+    return gates @ maps.transpose(2, 0, 1, 3)
 
 
 def check_faithful(
@@ -306,15 +253,19 @@ def check_faithful(
     witnesses: list[OutcomeReport] = []
     for _ in range(trials):
         reports = run_end_to_end(random_input(gen), dist, conc, mode="exhaustive")
-        total = sum(r.joint_prob for r in reports)
+        # Columns by list comprehension: on slotted reports it beats both a
+        # generator and map(attrgetter), and sum keeps the same order.
+        total = sum([r.joint_prob for r in reports])
         prob_gap = _worse(prob_gap, abs(total - 1.0))
-        live = [r for r in reports if r.fidelity is not None]
-        devs = np.abs(1.0 - np.array([r.fidelity for r in live], dtype=float))
-        branches_checked += len(live)
-        if live:
+        fids = [r.fidelity for r in reports]
+        devs = np.abs(1.0 - np.array([f for f in fids if f is not None], dtype=float))
+        branches_checked += len(devs)
+        if len(devs):
             worst = _worse(worst, float(devs.max()))  # max propagates NaN
-        for k in np.flatnonzero(~(devs <= tolerance))[: MAX_WITNESSES - len(witnesses)]:
-            witnesses.append(live[k])
+        bad = np.flatnonzero(~(devs <= tolerance))[: MAX_WITNESSES - len(witnesses)]
+        if len(bad):
+            live = [r for r in reports if r.fidelity is not None]
+            witnesses.extend(live[k] for k in bad)
     worst = _worse(worst, prob_gap)
     if claim_id is None:
         claim_id = f"faithful-{dist.variant.value}-n{dist.n_parties}"
@@ -328,27 +279,70 @@ def check_faithful(
     )
 
 
-def _oracle_branches(inp_vec: np.ndarray, dist: ChannelSpec, conc: ChannelSpec, senders, receivers):
-    """Every end-to-end branch of one input in the evaluator's report order,
-    as (component index, sender outcome, receiver outcomes, joint
-    probability, corrected 2-vector or None). A null sender branch has no
-    receiver outcomes. ``senders`` and ``receivers`` are the channel
-    components' amplitude vectors."""
-    n = dist.n_parties
-    levels = [BELL_OUTCOMES] * n
-    for ci, (comp, sender) in enumerate(zip(dist.components, senders)):
-        full = _outer(inp_vec, sender)
-        for a_outcome in BELL_OUTCOMES:
-            raw_a, vec_a = _sender_branch(full, dist.variant, n, a_outcome)
-            if vec_a is None:
-                yield ci * len(conc.components), a_outcome, (), comp.weight * raw_a, None
-                continue
-            for cj, (ccomp, receiver) in enumerate(zip(conc.components, receivers)):
-                index = ci * len(conc.components) + cj
-                weight = comp.weight * raw_a * ccomp.weight
-                start = _outer(vec_a, receiver)
-                for tup, raw_c, vec_c in _concentration_leaves(start, conc.variant, n, levels):
-                    yield index, a_outcome, tup, weight * raw_c, vec_c
+# Oracle branches judged per batch of trials: bounds the judging arrays and
+# the evaluator reports held at once.
+_BATCH_BRANCHES = 1 << 16
+
+
+def _oracle_columns(senders, maps, dist: ChannelSpec, conc: ChannelSpec, inputs: np.ndarray):
+    """Every oracle branch of a batch of inputs (t, 2), trial by trial in the
+    evaluator's report order: (branches per trial, (component index, sender
+    outcome, party outcomes) keys, joint probabilities, null flags,
+    fidelities). A null sender branch is one record with no party outcomes;
+    a null branch's fidelity is meaningless."""
+    nd, nc, _, rows = maps.shape[:4]
+    w_d = np.array([c.weight for c in dist.components])
+    w_c = np.array([c.weight for c in conc.components])
+    party = np.einsum("dapx,tx->tdap", senders, inputs)
+    raw_a = np.einsum("tdap,tdap->tda", party.conj(), party).real
+    out = np.einsum("dcaorx,tx->tdacor", maps, inputs)
+    norm = np.einsum("...r,...r->...", out.conj(), out).real  # raw_a * raw_c
+    overlap = np.abs(np.einsum("tr,tdacor->tdaco", inputs.conj(), out)) ** 2
+    sender_joint = w_d[:, None] * raw_a
+    dead = raw_a < NULL_PROB_EPS
+    raw_c = norm / np.where(dead, 1.0, raw_a)[..., None, None]
+    shape = (len(inputs), nd, 4, nc * rows)
+    joint = (sender_joint[..., None, None] * w_c[:, None] * raw_c).reshape(shape)
+    null = (raw_c < NULL_PROB_EPS).reshape(shape)
+    fid = (overlap / np.where(raw_c < NULL_PROB_EPS, 1.0, norm)).reshape(shape)
+    joint[dead, 0] = sender_joint[dead]
+    null[dead, 0] = True
+    keep = np.ones(shape, dtype=bool)
+    keep[dead, 1:] = False
+    _, d, a, k = np.indices(shape)
+    outcome = np.where(dead[..., None], rows, k % rows)[keep]
+    keys = zip(
+        (d * nc + k // rows)[keep].tolist(),
+        map(BELL_OUTCOMES.__getitem__, a[keep].tolist()),
+        map((_outcome_tuples(dist.n_parties) + ((),)).__getitem__, outcome.tolist()),
+    )
+    return keep.sum(axis=(1, 2, 3)).tolist(), list(keys), joint[keep], null[keep], fid[keep]
+
+
+# Stands in for a report the evaluator did not return; its key is no branch's.
+_MISSING = OutcomeReport(-1, None, (), math.nan, None, None)
+
+
+def _deviations(runs, columns) -> tuple[np.ndarray, list, bool]:
+    """Compare a batch of evaluator runs with the oracle's columns position
+    by position: (each oracle branch's deviation, the report at its position
+    or ``_MISSING``, whether any run returned more reports than the oracle
+    has branches). A missing report, or one whose component or outcomes
+    differ from the oracle branch at its position, deviates by 1.0."""
+    counts, keys, joint, null, fid = columns
+    slots = list(itertools.chain.from_iterable(
+        run[:count] + [_MISSING] * (count - len(run)) for run, count in zip(runs, counts)
+    ))
+    found = [(r.component_index, r.alice_outcome, r.bob_outcomes) for r in slots]
+    misplaced = False if found == keys else np.array(list(map(operator.ne, found, keys)))
+    ev_fid = np.array([r.fidelity for r in slots], dtype=object)
+    ev_null = np.equal(ev_fid, None)
+    ev_fid[ev_null] = 0.0
+    dev = np.abs(np.array([r.joint_prob for r in slots], dtype=float) - joint)
+    dev = np.where(ev_null != null, np.maximum(dev, 1.0), dev)
+    dev = np.where(~ev_null & ~null, np.maximum(dev, np.abs(fid - ev_fid.astype(float))), dev)
+    extra = any(len(run) > count for run, count in zip(runs, counts))
+    return np.where(misplaced, 1.0, dev), slots, extra
 
 
 def oracle_agreement(
@@ -360,51 +354,47 @@ def oracle_agreement(
     claim_id: str | None = None,
 ) -> Verdict:
     """Compare every end-to-end branch's (joint probability, fidelity)
-    between the protocol evaluator and this module's dense oracle.
+    between the protocol evaluator and this module's oracle.
 
+    The oracle builds one 2x2 map per branch of every channel component
+    pair once per call, from the components' support pairs (see
+    ``_branch_maps``), and judges every trial's input against the same maps.
     The evaluator's reports must come in the oracle's branch order: a report
     whose component or outcomes differ from the oracle branch at its
     position, and a missing or extra report, each count as deviation 1.0.
-    Each channel component is built once per call, and the oracle walks each
-    receiver component's outcome tree once per live sender branch. Raises
-    ``CapacityError`` above ``MAX_ORACLE_PARTIES`` parties.
+    Raises ``CapacityError`` above ``MAX_EXHAUSTIVE_PARTIES`` parties.
     """
     n = dist.n_parties
-    _check_oracle_size(n)
+    if n > MAX_EXHAUSTIVE_PARTIES:
+        raise CapacityError(
+            f"oracle capped at {MAX_EXHAUSTIVE_PARTIES} parties like the evaluator, got {n}"
+        )
     gen = as_rng(seed)
-    senders = [
-        build_channel_component(comp, dist.variant, Endpoint.SENDER_FIRST, n).amps
-        for comp in dist.components
-    ]
+    inputs = [random_input(gen) for _ in range(trials)]
+    senders = np.array([_sender_maps(comp, dist.variant, n) for comp in dist.components])
     receivers = [
-        build_channel_component(comp, conc.variant, Endpoint.RECEIVER_LAST, n).amps
+        build_channel_component(comp, conc.variant, Endpoint.RECEIVER_LAST, n).amps.reshape(-1, 2)
         for comp in conc.components
     ]
+    gates = _receiver_gates(conc.variant, n)
+    maps = np.array([[_branch_maps(s, r, gates, n) for r in receivers] for s in senders])
     worst = 0.0
     compared = 0
     witnesses: list[OutcomeReport] = []
 
-    for _ in range(trials):
-        inp = random_input(gen)
-        inp_vec = np.array([inp.alpha, inp.beta], dtype=complex)
-        reports = iter(run_end_to_end(inp, dist, conc, mode="exhaustive"))
-        for index, a_outcome, tup, joint, vec in _oracle_branches(inp_vec, dist, conc, senders, receivers):
-            r = next(reports, None)
-            if _misplaced(r, index, a_outcome, tup):
-                dev = 1.0
-            else:
-                dev = abs(r.joint_prob - joint)
-                if (vec is None) != (r.fidelity is None):
-                    dev = max(dev, 1.0)
-                elif vec is not None:
-                    fid = float(abs(np.vdot(inp_vec, vec)) ** 2)
-                    dev = _worse(dev, abs(fid - r.fidelity))
-            compared += 1
-            worst = _worse(worst, dev)
-            if not dev <= tolerance and r is not None and len(witnesses) < MAX_WITNESSES:
-                witnesses.append(r)
-        if next(reports, None) is not None:
+    per_batch = max(1, 4 * _BATCH_BRANCHES // maps.size)
+    for start in range(0, trials, per_batch):
+        batch = inputs[start:start + per_batch]
+        runs = [run_end_to_end(inp, dist, conc, mode="exhaustive") for inp in batch]
+        vecs = np.array([[inp.alpha, inp.beta] for inp in batch], dtype=complex)
+        devs, slots, extra = _deviations(runs, _oracle_columns(senders, maps, dist, conc, vecs))
+        compared += len(devs)
+        if len(devs):
+            worst = _worse(worst, float(devs.max()))  # max propagates NaN
+        if extra:
             worst = _worse(worst, 1.0)  # the evaluator returned more branches than the oracle
+        bad = [slots[k] for k in np.flatnonzero(~(devs <= tolerance)) if slots[k] is not _MISSING]
+        witnesses += bad[: MAX_WITNESSES - len(witnesses)]
 
     if claim_id is None:
         claim_id = f"oracle-{dist.variant.value}-n{n}"

@@ -1,0 +1,141 @@
+"""The dense per-branch oracle, kept as an independent reference for
+``qrelay.verify.oracle_agreement``.
+
+Every branch rebuilds its channel component, forms its Kronecker product
+and applies each Bell projection as an explicit rectangular matrix, so its
+memory grows as 4^n per projection: use it only at small party counts.
+"""
+
+import itertools
+import math
+from functools import lru_cache, reduce
+
+import numpy as np
+
+import qrelay.verify as verify_mod
+from qrelay.bell import BELL_OUTCOMES, NULL_PROB_EPS
+from qrelay.channels import Endpoint, Variant, build_channel_component
+
+
+@lru_cache(maxsize=None)
+def bra_matrix(num_qubits, q1, q2, outcome_index):
+    """Dense (2^(m-2), 2^m) matrix projecting qubits q1 < q2 of an m-qubit
+    column vector onto one Bell bra, keeping the remaining qubits in their
+    original order. Qubit 1 is the most significant bit."""
+    m = num_qubits
+    mat = np.zeros((1 << (m - 2), 1 << m), dtype=complex)
+    for col in range(1 << m):
+        t = (col >> (m - q1)) & 1
+        u = (col >> (m - q2)) & 1
+        coeff = verify_mod._ORACLE_BELL[outcome_index, 2 * t + u]
+        if coeff == 0.0:
+            continue
+        r = 0
+        for q in range(1, m + 1):
+            if q == q1 or q == q2:
+                continue
+            r = (r << 1) | ((col >> (m - q)) & 1)
+        mat[r, col] = np.conj(coeff)
+    mat.setflags(write=False)
+    return mat
+
+
+def _finish(vec, gate):
+    """(raw probability, normalized ``gate @ vec`` or None on a null branch)."""
+    raw = float(np.real(np.vdot(vec, vec)))
+    if raw < NULL_PROB_EPS:
+        return raw, None
+    return raw, (gate @ vec) / np.sqrt(raw)
+
+
+def distribution_branch(inp_vec, comp, variant, n, outcome):
+    """One distribution branch: (raw probability, corrected party vector or
+    None)."""
+    chan = build_channel_component(comp, variant, Endpoint.SENDER_FIRST, n)
+    vec = bra_matrix(n + 2, 1, 2, outcome.index) @ np.kron(inp_vec, chan.amps)
+    letters = verify_mod._oracle_dist_letters(variant, outcome, n)
+    return _finish(vec, reduce(np.kron, [verify_mod._ORACLE_GATE[x] for x in letters]))
+
+
+def concentration_branch(bobs_vec, comp, variant, n, outcomes):
+    """One concentration branch: sequential projections of the pairs (party
+    i, channel qubit i), then the receiver gate. Returns (raw probability,
+    corrected receiver vector or None)."""
+    chan = build_channel_component(comp, variant, Endpoint.RECEIVER_LAST, n)
+    vec = np.kron(bobs_vec, chan.amps)
+    for i, o in enumerate(outcomes):
+        vec = bra_matrix(2 * n + 1 - 2 * i, 1, n - i + 1, o.index) @ vec
+    if variant is Variant.DOMINO:
+        gate = verify_mod._ORACLE_GATE[verify_mod.domino_correction_by_counter(outcomes).value]
+    else:
+        letters = [verify_mod._CORR_LETTER[o.index] for o in outcomes]
+        gate = reduce(np.matmul, [verify_mod._ORACLE_GATE[x] for x in letters])
+    return _finish(vec, gate)
+
+
+def misplaced(report, component_index, alice, bobs):
+    """Whether the evaluator's report at an oracle branch's position is
+    absent or belongs to a different branch."""
+    return (
+        report is None
+        or report.component_index != component_index
+        or report.alice_outcome is not alice
+        or report.bob_outcomes != bobs
+    )
+
+
+def reference_oracle_agreement(dist, conc, trials, seed, tolerance=verify_mod.ORACLE_TOL):
+    """oracle_agreement's verdict from a per-branch loop over the reports of
+    ``qrelay.verify``'s own ``run_end_to_end`` and ``random_input``
+    bindings."""
+
+    def worse(a, b):
+        return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
+
+    gen = verify_mod.as_rng(seed)
+    n = dist.n_parties
+    worst = 0.0
+    compared = 0
+    witnesses = []
+
+    def compare(r, index, alice, bobs, joint, vec):
+        nonlocal worst, compared
+        if misplaced(r, index, alice, bobs):
+            dev = 1.0
+        else:
+            dev = abs(r.joint_prob - joint)
+            if (vec is None) != (r.fidelity is None):
+                dev = max(dev, 1.0)
+            elif vec is not None:
+                dev = worse(dev, abs(float(abs(np.vdot(inp_vec, vec)) ** 2) - r.fidelity))
+        compared += 1
+        worst = worse(worst, dev)
+        if not dev <= tolerance and r is not None and len(witnesses) < verify_mod.MAX_WITNESSES:
+            witnesses.append(r)
+
+    for _ in range(trials):
+        inp = verify_mod.random_input(gen)
+        inp_vec = np.array([inp.alpha, inp.beta], dtype=complex)
+        reports = iter(verify_mod.run_end_to_end(inp, dist, conc, mode="exhaustive"))
+        for ci, comp in enumerate(dist.components):
+            for a in BELL_OUTCOMES:
+                raw_a, vec_a = distribution_branch(inp_vec, comp, dist.variant, n, a)
+                if vec_a is None:
+                    compare(next(reports, None), ci * len(conc.components), a, (),
+                            comp.weight * raw_a, None)
+                    continue
+                for cj, ccomp in enumerate(conc.components):
+                    for tup in itertools.product(BELL_OUTCOMES, repeat=n):
+                        raw_c, vec_c = concentration_branch(vec_a, ccomp, conc.variant, n, tup)
+                        compare(next(reports, None), ci * len(conc.components) + cj, a, tup,
+                                comp.weight * raw_a * ccomp.weight * raw_c, vec_c)
+        if next(reports, None) is not None:
+            worst = worse(worst, 1.0)
+    return verify_mod.Verdict(
+        f"oracle-{dist.variant.value}-n{n}",
+        compared > 0 and worst <= tolerance,
+        worst,
+        tolerance,
+        tuple(witnesses),
+        {"trials": trials, "branches_compared": compared},
+    )

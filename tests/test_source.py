@@ -20,8 +20,8 @@ def test_no_assert_statements():
     assert found == []
 
 
-# Evaluator internals the dense oracle must not use: routing the oracle
-# through the evaluator's kernels would make their agreement a tautology.
+# Evaluator internals the oracle must not use: routing the oracle through
+# the evaluator's kernels would make their agreement a tautology.
 EVALUATOR_INTERNALS = frozenset({
     "_all_pair_rows",
     "_finish_rows",
@@ -29,15 +29,39 @@ EVALUATOR_INTERNALS = frozenset({
     "_concentration_blocks",
     "_outcome_table",
     "_correction_stack",
+    "_distribution_frame",
+    "_distribution_rows",
+    "_channel_state",
+    "_sampled_block",
+    "_fidelities",
+    "_report_rows",
     "concentration_correction",
     "distribution_correction",
 })
 
+# The evaluator's Bell and Pauli literals: the oracle declares its own, so a
+# transcription slip in either shows up as a disagreement.
+EVALUATOR_LITERALS = frozenset({
+    "_BELL_ROWS",
+    "PAULI_MATRICES",
+    "CORRECTION_FOR_OUTCOME",
+    "pauli_product",
+})
 
-def test_oracle_names_no_evaluator_internal():
-    protocol = ast.parse((SRC / "protocol.py").read_text(encoding="utf-8"))
-    defined = {node.name for node in ast.walk(protocol) if isinstance(node, ast.FunctionDef)}
-    assert EVALUATOR_INTERNALS <= defined, "the guard lists a name protocol.py no longer defines"
+
+def _module_names(path):
+    """Functions and module-level assignment targets a source file defines."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return defined
+
+
+def _names_in_verify():
+    """Every name, attribute, imported name and string constant verify.py
+    spells."""
     tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
     named = set()
     for node in ast.walk(tree):
@@ -49,4 +73,16 @@ def test_oracle_names_no_evaluator_internal():
             named.update({node.name, node.asname})
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             named.add(node.value)
-    assert sorted(named & EVALUATOR_INTERNALS) == []
+    return named
+
+
+def test_oracle_names_no_evaluator_internal():
+    assert EVALUATOR_INTERNALS <= _module_names(SRC / "protocol.py"), (
+        "the guard lists a name protocol.py no longer defines")
+    assert sorted(_names_in_verify() & EVALUATOR_INTERNALS) == []
+
+
+def test_oracle_names_no_evaluator_literal():
+    assert EVALUATOR_LITERALS <= _module_names(SRC / "bell.py"), (
+        "the guard lists a name bell.py no longer defines")
+    assert sorted(_names_in_verify() & EVALUATOR_LITERALS) == []

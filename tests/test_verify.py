@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import json
 import math
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -16,12 +15,14 @@ from qrelay.channels import (
     Endpoint,
     Variant,
     ghz_channel,
+    mixed_channel,
     pure_channel,
     random_channel,
     smolin_channel,
     telecloning_channel,
 )
 from qrelay.protocol import (
+    MAX_EXHAUSTIVE_PARTIES,
     InputQubit,
     OutcomeReport,
     concentration_correction,
@@ -33,25 +34,27 @@ from qrelay.verify import (
     CLONE_TARGET,
     EVEN_N_FID_CEILING,
     FAITHFUL_TOL,
-    MAX_ORACLE_PARTIES,
     MAX_WITNESSES,
     ORACLE_TOL,
     WITNESS_PROB_FLOOR,
     Verdict,
-    _bra_matrix,
     check_faithful,
     clone_fidelity_verdict,
     clone_report,
     domino_correction_by_counter,
     even_n_counterexample,
     oracle_agreement,
-    oracle_concentration_branch,
-    oracle_distribution_branch,
     run_suite,
     verify_smolin,
 )
 
 from conftest import equal_up_to_phase
+from dense_reference import (
+    bra_matrix,
+    concentration_branch,
+    distribution_branch,
+    reference_oracle_agreement,
+)
 
 SQ = 1 / np.sqrt(2)
 
@@ -73,7 +76,7 @@ def with_nan_fidelity(evaluate):
 class TestBraMatrix:
     def test_two_qubit_rows_are_bell_bras(self):
         for o in BELL_OUTCOMES:
-            mat = _bra_matrix(2, 1, 2, o.index)
+            mat = bra_matrix(2, 1, 2, o.index)
             assert mat.shape == (1, 4)
             assert np.allclose(mat[0], bell_vector(o).amps.conj())
 
@@ -83,36 +86,77 @@ class TestBraMatrix:
         vec /= np.linalg.norm(vec)
         for q1, q2 in [(1, 2), (2, 4), (1, 3)]:
             total = sum(
-                float(np.linalg.norm(_bra_matrix(4, q1, q2, o.index) @ vec) ** 2)
+                float(np.linalg.norm(bra_matrix(4, q1, q2, o.index) @ vec) ** 2)
                 for o in BELL_OUTCOMES
             )
             assert total == pytest.approx(1.0, abs=1e-10)
 
 
+def branch_maps(senders, comp, variant, n):
+    """The oracle's (4, 4^n, 2, 2) branch maps of ``senders`` through one
+    receiver component."""
+    receiver = verify_mod.build_channel_component(comp, variant, Endpoint.RECEIVER_LAST, n)
+    return verify_mod._branch_maps(
+        senders, receiver.amps.reshape(-1, 2), verify_mod._receiver_gates(variant, n), n)
+
+
+def normalized(vec):
+    raw = float(np.vdot(vec, vec).real)
+    return raw, vec / np.sqrt(raw)
+
+
 class TestOracleBranches:
+    # The oracle's maps, read one branch at a time, against the dense
+    # per-branch reference.
     def test_distribution_teleportation(self):
         spec = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.SENDER_FIRST)
-        inp = InputQubit(0.6, 0.8j)
+        inp = np.array([0.6, 0.8j])
+        maps = verify_mod._sender_maps(spec.components[0], spec.variant, 1)
         for o in BELL_OUTCOMES:
-            raw, vec = oracle_distribution_branch(inp, spec.components[0], spec.variant, 1, o)
+            raw, vec = normalized(maps[o.index] @ inp)
+            raw_ref, vec_ref = distribution_branch(inp, spec.components[0], spec.variant, 1, o)
             assert raw == pytest.approx(0.25, abs=1e-12)
-            assert equal_up_to_phase(vec, np.array([0.6, 0.8j]))
+            assert raw == pytest.approx(raw_ref, abs=1e-15)
+            assert np.allclose(vec, vec_ref, atol=1e-15)
+            assert equal_up_to_phase(vec, inp)
 
     def test_concentration_teleportation(self):
+        # Sender maps whose columns are the party vector itself make the
+        # branch maps the concentration step alone.
         spec = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.RECEIVER_LAST)
         bobs = np.array([0.6, 0.8j])
+        senders = np.broadcast_to(np.stack([bobs, bobs], axis=1), (4, 2, 2))
+        maps = branch_maps(senders, spec.components[0], spec.variant, 1)
         for o in BELL_OUTCOMES:
-            raw, vec = oracle_concentration_branch(bobs, spec.components[0], spec.variant, 1, (o,))
+            raw, vec = normalized(maps[0, o.index] @ np.array([1.0, 0.0]))
+            raw_ref, vec_ref = concentration_branch(bobs, spec.components[0], spec.variant, 1, (o,))
             assert raw == pytest.approx(0.25, abs=1e-12)
+            assert raw == pytest.approx(raw_ref, abs=1e-15)
+            assert np.allclose(vec, vec_ref, atol=1e-15)
             assert equal_up_to_phase(vec, bobs)
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_concentration_maps_match_dense_branches(self, variant):
+        gen = np.random.default_rng(8)
+        comp = random_channel(variant, 2, Endpoint.RECEIVER_LAST, gen).components[0]
+        columns = gen.normal(size=(4, 2)) + 1j * gen.normal(size=(4, 2))
+        columns /= np.linalg.norm(columns, axis=0)
+        maps = branch_maps(np.broadcast_to(columns, (4, 4, 2)), comp, variant, 2)
+        for k, tup in enumerate(itertools.product(BELL_OUTCOMES, repeat=2)):
+            for x in range(2):
+                raw, vec = normalized(maps[0, k][:, x])
+                raw_ref, vec_ref = concentration_branch(columns[:, x], comp, variant, 2, tup)
+                assert raw == pytest.approx(raw_ref, abs=1e-15)
+                assert np.allclose(vec, vec_ref, atol=1e-14)
 
     def test_null_branch_gives_none(self):
         # A single-support custom channel in |+>|+> form nulls psi- exactly.
         spec = pure_channel(Variant.CUSTOM, 1, {"0": SQ, "1": SQ}, Endpoint.SENDER_FIRST)
-        inp = InputQubit(SQ, SQ)
-        raw, vec = oracle_distribution_branch(inp, spec.components[0], spec.variant, 1, PSI_M)
-        assert vec is None
-        assert raw <= 1e-14
+        inp = np.array([SQ, SQ])
+        vec = verify_mod._sender_maps(spec.components[0], spec.variant, 1)[PSI_M.index] @ inp
+        raw_ref, vec_ref = distribution_branch(inp, spec.components[0], spec.variant, 1, PSI_M)
+        assert float(np.vdot(vec, vec).real) <= 1e-14
+        assert vec_ref is None and raw_ref <= 1e-14
 
 
 class TestCheckFaithful:
@@ -276,6 +320,16 @@ class TestOracleAgreement:
         assert v.passed, v.worst_deviation
         assert v.details["branches_compared"] == 4 ** 5
 
+    @pytest.mark.parametrize("variant, n", [(Variant.PARITY, 5), (Variant.DOMINO, 6)],
+                             ids=["parity-n5", "domino-n6"])
+    def test_up_to_the_exhaustive_cap(self, variant, n):
+        gen = np.random.default_rng(50 + n)
+        dist = random_channel(variant, n, Endpoint.SENDER_FIRST, gen)
+        conc = random_channel(variant, n, Endpoint.RECEIVER_LAST, gen)
+        v = oracle_agreement(dist, conc, trials=1, seed=n)
+        assert v.passed, v.worst_deviation
+        assert v.details["branches_compared"] == 4 ** (n + 1)
+
     def test_zero_trials_fail(self):
         dist = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.SENDER_FIRST)
         conc = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.RECEIVER_LAST)
@@ -352,156 +406,118 @@ class TestOracleAgreement:
         assert v.passed
 
 
-def reference_oracle_agreement(dist, conc, trials, seed, tolerance=ORACLE_TOL):
-    """oracle_agreement's verdict from a per-branch loop: every branch
-    rebuilds its channel component, forms its Kronecker product and applies
-    all of its projections from scratch."""
-    bra, gates, letters = verify_mod._bra_matrix, verify_mod._ORACLE_GATE, verify_mod._CORR_LETTER
+def assert_matches_reference(dist, conc, trials, seed, tolerance=ORACLE_TOL):
+    """The support-pair oracle and the dense per-branch reference give the
+    same verdict over the same branches, and where the reference passes both
+    worst deviations are within ORACLE_TOL. Their floats differ in the last
+    bits, because the two sum the same terms in different orders."""
+    v = oracle_agreement(dist, conc, trials=trials, seed=seed, tolerance=tolerance)
+    ref = reference_oracle_agreement(dist, conc, trials, seed, tolerance)
+    assert v.passed == ref.passed
+    assert v.details == ref.details
+    if ref.passed:
+        assert v.worst_deviation <= ORACLE_TOL and ref.worst_deviation <= ORACLE_TOL
+    return v, ref
 
-    def worse(a, b):
-        return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
 
-    def finish(vec, gate):
-        raw = float(np.real(np.vdot(vec, vec)))
-        if raw < verify_mod.NULL_PROB_EPS:
-            return raw, None
-        return raw, (gate @ vec) / np.sqrt(raw)
+def random_pair(variant, n, seed):
+    gen = np.random.default_rng(seed)
+    return (random_channel(variant, n, Endpoint.SENDER_FIRST, gen),
+            random_channel(variant, n, Endpoint.RECEIVER_LAST, gen))
 
-    def dist_branch(inp, comp, outcome):
-        chan = verify_mod.build_channel_component(comp, dist.variant, Endpoint.SENDER_FIRST, n)
-        full = np.kron(np.array([inp.alpha, inp.beta], dtype=complex), chan.amps)
-        vec = bra(n + 2, 1, 2, outcome.index) @ full
-        dist_letters = verify_mod._oracle_dist_letters(dist.variant, outcome, n)
-        return finish(vec, reduce(np.kron, [gates[x] for x in dist_letters]))
 
-    def conc_branch(bobs_vec, comp, tup):
-        chan = verify_mod.build_channel_component(comp, conc.variant, Endpoint.RECEIVER_LAST, n)
-        vec = np.kron(bobs_vec, chan.amps)
-        for i, o in enumerate(tup):
-            vec = bra(2 * n + 1 - 2 * i, 1, n - i + 1, o.index) @ vec
-        if conc.variant is Variant.DOMINO:
-            gate = gates[domino_correction_by_counter(tup).value]
-        else:
-            gate = reduce(np.matmul, [gates[letters[o.index]] for o in tup])
-        return finish(vec, gate)
-
-    gen = as_rng(seed)
-    n = dist.n_parties
-    worst = 0.0
-    compared = 0
-    witnesses = []
-
-    def compare(r, index, alice, bobs, joint, vec):
-        nonlocal worst, compared
-        if verify_mod._misplaced(r, index, alice, bobs):
-            dev = 1.0
-        else:
-            dev = abs(r.joint_prob - joint)
-            if (vec is None) != (r.fidelity is None):
-                dev = max(dev, 1.0)
-            elif vec is not None:
-                dev = worse(dev, abs(float(abs(np.vdot(inp_vec, vec)) ** 2) - r.fidelity))
-        compared += 1
-        worst = worse(worst, dev)
-        if not dev <= tolerance and r is not None and len(witnesses) < MAX_WITNESSES:
-            witnesses.append(r)
-
-    for _ in range(trials):
-        inp = random_input(gen)
-        inp_vec = np.array([inp.alpha, inp.beta], dtype=complex)
-        reports = iter(verify_mod.run_end_to_end(inp, dist, conc, mode="exhaustive"))
-        for ci, comp in enumerate(dist.components):
-            for a in BELL_OUTCOMES:
-                raw_a, vec_a = dist_branch(inp, comp, a)
-                if vec_a is None:
-                    compare(next(reports, None), ci * len(conc.components), a, (),
-                            comp.weight * raw_a, None)
-                    continue
-                for cj, ccomp in enumerate(conc.components):
-                    for tup in itertools.product(BELL_OUTCOMES, repeat=n):
-                        raw_c, vec_c = conc_branch(vec_a, ccomp, tup)
-                        compare(next(reports, None), ci * len(conc.components) + cj, a, tup,
-                                comp.weight * raw_a * ccomp.weight * raw_c, vec_c)
-        if next(reports, None) is not None:
-            worst = worse(worst, 1.0)
-    return Verdict(
-        f"oracle-{dist.variant.value}-n{n}",
-        compared > 0 and worst <= tolerance,
-        worst,
-        tolerance,
-        tuple(witnesses),
-        {"trials": trials, "branches_compared": compared},
-    )
+SMALL_CASES = [(variant, n, seed) for variant in (Variant.PARITY, Variant.DOMINO)
+               for n in (1, 2, 3, 4) for seed in ((60, 61) if n < 4 else (60,))]
 
 
 class TestOracleMatchesPerBranchLoop:
-    # The tree walk does the same float operations as the per-branch loop,
-    # so the verdicts agree exactly; repr also tells NaN and -0.0 apart.
     @pytest.mark.parametrize("variant", [Variant.PARITY, Variant.DOMINO], ids=lambda v: v.value)
     def test_random_three_parties(self, variant):
         gen = np.random.default_rng(31)
         dist = random_channel(variant, 3, Endpoint.SENDER_FIRST, gen)
         conc = random_channel(variant, 3, Endpoint.RECEIVER_LAST, gen)
-        v = oracle_agreement(dist, conc, trials=2, seed=3)
-        assert repr(v) == repr(reference_oracle_agreement(dist, conc, trials=2, seed=3))
+        v, _ = assert_matches_reference(dist, conc, trials=2, seed=3)
         assert v.passed
 
     def test_telecloning_smolin(self):
-        dist, conc = telecloning_channel(), smolin_channel()
-        v = oracle_agreement(dist, conc, trials=1, seed=2)
-        assert repr(v) == repr(reference_oracle_agreement(dist, conc, trials=1, seed=2))
+        v, _ = assert_matches_reference(telecloning_channel(), smolin_channel(), trials=1, seed=2)
         assert v.passed
 
     def test_failing_parity_two_reaches_witness_cap(self):
         # At tolerance 0 every last-bit difference between the evaluator and
-        # the oracle deviates, which fills the witness list.
+        # either oracle deviates, which fills both witness lists.
         gen = np.random.default_rng(5)
         dist = random_channel(Variant.PARITY, 2, Endpoint.SENDER_FIRST, gen)
         conc = random_channel(Variant.PARITY, 2, Endpoint.RECEIVER_LAST, gen)
-        v = oracle_agreement(dist, conc, trials=2, seed=0, tolerance=0.0)
-        expected = reference_oracle_agreement(dist, conc, trials=2, seed=0, tolerance=0.0)
-        assert repr(v) == repr(expected)
-        assert not v.passed and len(v.witnesses) == MAX_WITNESSES
+        v, ref = assert_matches_reference(dist, conc, trials=2, seed=0, tolerance=0.0)
+        assert not v.passed
+        assert len(v.witnesses) == len(ref.witnesses) == MAX_WITNESSES
 
-    @pytest.mark.parametrize("variant", [Variant.PARITY, Variant.DOMINO], ids=lambda v: v.value)
-    def test_branch_function_is_the_tree_leaf(self, variant):
-        gen = np.random.default_rng(8)
-        comp = random_channel(variant, 2, Endpoint.RECEIVER_LAST, gen).components[0]
-        bobs = gen.normal(size=4) + 1j * gen.normal(size=4)
-        bobs /= np.linalg.norm(bobs)
-        chan = verify_mod.build_channel_component(comp, variant, Endpoint.RECEIVER_LAST, 2)
-        leaves = list(verify_mod._concentration_leaves(
-            np.kron(bobs, chan.amps), variant, 2, [BELL_OUTCOMES] * 2))
-        assert [tup for tup, _, _ in leaves] == list(itertools.product(BELL_OUTCOMES, repeat=2))
-        for tup, raw, vec in leaves:
-            raw_b, vec_b = oracle_concentration_branch(bobs, comp, variant, 2, tup)
-            assert repr(raw_b) == repr(raw)
-            assert vec_b.tobytes() == vec.tobytes()
+    @pytest.mark.parametrize("variant, n, seed", SMALL_CASES,
+                             ids=[f"{v.value}-n{n}-{s}" for v, n, s in SMALL_CASES])
+    def test_random_pairs(self, variant, n, seed):
+        # Agreement holds whether or not the pair is faithful (even parity).
+        v, _ = assert_matches_reference(*random_pair(variant, n, seed), trials=1, seed=seed)
+        assert v.passed
 
-    def test_branch_function_needs_one_outcome_per_party(self):
-        comp = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.RECEIVER_LAST).components[0]
-        with pytest.raises(ValueError, match="expected 1 outcomes"):
-            oracle_concentration_branch(np.array([1.0, 0.0]), comp, Variant.PARITY, 1, (PHI_P, PHI_P))
+    def test_custom_null_sender_branches(self, monkeypatch):
+        # For the |+> input the first sender component nulls psi- and phi-,
+        # so null sender records fall between live branches.
+        monkeypatch.setattr(verify_mod, "random_input", lambda gen: InputQubit(SQ, SQ))
+        dist = mixed_channel(Variant.CUSTOM, 2, Endpoint.SENDER_FIRST,
+                             [(0.5, {"00": SQ, "11": SQ}), (0.5, {"01": 0.6, "10": 0.8})])
+        conc = mixed_channel(Variant.CUSTOM, 2, Endpoint.RECEIVER_LAST,
+                             [(0.4, {"00": 1.0}), (0.6, {"01": SQ, "10": SQ})])
+        v, _ = assert_matches_reference(dist, conc, trials=2, seed=0)
+        assert v.passed
+        assert v.details["branches_compared"] == 2 * (2 + 6 * 2 * 16)
+
+    def test_mixed_on_both_sides(self):
+        gen = np.random.default_rng(62)
+        dist = mixed_channel(Variant.DOMINO, 3, Endpoint.SENDER_FIRST, [
+            (0.3, random_channel(Variant.DOMINO, 3, Endpoint.SENDER_FIRST, gen).components[0].coeffs),
+            (0.7, {"000": 1.0})])
+        conc = mixed_channel(Variant.DOMINO, 3, Endpoint.RECEIVER_LAST, [
+            (0.5, {"001": 1.0}),
+            (0.5, random_channel(Variant.DOMINO, 3, Endpoint.RECEIVER_LAST, gen).components[0].coeffs)])
+        v, _ = assert_matches_reference(dist, conc, trials=2, seed=63)
+        assert v.passed
+        assert v.details["branches_compared"] == 2 * 2 * 4 * 2 * 64
+
+    @pytest.mark.parametrize("change", ["reverse", "drop", "extra", "nan"])
+    def test_tampered_evaluator(self, monkeypatch, change):
+        # Misplaced, missing and extra reports and a NaN fidelity score the
+        # same in both oracles, witnesses included.
+        evaluate = verify_mod.run_end_to_end
+        if change == "nan":
+            tampered = with_nan_fidelity(evaluate)
+        else:
+            def tampered(*args, **kwargs):
+                reports = evaluate(*args, **kwargs)
+                return {"reverse": reports[::-1], "drop": reports[:-1],
+                        "extra": reports + reports[-1:]}[change]
+        monkeypatch.setattr(verify_mod, "run_end_to_end", tampered)
+        v, ref = assert_matches_reference(*random_pair(Variant.DOMINO, 2, 64), trials=2, seed=65)
+        assert not v.passed
+        assert repr(v.worst_deviation) == repr(ref.worst_deviation)
+        assert [repr(w) for w in v.witnesses] == [repr(w) for w in ref.witnesses]
 
 
 class TestOracleCapacity:
-    def test_six_parties_refused_before_any_projection(self, monkeypatch):
-        # One first-level projection at six parties is a 256 MiB matrix, so
-        # the cap must hold before the oracle builds any.
+    def test_seven_parties_refused_before_any_map(self, monkeypatch):
+        # The oracle covers every party count the evaluator enumerates and
+        # refuses the next one before it builds any map.
         def refuse(*args):
-            raise RuntimeError("_bra_matrix built above the oracle's party cap")
+            raise RuntimeError("oracle map built above the exhaustive party cap")
 
-        monkeypatch.setattr(verify_mod, "_bra_matrix", refuse)
-        n = MAX_ORACLE_PARTIES + 1
+        monkeypatch.setattr(verify_mod, "_sender_maps", refuse)
+        monkeypatch.setattr(verify_mod, "_branch_maps", refuse)
         gen = np.random.default_rng(66)
+        n = MAX_EXHAUSTIVE_PARTIES + 1
         dist = random_channel(Variant.DOMINO, n, Endpoint.SENDER_FIRST, gen)
         conc = random_channel(Variant.DOMINO, n, Endpoint.RECEIVER_LAST, gen)
         with pytest.raises(CapacityError, match="oracle"):
             oracle_agreement(dist, conc, trials=1, seed=0)
-        bobs = np.zeros(1 << n, dtype=complex)
-        bobs[0] = 1.0
-        with pytest.raises(CapacityError, match="oracle"):
-            oracle_concentration_branch(bobs, conc.components[0], Variant.DOMINO, n, (PHI_P,) * n)
 
 
 class TestOracleProperties:
