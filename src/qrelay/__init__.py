@@ -2,67 +2,34 @@
 qubit across many parties and concentrate it back onto a single receiver
 using only local measurements and classical messages."""
 
-from .bell import (
-    BELL_OUTCOMES,
-    CORRECTION_FOR_OUTCOME,
-    NULL_PROB_EPS,
-    PAULI_MATRICES,
-    BellOutcome,
-    PauliLabel,
-    bell_vector,
-    measure_bell_sampled,
-    pauli_product,
-    project_bell,
-)
+from .bell import BELL_OUTCOMES, BellOutcome, PauliLabel
 from .channels import (
     ChannelSpec,
     ChannelValidationError,
-    Component,
     Endpoint,
-    Ensemble,
     Variant,
-    build_channel_component,
-    complement,
-    domino_support,
     expand_mixture,
     ghz_channel,
     load_channel,
-    make_component,
     mixed_channel,
-    parity_support,
     pure_channel,
     random_channel,
     resolve_preset,
     save_channel,
     smolin_channel,
     smolin_state,
-    spec_from_json,
-    spec_to_json,
     telecloning_channel,
 )
 from .protocol import (
     MAX_EXHAUSTIVE_PARTIES,
-    BranchState,
     InputQubit,
     OutcomeReport,
-    concentrate,
     concentration_correction,
     distribute,
-    distribution_correction,
     random_input,
     run_end_to_end,
 )
-from .statevec import (
-    CapacityError,
-    DensityMatrix,
-    StateVector,
-    apply_single_qubit,
-    fidelity_pure,
-    make_basis_state,
-    reduced_density,
-    tensor,
-    trace_distance,
-)
+from .statevec import CapacityError, trace_distance
 from .verify import (
     Verdict,
     check_faithful,
@@ -79,65 +46,39 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BELL_OUTCOMES",
-    "CORRECTION_FOR_OUTCOME",
     "MAX_EXHAUSTIVE_PARTIES",
-    "NULL_PROB_EPS",
-    "PAULI_MATRICES",
     "BellOutcome",
-    "BranchState",
     "CapacityError",
     "ChannelSpec",
     "ChannelValidationError",
-    "Component",
-    "DensityMatrix",
     "Endpoint",
-    "Ensemble",
     "InputQubit",
     "OutcomeReport",
     "PauliLabel",
-    "StateVector",
     "Variant",
     "Verdict",
-    "apply_single_qubit",
-    "bell_vector",
-    "build_channel_component",
     "check_faithful",
     "clone_fidelity_verdict",
     "clone_report",
-    "complement",
-    "concentrate",
     "concentration_correction",
     "distribute",
-    "distribution_correction",
     "domino_correction_by_counter",
-    "domino_support",
     "even_n_counterexample",
     "expand_mixture",
-    "fidelity_pure",
     "ghz_channel",
     "load_channel",
-    "make_basis_state",
-    "make_component",
-    "measure_bell_sampled",
     "mixed_channel",
     "oracle_agreement",
-    "parity_support",
-    "pauli_product",
-    "project_bell",
     "pure_channel",
     "random_channel",
     "random_input",
-    "reduced_density",
     "resolve_preset",
     "run_end_to_end",
     "run_suite",
     "save_channel",
     "smolin_channel",
     "smolin_state",
-    "spec_from_json",
-    "spec_to_json",
     "telecloning_channel",
-    "tensor",
     "trace_distance",
     "verify_smolin",
 ]

@@ -139,21 +139,6 @@ def _sample_pair(
     return k, rows[k]
 
 
-def measure_bell_sampled(
-    state: StateVector, q1: int, q2: int, rng
-) -> tuple[BellOutcome, StateVector]:
-    """Sample a Bell measurement on (q1, q2) under the Born rule.
-
-    Deterministic for a fixed seed; zero-probability branches are never
-    drawn. ``rng`` may be a seed or a Generator shared across draws.
-    """
-    _check_pair(state, q1, q2)
-    # A normalized state always has an outcome above NULL_PROB_EPS.
-    k, row = _sample_pair(state.amps, state.num_qubits, q1, q2, as_rng(rng))
-    post = StateVector(state.num_qubits - 2, row / np.linalg.norm(row))
-    return BELL_OUTCOMES[k], post
-
-
 def pauli_product(ops: Iterable[PauliLabel]) -> PauliLabel:
     """Label of the ordered matrix product, global phase discarded.
 

@@ -163,15 +163,6 @@ class ChannelSpec:
             return self.n_parties % 2 == 1
         return False
 
-    def branch_overlap_supports(self) -> list[list[str]]:
-        """Per component, the supports whose complement is also a support —
-        exactly the collisions that break the even-parity guarantee."""
-        out = []
-        for comp in self.components:
-            supports = {bits for bits, _ in comp.coeffs}
-            out.append(sorted(b for b in supports if complement(b) in supports))
-        return out
-
 
 def pure_channel(variant: Variant, n_parties: int, coeffs, endpoint: Endpoint) -> ChannelSpec:
     return ChannelSpec(variant, n_parties, endpoint, (make_component(1.0, coeffs),))

@@ -107,7 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", default="all",
                      choices=("all", "faithfulness", "smolin", "clone", "even-n"))
     ver.add_argument("--seed", type=int, default=1)
-    ver.add_argument("--n", type=int, help="restrict suite checks to one party count")
+    ver.add_argument("--n", type=int,
+                     help="restrict the faithfulness and even-n checks to one party count "
+                     "(suites 'all', 'faithfulness' and 'even-n' only; any other suite rejects it)")
     ver.add_argument("--tolerance", type=_tolerance_arg,
                      help="override the faithfulness tolerance (suites 'all' and "
                      "'faithfulness' only; any other suite rejects it)")

@@ -12,6 +12,10 @@ qubit of a fresh receiver-side channel, measures its pair in the Bell
 basis, and sends the outcome to the receiver, who applies one composite
 correction. Branch enumeration is exhaustive (all outcome tuples with
 their joint probabilities) or sampled (one trajectory drawn from them).
+
+``run_end_to_end`` is the one way into concentration: exhaustive runs go
+through ``_exhaustive_blocks``, sampled ones through ``_sampled_block``.
+``distribute`` exposes the distribution phase on its own.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .bell import (
     pauli_product,
 )
 from .channels import ChannelSpec, Component, Endpoint, Variant, build_channel_component
-from .statevec import NORM_ATOL, CapacityError, StateVector, fidelity_pure, tensor
+from .statevec import NORM_ATOL, CapacityError, StateVector, tensor
 
 MAX_EXHAUSTIVE_PARTIES = 6
 
@@ -74,16 +78,15 @@ def random_input(rng) -> InputQubit:
 
 @dataclass(frozen=True, eq=False)
 class BranchState:
-    """One measurement branch: the post-correction state (None when the
-    branch has zero probability), its joint probability including mixture
-    weights, the Bell outcomes that produced it (sender first, then parties
-    1..n) and the receiver's correction (None before concentration)."""
+    """One distribution branch: the corrected party state (None when the
+    branch has zero probability), its joint probability including the
+    component weight, the sender's Bell outcome as a one-tuple, and the
+    sender component it came from."""
 
     state: StateVector | None
     joint_prob: float
-    outcomes: tuple[BellOutcome, ...] = ()
-    correction: PauliLabel | None = None
-    component_index: int = 0
+    outcomes: tuple[BellOutcome, ...]
+    component_index: int
 
 
 @dataclass(slots=True)
@@ -241,7 +244,7 @@ def distribute(
     _check_mode(mode, seed)
     n = channel.n_parties
     branches = [
-        BranchState(None if vec is None else StateVector(n, vec), prob, (outcome,), None, ci)
+        BranchState(None if vec is None else StateVector(n, vec), prob, (outcome,), ci)
         for ci, outcome, prob, vec in _distribution_rows(input_qubit.to_state(), channel)
     ]
     if mode == "exhaustive":
@@ -346,8 +349,11 @@ def _exhaustive_blocks(states: np.ndarray, channel: ChannelSpec):
 
 
 def _sampled_block(bobs: BranchState, channel: ChannelSpec, gen: np.random.Generator):
-    """One trajectory drawn under the Born rule, as a one-row block; no
-    block when every outcome of a step is null."""
+    """One trajectory drawn under the Born rule, as a list of one block:
+    (flattened component index, joint probabilities, raw probabilities,
+    corrected receiver vectors, each row's party outcomes, each row's
+    receiver correction), every column one row long. The list is empty when
+    every outcome of a step is null."""
     n = channel.n_parties
     n_comps = len(channel.components)
     cj = 0
@@ -370,74 +376,6 @@ def _sampled_block(bobs: BranchState, channel: ChannelSpec, gen: np.random.Gener
     raw, vecs = _finish_rows(amps[None, :], PAULI_MATRICES[label][None])
     index = bobs.component_index * n_comps + cj
     return [(index, bobs.joint_prob * comp.weight * raw, raw, vecs, (outcomes,), (label,))]
-
-
-def _concentration_blocks(bobs: BranchState, channel: ChannelSpec, mode: str, gen):
-    """The concentration phase's finished branches, as array blocks: one per
-    receiver component in exhaustive mode, one trajectory drawn from ``gen``
-    in sampled mode.
-
-    Each block is (flattened component index, joint probabilities, raw
-    probabilities, corrected receiver vectors, each row's party outcomes, each
-    row's receiver correction). A row whose raw probability is below
-    ``NULL_PROB_EPS`` is a null branch and its vector is meaningless.
-    """
-    _check_receiver_side(channel)
-    if bobs.state is None:
-        raise ValueError("cannot concentrate a zero-probability branch")
-    n = channel.n_parties
-    if bobs.state.num_qubits != n:
-        raise ValueError(
-            f"distributed state has {bobs.state.num_qubits} qubits, channel expects {n}"
-        )
-    if mode == "sampled":
-        return _sampled_block(bobs, channel, gen)
-    outcomes, labels = _outcome_table(channel.variant, n)
-    finished = itertools.chain.from_iterable(
-        zip(*block) for block in _exhaustive_blocks(bobs.state.amps[None], channel)
-    )
-    base = bobs.component_index * len(channel.components)
-    return [
-        (base + cj, bobs.joint_prob * comp.weight * raw, raw, vecs, outcomes, labels)
-        for (cj, comp), (raw, vecs) in zip(enumerate(channel.components), finished)
-    ]
-
-
-def concentrate(
-    bobs: BranchState, channel: ChannelSpec, mode: str = "exhaustive", seed=None
-) -> list[BranchState]:
-    """Run the concentration phase on a distributed branch.
-
-    Registers are ordered (bob qubits 1..n, channel qubits n+1..2n+1):
-    party i measures the pair (i, n+i) and the receiver holds qubit 2n+1.
-    Exhaustive mode returns all 4^n outcome tuples per component, from one
-    rewrite of the joint state in the Bell basis of every pair.
-    """
-    _check_mode(mode, seed)
-    gen = as_rng(seed) if mode == "sampled" else None
-    return [
-        BranchState(
-            None if r < NULL_PROB_EPS else StateVector(1, vec),
-            p, bobs.outcomes + outcomes, label, index,
-        )
-        for index, joint, raw, vecs, column, labels in _concentration_blocks(bobs, channel, mode, gen)
-        for r, p, vec, outcomes, label in zip(raw.tolist(), joint.tolist(), vecs, column, labels)
-    ]
-
-
-def report_from_branch(branch: BranchState, input_state: StateVector) -> OutcomeReport:
-    """Summarize a fully concentrated branch against the original input."""
-    fidelity = None
-    if branch.state is not None and branch.joint_prob > NULL_PROB_EPS:
-        fidelity = fidelity_pure(branch.state, input_state)
-    return OutcomeReport(
-        component_index=branch.component_index,
-        alice_outcome=branch.outcomes[0],
-        bob_outcomes=branch.outcomes[1:],
-        joint_prob=branch.joint_prob,
-        correction=branch.correction,
-        fidelity=fidelity,
-    )
 
 
 def _fidelities(vecs: np.ndarray, input_amps: np.ndarray, raw: np.ndarray, joint: np.ndarray) -> list:
@@ -466,11 +404,14 @@ def run_end_to_end(
     """Distribute then concentrate, reporting every branch (or one sampled
     trajectory) with its fidelity against the input.
 
+    Registers are ordered (party qubits 1..n, channel qubits n+1..2n+1):
+    party i measures the pair (i, n+i) and the receiver holds qubit 2n+1.
     Exhaustive mode stacks the joint state of every live sender branch with
     every receiver component and finishes the stack with one batched
     Bell-basis kernel; reports follow component, sender outcome, receiver
     component and party outcomes in order, with one record per null sender
-    branch.
+    branch. Sampled mode draws one sender branch, one receiver component and
+    one outcome per party.
     """
     _check_mode(mode, seed)
     if dist_channel.n_parties != conc_channel.n_parties:
@@ -488,17 +429,14 @@ def run_end_to_end(
     reports: list[OutcomeReport] = []
     if mode == "sampled":
         gen = as_rng(seed)
-        for db in distribute(input_qubit, dist_channel, mode, gen):
-            alice = db.outcomes[0]
-            if db.state is None:
-                index = db.component_index * n_conc
-                reports.append(OutcomeReport(index, alice, (), db.joint_prob, None, None))
-                continue
-            for index, joint, raw, vecs, outcomes, labels in _concentration_blocks(
-                db, conc_channel, mode, gen
-            ):
-                fids = _fidelities(vecs, input_amps, raw, joint)
-                _report_rows(reports, index, alice, joint.tolist(), fids, outcomes, labels)
+        (db,) = distribute(input_qubit, dist_channel, mode, gen)
+        _check_receiver_side(conc_channel)
+        alice = db.outcomes[0]
+        if db.state is None:
+            return [OutcomeReport(db.component_index * n_conc, alice, (), db.joint_prob, None, None)]
+        for index, joint, raw, vecs, outcomes, labels in _sampled_block(db, conc_channel, gen):
+            fids = _fidelities(vecs, input_amps, raw, joint)
+            _report_rows(reports, index, alice, joint.tolist(), fids, outcomes, labels)
         return reports
 
     # Each stacked state's rows go after the null sender records that precede

@@ -98,13 +98,6 @@ def apply_single_qubit(state: StateVector, qubit: int, op) -> StateVector:
     return StateVector(state.num_qubits, _apply_1q(state.amps, state.num_qubits, qubit, mat))
 
 
-def fidelity_pure(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2 — insensitive to global phase on either side."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError(f"qubit counts differ: {a.num_qubits} vs {b.num_qubits}")
-    return float(abs(np.vdot(a.amps, b.amps)) ** 2)
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Mixed state over ``num_qubits`` qubits; validated on construction

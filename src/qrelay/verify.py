@@ -7,12 +7,11 @@ Kronecker/matrix products of 2x2 gate literals and the staircase receiver
 correction via the counter-based two-table algorithm. The only shared
 ingredient with the protocol module is channel-state construction, which
 is data, not branch logic. Agreement between the two paths is itself one
-of the checks.
+of the checks, and the even-n failure search reads the same maps.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import operator
@@ -38,10 +37,8 @@ from .protocol import (
     MAX_EXHAUSTIVE_PARTIES,
     InputQubit,
     OutcomeReport,
-    concentrate,
     distribute,
     random_input,
-    report_from_branch,
     run_end_to_end,
 )
 from .statevec import CapacityError, reduced_density, trace_distance
@@ -54,6 +51,7 @@ CLONE_TARGET = 5.0 / 6.0
 EVEN_N_FID_CEILING = 1.0 - 1e-6
 WITNESS_PROB_FLOOR = 1e-12
 MAX_WITNESSES = 8
+MAX_EVEN_N_WITNESSES = 16
 
 
 @dataclass(frozen=True)
@@ -176,6 +174,15 @@ def _receiver_gates(variant: Variant, n: int) -> np.ndarray:
     return gates
 
 
+@lru_cache(maxsize=None)
+def _receiver_labels(variant: Variant, n: int) -> tuple[PauliLabel, ...]:
+    """The letter of every ``_receiver_gates`` row, each gate being that
+    letter's gate times a phase."""
+    letters = np.array([_ORACLE_GATE[letter] for letter in _CORR_LETTER])
+    overlaps = np.abs(np.einsum("lij,kij->kl", letters.conj(), _receiver_gates(variant, n)))
+    return tuple(PauliLabel(_CORR_LETTER[i]) for i in overlaps.argmax(axis=1).tolist())
+
+
 def _sender_maps(component: Component, variant: Variant, n: int) -> np.ndarray:
     """(4, 2^n, 2): column x of map a is the corrected, unnormalized party
     vector that sender outcome a leaves for the input |x>.
@@ -234,6 +241,33 @@ def _branch_maps(senders: np.ndarray, receiver: np.ndarray, gates: np.ndarray, n
     return gates @ maps.transpose(2, 0, 1, 3)
 
 
+def _oracle_maps(dist: ChannelSpec, conc: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """A channel pair's maps, built once per check: (every sender
+    component's ``_sender_maps``, (d, 4, 2^n, 2); every component pair's
+    ``_branch_maps``, (d, c, 4, 4^n, 2, 2)).
+
+    Raises ``ValueError`` for a channel on the wrong endpoint and
+    ``CapacityError`` above ``MAX_EXHAUSTIVE_PARTIES`` parties, before any
+    map is built.
+    """
+    if dist.endpoint is not Endpoint.SENDER_FIRST:
+        raise ValueError("distribution needs a sender-side channel (endpoint 'sender')")
+    if conc.endpoint is not Endpoint.RECEIVER_LAST:
+        raise ValueError("concentration needs a receiver-side channel (endpoint 'receiver')")
+    n = dist.n_parties
+    if n > MAX_EXHAUSTIVE_PARTIES:
+        raise CapacityError(
+            f"oracle capped at {MAX_EXHAUSTIVE_PARTIES} parties like the evaluator, got {n}"
+        )
+    senders = np.array([_sender_maps(comp, dist.variant, n) for comp in dist.components])
+    receivers = [
+        build_channel_component(comp, conc.variant, Endpoint.RECEIVER_LAST, n).amps.reshape(-1, 2)
+        for comp in conc.components
+    ]
+    gates = _receiver_gates(conc.variant, n)
+    return senders, np.array([[_branch_maps(s, r, gates, n) for r in receivers] for s in senders])
+
+
 def check_faithful(
     dist: ChannelSpec,
     conc: ChannelSpec,
@@ -284,12 +318,15 @@ def check_faithful(
 _BATCH_BRANCHES = 1 << 16
 
 
-def _oracle_columns(senders, maps, dist: ChannelSpec, conc: ChannelSpec, inputs: np.ndarray):
+def _oracle_columns(senders, maps, dist: ChannelSpec, conc: ChannelSpec, inputs, bras):
     """Every oracle branch of a batch of inputs (t, 2), trial by trial in the
     evaluator's report order: (branches per trial, (component index, sender
     outcome, party outcomes) keys, joint probabilities, null flags,
     fidelities). A null sender branch is one record with no party outcomes;
-    a null branch's fidelity is meaningless."""
+    a null branch's fidelity is meaningless.
+
+    A branch's fidelity is the largest |<b|v>|^2 / |v|^2 of its receiver
+    vector v over its trial's bras b, given as (t, m, 2)."""
     nd, nc, _, rows = maps.shape[:4]
     w_d = np.array([c.weight for c in dist.components])
     w_c = np.array([c.weight for c in conc.components])
@@ -297,7 +334,7 @@ def _oracle_columns(senders, maps, dist: ChannelSpec, conc: ChannelSpec, inputs:
     raw_a = np.einsum("tdap,tdap->tda", party.conj(), party).real
     out = np.einsum("dcaorx,tx->tdacor", maps, inputs)
     norm = np.einsum("...r,...r->...", out.conj(), out).real  # raw_a * raw_c
-    overlap = np.abs(np.einsum("tr,tdacor->tdaco", inputs.conj(), out)) ** 2
+    overlap = (np.abs(np.einsum("tmr,tdacor->tdacom", bras.conj(), out)) ** 2).max(axis=-1)
     sender_joint = w_d[:, None] * raw_a
     dead = raw_a < NULL_PROB_EPS
     raw_c = norm / np.where(dead, 1.0, raw_a)[..., None, None]
@@ -362,22 +399,11 @@ def oracle_agreement(
     The evaluator's reports must come in the oracle's branch order: a report
     whose component or outcomes differ from the oracle branch at its
     position, and a missing or extra report, each count as deviation 1.0.
-    Raises ``CapacityError`` above ``MAX_EXHAUSTIVE_PARTIES`` parties.
+    Raises as ``_oracle_maps`` does.
     """
-    n = dist.n_parties
-    if n > MAX_EXHAUSTIVE_PARTIES:
-        raise CapacityError(
-            f"oracle capped at {MAX_EXHAUSTIVE_PARTIES} parties like the evaluator, got {n}"
-        )
+    senders, maps = _oracle_maps(dist, conc)
     gen = as_rng(seed)
     inputs = [random_input(gen) for _ in range(trials)]
-    senders = np.array([_sender_maps(comp, dist.variant, n) for comp in dist.components])
-    receivers = [
-        build_channel_component(comp, conc.variant, Endpoint.RECEIVER_LAST, n).amps.reshape(-1, 2)
-        for comp in conc.components
-    ]
-    gates = _receiver_gates(conc.variant, n)
-    maps = np.array([[_branch_maps(s, r, gates, n) for r in receivers] for s in senders])
     worst = 0.0
     compared = 0
     witnesses: list[OutcomeReport] = []
@@ -387,7 +413,8 @@ def oracle_agreement(
         batch = inputs[start:start + per_batch]
         runs = [run_end_to_end(inp, dist, conc, mode="exhaustive") for inp in batch]
         vecs = np.array([[inp.alpha, inp.beta] for inp in batch], dtype=complex)
-        devs, slots, extra = _deviations(runs, _oracle_columns(senders, maps, dist, conc, vecs))
+        columns = _oracle_columns(senders, maps, dist, conc, vecs, vecs[:, None])
+        devs, slots, extra = _deviations(runs, columns)
         compared += len(devs)
         if len(devs):
             worst = _worse(worst, float(devs.max()))  # max propagates NaN
@@ -397,7 +424,7 @@ def oracle_agreement(
         witnesses += bad[: MAX_WITNESSES - len(witnesses)]
 
     if claim_id is None:
-        claim_id = f"oracle-{dist.variant.value}-n{n}"
+        claim_id = f"oracle-{dist.variant.value}-n{dist.n_parties}"
     return Verdict(
         claim_id,
         compared > 0 and worst <= tolerance,
@@ -414,7 +441,6 @@ def even_n_counterexample(
     dist: ChannelSpec | None = None,
     conc: ChannelSpec | None = None,
     input_qubit: InputQubit | None = None,
-    max_witnesses: int = 16,
 ) -> Verdict:
     """Search an even-party parity-shaped run for branches that no single
     receiver Pauli can repair.
@@ -423,8 +449,14 @@ def even_n_counterexample(
     joint probability above WITNESS_PROB_FLOOR has best-over-Paulis fidelity
     at or below EVEN_N_FID_CEILING. worst_deviation is the smallest
     best-over-Paulis fidelity seen (1.0 when no branch qualifies), and each
-    witness report carries that branch's best-over-Paulis fidelity.
-    Channels and input default to generic seeded random draws.
+    of the first MAX_EVEN_N_WITNESSES witness reports carries that branch's
+    best-over-Paulis fidelity. Channels and input default to generic seeded
+    random draws.
+
+    Branches are read off the oracle's maps (``_oracle_maps``) with
+    ``oracle_agreement``'s null rules: a branch with map K has
+    best-over-Paulis fidelity max_g |<in|g K|in>|^2 / |K|in>|^2 over the four
+    Paulis g. Raises as ``_oracle_maps`` does.
     """
     if n % 2 != 0:
         raise ValueError(f"n must be even, got {n}")
@@ -438,37 +470,30 @@ def even_n_counterexample(
             raise ValueError(f"{side} channel has {spec.n_parties} parties, expected n = {n}")
     if input_qubit is None:
         input_qubit = random_input(gen)
-    input_state = input_qubit.to_state()
-    inp_vec = input_state.amps
+    senders, maps = _oracle_maps(dist, conc)
 
-    gates = [_ORACLE_GATE[letter] for letter in _CORR_LETTER]
-    examined = 0
-    witness_count = 0
-    worst = 1.0
-    witnesses: list[OutcomeReport] = []
-    for db in distribute(input_qubit, dist, mode="exhaustive"):
-        if db.state is None:
-            continue
-        for cb in concentrate(db, conc, mode="exhaustive"):
-            if cb.state is None or cb.joint_prob <= WITNESS_PROB_FLOOR:
-                continue
-            examined += 1
-            best = max(float(abs(np.vdot(inp_vec, g @ cb.state.amps)) ** 2) for g in gates)
-            worst = min(worst, best)
-            if best <= EVEN_N_FID_CEILING:
-                witness_count += 1
-                if len(witnesses) < max_witnesses:
-                    report = report_from_branch(cb, input_state)
-                    witnesses.append(dataclasses.replace(report, fidelity=best))
+    inputs = np.array([[input_qubit.alpha, input_qubit.beta]], dtype=complex)
+    # Each Pauli is Hermitian, so its bra <in|g is the conjugate of g|in>.
+    bras = np.array([_ORACLE_GATE[letter] for letter in _CORR_LETTER]) @ inputs[0]
+    _, keys, joint, null, best = _oracle_columns(senders, maps, dist, conc, inputs, bras[None])
+    examined = ~null & (joint > WITNESS_PROB_FLOOR)
+    flagged = np.flatnonzero(examined & (best <= EVEN_N_FID_CEILING))
+    labels = dict(zip(_outcome_tuples(n), _receiver_labels(conc.variant, n)))
+    witnesses = tuple(
+        OutcomeReport(index, alice, bobs, float(joint[k]), labels[bobs], float(best[k]))
+        for k in flagged[:MAX_EVEN_N_WITNESSES].tolist()
+        for index, alice, bobs in [keys[k]]
+    )
+    worst = float(np.min(best[examined], initial=1.0))
     return Verdict(
         f"even-n-{n}",
         worst <= EVEN_N_FID_CEILING,
         worst,
         EVEN_N_FID_CEILING,
-        tuple(witnesses),
+        witnesses,
         {
-            "branches_examined": examined,
-            "witness_count": witness_count,
+            "branches_examined": int(examined.sum()),
+            "witness_count": len(flagged),
             "meaning": "worst_deviation is the minimum best-over-Paulis fidelity",
         },
     )
@@ -562,13 +587,15 @@ def run_suite(suite: str, seed=1, n: int | None = None, tolerance: float | None 
 
     Suites: ``faithfulness`` (random parity channels at odd sizes, staircase
     channels at all sizes), ``smolin``, ``clone``, ``even-n``, or ``all``.
-    ``n`` restricts the size lists; ``tolerance`` overrides the faithfulness
-    tolerance for that run only, so it is rejected for a suite that runs no
-    faithfulness check.
+    ``n`` restricts the size lists of the faithfulness and even-n checks;
+    ``tolerance`` overrides the faithfulness tolerance for that run only.
+    Each is rejected for a suite that runs no check it applies to.
     """
     known = {"all", "faithfulness", "smolin", "clone", "even-n"}
     if suite not in known:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(known)}")
+    if n is not None and suite not in ("all", "faithfulness", "even-n"):
+        raise ValueError(f"n only applies to the faithfulness and even-n checks, not suite {suite!r}")
     if tolerance is not None and suite not in ("all", "faithfulness"):
         raise ValueError(f"tolerance only applies to the faithfulness checks, not suite {suite!r}")
     gen = as_rng(seed)

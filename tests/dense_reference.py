@@ -1,5 +1,5 @@
 """The dense per-branch oracle, kept as an independent reference for
-``qrelay.verify.oracle_agreement``.
+``qrelay.verify.oracle_agreement`` and ``even_n_counterexample``.
 
 Every branch rebuilds its channel component, forms its Kronecker product
 and applies each Bell projection as an explicit rectangular matrix, so its
@@ -15,6 +15,7 @@ import numpy as np
 import qrelay.verify as verify_mod
 from qrelay.bell import BELL_OUTCOMES, NULL_PROB_EPS
 from qrelay.channels import Endpoint, Variant, build_channel_component
+from qrelay.protocol import concentration_correction
 
 
 @lru_cache(maxsize=None)
@@ -73,6 +74,25 @@ def concentration_branch(bobs_vec, comp, variant, n, outcomes):
     return _finish(vec, gate)
 
 
+def dense_branches(inp_vec, dist, conc):
+    """Every end-to-end branch in the evaluator's report order: (component
+    index, sender outcome, party outcomes, joint probability, corrected
+    receiver vector or None). A null sender branch is one record with no
+    party outcomes and no vector."""
+    n = dist.n_parties
+    nc = len(conc.components)
+    for ci, comp in enumerate(dist.components):
+        for a in BELL_OUTCOMES:
+            raw_a, vec_a = distribution_branch(inp_vec, comp, dist.variant, n, a)
+            if vec_a is None:
+                yield ci * nc, a, (), comp.weight * raw_a, None
+                continue
+            for cj, ccomp in enumerate(conc.components):
+                for tup in itertools.product(BELL_OUTCOMES, repeat=n):
+                    raw_c, vec_c = concentration_branch(vec_a, ccomp, conc.variant, n, tup)
+                    yield ci * nc + cj, a, tup, comp.weight * raw_a * ccomp.weight * raw_c, vec_c
+
+
 def misplaced(report, component_index, alice, bobs):
     """Whether the evaluator's report at an oracle branch's position is
     absent or belongs to a different branch."""
@@ -93,7 +113,6 @@ def reference_oracle_agreement(dist, conc, trials, seed, tolerance=verify_mod.OR
         return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
 
     gen = verify_mod.as_rng(seed)
-    n = dist.n_parties
     worst = 0.0
     compared = 0
     witnesses = []
@@ -117,25 +136,59 @@ def reference_oracle_agreement(dist, conc, trials, seed, tolerance=verify_mod.OR
         inp = verify_mod.random_input(gen)
         inp_vec = np.array([inp.alpha, inp.beta], dtype=complex)
         reports = iter(verify_mod.run_end_to_end(inp, dist, conc, mode="exhaustive"))
-        for ci, comp in enumerate(dist.components):
-            for a in BELL_OUTCOMES:
-                raw_a, vec_a = distribution_branch(inp_vec, comp, dist.variant, n, a)
-                if vec_a is None:
-                    compare(next(reports, None), ci * len(conc.components), a, (),
-                            comp.weight * raw_a, None)
-                    continue
-                for cj, ccomp in enumerate(conc.components):
-                    for tup in itertools.product(BELL_OUTCOMES, repeat=n):
-                        raw_c, vec_c = concentration_branch(vec_a, ccomp, conc.variant, n, tup)
-                        compare(next(reports, None), ci * len(conc.components) + cj, a, tup,
-                                comp.weight * raw_a * ccomp.weight * raw_c, vec_c)
+        for branch in dense_branches(inp_vec, dist, conc):
+            compare(next(reports, None), *branch)
         if next(reports, None) is not None:
             worst = worse(worst, 1.0)
     return verify_mod.Verdict(
-        f"oracle-{dist.variant.value}-n{n}",
+        f"oracle-{dist.variant.value}-n{dist.n_parties}",
         compared > 0 and worst <= tolerance,
         worst,
         tolerance,
         tuple(witnesses),
         {"trials": trials, "branches_compared": compared},
+    )
+
+
+# even_n_counterexample names at most this many witnesses.
+EVEN_N_WITNESS_CAP = 16
+
+
+def reference_even_n(n, seed=0, dist=None, conc=None, input_qubit=None):
+    """even_n_counterexample's verdict from a per-branch loop over the dense
+    reference branches, drawing channels and input in the same order."""
+    gen = verify_mod.as_rng(seed)
+    if dist is None:
+        dist = verify_mod.random_channel(Variant.PARITY, n, Endpoint.SENDER_FIRST, gen)
+    if conc is None:
+        conc = verify_mod.random_channel(Variant.PARITY, n, Endpoint.RECEIVER_LAST, gen)
+    if input_qubit is None:
+        input_qubit = verify_mod.random_input(gen)
+    inp_vec = np.array([input_qubit.alpha, input_qubit.beta], dtype=complex)
+    gates = [verify_mod._ORACLE_GATE[x] for x in verify_mod._CORR_LETTER]
+    examined = witness_count = 0
+    worst = 1.0
+    witnesses = []
+    for index, alice, bobs, joint, vec in dense_branches(inp_vec, dist, conc):
+        if vec is None or joint <= verify_mod.WITNESS_PROB_FLOOR:
+            continue
+        examined += 1
+        best = max(float(abs(np.vdot(inp_vec, g @ vec)) ** 2) for g in gates)
+        worst = min(worst, best)
+        if best <= verify_mod.EVEN_N_FID_CEILING:
+            witness_count += 1
+            if len(witnesses) < EVEN_N_WITNESS_CAP:
+                witnesses.append(verify_mod.OutcomeReport(
+                    index, alice, bobs, joint, concentration_correction(conc.variant, bobs), best))
+    return verify_mod.Verdict(
+        f"even-n-{n}",
+        worst <= verify_mod.EVEN_N_FID_CEILING,
+        worst,
+        verify_mod.EVEN_N_FID_CEILING,
+        tuple(witnesses),
+        {
+            "branches_examined": examined,
+            "witness_count": witness_count,
+            "meaning": "worst_deviation is the minimum best-over-Paulis fidelity",
+        },
     )

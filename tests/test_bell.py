@@ -8,8 +8,8 @@ from qrelay.bell import (
     BellOutcome,
     PauliLabel,
     as_rng,
+    _sample_pair,
     bell_vector,
-    measure_bell_sampled,
     pauli_product,
     project_bell,
 )
@@ -87,38 +87,43 @@ class TestProjectBell:
 
 
 class TestMeasureSampled:
+    # _sample_pair is the Born-rule draw behind every sampled trajectory.
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(5)
-        state = StateVector(3, random_state(rng, 3))
-        a = measure_bell_sampled(state, 1, 2, np.random.default_rng(77))
-        b = measure_bell_sampled(state, 1, 2, np.random.default_rng(77))
-        assert a[0] is b[0]
-        assert np.allclose(a[1].amps, b[1].amps)
+        amps = random_state(rng, 3)
+        a = _sample_pair(amps, 3, 1, 2, np.random.default_rng(77))
+        b = _sample_pair(amps, 3, 1, 2, np.random.default_rng(77))
+        assert a[0] == b[0]
+        assert np.array_equal(a[1], b[1])
 
     def test_sampled_state_matches_projection(self):
         rng = np.random.default_rng(6)
         state = StateVector(2, random_state(rng, 2))
-        outcome, post = measure_bell_sampled(state, 1, 2, np.random.default_rng(3))
-        want, _ = project_bell(state, 1, 2, outcome)
-        assert np.allclose(post.amps, want.amps)
+        k, row = _sample_pair(state.amps, 2, 1, 2, np.random.default_rng(3))
+        want, prob = project_bell(state, 1, 2, BELL_OUTCOMES[k])
+        # The row stays unnormalized: its squared norm is the outcome's probability.
+        assert float(np.vdot(row, row).real) == pytest.approx(prob, abs=1e-12)
+        assert np.allclose(row / np.linalg.norm(row), want.amps)
 
     def test_frequencies_track_probabilities(self):
         rng = np.random.default_rng(10)
         state = StateVector(2, random_state(rng, 2))
-        probs = {o: project_bell(state, 1, 2, o)[1] for o in BELL_OUTCOMES}
+        probs = [project_bell(state, 1, 2, o)[1] for o in BELL_OUTCOMES]
         gen = np.random.default_rng(123)
         draws = 20000
-        counts = dict.fromkeys(BELL_OUTCOMES, 0)
+        counts = [0] * 4
         for _ in range(draws):
-            outcome, _ = measure_bell_sampled(state, 1, 2, gen)
-            counts[outcome] += 1
-        for o in BELL_OUTCOMES:
-            assert counts[o] / draws == pytest.approx(probs[o], abs=0.01)
+            k, _ = _sample_pair(state.amps, 2, 1, 2, gen)
+            counts[k] += 1
+        for k in range(4):
+            assert counts[k] / draws == pytest.approx(probs[k], abs=0.01)
 
     def test_accepts_int_seed(self):
-        state = make_basis_state("00")
-        outcome, _ = measure_bell_sampled(state, 1, 2, as_rng(4))
-        assert outcome in (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)
+        # An int seed goes through as_rng; the null outcomes psi+/psi- of |00>
+        # are never drawn.
+        k, _ = _sample_pair(make_basis_state("00").amps, 2, 1, 2, as_rng(4))
+        assert BELL_OUTCOMES[k] in (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)
+        assert _sample_pair(np.zeros(4, dtype=complex), 2, 1, 2, as_rng(4)) is None
 
 
 class TestPauliProduct:

@@ -147,10 +147,16 @@ class TestFaithfulnessFlag:
             assert spec.faithfulness_guaranteed
 
     def test_overlap_supports_explain_even_failure(self):
+        # The supports whose complement is also a support are the collisions
+        # that break the even-parity guarantee; an odd parity channel has none.
+        def overlaps(spec):
+            supports = {bits for bits, _ in spec.components[0].coeffs}
+            return sorted(b for b in supports if complement(b) in supports)
+
         even = pure_channel(Variant.PARITY, 2, {"01": SQ, "10": SQ}, Endpoint.SENDER_FIRST)
-        assert even.branch_overlap_supports() == [["01", "10"]]
+        assert overlaps(even) == ["01", "10"] and not even.faithfulness_guaranteed
         odd = telecloning_channel()
-        assert odd.branch_overlap_supports() == [[]]
+        assert overlaps(odd) == [] and odd.faithfulness_guaranteed
 
 
 class TestBuildComponent:

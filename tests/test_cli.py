@@ -162,6 +162,23 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("suite", ["clone", "smolin"])
+    def test_verify_n_without_sized_suite(self, tmp_path, capsys, suite):
+        # Neither suite has a party count to restrict; echoing --n in the
+        # report would claim a restriction no check applied.
+        out = tmp_path / "report.json"
+        code = run_cli(["verify", "--suite", suite, "--n", "2", "--output", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_even_n_above_the_cap(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = run_cli(["verify", "--suite", "even-n", "--n", "8", "--output", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreadable_channel_file(self, capsys):
         code = run_cli([
             "enumerate", "--dist", "/definitely/missing.json",

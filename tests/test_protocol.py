@@ -1,9 +1,9 @@
-import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
-from qrelay.bell import BELL_OUTCOMES, PAULI_MATRICES, BellOutcome, PauliLabel, project_bell
+from qrelay.bell import BELL_OUTCOMES, NULL_PROB_EPS, PAULI_MATRICES, BellOutcome, PauliLabel, project_bell
 from qrelay.channels import (
     Endpoint,
     Variant,
@@ -20,17 +20,17 @@ from qrelay.protocol import (
     MAX_EXHAUSTIVE_PARTIES,
     InputQubit,
     _distribution_frame,
-    concentrate,
     concentration_correction,
     distribute,
     distribution_correction,
     random_input,
-    report_from_branch,
     run_end_to_end,
 )
-from qrelay.statevec import CapacityError, StateVector, _apply_1q, fidelity_pure, tensor
+from qrelay.statevec import CapacityError, _apply_1q, tensor
+from qrelay.verify import oracle_agreement
 
 from conftest import equal_up_to_phase, random_state
+from dense_reference import concentration_branch, dense_branches, distribution_branch
 
 SQ = 1 / np.sqrt(2)
 
@@ -170,17 +170,16 @@ class TestDistribute:
             distribute(InputQubit(1, 0), spec)
 
     def test_transcript_structure(self):
-        # A distribution branch records the sender's outcome and no receiver
-        # correction; concentration appends the parties' outcomes and the
-        # receiver's Pauli.
+        # A distribution branch records only the sender's outcome; its
+        # end-to-end reports add the parties' outcomes and the receiver's
+        # Pauli.
         dist, conc = bell_pair_channels()
         branch = distribute(InputQubit(1, 0), dist)[1]
         assert branch.outcomes == (PSI_P,)
-        assert branch.correction is None
         assert equal_up_to_phase(branch.state.amps, [1, 0])
-        cb = concentrate(branch, conc)[PSI_M.index]
-        assert cb.outcomes == (PSI_P, PSI_M)
-        assert cb.correction is PauliLabel.Y
+        report = run_end_to_end(InputQubit(1, 0), dist, conc)[4 * PSI_P.index + PSI_M.index]
+        assert (report.alice_outcome, report.bob_outcomes) == (PSI_P, (PSI_M,))
+        assert report.correction is PauliLabel.Y
 
     def test_sampled_requires_seed(self):
         dist, _ = bell_pair_channels()
@@ -204,74 +203,79 @@ class TestDistribute:
 
 
 class TestConcentrate:
+    # The concentration phase, reached through run_end_to_end.
     def test_teleportation_branches(self):
         dist, conc = bell_pair_channels()
         inp = random_input(np.random.default_rng(4))
-        for db in distribute(inp, dist):
-            branches = concentrate(db, conc)
-            assert len(branches) == 4
-            for cb in branches:
-                assert cb.joint_prob == pytest.approx(db.joint_prob / 4, abs=1e-12)
-                assert fidelity_pure(cb.state, inp.to_state()) == pytest.approx(1.0, abs=1e-10)
+        reports = run_end_to_end(inp, dist, conc)
+        assert len(reports) == 16
+        for db, r in zip([db for db in distribute(inp, dist) for _ in range(4)], reports):
+            assert r.alice_outcome is db.outcomes[0]
+            assert r.joint_prob == pytest.approx(db.joint_prob / 4, abs=1e-12)
+            assert r.fidelity == pytest.approx(1.0, abs=1e-10)
 
     def test_domino_two_party_example(self):
         dist = pure_channel(Variant.DOMINO, 2, {"00": 1.0}, Endpoint.SENDER_FIRST)
         conc = pure_channel(Variant.DOMINO, 2, {"00": SQ, "01": SQ}, Endpoint.RECEIVER_LAST)
         inp = random_input(np.random.default_rng(6))
-        db = distribute(inp, dist)[0]
         target = (PHI_P, PHI_M)
-        matches = [cb for cb in concentrate(db, conc) if cb.outcomes[1:] == target]
+        matches = [r for r in run_end_to_end(inp, dist, conc)
+                   if r.alice_outcome is PHI_P and r.bob_outcomes == target]
         assert len(matches) == 1
-        assert fidelity_pure(matches[0].state, inp.to_state()) == pytest.approx(1.0, abs=1e-9)
+        assert matches[0].fidelity == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_sender_channel(self):
         dist, _ = bell_pair_channels()
-        db = distribute(InputQubit(1, 0), dist)[0]
-        with pytest.raises(ValueError, match="receiver"):
-            concentrate(db, dist)
+        for mode in ("exhaustive", "sampled"):
+            with pytest.raises(ValueError, match="receiver"):
+                run_end_to_end(InputQubit(1, 0), dist, dist, mode=mode, seed=0)
 
     def test_rejects_size_mismatch(self):
         dist, _ = bell_pair_channels()
-        db = distribute(InputQubit(1, 0), dist)[0]
         conc3 = pure_channel(Variant.PARITY, 3, {"000": 1.0}, Endpoint.RECEIVER_LAST)
-        with pytest.raises(ValueError, match="qubits"):
-            concentrate(db, conc3)
-
-    def test_rejects_null_branch(self):
-        from qrelay.protocol import BranchState
-        _, conc = bell_pair_channels()
-        null = BranchState(None, 0.0, ())
-        with pytest.raises(ValueError, match="zero-probability"):
-            concentrate(null, conc)
+        for mode in ("exhaustive", "sampled"):
+            with pytest.raises(ValueError, match="mismatch"):
+                run_end_to_end(InputQubit(1, 0), dist, conc3, mode=mode, seed=0)
 
     def test_exhaustive_capacity_cap(self):
         n = MAX_EXHAUSTIVE_PARTIES + 1
         dist = ghz_channel(n, Endpoint.SENDER_FIRST)
         conc = ghz_channel(n, Endpoint.RECEIVER_LAST)
-        db = distribute(InputQubit(1, 0), dist)[0]
         with pytest.raises(CapacityError):
-            concentrate(db, conc)
+            run_end_to_end(InputQubit(1, 0), dist, conc)
+        # Sampling draws one trajectory, so it is not capped.
+        assert len(run_end_to_end(InputQubit(1, 0), dist, conc, mode="sampled", seed=0)) == 1
 
     def test_pair_registers_in_transcript(self):
         # Party i measures the pair (i, n+i): every exhaustive branch equals
         # sequential Bell projections of those pairs, then the receiver Pauli.
+        # Custom channels on every support leave generic fidelities, so the
+        # check sees the corrected vector, not just a fidelity of 1.
         gen = np.random.default_rng(8)
-        dist = random_channel(Variant.PARITY, 3, Endpoint.SENDER_FIRST, gen)
-        conc = random_channel(Variant.PARITY, 3, Endpoint.RECEIVER_LAST, gen)
-        db = distribute(random_input(gen), dist)[0]
+        dist, conc = (
+            pure_channel(Variant.CUSTOM, 3, dict(zip(
+                [format(i, "03b") for i in range(8)], random_state(gen, 3))), endpoint)
+            for endpoint in (Endpoint.SENDER_FIRST, Endpoint.RECEIVER_LAST)
+        )
+        inp = random_input(gen)
+        db = distribute(inp, dist)[0]
         chan = build_channel_component(conc.components[0], conc.variant, Endpoint.RECEIVER_LAST, 3)
-        branches = concentrate(db, conc)
-        assert len(branches) == 4 ** 3
-        for cb in branches:
+        reports = run_end_to_end(inp, dist, conc)[:4 ** 3]
+        assert {r.alice_outcome for r in reports} == {db.outcomes[0]}
+        fids = set()
+        for r in reports:
             state, prob = tensor(db.state, chan), db.joint_prob
-            for step, outcome in enumerate(cb.outcomes[1:]):
+            for step, outcome in enumerate(r.bob_outcomes):
                 # Earlier pairs are gone, so party step+1 is qubit 1 and its
                 # channel qubit sits at 3 + 1 - step.
                 state, p = project_bell(state, 1, 4 - step, outcome)
                 prob *= p
-            assert cb.joint_prob == pytest.approx(prob, abs=1e-15)
-            assert cb.correction is concentration_correction(Variant.PARITY, cb.outcomes[1:])
-            assert equal_up_to_phase(cb.state.amps, PAULI_MATRICES[cb.correction] @ state.amps)
+            assert r.joint_prob == pytest.approx(prob, abs=1e-15)
+            assert r.correction is concentration_correction(Variant.CUSTOM, r.bob_outcomes)
+            want = abs(np.vdot(inp.to_state().amps, PAULI_MATRICES[r.correction] @ state.amps)) ** 2
+            assert r.fidelity == pytest.approx(want, abs=1e-12)
+            fids.add(round(r.fidelity, 6))
+        assert len(fids) > 1
 
 
 class TestRunEndToEnd:
@@ -367,22 +371,30 @@ class TestRunEndToEnd:
         assert sum(r.joint_prob for r in reports) == pytest.approx(1.0, abs=1e-9)
 
     def test_correction_minimality_generic_input(self):
-        # On a generic branch the folded receiver Pauli is the only label
-        # that reconstructs the input: any extra Pauli must lower fidelity.
+        # On a generic branch the reported receiver Pauli is the only label
+        # that reconstructs the input: the dense reference's receiver vector,
+        # with its own correction undone by the reported Pauli, is repaired
+        # by that Pauli and by no other.
         gen = np.random.default_rng(13)
         dist = random_channel(Variant.PARITY, 3, Endpoint.SENDER_FIRST, gen)
         conc = random_channel(Variant.PARITY, 3, Endpoint.RECEIVER_LAST, gen)
         inp = random_input(gen)
         target = inp.to_state().amps
-        for db in distribute(inp, dist):
-            for cb in concentrate(db, conc)[:16]:
-                if cb.state is None:
-                    continue
-                winners = sum(
-                    1 for mat in PAULI_MATRICES.values()
-                    if abs(np.vdot(target, mat @ cb.state.amps)) ** 2 > 1.0 - 1e-9
-                )
-                assert winners == 1
+        reports = run_end_to_end(inp, dist, conc)
+        assert len(reports) == 4 * 4 ** 3
+        for a in BELL_OUTCOMES:
+            _, party = distribution_branch(target, dist.components[0], dist.variant, 3, a)
+            for k, tup in enumerate(itertools.islice(itertools.product(BELL_OUTCOMES, repeat=3), 16)):
+                r = reports[a.index * 4 ** 3 + k]
+                assert (r.alice_outcome, r.bob_outcomes) == (a, tup)
+                _, vec = concentration_branch(party, conc.components[0], conc.variant, 3, tup)
+                uncorrected = PAULI_MATRICES[r.correction] @ vec
+                winners = [
+                    label for label, mat in PAULI_MATRICES.items()
+                    if abs(np.vdot(target, mat @ uncorrected)) ** 2 > 1.0 - 1e-9
+                ]
+                assert winners == [r.correction]
+                assert r.fidelity == pytest.approx(1.0, abs=1e-9)
 
     def test_transcripts_input_independent(self):
         gen = np.random.default_rng(14)
@@ -390,11 +402,8 @@ class TestRunEndToEnd:
         conc = random_channel(Variant.DOMINO, 2, Endpoint.RECEIVER_LAST, gen)
 
         def transcripts(inp):
-            out = []
-            for db in distribute(inp, dist):
-                for cb in concentrate(db, conc):
-                    out.append((cb.outcomes, cb.correction))
-            return out
+            return [(r.component_index, r.alice_outcome, r.bob_outcomes, r.correction)
+                    for r in run_end_to_end(inp, dist, conc)]
 
         t1 = transcripts(InputQubit(1, 0))
         t2 = transcripts(random_input(gen))
@@ -419,18 +428,18 @@ class TestRunEndToEnd:
         assert reports[0].fidelity == pytest.approx(1.0, abs=1e-9)
 
 
-def reports_via_branches(inp, dist, conc):
-    """End-to-end reports rebuilt from distribute -> concentrate ->
-    report_from_branch, with null sender branches padded as in the
-    flattened component index."""
-    out = []
-    for db in distribute(inp, dist):
-        if db.state is None:
-            padded = dataclasses.replace(db, component_index=db.component_index * len(conc.components))
-            out.append(report_from_branch(padded, inp.to_state()))
-            continue
-        out.extend(report_from_branch(cb, inp.to_state()) for cb in concentrate(db, conc))
-    return out
+def dense_reports(inp, dist, conc):
+    """Every end-to-end branch from the dense per-branch reference, in report
+    order: ((component index, sender outcome, party outcomes), receiver
+    correction, joint probability, fidelity or None), with the evaluator's
+    null rules. A null sender branch has no party outcomes and no
+    correction."""
+    inp_vec = inp.to_state().amps
+    return [
+        ((index, alice, bobs), concentration_correction(conc.variant, bobs) if bobs else None, joint,
+         None if vec is None or joint <= NULL_PROB_EPS else float(abs(np.vdot(inp_vec, vec)) ** 2))
+        for index, alice, bobs, joint, vec in dense_branches(inp_vec, dist, conc)
+    ]
 
 
 def agreement_cases():
@@ -463,20 +472,28 @@ class TestEvaluatorConsumersAgree:
     @pytest.mark.parametrize("name, channels", list(agreement_cases()),
                              ids=[name for name, _ in agreement_cases()])
     def test_end_to_end_matches_branch_states(self, name, channels):
-        # run_end_to_end finishes whole blocks without BranchStates; it must
-        # report exactly what concentrate's BranchStates give.
+        # run_end_to_end finishes whole blocks of branches; each must match
+        # an independent computation: the dense per-branch reference up to
+        # four parties, the support-pair oracle at six.
         dist, conc = channels
-        inp = NULL_SENDER_INPUT if name == "custom-null" else random_input(np.random.default_rng(18))
+        seed = 18
+        inp = NULL_SENDER_INPUT if name == "custom-null" else random_input(np.random.default_rng(seed))
         fast = run_end_to_end(inp, dist, conc)
-        slow = reports_via_branches(inp, dist, conc)
-        assert len(fast) == len(slow)
-        for f, s in zip(fast, slow):
-            assert (f.component_index, f.alice_outcome, f.bob_outcomes, f.correction) == (
-                s.component_index, s.alice_outcome, s.bob_outcomes, s.correction)
-            assert (f.fidelity is None) == (s.fidelity is None)
-            assert f.joint_prob == pytest.approx(s.joint_prob, rel=0, abs=1e-12)
-            if f.fidelity is not None:
-                assert f.fidelity == pytest.approx(s.fidelity, rel=0, abs=1e-12)
+        if dist.n_parties > 4:
+            # oracle_agreement draws the same input from the same seed.
+            v = oracle_agreement(dist, conc, trials=1, seed=seed)
+            assert v.passed, v.worst_deviation
+            assert v.details["branches_compared"] == len(fast)
+        else:
+            slow = dense_reports(inp, dist, conc)
+            assert len(fast) == len(slow)
+            for f, (key, correction, joint, fid) in zip(fast, slow):
+                assert (f.component_index, f.alice_outcome, f.bob_outcomes) == key
+                assert f.correction is correction
+                assert (f.fidelity is None) == (fid is None)
+                assert f.joint_prob == pytest.approx(joint, rel=0, abs=1e-12)
+                if fid is not None:
+                    assert f.fidelity == pytest.approx(fid, rel=0, abs=1e-12)
         nulls = sum(r.fidelity is None for r in fast)
         if name == "ghz3":
             assert nulls == 192
@@ -489,24 +506,23 @@ class TestEvaluatorConsumersAgree:
                 (0, PSI_M), (0, PHI_M)]
             assert 0 < sender_nulls[0] and sender_nulls[-1] < len(fast) - 1
 
-
     @pytest.mark.parametrize("seed", range(6))
     def test_sampled_end_to_end_matches_branch_states(self, seed):
-        # Same draws from one generator: distribute, then concentrate, then
-        # report_from_branch must give the sampled run_end_to_end report.
+        # A sampled trajectory is one of the branches the dense reference
+        # gives, with the same correction, joint probability and fidelity,
+        # and its sender outcome is distribute's draw from the same generator.
         dist, conc = telecloning_channel(), smolin_channel()
         inp = random_input(np.random.default_rng(19))
         fast = run_end_to_end(inp, dist, conc, mode="sampled", seed=seed)
-        gen = np.random.default_rng(seed)
-        db = distribute(inp, dist, mode="sampled", seed=gen)[0]
-        slow = [report_from_branch(cb, inp.to_state())
-                for cb in concentrate(db, conc, mode="sampled", seed=gen)]
-        assert len(fast) == len(slow) == 1
-        f, s = fast[0], slow[0]
-        assert (f.component_index, f.alice_outcome, f.bob_outcomes, f.correction) == (
-            s.component_index, s.alice_outcome, s.bob_outcomes, s.correction)
-        assert f.joint_prob == s.joint_prob
-        assert f.fidelity == pytest.approx(s.fidelity, rel=0, abs=1e-12)
+        assert len(fast) == 1
+        f = fast[0]
+        (db,) = distribute(inp, dist, mode="sampled", seed=np.random.default_rng(seed))
+        assert f.alice_outcome is db.outcomes[0]
+        slow = {key: rest for key, *rest in dense_reports(inp, dist, conc)}
+        correction, joint, fid = slow[(f.component_index, f.alice_outcome, f.bob_outcomes)]
+        assert f.correction is correction
+        assert f.joint_prob == pytest.approx(joint, rel=0, abs=1e-12)
+        assert f.fidelity == pytest.approx(fid, rel=0, abs=1e-12)
 
 
 class TestReportFieldTypes:

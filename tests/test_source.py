@@ -1,6 +1,7 @@
 """Guards on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qrelay"
@@ -26,7 +27,6 @@ EVALUATOR_INTERNALS = frozenset({
     "_all_pair_rows",
     "_finish_rows",
     "_exhaustive_blocks",
-    "_concentration_blocks",
     "_outcome_table",
     "_correction_stack",
     "_distribution_frame",
@@ -86,3 +86,15 @@ def test_oracle_names_no_evaluator_literal():
     assert EVALUATOR_LITERALS <= _module_names(SRC / "bell.py"), (
         "the guard lists a name bell.py no longer defines")
     assert sorted(_names_in_verify() & EVALUATOR_LITERALS) == []
+
+
+def test_public_names_are_documented():
+    # Every name the package exports is one the README's Library section or
+    # the acceptance tests use; a re-export nothing names is dead weight.
+    import qrelay
+
+    root = SRC.parents[1]
+    text = (root / "README.md").read_text(encoding="utf-8") + (
+        root / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    used = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
+    assert sorted(set(qrelay.__all__) - used) == []

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from qrelay.protocol import _fidelities
 from qrelay.statevec import (
     CapacityError,
     DensityMatrix,
     StateVector,
     apply_single_qubit,
-    fidelity_pure,
     make_basis_state,
     reduced_density,
     tensor,
@@ -95,22 +95,32 @@ class TestApplySingleQubit:
             apply_single_qubit(s, 0, X)
 
 
+def fidelity(vec, target):
+    """|<target|vec>|^2 as every run_end_to_end report computes it: the
+    fidelity kernel on a live one-row block."""
+    return _fidelities(np.asarray(vec)[None], np.asarray(target), np.ones(1), np.ones(1))[0]
+
+
 class TestFidelity:
     def test_identical_states(self):
         rng = np.random.default_rng(0)
-        s = StateVector(3, random_state(rng, 3))
-        assert fidelity_pure(s, s) == pytest.approx(1.0, abs=1e-12)
+        s = random_state(rng, 1)
+        assert fidelity(s, s) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_states(self):
-        assert fidelity_pure(make_basis_state("0"), make_basis_state("1")) == pytest.approx(0.0, abs=1e-12)
+        zero, one = make_basis_state("0").amps, make_basis_state("1").amps
+        assert fidelity(zero, one) == pytest.approx(0.0, abs=1e-12)
+        # A row null by raw or by joint probability has no fidelity.
+        assert _fidelities(np.array([zero, zero]), zero, np.array([1e-15, 1.0]),
+                           np.array([1.0, 1e-15])) == [None, None]
 
     def test_symmetric_and_phase_invariant(self):
         rng = np.random.default_rng(1)
-        a = StateVector(2, random_state(rng, 2))
-        b = StateVector(2, random_state(rng, 2))
-        assert fidelity_pure(a, b) == pytest.approx(fidelity_pure(b, a), abs=1e-12)
-        rotated = StateVector(2, np.exp(0.7j) * a.amps)
-        assert fidelity_pure(rotated, b) == pytest.approx(fidelity_pure(a, b), abs=1e-12)
+        a = random_state(rng, 1)
+        b = random_state(rng, 1)
+        assert type(fidelity(a, b)) is float
+        assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-12)
+        assert fidelity(np.exp(0.7j) * a, b) == pytest.approx(fidelity(a, b), abs=1e-12)
 
 
 class TestDensityMatrix:

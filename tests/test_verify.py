@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import json
 import math
@@ -34,6 +35,7 @@ from qrelay.verify import (
     CLONE_TARGET,
     EVEN_N_FID_CEILING,
     FAITHFUL_TOL,
+    MAX_EVEN_N_WITNESSES,
     MAX_WITNESSES,
     ORACLE_TOL,
     WITNESS_PROB_FLOOR,
@@ -53,6 +55,7 @@ from dense_reference import (
     bra_matrix,
     concentration_branch,
     distribution_branch,
+    reference_even_n,
     reference_oracle_agreement,
 )
 
@@ -668,6 +671,64 @@ class TestEvenNCounterexample:
         with pytest.raises(ValueError, match=f"{side} channel has 4 parties"):
             even_n_counterexample(2, **channels)
 
+    def test_receiver_side_dist_rejected(self):
+        # The distribution channel must be sender-side.
+        gen = np.random.default_rng(4)
+        dist = random_channel(Variant.PARITY, 2, Endpoint.RECEIVER_LAST, gen)
+        with pytest.raises(ValueError, match="sender"):
+            even_n_counterexample(2, dist=dist)
+
+    def test_sender_side_conc_rejected(self):
+        # The concentration channel must be receiver-side.
+        gen = np.random.default_rng(4)
+        conc = random_channel(Variant.PARITY, 2, Endpoint.SENDER_FIRST, gen)
+        with pytest.raises(ValueError, match="receiver"):
+            even_n_counterexample(2, conc=conc)
+
+    def test_capacity_cap(self):
+        with pytest.raises(CapacityError):
+            even_n_counterexample(MAX_EXHAUSTIVE_PARTIES + 2)
+
+    def test_witness_cap_is_fixed(self):
+        # No caller set the witness cap, so it is a module constant.
+        assert MAX_EVEN_N_WITNESSES == 16
+        assert "max_witnesses" not in inspect.signature(even_n_counterexample).parameters
+        v = even_n_counterexample(4, seed=606)
+        assert v.details["witness_count"] > MAX_EVEN_N_WITNESSES
+        assert len(v.witnesses) == MAX_EVEN_N_WITNESSES
+
+
+EVEN_N_DIST = pure_channel(Variant.PARITY, 2, {"01": 1.0}, Endpoint.SENDER_FIRST)
+EVEN_N_CASES = {
+    "hand-n2": dict(n=2, dist=EVEN_N_DIST, input_qubit=InputQubit(1, 0), conc=pure_channel(
+        Variant.PARITY, 2, {"01": SQ, "10": SQ}, Endpoint.RECEIVER_LAST)),
+    "chain-n2": dict(n=2, dist=EVEN_N_DIST, input_qubit=InputQubit(1, 0), conc=pure_channel(
+        Variant.PARITY, 2, {"01": 1.0}, Endpoint.RECEIVER_LAST)),
+    **{f"seed{seed}-n{n}": dict(n=n, seed=seed) for seed in (606, 7) for n in (2, 4)},
+}
+
+
+def witness_keys(verdict):
+    return [(w.component_index, w.alice_outcome, w.bob_outcomes, w.correction) for w in verdict.witnesses]
+
+
+class TestEvenNMatchesPerBranchLoop:
+    # Best-over-Paulis per branch from the dense reference: the same verdict,
+    # the same witnesses in the same order, floats within 1e-12.
+    @pytest.mark.parametrize("case", list(EVEN_N_CASES))
+    def test_matches_dense_reference(self, case):
+        v = even_n_counterexample(**EVEN_N_CASES[case])
+        ref = reference_even_n(**EVEN_N_CASES[case])
+        assert (v.claim_id, v.passed, v.tolerance, v.details) == (
+            ref.claim_id, ref.passed, ref.tolerance, ref.details)
+        assert v.worst_deviation == pytest.approx(ref.worst_deviation, rel=0, abs=1e-12)
+        assert witness_keys(v) == witness_keys(ref)
+        for w, r in zip(v.witnesses, ref.witnesses):
+            assert w.joint_prob == pytest.approx(r.joint_prob, rel=0, abs=1e-12)
+            assert w.fidelity == pytest.approx(r.fidelity, rel=0, abs=1e-12)
+        if case != "chain-n2":
+            assert v.passed and v.witnesses
+
 
 class TestSmolin:
     def test_verdict(self):
@@ -747,6 +808,11 @@ class TestRunSuite:
     def test_tolerance_needs_a_faithfulness_check(self, suite):
         with pytest.raises(ValueError, match="tolerance"):
             run_suite(suite, seed=1, tolerance=1e-30)
+
+    @pytest.mark.parametrize("suite", ["smolin", "clone"])
+    def test_n_needs_a_sized_check(self, suite):
+        with pytest.raises(ValueError, match="n only applies"):
+            run_suite(suite, seed=1, n=2)
 
     def test_faithfulness_restricted_size(self):
         verdicts = run_suite("faithfulness", seed=2, n=2)
