@@ -123,20 +123,15 @@ def project_bell(
     return StateVector(state.num_qubits - 2, row / np.sqrt(prob)), prob
 
 
-def _sample_pair(
-    amps: np.ndarray, num_qubits: int, q1: int, q2: int, gen: np.random.Generator
-) -> tuple[int, np.ndarray] | None:
-    """One Born-rule Bell measurement on raw amplitudes, which need not be
-    normalized: (outcome index, unnormalized row over the surviving qubits),
+def _draw_outcome(rows: np.ndarray, gen: np.random.Generator) -> int | None:
+    """Born-rule pick among unnormalized Bell rows (4, r): the outcome index,
     or None when every outcome is below ``NULL_PROB_EPS``."""
-    rows = _pair_rows(amps, num_qubits, q1, q2)
     probs = np.einsum("kr,kr->k", rows.conj(), rows).real
     probs[probs < NULL_PROB_EPS] = 0.0
     total = probs.sum()
     if total <= 0.0:
         return None
-    k = int(gen.choice(4, p=probs / total))
-    return k, rows[k]
+    return int(gen.choice(4, p=probs / total))
 
 
 def pauli_product(ops: Iterable[PauliLabel]) -> PauliLabel:

@@ -109,7 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=1)
     ver.add_argument("--n", type=int,
                      help="restrict the faithfulness and even-n checks to one party count "
-                     "(suites 'all', 'faithfulness' and 'even-n' only; any other suite rejects it)")
+                     "(suites 'all', 'faithfulness' and 'even-n' only; any other suite rejects "
+                     "it). Parity faithfulness runs only at odd n and even-n only at even n: "
+                     "'all' skips the one that does not fit, 'even-n' rejects an odd n")
     ver.add_argument("--tolerance", type=_tolerance_arg,
                      help="override the faithfulness tolerance (suites 'all' and "
                      "'faithfulness' only; any other suite rejects it)")

@@ -35,13 +35,13 @@ from .bell import (
     PAULI_MATRICES,
     BellOutcome,
     PauliLabel,
+    _draw_outcome,
     _pair_rows,
-    _sample_pair,
     as_rng,
     pauli_product,
 )
 from .channels import ChannelSpec, Component, Endpoint, Variant, build_channel_component
-from .statevec import NORM_ATOL, CapacityError, StateVector, tensor
+from .statevec import DEFAULT_QUBIT_CAP, NORM_ATOL, CapacityError, StateVector, tensor
 
 MAX_EXHAUSTIVE_PARTIES = 6
 
@@ -348,12 +348,30 @@ def _exhaustive_blocks(states: np.ndarray, channel: ChannelSpec):
         yield _finish_rows(_all_pair_rows(joint, n), paulis)
 
 
+def _live_pair_rows(mat: np.ndarray, pkeys: np.ndarray, ckeys: np.ndarray, pbits: int, cbits: int):
+    """``_pair_rows`` of the top party and channel bits of a joint state on its live
+    strings: ``mat[i, j]`` is the amplitude at sorted keys ``pkeys[i]`` and ``ckeys[j]``, of
+    ``pbits`` and ``cbits`` bits. Returns the rows and the party and channel keys left."""
+    splits = []  # per axis: the keys left, each key's top bit and place among them, their count
+    for keys, bits in ((pkeys, pbits), (ckeys, cbits)):
+        rest = keys & ((1 << (bits - 1)) - 1)
+        union = np.flatnonzero(np.bincount(rest))  # the distinct rests, sorted
+        splits.append((union, keys >> (bits - 1), np.searchsorted(union, rest), len(union)))
+    (pnew, ptop, ppos, r), (cnew, ctop, cpos, c) = splits
+    if len(pkeys) == 2 * r and len(ckeys) == 2 * c:  # both halves of each split hold the same keys
+        grid = mat.reshape(2, r, 2, c).transpose(0, 2, 1, 3)
+    else:  # a zero (2, 2, r, c) grid holding mat at each key pair's place
+        grid = np.zeros(4 * r * c, dtype=complex)
+        grid[np.add.outer(ptop * (2 * r * c) + ppos * c, ctop * (r * c) + cpos)] = mat
+    return _BELL_ROWS.conj() @ grid.reshape(4, -1), pnew, cnew
+
+
 def _sampled_block(bobs: BranchState, channel: ChannelSpec, gen: np.random.Generator):
     """One trajectory drawn under the Born rule, as a list of one block:
     (flattened component index, joint probabilities, raw probabilities,
     corrected receiver vectors, each row's party outcomes, each row's
     receiver correction), every column one row long. The list is empty when
-    every outcome of a step is null."""
+    every outcome of a step is null. The joint state stays on its live strings."""
     n = channel.n_parties
     n_comps = len(channel.components)
     cj = 0
@@ -361,19 +379,26 @@ def _sampled_block(bobs: BranchState, channel: ChannelSpec, gen: np.random.Gener
         weights = np.array([c.weight for c in channel.components])
         cj = int(gen.choice(n_comps, p=weights / weights.sum()))
     comp = channel.components[cj]
-    amps = tensor(bobs.state, _channel_state(comp, channel.variant, Endpoint.RECEIVER_LAST, n)).amps
+    if 2 * n + 1 > DEFAULT_QUBIT_CAP:
+        raise CapacityError(f"joint state would need {2 * n + 1} qubits, cap is {DEFAULT_QUBIT_CAP}")
+    receiver = _channel_state(comp, channel.variant, Endpoint.RECEIVER_LAST, n).amps
+    # Live channel strings keep both receiver bits: rows then never narrow to one
+    # column, which rounds unlike the dense rows, and end as the receiver vector.
+    ckeys = (2 * np.flatnonzero(receiver.reshape(-1, 2).any(axis=1))[:, None] + np.arange(2)).ravel()
+    pkeys = np.flatnonzero(bobs.state.amps)
+    mat = np.multiply.outer(bobs.state.amps[pkeys], receiver[ckeys])
+    if not abs(np.vdot(mat, mat).real - 1.0) <= NORM_ATOL:
+        raise ValueError("joint state not normalized")
     outcomes: tuple[BellOutcome, ...] = ()
     for step in range(n):
-        # After `step` measurements the live registers are
-        # (bob qubits step+1..n, channel qubits n+1..2n+1), so the
-        # next pair sits at positions (1, n-step+1) of 2n+1-2*step.
-        drawn = _sample_pair(amps, 2 * n + 1 - 2 * step, 1, n - step + 1, gen)
-        if drawn is None:
+        rows, pkeys, ckeys = _live_pair_rows(mat, pkeys, ckeys, n - step, n - step + 1)
+        pick = _draw_outcome(rows, gen)
+        if pick is None:
             return []
-        pick, amps = drawn
+        mat = rows[pick].reshape(len(pkeys), len(ckeys))
         outcomes += (BELL_OUTCOMES[pick],)
     label = concentration_correction(channel.variant, outcomes)
-    raw, vecs = _finish_rows(amps[None, :], PAULI_MATRICES[label][None])
+    raw, vecs = _finish_rows(mat, PAULI_MATRICES[label][None])
     index = bobs.component_index * n_comps + cj
     return [(index, bobs.joint_prob * comp.weight * raw, raw, vecs, (outcomes,), (label,))]
 

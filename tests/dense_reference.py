@@ -1,9 +1,12 @@
 """The dense per-branch oracle, kept as an independent reference for
-``qrelay.verify.oracle_agreement`` and ``even_n_counterexample``.
+``qrelay.verify.oracle_agreement`` and ``even_n_counterexample``, and the
+dense sampled trajectory, kept as the reference for sampled
+``run_end_to_end``.
 
 Every branch rebuilds its channel component, forms its Kronecker product
 and applies each Bell projection as an explicit rectangular matrix, so its
 memory grows as 4^n per projection: use it only at small party counts.
+The sampled trajectory holds the full 2^(2n+1)-amplitude joint vector.
 """
 
 import itertools
@@ -13,9 +16,16 @@ from functools import lru_cache, reduce
 import numpy as np
 
 import qrelay.verify as verify_mod
-from qrelay.bell import BELL_OUTCOMES, NULL_PROB_EPS
+from qrelay.bell import BELL_OUTCOMES, NULL_PROB_EPS, PAULI_MATRICES, _pair_rows, as_rng
 from qrelay.channels import Endpoint, Variant, build_channel_component
-from qrelay.protocol import concentration_correction
+from qrelay.protocol import (
+    OutcomeReport,
+    _finish_rows,
+    _fidelities,
+    concentration_correction,
+    distribute,
+)
+from qrelay.statevec import tensor
 
 
 @lru_cache(maxsize=None)
@@ -192,3 +202,41 @@ def reference_even_n(n, seed=0, dist=None, conc=None, input_qubit=None):
             "meaning": "worst_deviation is the minimum best-over-Paulis fidelity",
         },
     )
+
+
+def dense_sampled(input_qubit, dist, conc, seed):
+    """``run_end_to_end(mode="sampled")``'s reports from the dense trajectory:
+    the same draws from the same generator (sender branch, receiver
+    component, then one Born-rule pick per party), each party's Bell rows
+    taken with ``_pair_rows`` from the full ``tensor`` of the party state
+    and the receiver channel, and the same finishing kernels."""
+    gen = as_rng(seed)
+    (db,) = distribute(input_qubit, dist, mode="sampled", seed=gen)
+    n, n_conc = conc.n_parties, len(conc.components)
+    if db.state is None:
+        return [OutcomeReport(db.component_index * n_conc, db.outcomes[0], (), db.joint_prob, None, None)]
+    cj = 0
+    if n_conc > 1:
+        weights = np.array([c.weight for c in conc.components])
+        cj = int(gen.choice(n_conc, p=weights / weights.sum()))
+    comp = conc.components[cj]
+    amps = tensor(db.state, build_channel_component(comp, conc.variant, Endpoint.RECEIVER_LAST, n)).amps
+    outcomes = ()
+    for step in range(n):
+        # Registers left: party qubits step+1..n, then channel qubits and the
+        # receiver, so the next pair is (1, n - step + 1).
+        rows = _pair_rows(amps, 2 * (n - step) + 1, 1, n - step + 1)
+        probs = np.einsum("kr,kr->k", rows.conj(), rows).real
+        probs[probs < NULL_PROB_EPS] = 0.0
+        total = probs.sum()
+        if total <= 0.0:
+            return []
+        k = int(gen.choice(4, p=probs / total))
+        amps = rows[k]
+        outcomes += (BELL_OUTCOMES[k],)
+    label = concentration_correction(conc.variant, outcomes)
+    raw, vecs = _finish_rows(amps[None, :], PAULI_MATRICES[label][None])
+    joint = db.joint_prob * comp.weight * raw
+    (fid,) = _fidelities(vecs, input_qubit.to_state().amps, raw, joint)
+    return [OutcomeReport(
+        db.component_index * n_conc + cj, db.outcomes[0], outcomes, float(joint[0]), label, fid)]

@@ -8,7 +8,8 @@ from qrelay.bell import (
     BellOutcome,
     PauliLabel,
     as_rng,
-    _sample_pair,
+    _draw_outcome,
+    _pair_rows,
     bell_vector,
     pauli_product,
     project_bell,
@@ -87,19 +88,26 @@ class TestProjectBell:
 
 
 class TestMeasureSampled:
-    # _sample_pair is the Born-rule draw behind every sampled trajectory.
+    # _draw_outcome is the Born-rule pick behind every sampled trajectory; it
+    # is given the four rows of one pair, here from the dense _pair_rows.
+    @staticmethod
+    def sample_pair(amps, num_qubits, q1, q2, gen):
+        rows = _pair_rows(amps, num_qubits, q1, q2)
+        k = _draw_outcome(rows, gen)
+        return None if k is None else (k, rows[k])
+
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(5)
         amps = random_state(rng, 3)
-        a = _sample_pair(amps, 3, 1, 2, np.random.default_rng(77))
-        b = _sample_pair(amps, 3, 1, 2, np.random.default_rng(77))
+        a = self.sample_pair(amps, 3, 1, 2, np.random.default_rng(77))
+        b = self.sample_pair(amps, 3, 1, 2, np.random.default_rng(77))
         assert a[0] == b[0]
         assert np.array_equal(a[1], b[1])
 
     def test_sampled_state_matches_projection(self):
         rng = np.random.default_rng(6)
         state = StateVector(2, random_state(rng, 2))
-        k, row = _sample_pair(state.amps, 2, 1, 2, np.random.default_rng(3))
+        k, row = self.sample_pair(state.amps, 2, 1, 2, np.random.default_rng(3))
         want, prob = project_bell(state, 1, 2, BELL_OUTCOMES[k])
         # The row stays unnormalized: its squared norm is the outcome's probability.
         assert float(np.vdot(row, row).real) == pytest.approx(prob, abs=1e-12)
@@ -113,7 +121,7 @@ class TestMeasureSampled:
         draws = 20000
         counts = [0] * 4
         for _ in range(draws):
-            k, _ = _sample_pair(state.amps, 2, 1, 2, gen)
+            k, _ = self.sample_pair(state.amps, 2, 1, 2, gen)
             counts[k] += 1
         for k in range(4):
             assert counts[k] / draws == pytest.approx(probs[k], abs=0.01)
@@ -121,9 +129,9 @@ class TestMeasureSampled:
     def test_accepts_int_seed(self):
         # An int seed goes through as_rng; the null outcomes psi+/psi- of |00>
         # are never drawn.
-        k, _ = _sample_pair(make_basis_state("00").amps, 2, 1, 2, as_rng(4))
+        k, _ = self.sample_pair(make_basis_state("00").amps, 2, 1, 2, as_rng(4))
         assert BELL_OUTCOMES[k] in (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)
-        assert _sample_pair(np.zeros(4, dtype=complex), 2, 1, 2, as_rng(4)) is None
+        assert self.sample_pair(np.zeros(4, dtype=complex), 2, 1, 2, as_rng(4)) is None
 
 
 class TestPauliProduct:

@@ -179,6 +179,25 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_verify_all_at_odd_n(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = run_cli(["verify", "--suite", "all", "--n", "3", "--output", str(out)])
+        assert code == 0
+        claims = [v["claim_id"] for v in load_report(out)["summary"]["verdicts"]]
+        assert "faithful-parity-n3" in claims
+        assert not any(c.startswith("even-n") for c in claims)
+
+    def test_sampled_qubit_cap(self, capsys):
+        # A sampled joint state of 2n + 1 = 21 qubits is over the cap.
+        code = run_cli([
+            "simulate", "--dist", "preset:ghz(10)", "--conc", "preset:ghz(10)",
+            "--input", "random", "--seed", "1",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
+
     def test_unreadable_channel_file(self, capsys):
         code = run_cli([
             "enumerate", "--dist", "/definitely/missing.json",

@@ -1,9 +1,20 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qrelay.bell import BELL_OUTCOMES, NULL_PROB_EPS, PAULI_MATRICES, BellOutcome, PauliLabel, project_bell
+from qrelay.bell import (
+    BELL_OUTCOMES,
+    NULL_PROB_EPS,
+    PAULI_MATRICES,
+    BellOutcome,
+    PauliLabel,
+    _pair_rows,
+    project_bell,
+)
 from qrelay.channels import (
     Endpoint,
     Variant,
@@ -20,6 +31,7 @@ from qrelay.protocol import (
     MAX_EXHAUSTIVE_PARTIES,
     InputQubit,
     _distribution_frame,
+    _live_pair_rows,
     concentration_correction,
     distribute,
     distribution_correction,
@@ -30,7 +42,7 @@ from qrelay.statevec import CapacityError, _apply_1q, tensor
 from qrelay.verify import oracle_agreement
 
 from conftest import equal_up_to_phase, random_state
-from dense_reference import concentration_branch, dense_branches, distribution_branch
+from dense_reference import concentration_branch, dense_branches, dense_sampled, distribution_branch
 
 SQ = 1 / np.sqrt(2)
 
@@ -245,6 +257,17 @@ class TestConcentrate:
             run_end_to_end(InputQubit(1, 0), dist, conc)
         # Sampling draws one trajectory, so it is not capped.
         assert len(run_end_to_end(InputQubit(1, 0), dist, conc, mode="sampled", seed=0)) == 1
+
+    def test_sampled_capacity_cap(self):
+        # A sampled joint state has 2n + 1 qubits, held densely or not: n = 9
+        # fits the 20-qubit cap and n = 10 does not.
+        def sampled(n):
+            return run_end_to_end(InputQubit(1, 0), ghz_channel(n, Endpoint.SENDER_FIRST),
+                                  ghz_channel(n, Endpoint.RECEIVER_LAST), mode="sampled", seed=0)
+
+        assert len(sampled(9)) == 1
+        with pytest.raises(CapacityError):
+            sampled(10)
 
     def test_pair_registers_in_transcript(self):
         # Party i measures the pair (i, n+i): every exhaustive branch equals
@@ -523,6 +546,94 @@ class TestEvaluatorConsumersAgree:
         assert f.correction is correction
         assert f.joint_prob == pytest.approx(joint, rel=0, abs=1e-12)
         assert f.fidelity == pytest.approx(fid, rel=0, abs=1e-12)
+
+
+def full_support_pair(n, gen):
+    """A custom channel pair on every support, with generic coefficients."""
+    return tuple(
+        pure_channel(Variant.CUSTOM, n, dict(zip(
+            [format(i, f"0{n}b") for i in range(1 << n)], random_state(gen, n))), endpoint)
+        for endpoint in (Endpoint.SENDER_FIRST, Endpoint.RECEIVER_LAST)
+    )
+
+
+def sampled_cases():
+    gen = np.random.default_rng(21)
+    for variant, sizes in ((Variant.DOMINO, range(1, 10)), (Variant.PARITY, (1, 3, 5, 7))):
+        for n in sizes:
+            yield f"{variant.value}-n{n}", (random_channel(variant, n, Endpoint.SENDER_FIRST, gen),
+                                            random_channel(variant, n, Endpoint.RECEIVER_LAST, gen))
+    yield "custom-full-n3", full_support_pair(3, gen)
+    yield "telecloning-smolin", (telecloning_channel(), smolin_channel())
+    # Mixtures on both sides; the |+> input nulls two sender branches.
+    yield "custom-null", dict(agreement_cases())["custom-null"]
+
+
+def report_fields(r):
+    """A report's fields, floats as exact hex strings."""
+    return (r.component_index, r.alice_outcome, r.bob_outcomes, r.correction, r.joint_prob.hex(),
+            None if r.fidelity is None else r.fidelity.hex())
+
+
+class TestSampledLiveStrings:
+    # Sampled trajectories hold the joint state on its live party and
+    # channel strings; they must equal the dense trajectory bit for bit.
+    @pytest.mark.parametrize("name", [name for name, _ in sampled_cases()])
+    def test_matches_dense_trajectory(self, name):
+        dist, conc = dict(sampled_cases())[name]
+        gen = np.random.default_rng(23)
+        components = set()
+        for seed in range(10):
+            inp = NULL_SENDER_INPUT if name == "custom-null" else random_input(gen)
+            fast = run_end_to_end(inp, dist, conc, mode="sampled", seed=seed)
+            slow = dense_sampled(inp, dist, conc, seed)
+            assert [report_fields(r) for r in fast] == [report_fields(r) for r in slow], seed
+            components.add(fast[0].component_index)
+        if len(dist.components) * len(conc.components) > 1:
+            assert len(components) > 1  # the draws reach more than one component pair
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 4), st.data())
+    def test_live_step_matches_dense_rows(self, pbits, data):
+        # One Bell step on live strings gives the dense _pair_rows rows
+        # exactly, at the keys it returns, with zeros everywhere else. Channel
+        # keys come in receiver-bit pairs, as _sampled_block keeps them.
+        cbits = pbits + 1
+        masks = [data.draw(st.lists(st.booleans(), min_size=1 << pbits, max_size=1 << pbits)
+                           .filter(any)) for _ in range(2)]
+        pkeys = np.flatnonzero(masks[0])
+        ckeys = (2 * np.flatnonzero(masks[1])[:, None] + np.arange(2)).ravel()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        mat = rng.normal(size=(len(pkeys), len(ckeys))) + 1j * rng.normal(size=(len(pkeys), len(ckeys)))
+        mat[rng.random(mat.shape) < data.draw(st.floats(0.0, 1.0))] = 0.0
+        dense = np.zeros((1 << pbits, 1 << cbits), dtype=complex)
+        dense[np.ix_(pkeys, ckeys)] = mat
+        want = _pair_rows(dense.ravel(), pbits + cbits, 1, pbits + 1)
+        rows, pleft, cleft = _live_pair_rows(mat, pkeys, ckeys, pbits, cbits)
+        assert pleft.tolist() == sorted({k % (1 << (pbits - 1)) for k in pkeys.tolist()})
+        assert cleft.tolist() == sorted({k % (1 << (cbits - 1)) for k in ckeys.tolist()})
+        got = np.zeros((4, 1 << (pbits - 1), 1 << (cbits - 1)), dtype=complex)
+        got[:, pleft[:, None], cleft] = rows.reshape(4, len(pleft), len(cleft))
+        assert np.array_equal(got.reshape(4, -1), want)
+
+    def test_domino_trajectory_holds_no_dense_joint_state(self):
+        # A staircase pair has n supports, so a trajectory at n = 9 needs a
+        # few hundred live amplitudes, not the 2^19 of the dense joint state.
+        n = 9
+        gen = np.random.default_rng(24)
+        dist = random_channel(Variant.DOMINO, n, Endpoint.SENDER_FIRST, gen)
+        conc = random_channel(Variant.DOMINO, n, Endpoint.RECEIVER_LAST, gen)
+        inp = random_input(gen)
+        run_end_to_end(inp, dist, conc, mode="sampled", seed=0)  # builds the channel states
+        tracemalloc.start()
+        try:
+            for seed in range(5):
+                assert len(run_end_to_end(inp, dist, conc, mode="sampled", seed=seed)) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dense_bytes = np.dtype(complex).itemsize << (2 * n + 1)
+        assert peak < dense_bytes // 16
 
 
 class TestReportFieldTypes:

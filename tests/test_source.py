@@ -33,6 +33,7 @@ EVALUATOR_INTERNALS = frozenset({
     "_distribution_rows",
     "_channel_state",
     "_sampled_block",
+    "_live_pair_rows",
     "_fidelities",
     "_report_rows",
     "concentration_correction",

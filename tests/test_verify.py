@@ -522,6 +522,21 @@ class TestOracleCapacity:
         with pytest.raises(CapacityError, match="oracle"):
             oracle_agreement(dist, conc, trials=1, seed=0)
 
+    def test_party_mismatch_refused_before_any_map(self, monkeypatch):
+        # Channels with different party counts have no common branch; the
+        # oracle says so instead of judging zero branches.
+        def refuse(*args):
+            raise RuntimeError("oracle map built for mismatched channels")
+
+        monkeypatch.setattr(verify_mod, "_sender_maps", refuse)
+        monkeypatch.setattr(verify_mod, "_branch_maps", refuse)
+        gen = np.random.default_rng(67)
+        dist = random_channel(Variant.PARITY, 3, Endpoint.SENDER_FIRST, gen)
+        conc = random_channel(Variant.PARITY, 1, Endpoint.RECEIVER_LAST, gen)
+        for trials in (0, 1):
+            with pytest.raises(ValueError, match="party mismatch"):
+                oracle_agreement(dist, conc, trials=trials, seed=0)
+
 
 class TestOracleProperties:
     # Random channels and inputs at n <= 3: the evaluator agrees with the
@@ -813,6 +828,23 @@ class TestRunSuite:
     def test_n_needs_a_sized_check(self, suite):
         with pytest.raises(ValueError, match="n only applies"):
             run_suite(suite, seed=1, n=2)
+
+    def test_all_at_odd_n_skips_even_n(self):
+        # Even-n only applies at even sizes, as parity faithfulness only at
+        # odd ones: an odd n runs the rest of 'all' instead of failing.
+        verdicts = run_suite("all", seed=1, n=3)
+        assert [v.claim_id for v in verdicts] == [
+            "faithful-parity-n3", "faithful-domino-n3", "smolin-channel", "clone-fidelity"]
+        assert all(v.passed for v in verdicts)
+
+    def test_even_n_suite_rejects_odd_n(self, monkeypatch):
+        # Unlike 'all', the even-n suite has no other check to run at odd n.
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a check ran for an odd n")
+
+        monkeypatch.setattr(verify_mod, "_oracle_maps", refuse)
+        with pytest.raises(ValueError, match="even"):
+            run_suite("even-n", seed=1, n=3)
 
     def test_faithfulness_restricted_size(self):
         verdicts = run_suite("faithfulness", seed=2, n=2)
