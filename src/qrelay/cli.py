@@ -11,13 +11,15 @@ all claims passed), 1 failed claim, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import re
 import sys
 from datetime import datetime, timezone
 
-from .bell import as_rng
+from .bell import BellOutcome, PauliLabel, as_rng
 from .channels import (
     ChannelValidationError,
     Endpoint,
@@ -119,13 +121,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+# One branch as json.dumps(indent=2, sort_keys=True) writes it in "branches", led by its separator.
+_BRANCH = (',\n    {\n      "alice": %s,\n      "bobs": %s,\n      "component": %d,\n'
+           '      "correction": %s,\n      "fidelity": %s,\n      "joint_prob": %s\n    }')
+
+
+def _json_float(x) -> str:
+    """``x`` as json writes a float: its repr, or null for None."""
+    if x is not None and not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return "null" if x is None else float.__repr__(x)
+
+
+def _branches_head(reports) -> list[str]:
+    """A report's opening brace and "branches" entry, its first key in sorted order, with each
+    branch exactly as json.dumps writes ``OutcomeReport.to_json()``; "bobs" is cached per tuple."""
+    names = {m: json.dumps(None if m is None else m.value) for m in (None, *BellOutcome, *PauliLabel)}
+    bobs = {(): "[]"}
+    chunks = ['{\n  "branches": [']
+    for r in reports:
+        block = bobs.get(r.bob_outcomes)
+        if block is None:
+            items = ",\n".join("        " + names[o] for o in r.bob_outcomes)
+            block = bobs[r.bob_outcomes] = f"[\n{items}\n      ]"
+        chunks.append(_BRANCH % (names[r.alice_outcome], block, r.component_index, names[r.correction],
+                                 _json_float(r.fidelity), _json_float(r.joint_prob)))
+    if reports:
+        chunks[1] = chunks[1][1:]
+    chunks.append("\n  ]," if reports else "],")
+    return chunks
+
+
+def _emit(report: dict, output: str | None, head: list[str] | None = None) -> None:
+    """Write ``report`` as two-space-indented, key-sorted strict JSON and a
+    newline, with ``head`` from ``_branches_head`` for its opening brace."""
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    pieces = (text, "\n") if head is None else itertools.chain(head, (text[1:], "\n"))
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _timestamp() -> str:
@@ -158,7 +194,6 @@ def _run_protocol(args) -> int:
             "faithfulness_guaranteed": dist.faithfulness_guaranteed
             and conc.faithfulness_guaranteed,
         },
-        "branches": [r.to_json() for r in reports],
         "summary": {
             "total_prob": total,
             "min_fidelity": min(fids) if fids else None,
@@ -166,7 +201,7 @@ def _run_protocol(args) -> int:
         },
         "timestamp": _timestamp(),
     }
-    _emit(report, args.output)
+    _emit(report, args.output, _branches_head(reports))
     line = f"{len(reports)} branch(es); total probability {total:.9f}"
     if fids:
         line += f"; min fidelity {min(fids):.9f}"
@@ -203,10 +238,13 @@ def _run_verify(args) -> int:
     return 0 if all(v.passed for v in verdicts) else 1
 
 
+# One parser per process: building it costs about ten times a parse.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

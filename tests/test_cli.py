@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -7,11 +8,12 @@ import numpy as np
 import pytest
 
 import qrelay.cli as cli_mod
-from qrelay.bell import BellOutcome, PauliLabel
-from qrelay.channels import Endpoint, ghz_channel, save_channel, telecloning_channel
+from qrelay.bell import BellOutcome, PauliLabel, as_rng
+from qrelay.channels import Endpoint, ghz_channel, save_channel, spec_to_json, telecloning_channel
 from qrelay.cli import build_parser, main, parse_input_spec, resolve_channel_arg
-from qrelay.protocol import OutcomeReport
+from qrelay.protocol import OutcomeReport, run_end_to_end
 from qrelay.verify import Verdict
+from test_protocol import NULL_SENDER_INPUT, agreement_cases
 
 
 def run_cli(args):
@@ -140,6 +142,25 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "error:" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("fidelity, joint_prob", [(math.nan, 0.25), (1.0, math.inf)])
+    def test_non_finite_branch_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                              fidelity, joint_prob):
+        # Branches are strict JSON too: a non-finite field fails the run
+        # before any report is written.
+        report = OutcomeReport(
+            0, BellOutcome.PHI_PLUS, (BellOutcome.PSI_MINUS,), joint_prob, PauliLabel.Y, fidelity
+        )
+        monkeypatch.setattr(cli_mod, "run_end_to_end", lambda *args, **kwargs: [report])
+        out = tmp_path / "report.json"
+        code = run_cli([
+            "enumerate", "--dist", "preset:ghz(1)", "--conc", "preset:ghz(1)",
+            "--input", "1,0+0,0", "--output", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: Out of range float values are not JSON compliant: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9", "tight"])
     def test_verify_rejects_bad_tolerance(self, tmp_path, capsys, value):
@@ -287,6 +308,129 @@ class TestReports:
         report = json.loads(captured.out)
         assert report["summary"]["total_prob"] == pytest.approx(1.0, abs=1e-9)
         assert "branch(es)" in captured.err
+
+
+STAMP = "2000-01-01T00:00:00+00:00"
+
+
+def reference_text(command, dist, conc, input_text, mode="exhaustive", seed=None):
+    """A report as the plain dict of every field, branches from
+    ``OutcomeReport.to_json``, through json.dumps."""
+    rng = as_rng(seed) if seed is not None else None
+    dist = resolve_channel_arg(dist, Endpoint.SENDER_FIRST)
+    conc = resolve_channel_arg(conc, Endpoint.RECEIVER_LAST)
+    inp = parse_input_spec(input_text, rng)
+    reports = run_end_to_end(inp, dist, conc, mode=mode, seed=rng)
+    fids = [r.fidelity for r in reports if r.fidelity is not None]
+    report = {
+        "config": {
+            "command": command,
+            "mode": mode,
+            "seed": seed,
+            "input": {
+                "alpha": [inp.alpha.real, inp.alpha.imag],
+                "beta": [inp.beta.real, inp.beta.imag],
+            },
+            "dist_channel": spec_to_json(dist),
+            "conc_channel": spec_to_json(conc),
+            "n_parties": dist.n_parties,
+            "faithfulness_guaranteed": dist.faithfulness_guaranteed
+            and conc.faithfulness_guaranteed,
+        },
+        "branches": [r.to_json() for r in reports],
+        "summary": {
+            "total_prob": sum(r.joint_prob for r in reports),
+            "min_fidelity": min(fids) if fids else None,
+            "verdicts": [],
+        },
+        "timestamp": STAMP,
+    }
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def first_mismatch(text, expected):
+    """The first line where two texts differ, as (line number, line, expected
+    line), or None: pytest's own diff of two long strings takes minutes."""
+    pairs = itertools.zip_longest(text.splitlines(True), expected.splitlines(True))
+    return next(((i, a, b) for i, (a, b) in enumerate(pairs, 1) if a != b), None)
+
+
+class TestReportBytes:
+    """The CLI renders branches from a text template; the report must stay
+    byte for byte what json.dumps writes for the whole report dict."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_timestamp(self, monkeypatch):
+        monkeypatch.setattr(cli_mod, "_timestamp", lambda: STAMP)
+
+    def check(self, tmp_path, command, dist, conc, input_text, mode="exhaustive", seed=None):
+        out = tmp_path / "report.json"
+        argv = [command, "--dist", dist, "--conc", conc, f"--input={input_text}", "--output", str(out)]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        assert run_cli(argv) == 0
+        text = out.read_text(encoding="utf-8")
+        assert first_mismatch(text, reference_text(command, dist, conc, input_text, mode, seed)) is None
+        return text
+
+    def test_telecloning(self, tmp_path):
+        self.check(tmp_path, "enumerate", "preset:telecloning", "preset:telecloning-conc",
+                   "0.6,0+0.8,0")
+
+    def test_smolin_signed_zero_input(self, tmp_path):
+        text = self.check(tmp_path, "enumerate", "preset:telecloning", "preset:smolin",
+                          "-0.6,-0.0+0,0.8")
+        assert "-0.0" in text
+
+    def test_ghz_random_input(self, tmp_path):
+        self.check(tmp_path, "enumerate", "preset:ghz(3)", "preset:ghz(3)", "random", seed=4)
+
+    def test_null_sender_records_from_files(self, tmp_path):
+        dist, conc = dict(agreement_cases())["custom-null"]
+        paths = [str(tmp_path / "dist.json"), str(tmp_path / "conc.json")]
+        save_channel(dist, paths[0])
+        save_channel(conc, paths[1])
+        a, b = complex(NULL_SENDER_INPUT.alpha), complex(NULL_SENDER_INPUT.beta)
+        text = self.check(tmp_path, "enumerate", *paths, f"{a.real!r},{a.imag!r}+{b.real!r},{b.imag!r}")
+        assert '"bobs": []' in text and '"correction": null' in text and '"fidelity": null' in text
+
+    def test_sampled_simulate(self, tmp_path):
+        self.check(tmp_path, "simulate", "preset:telecloning", "preset:smolin", "random",
+                   mode="sampled", seed=42)
+
+    def test_stdout(self, capsys):
+        argv = ["enumerate", "--dist", "preset:ghz(2)", "--conc", "preset:ghz(2)",
+                "--input", "0.6,0+0.8,0"]
+        assert run_cli(argv) == 0
+        expected = reference_text("enumerate", "preset:ghz(2)", "preset:ghz(2)", "0.6,0+0.8,0")
+        assert first_mismatch(capsys.readouterr().out, expected) is None
+
+
+class TestParserReuse:
+    """``main`` parses with one parser per process, so no call may leak
+    state into the next."""
+
+    def test_one_parser_per_process(self):
+        assert cli_mod._parser() is cli_mod._parser()
+        assert build_parser() is not build_parser()
+
+    def test_seed_does_not_carry_over(self, tmp_path):
+        out = tmp_path / "report.json"
+        common = ["--dist", "preset:ghz(1)", "--conc", "preset:ghz(1)", "--output", str(out)]
+        assert run_cli(["simulate", *common, "--input", "random", "--seed", "5"]) == 0
+        assert load_report(out)["config"]["seed"] == 5
+        assert run_cli(["enumerate", *common, "--input", "1,0+0,0"]) == 0
+        assert load_report(out)["config"]["seed"] is None
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        assert run_cli(["enumerate", "--dist", "preset:ghz(1)", "--mode", "sampled"]) == 2
+        out = tmp_path / "report.json"
+        code = run_cli([
+            "enumerate", "--dist", "preset:ghz(1)", "--conc", "preset:ghz(1)",
+            "--input", "1,0+0,0", "--output", str(out),
+        ])
+        assert code == 0
+        assert load_report(out)["config"]["mode"] == "exhaustive"
 
 
 class TestDeterminism:
