@@ -3,6 +3,8 @@ label algebra used for outcome-driven corrections."""
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from collections.abc import Iterable
 from enum import Enum
 
@@ -123,6 +125,20 @@ def project_bell(
     return StateVector(state.num_qubits - 2, row / np.sqrt(prob)), prob
 
 
+_PICK_ATOL = float(np.finfo(float).eps) ** 0.5  # how far from 1 Generator.choice lets p sum
+
+
+def _born_pick(p, gen: np.random.Generator) -> int:
+    """``int(Generator.choice(len(p), p=p))`` for a 1-D float ``p``, without its argument
+    handling: the same cdf, summed in order and divided by its last entry, searched at
+    one ``gen.random()``, so the index and the generator's stream are unchanged. Refuses
+    what ``choice`` refuses: a NaN, a negative entry or a sum over sqrt(eps) from 1."""
+    cdf = list(itertools.accumulate(p))
+    if not abs(cdf[-1] - 1.0) <= _PICK_ATOL or min(p) < 0.0:
+        raise ValueError(f"probabilities must be non-negative and sum to 1, got {list(p)}")
+    return bisect.bisect_right([c / cdf[-1] for c in cdf], gen.random())
+
+
 def _draw_outcome(rows: np.ndarray, gen: np.random.Generator) -> int | None:
     """Born-rule pick among unnormalized Bell rows (4, r): the outcome index,
     or None when every outcome is below ``NULL_PROB_EPS``."""
@@ -131,7 +147,7 @@ def _draw_outcome(rows: np.ndarray, gen: np.random.Generator) -> int | None:
     total = probs.sum()
     if total <= 0.0:
         return None
-    return int(gen.choice(4, p=probs / total))
+    return _born_pick((probs / total).tolist(), gen)
 
 
 def pauli_product(ops: Iterable[PauliLabel]) -> PauliLabel:

@@ -136,16 +136,18 @@ def _json_float(x) -> str:
 def _branches_head(reports) -> list[str]:
     """A report's opening brace and "branches" entry, its first key in sorted order, with each
     branch exactly as json.dumps writes ``OutcomeReport.to_json()``; "bobs" is cached per tuple."""
-    names = {m: json.dumps(None if m is None else m.value) for m in (None, *BellOutcome, *PauliLabel)}
-    bobs = {(): "[]"}
+    # Keyed by id(), as Enum.__hash__ runs as Python code in 3.11: both caches live for this call
+    # only, and `reports` keeps every keyed member and tuple alive, so no id is reused meanwhile.
+    names = {id(m): json.dumps(None if m is None else m.value) for m in (None, *BellOutcome, *PauliLabel)}
+    bobs = {}
     chunks = ['{\n  "branches": [']
     for r in reports:
-        block = bobs.get(r.bob_outcomes)
+        block = bobs.get(id(r.bob_outcomes))
         if block is None:
-            items = ",\n".join("        " + names[o] for o in r.bob_outcomes)
-            block = bobs[r.bob_outcomes] = f"[\n{items}\n      ]"
-        chunks.append(_BRANCH % (names[r.alice_outcome], block, r.component_index, names[r.correction],
-                                 _json_float(r.fidelity), _json_float(r.joint_prob)))
+            items = ",\n".join("        " + names[id(o)] for o in r.bob_outcomes)
+            block = bobs[id(r.bob_outcomes)] = f"[\n{items}\n      ]" if items else "[]"
+        chunks.append(_BRANCH % (names[id(r.alice_outcome)], block, r.component_index,
+                                 names[id(r.correction)], _json_float(r.fidelity), _json_float(r.joint_prob)))
     if reports:
         chunks[1] = chunks[1][1:]
     chunks.append("\n  ]," if reports else "],")

@@ -35,6 +35,7 @@ from .bell import (
     PAULI_MATRICES,
     BellOutcome,
     PauliLabel,
+    _born_pick,
     _draw_outcome,
     _pair_rows,
     as_rng,
@@ -242,17 +243,14 @@ def distribute(
     branch in sampled mode.
     """
     _check_mode(mode, seed)
-    n = channel.n_parties
-    branches = [
-        BranchState(None if vec is None else StateVector(n, vec), prob, (outcome,), ci)
-        for ci, outcome, prob, vec in _distribution_rows(input_qubit.to_state(), channel)
+    rows = _distribution_rows(input_qubit.to_state(), channel)
+    if mode == "sampled":  # draw first, then build the one branch drawn
+        probs = np.array([row[2] for row in rows])
+        rows = [rows[_born_pick(probs / probs.sum(), as_rng(seed))]]
+    return [
+        BranchState(None if vec is None else StateVector(channel.n_parties, vec), prob, (outcome,), ci)
+        for ci, outcome, prob, vec in rows
     ]
-    if mode == "exhaustive":
-        return branches
-    gen = as_rng(seed)
-    probs = np.array([b.joint_prob for b in branches])
-    pick = int(gen.choice(len(branches), p=probs / probs.sum()))
-    return [branches[pick]]
 
 
 @lru_cache(maxsize=None)
@@ -348,22 +346,45 @@ def _exhaustive_blocks(states: np.ndarray, channel: ChannelSpec):
         yield _finish_rows(_all_pair_rows(joint, n), paulis)
 
 
-def _live_pair_rows(mat: np.ndarray, pkeys: np.ndarray, ckeys: np.ndarray, pbits: int, cbits: int):
+# Plans for 8 starts. Step 1 places at most 2^n x 2^(n+1) amplitudes and each later step a quarter
+# as many: a plan holds at most 5.4 MiB of indices at n = 9, 43 MiB for all 8; staircases < 20 KiB.
+@lru_cache(maxsize=8)
+def _step_plan(pkeys: bytes, ckeys: bytes, n: int) -> tuple:
+    """Every Bell step of a trajectory whose joint state starts on the sorted party and
+    channel keys ``pkeys`` and ``ckeys`` (intp bytes) of n and n + 1 bits: per step, each
+    amplitude's flat index in the (2, 2, r, c) grid of top party bit, top channel bit and
+    the r and c keys left (None when a reshape puts it there), and those keys."""
+    pkeys, ckeys = np.frombuffer(pkeys, dtype=np.intp), np.frombuffer(ckeys, dtype=np.intp)
+    plan = []
+    for bits in range(n, 0, -1):
+        splits = []  # per axis: the keys left, each key's top bit and place among them, their count
+        for keys, b in ((pkeys, bits), (ckeys, bits + 1)):
+            rest = keys & ((1 << (b - 1)) - 1)
+            union = np.flatnonzero(np.bincount(rest))  # the distinct rests, sorted
+            union.setflags(write=False)  # every caller shares the cached arrays
+            splits.append((union, keys >> (b - 1), np.searchsorted(union, rest), len(union)))
+        (pnew, ptop, ppos, r), (cnew, ctop, cpos, c) = splits
+        place = None  # both halves of each split hold the same keys
+        if len(pkeys) != 2 * r or len(ckeys) != 2 * c:
+            place = np.add.outer(ptop * (2 * r * c) + ppos * c, ctop * (r * c) + cpos)
+            place.setflags(write=False)
+        plan.append((place, pnew, cnew))
+        pkeys, ckeys = pnew, cnew
+    return tuple(plan)
+
+
+def _live_pair_rows(mat: np.ndarray, step: tuple) -> np.ndarray:
     """``_pair_rows`` of the top party and channel bits of a joint state on its live
-    strings: ``mat[i, j]`` is the amplitude at sorted keys ``pkeys[i]`` and ``ckeys[j]``, of
-    ``pbits`` and ``cbits`` bits. Returns the rows and the party and channel keys left."""
-    splits = []  # per axis: the keys left, each key's top bit and place among them, their count
-    for keys, bits in ((pkeys, pbits), (ckeys, cbits)):
-        rest = keys & ((1 << (bits - 1)) - 1)
-        union = np.flatnonzero(np.bincount(rest))  # the distinct rests, sorted
-        splits.append((union, keys >> (bits - 1), np.searchsorted(union, rest), len(union)))
-    (pnew, ptop, ppos, r), (cnew, ctop, cpos, c) = splits
-    if len(pkeys) == 2 * r and len(ckeys) == 2 * c:  # both halves of each split hold the same keys
+    strings, ``mat[i, j]`` being the amplitude at the i-th party and j-th channel key that
+    ``step``, one ``_step_plan`` entry, starts from. The rows are over its keys left."""
+    place, pnew, cnew = step
+    r, c = len(pnew), len(cnew)
+    if place is None:
         grid = mat.reshape(2, r, 2, c).transpose(0, 2, 1, 3)
     else:  # a zero (2, 2, r, c) grid holding mat at each key pair's place
         grid = np.zeros(4 * r * c, dtype=complex)
-        grid[np.add.outer(ptop * (2 * r * c) + ppos * c, ctop * (r * c) + cpos)] = mat
-    return _BELL_ROWS.conj() @ grid.reshape(4, -1), pnew, cnew
+        grid[place] = mat
+    return _BELL_ROWS.conj() @ grid.reshape(4, -1)
 
 
 def _sampled_block(bobs: BranchState, channel: ChannelSpec, gen: np.random.Generator):
@@ -371,13 +392,14 @@ def _sampled_block(bobs: BranchState, channel: ChannelSpec, gen: np.random.Gener
     (flattened component index, joint probabilities, raw probabilities,
     corrected receiver vectors, each row's party outcomes, each row's
     receiver correction), every column one row long. The list is empty when
-    every outcome of a step is null. The joint state stays on its live strings."""
+    every outcome of a step is null. The joint state stays on its live strings,
+    stepping through the cached ``_step_plan`` of the strings it starts on."""
     n = channel.n_parties
     n_comps = len(channel.components)
     cj = 0
     if n_comps > 1:
         weights = np.array([c.weight for c in channel.components])
-        cj = int(gen.choice(n_comps, p=weights / weights.sum()))
+        cj = _born_pick(weights / weights.sum(), gen)
     comp = channel.components[cj]
     if 2 * n + 1 > DEFAULT_QUBIT_CAP:
         raise CapacityError(f"joint state would need {2 * n + 1} qubits, cap is {DEFAULT_QUBIT_CAP}")
@@ -390,12 +412,12 @@ def _sampled_block(bobs: BranchState, channel: ChannelSpec, gen: np.random.Gener
     if not abs(np.vdot(mat, mat).real - 1.0) <= NORM_ATOL:
         raise ValueError("joint state not normalized")
     outcomes: tuple[BellOutcome, ...] = ()
-    for step in range(n):
-        rows, pkeys, ckeys = _live_pair_rows(mat, pkeys, ckeys, n - step, n - step + 1)
+    for step in _step_plan(pkeys.tobytes(), ckeys.tobytes(), n):
+        rows = _live_pair_rows(mat, step)
         pick = _draw_outcome(rows, gen)
         if pick is None:
             return []
-        mat = rows[pick].reshape(len(pkeys), len(ckeys))
+        mat = rows[pick].reshape(len(step[1]), len(step[2]))
         outcomes += (BELL_OUTCOMES[pick],)
     label = concentration_correction(channel.variant, outcomes)
     raw, vecs = _finish_rows(mat, PAULI_MATRICES[label][None])

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrelay.bell import (
     BELL_OUTCOMES,
     CORRECTION_FOR_OUTCOME,
+    NULL_PROB_EPS,
     PAULI_MATRICES,
     BellOutcome,
     PauliLabel,
     as_rng,
+    _born_pick,
     _draw_outcome,
     _pair_rows,
     bell_vector,
@@ -132,6 +136,47 @@ class TestMeasureSampled:
         k, _ = self.sample_pair(make_basis_state("00").amps, 2, 1, 2, as_rng(4))
         assert BELL_OUTCOMES[k] in (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)
         assert self.sample_pair(np.zeros(4, dtype=complex), 2, 1, 2, as_rng(4)) is None
+
+
+# Weights around NULL_PROB_EPS, exact zeros and ordinary magnitudes.
+_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, NULL_PROB_EPS / 10, NULL_PROB_EPS, NULL_PROB_EPS * 10, 1.0]),
+    st.floats(0.0, 1.0),
+)
+
+
+class TestBornPick:
+    # _born_pick stands in for Generator.choice(len(p), p=p) in every sampled
+    # draw; reports stay bit-identical only while it picks the same index and
+    # leaves the generator in the same state.
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(
+        st.lists(_WEIGHTS, min_size=1, max_size=16).filter(lambda w: sum(w) > 0.0),
+        st.integers(1, 16).flatmap(lambda k: st.integers(0, k - 1).map(
+            lambda hot: [float(i == hot) for i in range(k)])),  # one-hot
+    ), st.integers(0, 2**32 - 1))
+    def test_matches_generator_choice(self, weights, seed):
+        w = np.array(weights)
+        p = w / w.sum()
+        got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _born_pick(p, got_gen)
+        assert type(got) is int
+        assert got == int(want_gen.choice(len(p), p=p))
+        assert _born_pick(p.tolist(), np.random.default_rng(seed)) == got
+        assert got_gen.random() == want_gen.random()
+
+    @pytest.mark.parametrize("p", [[0.5, np.nan, 0.5], [1.2, -0.2], [0.5, 0.4], [0.5, 0.6], [np.inf, 0.0]])
+    def test_refuses_what_choice_refuses(self, p):
+        p = np.array(p)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(len(p), p=p)
+        with pytest.raises(ValueError):
+            _born_pick(p, np.random.default_rng(0))
+
+    def test_nan_rows_raise(self):
+        rows = np.full((4, 2), np.nan, dtype=complex)
+        with pytest.raises(ValueError):
+            _draw_outcome(rows, np.random.default_rng(0))
 
 
 class TestPauliProduct:

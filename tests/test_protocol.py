@@ -32,6 +32,7 @@ from qrelay.protocol import (
     InputQubit,
     _distribution_frame,
     _live_pair_rows,
+    _step_plan,
     concentration_correction,
     distribute,
     distribution_correction,
@@ -212,6 +213,28 @@ class TestDistribute:
         dist, _ = bell_pair_channels()
         with pytest.raises(ValueError):
             distribute(InputQubit(1, 0), dist, mode="both")
+
+    @pytest.mark.parametrize("name", ["telecloning-smolin", "custom-null"])
+    def test_sampled_is_the_exhaustive_branch_choice_draws(self, name):
+        # Sampled mode draws before it builds; the branch it keeps must be the
+        # exhaustive branch Generator.choice picks from the same generator,
+        # field for field, and leave the generator where choice leaves it.
+        dist, _ = dict(agreement_cases())[name]
+        gen = np.random.default_rng(26)
+        for seed in range(50):
+            inp = NULL_SENDER_INPUT if name == "custom-null" else random_input(gen)
+            got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            (got,) = distribute(inp, dist, mode="sampled", seed=got_gen)
+            branches = distribute(inp, dist)
+            probs = np.array([b.joint_prob for b in branches])
+            want = branches[int(want_gen.choice(len(branches), p=probs / probs.sum()))]
+            assert (got.outcomes, got.component_index) == (want.outcomes, want.component_index), seed
+            assert got.joint_prob.hex() == want.joint_prob.hex()
+            if want.state is None:
+                assert got.state is None
+            else:
+                assert np.array_equal(got.state.amps, want.state.amps)
+            assert got_gen.random() == want_gen.random()
 
 
 class TestConcentrate:
@@ -594,27 +617,71 @@ class TestSampledLiveStrings:
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 4), st.data())
-    def test_live_step_matches_dense_rows(self, pbits, data):
-        # One Bell step on live strings gives the dense _pair_rows rows
-        # exactly, at the keys it returns, with zeros everywhere else. Channel
-        # keys come in receiver-bit pairs, as _sampled_block keeps them.
-        cbits = pbits + 1
-        masks = [data.draw(st.lists(st.booleans(), min_size=1 << pbits, max_size=1 << pbits)
+    def test_live_step_matches_dense_rows(self, n, data):
+        # Every step of a plan gives the dense _pair_rows rows exactly, at the
+        # keys it leaves, with zeros everywhere else, whichever outcome the
+        # trajectory goes on with. Channel keys come in receiver-bit pairs, as
+        # _sampled_block keeps them.
+        masks = [data.draw(st.lists(st.booleans(), min_size=1 << n, max_size=1 << n)
                            .filter(any)) for _ in range(2)]
         pkeys = np.flatnonzero(masks[0])
         ckeys = (2 * np.flatnonzero(masks[1])[:, None] + np.arange(2)).ravel()
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         mat = rng.normal(size=(len(pkeys), len(ckeys))) + 1j * rng.normal(size=(len(pkeys), len(ckeys)))
         mat[rng.random(mat.shape) < data.draw(st.floats(0.0, 1.0))] = 0.0
-        dense = np.zeros((1 << pbits, 1 << cbits), dtype=complex)
+        dense = np.zeros((1 << n, 1 << (n + 1)), dtype=complex)
         dense[np.ix_(pkeys, ckeys)] = mat
-        want = _pair_rows(dense.ravel(), pbits + cbits, 1, pbits + 1)
-        rows, pleft, cleft = _live_pair_rows(mat, pkeys, ckeys, pbits, cbits)
-        assert pleft.tolist() == sorted({k % (1 << (pbits - 1)) for k in pkeys.tolist()})
-        assert cleft.tolist() == sorted({k % (1 << (cbits - 1)) for k in ckeys.tolist()})
-        got = np.zeros((4, 1 << (pbits - 1), 1 << (cbits - 1)), dtype=complex)
-        got[:, pleft[:, None], cleft] = rows.reshape(4, len(pleft), len(cleft))
-        assert np.array_equal(got.reshape(4, -1), want)
+        plan = _step_plan(pkeys.tobytes(), ckeys.tobytes(), n)
+        assert len(plan) == n
+        for bits, step in zip(range(n, 0, -1), plan):
+            want = _pair_rows(dense.ravel(), 2 * bits + 1, 1, bits + 1)
+            rows = _live_pair_rows(mat, step)
+            _, pleft, cleft = step
+            assert pleft.tolist() == sorted({k % (1 << (bits - 1)) for k in pkeys.tolist()})
+            assert cleft.tolist() == sorted({k % (1 << bits) for k in ckeys.tolist()})
+            got = np.zeros((4, 1 << (bits - 1), 1 << bits), dtype=complex)
+            got[:, pleft[:, None], cleft] = rows.reshape(4, len(pleft), len(cleft))
+            assert np.array_equal(got.reshape(4, -1), want)
+            k = data.draw(st.integers(0, 3))
+            mat, dense = rows[k].reshape(len(pleft), len(cleft)), want[k].reshape(1 << (bits - 1), -1)
+            pkeys, ckeys = pleft, cleft
+
+    def test_fewer_live_strings_get_their_own_plan(self):
+        # Plans are keyed by the live strings a trajectory starts on, so an
+        # input of |0> or a zero channel coefficient gets a plan of its own and
+        # still matches the dense trajectory bit for bit.
+        gen = np.random.default_rng(25)
+        domino = tuple(random_channel(Variant.DOMINO, 5, endpoint, gen)
+                       for endpoint in (Endpoint.SENDER_FIRST, Endpoint.RECEIVER_LAST))
+        supports, amps = ("000", "011", "101", "110"), random_state(gen, 2)
+        custom = tuple(pure_channel(Variant.CUSTOM, 3, dict(zip(supports, amps)), endpoint)
+                       for endpoint in (Endpoint.SENDER_FIRST, Endpoint.RECEIVER_LAST))
+        amps[2] = 0.0  # no "101" and, with the receiver bit set, no "010" channel string
+        holed = pure_channel(Variant.CUSTOM, 3, dict(zip(supports, amps / np.linalg.norm(amps))),
+                             Endpoint.RECEIVER_LAST)
+        inp = random_input(gen)
+        for before, after in (((inp, *domino), (InputQubit(1, 0), *domino)),
+                              ((inp, *custom), (inp, custom[0], holed))):
+            _step_plan.cache_clear()
+            plans = []
+            for args in (before, after):
+                for seed in range(5):
+                    fast = run_end_to_end(*args, mode="sampled", seed=seed)
+                    assert [report_fields(r) for r in fast] == [
+                        report_fields(r) for r in dense_sampled(*args, seed)], seed
+                plans.append(_step_plan.cache_info().currsize)
+            assert plans[1] > plans[0]
+
+    def test_plan_cache_stays_bounded(self):
+        # More distinct starts than the cache holds evict old plans; the cache
+        # never grows past its bound.
+        maxsize = _step_plan.cache_info().maxsize
+        assert maxsize is not None
+        ckeys = np.arange(8)
+        for start in range(1, maxsize + 5):
+            _step_plan(np.flatnonzero([start >> b & 1 for b in range(4)]).tobytes(), ckeys.tobytes(), 2)
+            assert _step_plan.cache_info().currsize <= maxsize
+        assert _step_plan.cache_info().currsize == maxsize
 
     def test_domino_trajectory_holds_no_dense_joint_state(self):
         # A staircase pair has n supports, so a trajectory at n = 9 needs a

@@ -21,8 +21,9 @@ def test_no_assert_statements():
     assert found == []
 
 
-# Evaluator internals the oracle must not use: routing the oracle through
-# the evaluator's kernels would make their agreement a tautology.
+# Evaluator internals, in protocol.py and bell.py, the oracle must not use:
+# routing the oracle through the evaluator's kernels would make their
+# agreement a tautology.
 EVALUATOR_INTERNALS = frozenset({
     "_all_pair_rows",
     "_finish_rows",
@@ -33,7 +34,10 @@ EVALUATOR_INTERNALS = frozenset({
     "_distribution_rows",
     "_channel_state",
     "_sampled_block",
+    "_step_plan",
     "_live_pair_rows",
+    "_draw_outcome",
+    "_born_pick",
     "_fidelities",
     "_report_rows",
     "concentration_correction",
@@ -78,9 +82,17 @@ def _names_in_verify():
 
 
 def test_oracle_names_no_evaluator_internal():
-    assert EVALUATOR_INTERNALS <= _module_names(SRC / "protocol.py"), (
-        "the guard lists a name protocol.py no longer defines")
+    assert EVALUATOR_INTERNALS <= _module_names(SRC / "protocol.py") | _module_names(SRC / "bell.py"), (
+        "the guard lists a name protocol.py and bell.py no longer define")
     assert sorted(_names_in_verify() & EVALUATOR_INTERNALS) == []
+
+
+def test_dense_reference_draws_with_generator_choice():
+    # dense_sampled is the independent reference for sampled trajectories, so
+    # it draws with Generator.choice itself, never through the evaluator's pick.
+    text = (SRC.parents[1] / "tests" / "dense_reference.py").read_text(encoding="utf-8")
+    assert ".choice(" in text
+    assert [name for name in ("_born_pick", "_draw_outcome") if name in text] == []
 
 
 def test_oracle_names_no_evaluator_literal():
