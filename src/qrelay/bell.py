@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .statevec import StateVector, _check_qubit
+from .statevec import StateVector
 
 NULL_PROB_EPS = 1e-14
 
@@ -42,6 +42,8 @@ _BELL_ROWS = (1.0 / np.sqrt(2.0)) * np.array(
     dtype=complex,
 )
 _BELL_ROWS.setflags(write=False)
+_BELL_BRAS = _BELL_ROWS.conj()  # the bras <Bell_k| that project a pair, row k
+_BELL_BRAS.setflags(write=False)
 
 
 class PauliLabel(Enum):
@@ -97,32 +99,7 @@ def _pair_rows(amps: np.ndarray, num_qubits: int, q1: int, q2: int) -> np.ndarra
     """
     psi = amps.reshape([2] * num_qubits)
     psi = np.moveaxis(psi, (q1 - 1, q2 - 1), (0, 1))
-    return _BELL_ROWS.conj() @ psi.reshape(4, -1)
-
-
-def _check_pair(state: StateVector, q1: int, q2: int) -> None:
-    if q1 == q2:
-        raise ValueError("measurement qubits must differ")
-    _check_qubit(q1, state.num_qubits)
-    _check_qubit(q2, state.num_qubits)
-    if state.num_qubits < 2:
-        raise ValueError("need at least two qubits to measure a pair")
-
-
-def project_bell(
-    state: StateVector, q1: int, q2: int, outcome: BellOutcome
-) -> tuple[StateVector | None, float]:
-    """Project qubits (q1, q2) onto one Bell outcome.
-
-    Returns (post state, probability); the post state drops the measured
-    pair and is None when the branch probability is below ``NULL_PROB_EPS``.
-    """
-    _check_pair(state, q1, q2)
-    row = _pair_rows(state.amps, state.num_qubits, q1, q2)[outcome.index]
-    prob = float(np.vdot(row, row).real)
-    if prob < NULL_PROB_EPS:
-        return None, prob
-    return StateVector(state.num_qubits - 2, row / np.sqrt(prob)), prob
+    return _BELL_BRAS @ psi.reshape(4, -1)
 
 
 _PICK_ATOL = float(np.finfo(float).eps) ** 0.5  # how far from 1 Generator.choice lets p sum

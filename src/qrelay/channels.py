@@ -301,14 +301,24 @@ def spec_to_json(spec: ChannelSpec) -> dict:
     }
 
 
+def _json_number(value, what: str):
+    """``value``, unless it is a JSON true or false, which Python reads as 1 or 0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return value
+
+
 def spec_from_json(data) -> ChannelSpec:
     try:
         variant = Variant(data["variant"])
         endpoint = Endpoint(data["endpoint"])
-        n = int(data["n"])
+        n = _json_number(data["n"], "n")
+        if isinstance(n, float) and not n.is_integer():
+            raise ValueError(f"n must be a whole number, got {n!r}")
+        n = int(n)
         comps = tuple(
             make_component(
-                item["weight"],
+                _json_number(item["weight"], "weight"),
                 [(c["bits"], complex(c["re"], c.get("im", 0.0))) for c in item["coeffs"]],
             )
             for item in data["components"]

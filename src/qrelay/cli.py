@@ -27,7 +27,7 @@ from .channels import (
     resolve_preset,
     spec_to_json,
 )
-from .protocol import InputQubit, random_input, run_end_to_end
+from .protocol import InputQubit, _branch_rows, random_input
 from .statevec import CapacityError
 from .verify import run_suite
 
@@ -121,9 +121,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# One branch as json.dumps(indent=2, sort_keys=True) writes it in "branches", led by its separator.
-_BRANCH = (',\n    {\n      "alice": %s,\n      "bobs": %s,\n      "component": %d,\n'
-           '      "correction": %s,\n      "fidelity": %s,\n      "joint_prob": %s\n    }')
+# One branch as json.dumps(indent=2, sort_keys=True) writes it in "branches", led by its separator,
+# in five pieces: _ALICE and _COMPONENT filled once per row, the bobs and correction texts once per
+# outcome column, and _FLOATS once per distinct (fidelity, joint probability) pair.
+_ALICE = ',\n    {\n      "alice": %s,\n      "bobs": '
+_COMPONENT = ',\n      "component": %d,\n      "correction": '
+_FLOATS = ',\n      "fidelity": %s,\n      "joint_prob": %s\n    }'
+
+# json's text of each outcome, label and None, keyed by id() as Enum.__hash__ runs as Python code
+# in 3.11: these objects live as long as the process, so no id is reused.
+_NAMES = {id(m): json.dumps(None if m is None else m.value) for m in (None, *BellOutcome, *PauliLabel)}
 
 
 def _json_float(x) -> str:
@@ -133,25 +140,44 @@ def _json_float(x) -> str:
     return "null" if x is None else float.__repr__(x)
 
 
-def _branches_head(reports) -> list[str]:
+def _bobs_text(outcomes) -> str:
+    items = ",\n        ".join(map(_NAMES.__getitem__, map(id, outcomes)))
+    return f"[\n        {items}\n      ]" if items else "[]"
+
+
+def _branches_head(rows) -> tuple[list[str], list[float]]:
     """A report's opening brace and "branches" entry, its first key in sorted order, with each
-    branch exactly as json.dumps writes ``OutcomeReport.to_json()``; "bobs" is cached per tuple."""
-    # Keyed by id(), as Enum.__hash__ runs as Python code in 3.11: both caches live for this call
-    # only, and `reports` keeps every keyed member and tuple alive, so no id is reused meanwhile.
-    names = {id(m): json.dumps(None if m is None else m.value) for m in (None, *BellOutcome, *PauliLabel)}
-    bobs = {}
+    branch of the ``_branch_rows`` rows exactly as json.dumps writes its dict; and the non-None
+    fidelity of each first branch of a distinct (fidelity, joint probability) pair, in report
+    order, whose min is the same float as the min of every fidelity."""
+    texts = {}  # per outcome or label column, keyed by id(): `rows` keeps every column alive
+    floats = {}  # per pair; a zero keys as its repr, so 0.0 and -0.0 keep their own texts
+    fidelities = []
     chunks = ['{\n  "branches": [']
-    for r in reports:
-        block = bobs.get(id(r.bob_outcomes))
-        if block is None:
-            items = ",\n".join("        " + names[id(o)] for o in r.bob_outcomes)
-            block = bobs[id(r.bob_outcomes)] = f"[\n{items}\n      ]" if items else "[]"
-        chunks.append(_BRANCH % (names[id(r.alice_outcome)], block, r.component_index,
-                                 names[id(r.correction)], _json_float(r.fidelity), _json_float(r.joint_prob)))
-    if reports:
+    for index, alice, joints, fids, outcomes, labels in rows:
+        bobs = texts.get(id(outcomes))
+        if bobs is None:
+            bobs = texts[id(outcomes)] = list(map(_bobs_text, outcomes))
+        corrections = texts.get(id(labels))
+        if corrections is None:
+            corrections = texts[id(labels)] = [_NAMES[id(label)] for label in labels]
+        head, mid = _ALICE % _NAMES[id(alice)], _COMPONENT % index
+        pieces = []
+        extend = pieces.extend
+        for bob, correction, fid, joint in zip(bobs, corrections, fids, joints):
+            key = (fid or repr(fid), joint or repr(joint))
+            tail = floats.get(key)
+            if tail is None:
+                tail = floats[key] = _FLOATS % (_json_float(fid), _json_float(joint))
+                if fid is not None:
+                    fidelities.append(fid)
+            extend((head, bob, mid, correction, tail))
+        if pieces:  # one text per row, so no copy of the whole report is held
+            chunks.append("".join(pieces))
+    if len(chunks) > 1:
         chunks[1] = chunks[1][1:]
-    chunks.append("\n  ]," if reports else "],")
-    return chunks
+    chunks.append("\n  ]," if len(chunks) > 1 else "],")
+    return chunks, fidelities
 
 
 def _emit(report: dict, output: str | None, head: list[str] | None = None) -> None:
@@ -177,10 +203,10 @@ def _run_protocol(args) -> int:
     dist = resolve_channel_arg(args.dist, Endpoint.SENDER_FIRST)
     conc = resolve_channel_arg(args.conc, Endpoint.RECEIVER_LAST)
     inp = parse_input_spec(args.input, rng)
-    reports = run_end_to_end(inp, dist, conc, mode=args.mode, seed=rng)
-
-    total = sum(r.joint_prob for r in reports)
-    fids = [r.fidelity for r in reports if r.fidelity is not None]
+    rows = _branch_rows(inp, dist, conc, args.mode, rng)
+    head, fids = _branches_head(rows)
+    # One sum over every joint probability in report order, as over one list.
+    total = sum(itertools.chain.from_iterable(row[2] for row in rows))
     report = {
         "config": {
             "command": args.command,
@@ -203,8 +229,8 @@ def _run_protocol(args) -> int:
         },
         "timestamp": _timestamp(),
     }
-    _emit(report, args.output, _branches_head(reports))
-    line = f"{len(reports)} branch(es); total probability {total:.9f}"
+    _emit(report, args.output, head)
+    line = f"{sum(len(row[2]) for row in rows)} branch(es); total probability {total:.9f}"
     if fids:
         line += f"; min fidelity {min(fids):.9f}"
     print(line, file=sys.stderr)

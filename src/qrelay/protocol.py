@@ -13,8 +13,9 @@ basis, and sends the outcome to the receiver, who applies one composite
 correction. Branch enumeration is exhaustive (all outcome tuples with
 their joint probabilities) or sampled (one trajectory drawn from them).
 
-``run_end_to_end`` is the one way into concentration: exhaustive runs go
+``_branch_rows`` is the one way into concentration: exhaustive runs go
 through ``_exhaustive_blocks``, sampled ones through ``_sampled_block``.
+``run_end_to_end`` turns its rows into reports; the CLI writes them as text.
 ``distribute`` exposes the distribution phase on its own.
 """
 
@@ -28,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bell import (
-    _BELL_ROWS,
+    _BELL_BRAS,
     BELL_OUTCOMES,
     CORRECTION_FOR_OUTCOME,
     NULL_PROB_EPS,
@@ -285,9 +286,8 @@ def _all_pair_rows(amps: np.ndarray, n: int) -> np.ndarray:
     b = len(amps)
     order = [0] + [1 + ax for i in range(n) for ax in (i, n + i)] + [2 * n + 1]
     psi = amps.reshape([b] + [2] * (2 * n + 1)).transpose(order)
-    bras = _BELL_ROWS.conj()
     for k in range(n):
-        psi = bras @ psi.reshape(b * 4**k, 4, -1)
+        psi = _BELL_BRAS @ psi.reshape(b * 4**k, 4, -1)
     return psi.reshape(b, 4**n, 2)
 
 
@@ -384,7 +384,7 @@ def _live_pair_rows(mat: np.ndarray, step: tuple) -> np.ndarray:
     else:  # a zero (2, 2, r, c) grid holding mat at each key pair's place
         grid = np.zeros(4 * r * c, dtype=complex)
         grid[place] = mat
-    return _BELL_ROWS.conj() @ grid.reshape(4, -1)
+    return _BELL_BRAS @ grid.reshape(4, -1)
 
 
 def _sampled_block(bobs: BranchState, channel: ChannelSpec, gen: np.random.Generator):
@@ -434,11 +434,72 @@ def _fidelities(vecs: np.ndarray, input_amps: np.ndarray, raw: np.ndarray, joint
 
 
 def _report_rows(reports: list, index: int, alice: BellOutcome, joint, fids, outcomes, labels) -> None:
-    """Append one block row's branches to ``reports``: plain Python values
-    from the rows' columns, fidelity None on a null branch."""
+    """Append one ``_branch_rows`` row's branches to ``reports``: plain
+    Python values from the row's columns, fidelity None on a null branch."""
     reports.extend(map(
         OutcomeReport, itertools.repeat(index), itertools.repeat(alice), outcomes, joint, labels, fids,
     ))
+
+
+def _branch_rows(
+    input_qubit: InputQubit, dist_channel: ChannelSpec, conc_channel: ChannelSpec, mode: str, seed
+) -> list[tuple]:
+    """``run_end_to_end``'s branches as block rows in report order, each
+    (flattened component index, sender outcome, joint probabilities,
+    fidelities with None on a null branch, party outcome tuples, receiver
+    corrections), the last four parallel columns of Python values. A null
+    sender branch is one row with no party outcomes and no correction."""
+    _check_mode(mode, seed)
+    if dist_channel.n_parties != conc_channel.n_parties:
+        raise ValueError(
+            f"party mismatch: distribution has {dist_channel.n_parties}, "
+            f"concentration has {conc_channel.n_parties}"
+        )
+    families = {dist_channel.variant, conc_channel.variant} - {Variant.CUSTOM}
+    if len(families) > 1:
+        raise ValueError("distribution and concentration channels use different support families")
+
+    input_state = input_qubit.to_state()
+    input_amps = input_state.amps
+    n_conc = len(conc_channel.components)
+    rows: list[tuple] = []
+    if mode == "sampled":
+        gen = as_rng(seed)
+        (db,) = distribute(input_qubit, dist_channel, mode, gen)
+        _check_receiver_side(conc_channel)
+        alice = db.outcomes[0]
+        if db.state is None:
+            return [(db.component_index * n_conc, alice, [db.joint_prob], [None], ((),), (None,))]
+        for index, joint, raw, vecs, outcomes, labels in _sampled_block(db, conc_channel, gen):
+            fids = _fidelities(vecs, input_amps, raw, joint)
+            rows.append((index, alice, joint.tolist(), fids, outcomes, labels))
+        return rows
+
+    # Each stacked state's rows go after the null sender rows that precede
+    # it; `pending` carries those rows to the next live slot.
+    states, slots, pending = [], [], []
+    for ci, alice, prob, vec in _distribution_rows(input_state, dist_channel):
+        if vec is None:
+            pending.append((ci * n_conc, alice, [prob], [None], ((),), (None,)))
+            continue
+        states.append(vec)
+        for cj, comp in enumerate(conc_channel.components):
+            slots.append((ci * n_conc + cj, alice, prob * comp.weight, pending))
+            pending = []
+    _check_receiver_side(conc_channel)
+
+    outcomes, labels = _outcome_table(conc_channel.variant, conc_channel.n_parties)
+    done = 0
+    for raw, vecs in _exhaustive_blocks(np.array(states), conc_channel):
+        block = slots[done:done + len(raw)]
+        done += len(raw)
+        joint = np.array([slot[2] for slot in block])[:, None] * raw
+        fids = _fidelities(vecs, input_amps, raw, joint)
+        for (index, alice, _, nulls), joint_row, fid_row in zip(block, joint.tolist(), fids):
+            rows.extend(nulls)
+            rows.append((index, alice, joint_row, fid_row, outcomes, labels))
+    rows.extend(pending)
+    return rows
 
 
 def run_end_to_end(
@@ -460,54 +521,7 @@ def run_end_to_end(
     branch. Sampled mode draws one sender branch, one receiver component and
     one outcome per party.
     """
-    _check_mode(mode, seed)
-    if dist_channel.n_parties != conc_channel.n_parties:
-        raise ValueError(
-            f"party mismatch: distribution has {dist_channel.n_parties}, "
-            f"concentration has {conc_channel.n_parties}"
-        )
-    families = {dist_channel.variant, conc_channel.variant} - {Variant.CUSTOM}
-    if len(families) > 1:
-        raise ValueError("distribution and concentration channels use different support families")
-
-    input_state = input_qubit.to_state()
-    input_amps = input_state.amps
-    n_conc = len(conc_channel.components)
     reports: list[OutcomeReport] = []
-    if mode == "sampled":
-        gen = as_rng(seed)
-        (db,) = distribute(input_qubit, dist_channel, mode, gen)
-        _check_receiver_side(conc_channel)
-        alice = db.outcomes[0]
-        if db.state is None:
-            return [OutcomeReport(db.component_index * n_conc, alice, (), db.joint_prob, None, None)]
-        for index, joint, raw, vecs, outcomes, labels in _sampled_block(db, conc_channel, gen):
-            fids = _fidelities(vecs, input_amps, raw, joint)
-            _report_rows(reports, index, alice, joint.tolist(), fids, outcomes, labels)
-        return reports
-
-    # Each stacked state's rows go after the null sender records that precede
-    # it; `pending` carries those records to the next live slot.
-    states, slots, pending = [], [], []
-    for ci, alice, prob, vec in _distribution_rows(input_state, dist_channel):
-        if vec is None:
-            pending.append(OutcomeReport(ci * n_conc, alice, (), prob, None, None))
-            continue
-        states.append(vec)
-        for cj, comp in enumerate(conc_channel.components):
-            slots.append((ci * n_conc + cj, alice, prob * comp.weight, pending))
-            pending = []
-    _check_receiver_side(conc_channel)
-
-    outcomes, labels = _outcome_table(conc_channel.variant, conc_channel.n_parties)
-    done = 0
-    for raw, vecs in _exhaustive_blocks(np.array(states), conc_channel):
-        block = slots[done:done + len(raw)]
-        done += len(raw)
-        joint = np.array([slot[2] for slot in block])[:, None] * raw
-        fids = _fidelities(vecs, input_amps, raw, joint)
-        for (index, alice, _, nulls), joint_row, fid_row in zip(block, joint.tolist(), fids):
-            reports.extend(nulls)
-            _report_rows(reports, index, alice, joint_row, fid_row, outcomes, labels)
-    reports.extend(pending)
+    for row in _branch_rows(input_qubit, dist_channel, conc_channel, mode, seed):
+        _report_rows(reports, *row)
     return reports

@@ -8,7 +8,7 @@ are marked read-only.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,21 +53,6 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
 
-def make_basis_state(bits: str | Sequence[int]) -> StateVector:
-    """Computational basis state for a bit pattern ("0110" or [0,1,1,0])."""
-    bit_list = [int(b) for b in bits]
-    if not bit_list:
-        raise ValueError("bits must be nonempty")
-    if any(b not in (0, 1) for b in bit_list):
-        raise ValueError(f"bits must be 0 or 1, got {bits!r}")
-    index = 0
-    for b in bit_list:
-        index = (index << 1) | b
-    amps = np.zeros(1 << len(bit_list), dtype=complex)
-    amps[index] = 1.0
-    return StateVector(len(bit_list), amps)
-
-
 def tensor(a: StateVector, b: StateVector, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
     """Kronecker product; ``a``'s qubits come first (most significant)."""
     total = a.num_qubits + b.num_qubits
@@ -80,22 +65,6 @@ def tensor(a: StateVector, b: StateVector, cap: int = DEFAULT_QUBIT_CAP) -> Stat
 def _check_qubit(qubit: int, num_qubits: int) -> None:
     if not 1 <= qubit <= num_qubits:
         raise ValueError(f"qubit {qubit} out of range 1..{num_qubits}")
-
-
-def _apply_1q(amps: np.ndarray, num_qubits: int, qubit: int, mat: np.ndarray) -> np.ndarray:
-    psi = amps.reshape([2] * num_qubits)
-    psi = np.moveaxis(psi, qubit - 1, 0)
-    psi = np.tensordot(mat, psi, axes=1)
-    return np.moveaxis(psi, 0, qubit - 1).reshape(-1)
-
-
-def apply_single_qubit(state: StateVector, qubit: int, op) -> StateVector:
-    """Apply a 2x2 operator to one qubit (1-based, qubit 1 leftmost)."""
-    _check_qubit(qubit, state.num_qubits)
-    mat = np.asarray(op, dtype=complex)
-    if mat.shape != (2, 2):
-        raise ValueError(f"op must be 2x2, got shape {mat.shape}")
-    return StateVector(state.num_qubits, _apply_1q(state.amps, state.num_qubits, qubit, mat))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,10 +88,6 @@ class DensityMatrix:
         if not float(np.linalg.eigvalsh(entries).min()) >= EIGVAL_FLOOR:
             raise ValueError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def from_pure(cls, state: StateVector) -> DensityMatrix:
-        return cls(state.num_qubits, np.outer(state.amps, state.amps.conj()))
 
     @classmethod
     def from_weighted_states(cls, pairs: Iterable[tuple[float, StateVector]]) -> DensityMatrix:

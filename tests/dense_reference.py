@@ -1,7 +1,9 @@
 """The dense per-branch oracle, kept as an independent reference for
-``qrelay.verify.oracle_agreement`` and ``even_n_counterexample``, and the
+``qrelay.verify.oracle_agreement`` and ``even_n_counterexample``, the
 dense sampled trajectory, kept as the reference for sampled
-``run_end_to_end``.
+``run_end_to_end``, and the single-state helpers the tests build and
+check states with: basis states, one-qubit gates, one Bell projection and
+a pure state's density matrix.
 
 Every branch rebuilds its channel component, forms its Kronecker product
 and applies each Bell projection as an explicit rectangular matrix, so its
@@ -25,7 +27,63 @@ from qrelay.protocol import (
     concentration_correction,
     distribute,
 )
-from qrelay.statevec import tensor
+from qrelay.statevec import DensityMatrix, StateVector, _check_qubit, tensor
+
+
+def make_basis_state(bits):
+    """Computational basis state for a bit pattern ("0110" or [0,1,1,0])."""
+    bit_list = [int(b) for b in bits]
+    if not bit_list:
+        raise ValueError("bits must be nonempty")
+    if any(b not in (0, 1) for b in bit_list):
+        raise ValueError(f"bits must be 0 or 1, got {bits!r}")
+    index = 0
+    for b in bit_list:
+        index = (index << 1) | b
+    amps = np.zeros(1 << len(bit_list), dtype=complex)
+    amps[index] = 1.0
+    return StateVector(len(bit_list), amps)
+
+
+def apply_1q(amps, num_qubits, qubit, mat):
+    """A 2x2 matrix applied to one qubit of an amplitude vector."""
+    psi = amps.reshape([2] * num_qubits)
+    psi = np.moveaxis(psi, qubit - 1, 0)
+    psi = np.tensordot(mat, psi, axes=1)
+    return np.moveaxis(psi, 0, qubit - 1).reshape(-1)
+
+
+def apply_single_qubit(state, qubit, op):
+    """Apply a 2x2 operator to one qubit (1-based, qubit 1 leftmost)."""
+    _check_qubit(qubit, state.num_qubits)
+    mat = np.asarray(op, dtype=complex)
+    if mat.shape != (2, 2):
+        raise ValueError(f"op must be 2x2, got shape {mat.shape}")
+    return StateVector(state.num_qubits, apply_1q(state.amps, state.num_qubits, qubit, mat))
+
+
+def project_bell(state, q1, q2, outcome):
+    """Project qubits (q1, q2) onto one Bell outcome.
+
+    Returns (post state, probability); the post state drops the measured
+    pair and is None when the branch probability is below ``NULL_PROB_EPS``.
+    """
+    if q1 == q2:
+        raise ValueError("measurement qubits must differ")
+    _check_qubit(q1, state.num_qubits)
+    _check_qubit(q2, state.num_qubits)
+    if state.num_qubits < 2:
+        raise ValueError("need at least two qubits to measure a pair")
+    row = _pair_rows(state.amps, state.num_qubits, q1, q2)[outcome.index]
+    prob = float(np.vdot(row, row).real)
+    if prob < NULL_PROB_EPS:
+        return None, prob
+    return StateVector(state.num_qubits - 2, row / np.sqrt(prob)), prob
+
+
+def density_from_pure(state):
+    """The projector onto a pure state, as a ``DensityMatrix``."""
+    return DensityMatrix(state.num_qubits, np.outer(state.amps, state.amps.conj()))
 
 
 @lru_cache(maxsize=None)

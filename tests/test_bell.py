@@ -16,11 +16,11 @@ from qrelay.bell import (
     _pair_rows,
     bell_vector,
     pauli_product,
-    project_bell,
 )
-from qrelay.statevec import StateVector, apply_single_qubit, make_basis_state, tensor
+from qrelay.statevec import StateVector, tensor
 
 from conftest import equal_up_to_phase, random_state
+from dense_reference import apply_single_qubit, make_basis_state, project_bell
 
 SQ = 1 / np.sqrt(2)
 

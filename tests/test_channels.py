@@ -32,6 +32,8 @@ from qrelay.channels import (
 )
 from qrelay.statevec import trace_distance
 
+from dense_reference import make_basis_state
+
 SQ = 1 / np.sqrt(2)
 
 
@@ -195,7 +197,6 @@ class TestBuildComponent:
 
 class TestEnsembles:
     def test_weights_validated(self):
-        from qrelay.statevec import make_basis_state
         with pytest.raises(ValueError):
             Ensemble(((0.5, make_basis_state("0")),))
         with pytest.raises(ValueError, match="nan"):
@@ -306,6 +307,25 @@ class TestSerialization:
         }
         spec = spec_from_json(data)
         assert spec.components[0].coeffs[0][1] == 1.0
+
+    @pytest.mark.parametrize("n", [3.7, True, False, float("inf"), float("nan"), "2.5"])
+    def test_non_integral_or_boolean_n_refused(self, n):
+        data = spec_to_json(ghz_channel(3, Endpoint.SENDER_FIRST))
+        data["n"] = n
+        with pytest.raises(ChannelValidationError, match="malformed"):
+            spec_from_json(data)
+
+    def test_integral_float_n_accepted(self):
+        data = spec_to_json(ghz_channel(3, Endpoint.SENDER_FIRST))
+        data["n"] = 3.0
+        assert spec_from_json(data) == ghz_channel(3, Endpoint.SENDER_FIRST)
+
+    @pytest.mark.parametrize("weight", [True, False])
+    def test_boolean_weight_refused(self, weight):
+        data = spec_to_json(ghz_channel(1, Endpoint.SENDER_FIRST))
+        data["components"][0]["weight"] = weight
+        with pytest.raises(ChannelValidationError, match="weight must be a number"):
+            spec_from_json(data)
 
     def test_json_is_plain_data(self):
         text = json.dumps(spec_to_json(telecloning_channel()))

@@ -6,10 +6,22 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qrelay.cli as cli_mod
-from qrelay.bell import BellOutcome, PauliLabel, as_rng
-from qrelay.channels import Endpoint, ghz_channel, save_channel, spec_to_json, telecloning_channel
+import qrelay.protocol as protocol_mod
+from qrelay.bell import BELL_OUTCOMES, BellOutcome, PauliLabel, as_rng
+from qrelay.channels import (
+    Endpoint,
+    Variant,
+    ghz_channel,
+    mixed_channel,
+    random_channel,
+    save_channel,
+    spec_to_json,
+    telecloning_channel,
+)
 from qrelay.cli import build_parser, main, parse_input_spec, resolve_channel_arg
 from qrelay.protocol import OutcomeReport, run_end_to_end
 from qrelay.verify import Verdict
@@ -143,15 +155,15 @@ class TestExitCodes:
         assert "error:" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("fidelity, joint_prob", [(math.nan, 0.25), (1.0, math.inf)])
+    @pytest.mark.parametrize("fidelity, joint_prob",
+                             [(math.nan, 0.25), (1.0, math.inf), (-math.inf, 0.25), (0.5, math.nan)])
     def test_non_finite_branch_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                               fidelity, joint_prob):
         # Branches are strict JSON too: a non-finite field fails the run
         # before any report is written.
-        report = OutcomeReport(
-            0, BellOutcome.PHI_PLUS, (BellOutcome.PSI_MINUS,), joint_prob, PauliLabel.Y, fidelity
-        )
-        monkeypatch.setattr(cli_mod, "run_end_to_end", lambda *args, **kwargs: [report])
+        row = (0, BellOutcome.PHI_PLUS, [joint_prob], [fidelity], ((BellOutcome.PSI_MINUS,),),
+               (PauliLabel.Y,))
+        monkeypatch.setattr(cli_mod, "_branch_rows", lambda *args, **kwargs: [row])
         out = tmp_path / "report.json"
         code = run_cli([
             "enumerate", "--dist", "preset:ghz(1)", "--conc", "preset:ghz(1)",
@@ -244,6 +256,22 @@ class TestExitCodes:
             "--input", "1,0+0,0",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("field, value", [("n", 3.7), ("n", True), ("weight", True)])
+    def test_fractional_or_boolean_channel_field(self, tmp_path, capsys, field, value):
+        data = spec_to_json(ghz_channel(3, Endpoint.SENDER_FIRST))
+        if field == "n":
+            data["n"] = value
+        else:
+            data["components"][0]["weight"] = value
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "report.json"
+        code = run_cli(["enumerate", "--dist", str(path), "--conc", "preset:ghz(3)",
+                        "--input", "1,0+0,0", "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: malformed channel description: ")
+        assert not out.exists()
 
     def test_unknown_preset(self):
         code = run_cli([
@@ -398,12 +426,119 @@ class TestReportBytes:
         self.check(tmp_path, "simulate", "preset:telecloning", "preset:smolin", "random",
                    mode="sampled", seed=42)
 
+    def test_mixtures_on_both_sides_from_files(self, tmp_path):
+        gen = np.random.default_rng(21)
+        paths = []
+        for endpoint, weights in ((Endpoint.SENDER_FIRST, (0.375, 0.625)),
+                                  (Endpoint.RECEIVER_LAST, (0.5, 0.25, 0.25))):
+            parts = [random_channel(Variant.PARITY, 3, endpoint, gen).components[0].coeffs for _ in weights]
+            paths.append(str(tmp_path / f"{endpoint.value}.json"))
+            save_channel(mixed_channel(Variant.PARITY, 3, endpoint, list(zip(weights, parts))), paths[-1])
+        text = self.check(tmp_path, "enumerate", *paths, "random", seed=8)
+        assert '"component": 5' in text
+
+    def test_domino_n5_from_files(self, tmp_path):
+        gen = np.random.default_rng(22)
+        paths = [str(tmp_path / "dist.json"), str(tmp_path / "conc.json")]
+        for endpoint, path in zip((Endpoint.SENDER_FIRST, Endpoint.RECEIVER_LAST), paths):
+            save_channel(random_channel(Variant.DOMINO, 5, endpoint, gen), path)
+        self.check(tmp_path, "enumerate", *paths, "random", seed=9)
+
     def test_stdout(self, capsys):
         argv = ["enumerate", "--dist", "preset:ghz(2)", "--conc", "preset:ghz(2)",
                 "--input", "0.6,0+0.8,0"]
         assert run_cli(argv) == 0
         expected = reference_text("enumerate", "preset:ghz(2)", "preset:ghz(2)", "0.6,0+0.8,0")
         assert first_mismatch(capsys.readouterr().out, expected) is None
+
+
+# Floats the branch memo must keep apart or share: both zeros, the smallest
+# subnormal, json's switch to exponent notation on both sides, and repeats.
+_BRANCH_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-05, 0.0001, 1e16, 1e15, 0.25, 1 / 3]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _rows(draw):
+    """Rows as ``_branch_rows`` returns them, some sharing one outcome and
+    label column as exhaustive rows do, with empty bobs and None fidelities."""
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(0, 5))
+        columns.append((
+            tuple(tuple(draw(st.lists(st.sampled_from(BELL_OUTCOMES), max_size=3))) for _ in range(size)),
+            tuple(draw(st.sampled_from([None, *PauliLabel])) for _ in range(size)),
+        ))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        outcomes, labels = draw(st.sampled_from(columns))
+        size = len(outcomes)
+        rows.append((
+            draw(st.integers(0, 20)),
+            draw(st.sampled_from(BELL_OUTCOMES)),
+            draw(st.lists(_BRANCH_FLOATS, min_size=size, max_size=size)),
+            draw(st.lists(st.none() | _BRANCH_FLOATS, min_size=size, max_size=size)),
+            outcomes,
+            labels,
+        ))
+    return rows
+
+
+class TestBranchRender:
+    """The branch text comes from per-report memos, never per-branch
+    ``OutcomeReport``s; it must still be json.dumps's text for every row."""
+
+    @staticmethod
+    def expected(rows):
+        branches = [
+            {"alice": alice.value, "bobs": [o.value for o in bobs], "component": index,
+             "correction": None if label is None else label.value, "fidelity": fid, "joint_prob": joint}
+            for index, alice, joints, fids, outcomes, labels in rows
+            for joint, fid, bobs, label in zip(joints, fids, outcomes, labels)
+        ]
+        fids = [b["fidelity"] for b in branches if b["fidelity"] is not None]
+        text = json.dumps({"branches": branches, "~": 0}, indent=2, sort_keys=True, allow_nan=False)
+        return text[:text.index('\n  "~"')], min(fids) if fids else None
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_rows())
+    def test_text_is_json_dumps(self, rows):
+        head, fids = cli_mod._branches_head(rows)
+        text, low = self.expected(rows)
+        assert "".join(head) == text
+        assert repr(min(fids) if fids else None) == repr(low)
+
+    def test_signed_zeros_keep_their_texts(self):
+        column = ((BellOutcome.PHI_PLUS,),) * 4, (PauliLabel.I,) * 4
+        rows = [(0, BellOutcome.PSI_PLUS, [0.0, -0.0, -0.0, 0.0], [-0.0, 0.0, None, -0.0], *column)]
+        head, fids = cli_mod._branches_head(rows)
+        assert "".join(head) == self.expected(rows)[0]
+        assert "".join(head).count('"joint_prob": -0.0\n') == 2
+        assert repr(min(fids)) == "-0.0"
+
+    @pytest.mark.parametrize("joint, fid", [(math.nan, 0.5), (0.5, math.inf), (-math.inf, None)])
+    def test_non_finite_raises(self, joint, fid):
+        column = ((BellOutcome.PHI_PLUS,),) * 2, (PauliLabel.I,) * 2
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli_mod._branches_head([(0, BellOutcome.PSI_PLUS, [0.5, joint], [0.5, fid], *column)])
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--dist", "preset:telecloning", "--conc", "preset:smolin", "--input", "0.6,0+0.8,0"],
+        ["simulate", "--dist", "preset:telecloning", "--conc", "preset:smolin", "--input", "random",
+         "--seed", "3"],
+        ["simulate", "--dist", "preset:ghz(2)", "--conc", "preset:ghz(2)", "--input", "random",
+         "--seed", "3", "--mode", "exhaustive"],
+    ])
+    def test_cli_builds_no_report(self, tmp_path, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("the CLI built an OutcomeReport")
+
+        monkeypatch.setattr(protocol_mod, "OutcomeReport", refuse)
+        out = tmp_path / "report.json"
+        assert run_cli([*argv, "--output", str(out)]) == 0
+        assert load_report(out)["branches"]
 
 
 class TestParserReuse:

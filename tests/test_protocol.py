@@ -13,7 +13,6 @@ from qrelay.bell import (
     BellOutcome,
     PauliLabel,
     _pair_rows,
-    project_bell,
 )
 from qrelay.channels import (
     Endpoint,
@@ -39,11 +38,18 @@ from qrelay.protocol import (
     random_input,
     run_end_to_end,
 )
-from qrelay.statevec import CapacityError, _apply_1q, tensor
+from qrelay.statevec import CapacityError, tensor
 from qrelay.verify import oracle_agreement
 
 from conftest import equal_up_to_phase, random_state
-from dense_reference import concentration_branch, dense_branches, dense_sampled, distribution_branch
+from dense_reference import (
+    apply_1q,
+    concentration_branch,
+    dense_branches,
+    dense_sampled,
+    distribution_branch,
+    project_bell,
+)
 
 SQ = 1 / np.sqrt(2)
 
@@ -109,7 +115,7 @@ class TestDistributionCorrection:
                 vec = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
                 want = vec
                 for i, label in enumerate(distribution_correction(variant, outcome, n)):
-                    want = _apply_1q(want, n, i + 1, PAULI_MATRICES[label])
+                    want = apply_1q(want, n, i + 1, PAULI_MATRICES[label])
                 assert np.array_equal(phase * vec[perm], want), outcome
 
 

@@ -48,6 +48,7 @@ EVALUATOR_INTERNALS = frozenset({
 # transcription slip in either shows up as a disagreement.
 EVALUATOR_LITERALS = frozenset({
     "_BELL_ROWS",
+    "_BELL_BRAS",
     "PAULI_MATRICES",
     "CORRECTION_FOR_OUTCOME",
     "pauli_product",

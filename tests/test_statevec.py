@@ -6,14 +6,13 @@ from qrelay.statevec import (
     CapacityError,
     DensityMatrix,
     StateVector,
-    apply_single_qubit,
-    make_basis_state,
     reduced_density,
     tensor,
     trace_distance,
 )
 
 from conftest import brute_apply_1q, brute_partial_trace, random_state
+from dense_reference import apply_single_qubit, density_from_pure, make_basis_state
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -127,7 +126,7 @@ class TestDensityMatrix:
     def test_from_pure_is_projector(self):
         rng = np.random.default_rng(2)
         s = StateVector(2, random_state(rng, 2))
-        rho = DensityMatrix.from_pure(s)
+        rho = density_from_pure(s)
         assert rho.purity() == pytest.approx(1.0, abs=1e-10)
 
     def test_from_weighted_states(self):
@@ -180,12 +179,12 @@ class TestReducedDensity:
 class TestTraceDistance:
     def test_zero_for_same_state(self):
         rng = np.random.default_rng(4)
-        rho = DensityMatrix.from_pure(StateVector(2, random_state(rng, 2)))
+        rho = density_from_pure(StateVector(2, random_state(rng, 2)))
         assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_one_for_orthogonal_pure_states(self):
-        r0 = DensityMatrix.from_pure(make_basis_state("0"))
-        r1 = DensityMatrix.from_pure(make_basis_state("1"))
+        r0 = density_from_pure(make_basis_state("0"))
+        r1 = density_from_pure(make_basis_state("1"))
         assert trace_distance(r0, r1) == pytest.approx(1.0, abs=1e-12)
 
     def test_known_diagonal_value(self):
