@@ -91,17 +91,6 @@ def as_rng(rng) -> np.random.Generator:
     return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
 
-def _pair_rows(amps: np.ndarray, num_qubits: int, q1: int, q2: int) -> np.ndarray:
-    """Unnormalized <Bell_k| components on qubits (q1, q2).
-
-    Returns a (4, 2**(n-2)) array; row k is the branch amplitude vector over
-    the surviving qubits, which keep their original relative order.
-    """
-    psi = amps.reshape([2] * num_qubits)
-    psi = np.moveaxis(psi, (q1 - 1, q2 - 1), (0, 1))
-    return _BELL_BRAS @ psi.reshape(4, -1)
-
-
 _PICK_ATOL = float(np.finfo(float).eps) ** 0.5  # how far from 1 Generator.choice lets p sum
 
 
@@ -118,13 +107,14 @@ def _born_pick(p, gen: np.random.Generator) -> int:
 
 def _draw_outcome(rows: np.ndarray, gen: np.random.Generator) -> int | None:
     """Born-rule pick among unnormalized Bell rows (4, r): the outcome index,
-    or None when every outcome is below ``NULL_PROB_EPS``."""
-    probs = np.einsum("kr,kr->k", rows.conj(), rows).real
-    probs[probs < NULL_PROB_EPS] = 0.0
-    total = probs.sum()
+    or None when every outcome is below ``NULL_PROB_EPS``. On Python floats,
+    summed left to right as numpy sums under 8 entries (``sum`` compensates
+    from Python 3.12): the pick made on the numpy-normalized probabilities."""
+    p = [0.0 if x < NULL_PROB_EPS else x for x in np.einsum("kr,kr->k", rows.conj(), rows).real.tolist()]
+    total = p[0] + p[1] + p[2] + p[3]
     if total <= 0.0:
         return None
-    return _born_pick((probs / total).tolist(), gen)
+    return _born_pick([x / total for x in p], gen)
 
 
 def pauli_product(ops: Iterable[PauliLabel]) -> PauliLabel:

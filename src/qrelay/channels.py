@@ -301,10 +301,11 @@ def spec_to_json(spec: ChannelSpec) -> dict:
     }
 
 
-def _json_number(value, what: str):
-    """``value``, unless it is a JSON true or false, which Python reads as 1 or 0."""
-    if isinstance(value, bool):
-        raise ValueError(f"{what} must be a number, got {value!r}")
+def _json_value(value, what: str, string: bool = False):
+    """``value``, unless a number is due and it is a JSON true or false, which
+    Python reads as 1 or 0, or a string is due and it is not one."""
+    if not isinstance(value, str) if string else isinstance(value, bool):
+        raise ValueError(f"{what} must be a {'string' if string else 'number'}, got {value!r}")
     return value
 
 
@@ -312,14 +313,16 @@ def spec_from_json(data) -> ChannelSpec:
     try:
         variant = Variant(data["variant"])
         endpoint = Endpoint(data["endpoint"])
-        n = _json_number(data["n"], "n")
+        n = _json_value(data["n"], "n")
         if isinstance(n, float) and not n.is_integer():
             raise ValueError(f"n must be a whole number, got {n!r}")
         n = int(n)
         comps = tuple(
             make_component(
-                _json_number(item["weight"], "weight"),
-                [(c["bits"], complex(c["re"], c.get("im", 0.0))) for c in item["coeffs"]],
+                _json_value(item["weight"], "weight"),
+                [(_json_value(c["bits"], "bits", string=True),
+                  complex(_json_value(c["re"], "re"), _json_value(c.get("im", 0.0), "im")))
+                 for c in item["coeffs"]],
             )
             for item in data["components"]
         )

@@ -38,12 +38,11 @@ from .bell import (
     PauliLabel,
     _born_pick,
     _draw_outcome,
-    _pair_rows,
     as_rng,
     pauli_product,
 )
 from .channels import ChannelSpec, Component, Endpoint, Variant, build_channel_component
-from .statevec import DEFAULT_QUBIT_CAP, NORM_ATOL, CapacityError, StateVector, tensor
+from .statevec import DEFAULT_QUBIT_CAP, NORM_ATOL, CapacityError, StateVector
 
 MAX_EXHAUSTIVE_PARTIES = 6
 
@@ -208,30 +207,38 @@ def _distribution_frame(
     return perm, phase
 
 
-def _distribution_rows(input_state: StateVector, channel: ChannelSpec) -> list[tuple]:
+def _sender_rows(input_amps: np.ndarray, channel: ChannelSpec) -> list[tuple]:
     """Every sender outcome of every channel component, components first and
     outcomes in Bell order within each: (component index, outcome, joint
-    probability, corrected and normalized party vector, or None on a null
-    branch)."""
+    probability, raw probability, unnormalized party row). The sender's pair,
+    qubits 1 and 2, leads each input x channel state: one Bell contraction."""
     if channel.endpoint is not Endpoint.SENDER_FIRST:
         raise ValueError("distribution needs a sender-side channel (endpoint 'sender')")
     n = channel.n_parties
+    if n + 2 > DEFAULT_QUBIT_CAP:
+        raise CapacityError(f"sender joint state would need {n + 2} qubits, cap is {DEFAULT_QUBIT_CAP}")
     out = []
     for ci, comp in enumerate(channel.components):
-        joint = tensor(input_state, _channel_state(comp, channel.variant, Endpoint.SENDER_FIRST, n))
-        rows = _pair_rows(joint.amps, joint.num_qubits, 1, 2)
-        for outcome, row in zip(BELL_OUTCOMES, rows):
-            raw = float(np.real(np.vdot(row, row)))
+        chan = _channel_state(comp, channel.variant, Endpoint.SENDER_FIRST, n).amps
+        joint = np.multiply.outer(input_amps, chan).ravel()
+        if not abs(float(np.vdot(joint, joint).real) - 1.0) <= NORM_ATOL:
+            raise ValueError("sender joint state not normalized")
+        for outcome, row in zip(BELL_OUTCOMES, _BELL_BRAS @ joint.reshape(4, -1)):
+            raw = float(np.vdot(row, row).real)
             if channel.faithfulness_guaranteed and not abs(4.0 * raw - 1.0) < PROB_SANITY_ATOL:
                 raise ValueError(
                     f"outcome {outcome.value} has conditional probability {raw}, expected 1/4"
                 )
-            vec = None
-            if not raw < NULL_PROB_EPS:
-                perm, phase = _distribution_frame(channel.variant, outcome, n)
-                vec = phase * (row / math.sqrt(raw))[perm]
-            out.append((ci, outcome, comp.weight * raw, vec))
+            out.append((ci, outcome, comp.weight * raw, raw, row))
     return out
+
+
+def _party_vector(channel: ChannelSpec, outcome: BellOutcome, raw: float, row: np.ndarray):
+    """A ``_sender_rows`` row's corrected, normalized party vector; None on a null branch."""
+    if raw < NULL_PROB_EPS:
+        return None
+    perm, phase = _distribution_frame(channel.variant, outcome, channel.n_parties)
+    return phase * (row / math.sqrt(raw))[perm]
 
 
 def distribute(
@@ -244,14 +251,13 @@ def distribute(
     branch in sampled mode.
     """
     _check_mode(mode, seed)
-    rows = _distribution_rows(input_qubit.to_state(), channel)
+    rows = _sender_rows(input_qubit.to_state().amps, channel)
     if mode == "sampled":  # draw first, then build the one branch drawn
         probs = np.array([row[2] for row in rows])
         rows = [rows[_born_pick(probs / probs.sum(), as_rng(seed))]]
-    return [
-        BranchState(None if vec is None else StateVector(channel.n_parties, vec), prob, (outcome,), ci)
-        for ci, outcome, prob, vec in rows
-    ]
+    vecs = [_party_vector(channel, outcome, raw, row) for _, outcome, _, raw, row in rows]
+    return [BranchState(None if v is None else StateVector(channel.n_parties, v), prob, (outcome,), ci)
+            for (ci, outcome, prob, _, _), v in zip(rows, vecs)]
 
 
 @lru_cache(maxsize=None)
@@ -291,11 +297,11 @@ def _all_pair_rows(amps: np.ndarray, n: int) -> np.ndarray:
     return psi.reshape(b, 4**n, 2)
 
 
-def _check_normalized(vecs: np.ndarray, what: str) -> None:
+def _check_normalized(vecs: np.ndarray, what: str, skip=False) -> None:
     """The check a ``StateVector`` makes, on every vector along the last
-    axis of ``vecs``."""
+    axis of ``vecs`` but those where the mask ``skip`` is set."""
     norms = np.einsum("...j,...j->...", vecs.conj(), vecs).real
-    if not (np.abs(norms - 1.0) <= NORM_ATOL).all():
+    if not ((np.abs(norms - 1.0) <= NORM_ATOL) | skip).all():
         raise ValueError(f"{what} not normalized")
 
 
@@ -309,9 +315,9 @@ def _finish_rows(rows: np.ndarray, paulis: np.ndarray) -> tuple[np.ndarray, np.n
     live vector must come out normalized to within ``NORM_ATOL``.
     """
     raw = np.einsum("...kj,...kj->...k", rows.conj(), rows).real
-    live = ~(raw < NULL_PROB_EPS)
-    vecs = np.einsum("kij,...kj->...ki", paulis, rows) / np.sqrt(np.where(live, raw, 1.0))[..., None]
-    _check_normalized(vecs[live], "concentrated receiver state")
+    null = raw < NULL_PROB_EPS
+    vecs = np.einsum("kij,...kj->...ki", paulis, rows) / np.sqrt(np.where(null, 1.0, raw))[..., None]
+    _check_normalized(vecs, "concentrated receiver state", skip=null)
     return raw, vecs
 
 
@@ -373,8 +379,20 @@ def _step_plan(pkeys: bytes, ckeys: bytes, n: int) -> tuple:
     return tuple(plan)
 
 
+@lru_cache(maxsize=32)  # as many as _channel_state holds
+def _receiver_keys(component: Component, variant: Variant, n: int) -> tuple[bytes, np.ndarray]:
+    """A receiver component's live channel keys (intp bytes) and its amplitudes there. Live
+    strings keep both receiver bits: rows then never narrow to one column, which rounds
+    unlike the dense rows, and end as the receiver vector."""
+    receiver = _channel_state(component, variant, Endpoint.RECEIVER_LAST, n).amps
+    ckeys = (2 * np.flatnonzero(receiver.reshape(-1, 2).any(axis=1))[:, None] + np.arange(2)).ravel()
+    live = receiver[ckeys]
+    live.setflags(write=False)
+    return ckeys.tobytes(), live
+
+
 def _live_pair_rows(mat: np.ndarray, step: tuple) -> np.ndarray:
-    """``_pair_rows`` of the top party and channel bits of a joint state on its live
+    """The Bell rows of the top party and channel bits of a joint state on its live
     strings, ``mat[i, j]`` being the amplitude at the i-th party and j-th channel key that
     ``step``, one ``_step_plan`` entry, starts from. The rows are over its keys left."""
     place, pnew, cnew = step
@@ -403,16 +421,13 @@ def _sampled_block(bobs: BranchState, channel: ChannelSpec, gen: np.random.Gener
     comp = channel.components[cj]
     if 2 * n + 1 > DEFAULT_QUBIT_CAP:
         raise CapacityError(f"joint state would need {2 * n + 1} qubits, cap is {DEFAULT_QUBIT_CAP}")
-    receiver = _channel_state(comp, channel.variant, Endpoint.RECEIVER_LAST, n).amps
-    # Live channel strings keep both receiver bits: rows then never narrow to one
-    # column, which rounds unlike the dense rows, and end as the receiver vector.
-    ckeys = (2 * np.flatnonzero(receiver.reshape(-1, 2).any(axis=1))[:, None] + np.arange(2)).ravel()
+    ckeys, live = _receiver_keys(comp, channel.variant, n)
     pkeys = np.flatnonzero(bobs.state.amps)
-    mat = np.multiply.outer(bobs.state.amps[pkeys], receiver[ckeys])
+    mat = np.multiply.outer(bobs.state.amps[pkeys], live)
     if not abs(np.vdot(mat, mat).real - 1.0) <= NORM_ATOL:
         raise ValueError("joint state not normalized")
     outcomes: tuple[BellOutcome, ...] = ()
-    for step in _step_plan(pkeys.tobytes(), ckeys.tobytes(), n):
+    for step in _step_plan(pkeys.tobytes(), ckeys, n):
         rows = _live_pair_rows(mat, step)
         pick = _draw_outcome(rows, gen)
         if pick is None:
@@ -459,8 +474,7 @@ def _branch_rows(
     if len(families) > 1:
         raise ValueError("distribution and concentration channels use different support families")
 
-    input_state = input_qubit.to_state()
-    input_amps = input_state.amps
+    input_amps = input_qubit.to_state().amps
     n_conc = len(conc_channel.components)
     rows: list[tuple] = []
     if mode == "sampled":
@@ -478,7 +492,8 @@ def _branch_rows(
     # Each stacked state's rows go after the null sender rows that precede
     # it; `pending` carries those rows to the next live slot.
     states, slots, pending = [], [], []
-    for ci, alice, prob, vec in _distribution_rows(input_state, dist_channel):
+    for ci, alice, prob, raw, row in _sender_rows(input_amps, dist_channel):
+        vec = _party_vector(dist_channel, alice, raw, row)
         if vec is None:
             pending.append((ci * n_conc, alice, [prob], [None], ((),), (None,)))
             continue

@@ -53,15 +53,6 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
 
-def tensor(a: StateVector, b: StateVector, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
-    """Kronecker product; ``a``'s qubits come first (most significant)."""
-    total = a.num_qubits + b.num_qubits
-    if total > cap:
-        raise CapacityError(f"tensor product would need {total} qubits, cap is {cap}")
-    # The products np.kron forms for two vectors, without its reshaping.
-    return StateVector(total, np.multiply.outer(a.amps, b.amps).ravel())
-
-
 def _check_qubit(qubit: int, num_qubits: int) -> None:
     if not 1 <= qubit <= num_qubits:
         raise ValueError(f"qubit {qubit} out of range 1..{num_qubits}")

@@ -2,8 +2,9 @@
 ``qrelay.verify.oracle_agreement`` and ``even_n_counterexample``, the
 dense sampled trajectory, kept as the reference for sampled
 ``run_end_to_end``, and the single-state helpers the tests build and
-check states with: basis states, one-qubit gates, one Bell projection and
-a pure state's density matrix.
+check states with: Kronecker products, basis states, one-qubit gates, the
+Bell rows of one qubit pair, one Bell projection and a pure state's
+density matrix.
 
 Every branch rebuilds its channel component, forms its Kronecker product
 and applies each Bell projection as an explicit rectangular matrix, so its
@@ -18,7 +19,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 import qrelay.verify as verify_mod
-from qrelay.bell import BELL_OUTCOMES, NULL_PROB_EPS, PAULI_MATRICES, _pair_rows, as_rng
+from qrelay.bell import _BELL_BRAS, BELL_OUTCOMES, NULL_PROB_EPS, PAULI_MATRICES, as_rng
 from qrelay.channels import Endpoint, Variant, build_channel_component
 from qrelay.protocol import (
     OutcomeReport,
@@ -27,7 +28,27 @@ from qrelay.protocol import (
     concentration_correction,
     distribute,
 )
-from qrelay.statevec import DensityMatrix, StateVector, _check_qubit, tensor
+from qrelay.statevec import DEFAULT_QUBIT_CAP, CapacityError, DensityMatrix, StateVector, _check_qubit
+
+
+def tensor(a, b, cap=DEFAULT_QUBIT_CAP):
+    """Kronecker product; ``a``'s qubits come first (most significant)."""
+    total = a.num_qubits + b.num_qubits
+    if total > cap:
+        raise CapacityError(f"tensor product would need {total} qubits, cap is {cap}")
+    # The products np.kron forms for two vectors, without its reshaping.
+    return StateVector(total, np.multiply.outer(a.amps, b.amps).ravel())
+
+
+def pair_rows(amps, num_qubits, q1, q2):
+    """Unnormalized <Bell_k| components on qubits (q1, q2).
+
+    Returns a (4, 2**(n-2)) array; row k is the branch amplitude vector over
+    the surviving qubits, which keep their original relative order.
+    """
+    psi = amps.reshape([2] * num_qubits)
+    psi = np.moveaxis(psi, (q1 - 1, q2 - 1), (0, 1))
+    return _BELL_BRAS @ psi.reshape(4, -1)
 
 
 def make_basis_state(bits):
@@ -74,7 +95,7 @@ def project_bell(state, q1, q2, outcome):
     _check_qubit(q2, state.num_qubits)
     if state.num_qubits < 2:
         raise ValueError("need at least two qubits to measure a pair")
-    row = _pair_rows(state.amps, state.num_qubits, q1, q2)[outcome.index]
+    row = pair_rows(state.amps, state.num_qubits, q1, q2)[outcome.index]
     prob = float(np.vdot(row, row).real)
     if prob < NULL_PROB_EPS:
         return None, prob
@@ -266,7 +287,7 @@ def dense_sampled(input_qubit, dist, conc, seed):
     """``run_end_to_end(mode="sampled")``'s reports from the dense trajectory:
     the same draws from the same generator (sender branch, receiver
     component, then one Born-rule pick per party), each party's Bell rows
-    taken with ``_pair_rows`` from the full ``tensor`` of the party state
+    taken with ``pair_rows`` from the full ``tensor`` of the party state
     and the receiver channel, and the same finishing kernels."""
     gen = as_rng(seed)
     (db,) = distribute(input_qubit, dist, mode="sampled", seed=gen)
@@ -283,7 +304,7 @@ def dense_sampled(input_qubit, dist, conc, seed):
     for step in range(n):
         # Registers left: party qubits step+1..n, then channel qubits and the
         # receiver, so the next pair is (1, n - step + 1).
-        rows = _pair_rows(amps, 2 * (n - step) + 1, 1, n - step + 1)
+        rows = pair_rows(amps, 2 * (n - step) + 1, 1, n - step + 1)
         probs = np.einsum("kr,kr->k", rows.conj(), rows).real
         probs[probs < NULL_PROB_EPS] = 0.0
         total = probs.sum()

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrelay import bell
 from qrelay.bell import (
     BELL_OUTCOMES,
     CORRECTION_FOR_OUTCOME,
@@ -13,14 +16,13 @@ from qrelay.bell import (
     as_rng,
     _born_pick,
     _draw_outcome,
-    _pair_rows,
     bell_vector,
     pauli_product,
 )
-from qrelay.statevec import StateVector, tensor
+from qrelay.statevec import StateVector
 
 from conftest import equal_up_to_phase, random_state
-from dense_reference import apply_single_qubit, make_basis_state, project_bell
+from dense_reference import apply_single_qubit, make_basis_state, pair_rows, project_bell, tensor
 
 SQ = 1 / np.sqrt(2)
 
@@ -93,10 +95,10 @@ class TestProjectBell:
 
 class TestMeasureSampled:
     # _draw_outcome is the Born-rule pick behind every sampled trajectory; it
-    # is given the four rows of one pair, here from the dense _pair_rows.
+    # is given the four rows of one pair, here from the dense pair_rows.
     @staticmethod
     def sample_pair(amps, num_qubits, q1, q2, gen):
-        rows = _pair_rows(amps, num_qubits, q1, q2)
+        rows = pair_rows(amps, num_qubits, q1, q2)
         k = _draw_outcome(rows, gen)
         return None if k is None else (k, rows[k])
 
@@ -173,8 +175,37 @@ class TestBornPick:
         with pytest.raises(ValueError):
             _born_pick(p, np.random.default_rng(0))
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_WEIGHTS, min_size=4, max_size=4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_draw_outcome_matches_generator_choice(self, weights, r, seed):
+        # _draw_outcome floors, sums and normalizes on Python floats; it must
+        # pick what Generator.choice(4, p=...) picks on the numpy-normalized
+        # probabilities, null outcomes, entries near NULL_PROB_EPS and
+        # all-null rows included, and leave the generator where choice does.
+        rng = np.random.default_rng(seed)
+        unit = rng.normal(size=(4, r)) + 1j * rng.normal(size=(4, r))
+        rows = np.sqrt(weights)[:, None] * unit / np.linalg.norm(unit, axis=1, keepdims=True)
+        probs = np.einsum("kr,kr->k", rows.conj(), rows).real
+        probs[probs < NULL_PROB_EPS] = 0.0
+        got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        passed = []  # the probabilities _draw_outcome hands to _born_pick
+        with mock.patch.object(bell, "_born_pick", lambda p, gen: passed.append(p) or _born_pick(p, gen)):
+            got = _draw_outcome(rows, got_gen)
+        want = None if probs.sum() <= 0.0 else int(want_gen.choice(4, p=probs / probs.sum()))
+        assert got == want
+        assert passed == ([] if want is None else [(probs / probs.sum()).tolist()])
+        assert got is None or type(got) is int
+        assert got_gen.random() == want_gen.random()
+
     def test_nan_rows_raise(self):
         rows = np.full((4, 2), np.nan, dtype=complex)
+        with pytest.raises(ValueError):
+            _draw_outcome(rows, np.random.default_rng(0))
+
+    def test_one_nan_row_raises(self):
+        # A NaN outcome passes the floor and the sum, and _born_pick refuses it.
+        rows = np.full((4, 2), 0.5, dtype=complex)
+        rows[2] = np.nan
         with pytest.raises(ValueError):
             _draw_outcome(rows, np.random.default_rng(0))
 

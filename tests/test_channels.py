@@ -327,6 +327,28 @@ class TestSerialization:
         with pytest.raises(ChannelValidationError, match="weight must be a number"):
             spec_from_json(data)
 
+    @pytest.mark.parametrize("coeff, what", [
+        ({"bits": 0, "re": 1.0}, "bits must be a string"),
+        ({"bits": ["0"], "re": 1.0}, "bits must be a string"),
+        ({"bits": "0", "re": True}, "re must be a number"),
+        ({"bits": "0", "re": 1.0, "im": False}, "im must be a number"),
+    ])
+    def test_non_string_bits_or_boolean_amplitude_refused(self, coeff, what):
+        # JSON 0 would load as support "0" through str(), and true as 1 through complex().
+        data = spec_to_json(ghz_channel(1, Endpoint.SENDER_FIRST))
+        data["components"][0]["coeffs"] = [coeff]
+        with pytest.raises(ChannelValidationError, match=what):
+            spec_from_json(data)
+
+    def test_integer_amplitude_accepted(self):
+        data = spec_to_json(ghz_channel(1, Endpoint.SENDER_FIRST))
+        data["components"][0]["coeffs"] = [{"bits": "0", "re": 1, "im": 0}]
+        assert spec_from_json(data).components[0].coeffs == (("0", 1 + 0j),)
+
+    def test_python_api_still_coerces(self):
+        # make_component is the Python API: it keeps coercing what it is given.
+        assert make_component(1, [(0, True)]).coeffs == (("0", 1 + 0j),)
+
     def test_json_is_plain_data(self):
         text = json.dumps(spec_to_json(telecloning_channel()))
         assert "phi" not in text  # channel specs carry coefficients, not outcomes

@@ -273,6 +273,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: malformed channel description: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("coeff", [{"bits": 0, "re": 1.0}, {"bits": "0", "re": True}])
+    def test_non_string_bits_or_boolean_amplitude(self, tmp_path, capsys, coeff):
+        data = spec_to_json(ghz_channel(1, Endpoint.SENDER_FIRST))
+        data["components"][0]["coeffs"] = [coeff]
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "report.json"
+        code = run_cli(["enumerate", "--dist", str(path), "--conc", "preset:ghz(1)",
+                        "--input", "1,0+0,0", "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: malformed channel description: ")
+        assert not out.exists()
+
     def test_unknown_preset(self):
         code = run_cli([
             "enumerate", "--dist", "preset:wat", "--conc", "preset:smolin",

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,6 @@ from qrelay.bell import (
     PAULI_MATRICES,
     BellOutcome,
     PauliLabel,
-    _pair_rows,
 )
 from qrelay.channels import (
     Endpoint,
@@ -26,11 +26,14 @@ from qrelay.channels import (
     smolin_channel,
     telecloning_channel,
 )
+import qrelay.protocol as protocol
 from qrelay.protocol import (
     MAX_EXHAUSTIVE_PARTIES,
     InputQubit,
     _distribution_frame,
     _live_pair_rows,
+    _party_vector,
+    _sender_rows,
     _step_plan,
     concentration_correction,
     distribute,
@@ -38,7 +41,7 @@ from qrelay.protocol import (
     random_input,
     run_end_to_end,
 )
-from qrelay.statevec import CapacityError, tensor
+from qrelay.statevec import CapacityError, StateVector
 from qrelay.verify import oracle_agreement
 
 from conftest import equal_up_to_phase, random_state
@@ -48,7 +51,9 @@ from dense_reference import (
     dense_branches,
     dense_sampled,
     distribution_branch,
+    pair_rows,
     project_bell,
+    tensor,
 )
 
 SQ = 1 / np.sqrt(2)
@@ -241,6 +246,109 @@ class TestDistribute:
             else:
                 assert np.array_equal(got.state.amps, want.state.amps)
             assert got_gen.random() == want_gen.random()
+
+
+def reference_sender_rows(inp, dist):
+    """The sender stage from the dense helpers: per component the ``tensor``
+    of input and channel, its ``pair_rows`` on qubits 1 and 2, and each live
+    row normalized and put through ``_distribution_frame``, as (component,
+    outcome, joint probability as hex, party vector bytes or None)."""
+    n, out = dist.n_parties, []
+    for ci, comp in enumerate(dist.components):
+        joint = tensor(inp.to_state(), build_channel_component(comp, dist.variant, Endpoint.SENDER_FIRST, n))
+        for outcome, row in zip(BELL_OUTCOMES, pair_rows(joint.amps, joint.num_qubits, 1, 2)):
+            raw = float(np.real(np.vdot(row, row)))
+            vec = None
+            if not raw < NULL_PROB_EPS:
+                perm, phase = _distribution_frame(dist.variant, outcome, n)
+                vec = (phase * (row / math.sqrt(raw))[perm]).tobytes()
+            out.append((ci, outcome, (comp.weight * raw).hex(), vec))
+    return out
+
+
+def kernel_sender_rows(inp, dist):
+    """``_sender_rows`` and ``_party_vector`` in ``reference_sender_rows``' form."""
+    out = []
+    for ci, outcome, prob, raw, row in _sender_rows(inp.to_state().amps, dist):
+        vec = _party_vector(dist, outcome, raw, row)
+        out.append((ci, outcome, prob.hex(), None if vec is None else vec.tobytes()))
+    return out
+
+
+@st.composite
+def sender_cases(draw):
+    """A sender channel of any variant at n = 1..6, pure or a mixture of up to
+    three components (custom ones on any supports), and an input: a basis
+    state, |+> or a random one."""
+    variant = draw(st.sampled_from(list(Variant)))
+    n = draw(st.integers(1, MAX_EXHAUSTIVE_PARTIES))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    comps = []
+    for _ in range(draw(st.integers(1, 3))):
+        if variant is Variant.CUSTOM and draw(st.booleans()):
+            keys = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8, unique=True))
+            amps = gen.normal(size=len(keys)) + 1j * gen.normal(size=len(keys))
+            comps.append(dict(zip([format(k, f"0{n}b") for k in keys], amps / np.linalg.norm(amps))))
+        else:
+            comps.append(random_channel(variant, n, Endpoint.SENDER_FIRST, gen).components[0].amplitude_map())
+    weights = gen.random(len(comps)) + 0.1
+    dist = mixed_channel(variant, n, Endpoint.SENDER_FIRST, list(zip(weights / weights.sum(), comps)))
+    inp = draw(st.sampled_from([InputQubit(1, 0), InputQubit(0, 1), NULL_SENDER_INPUT, None]))
+    return (random_input(gen) if inp is None else inp), dist
+
+
+class TestSenderRows:
+    # The sender stage takes every row's probability from one Bell contraction
+    # of input x channel and builds a party vector only where one is needed;
+    # both must equal the tensor + pair_rows + _distribution_frame reference
+    # byte for byte.
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(sender_cases())
+    def test_matches_dense_reference(self, case):
+        inp, dist = case
+        assert kernel_sender_rows(inp, dist) == reference_sender_rows(inp, dist)
+
+    def test_custom_null_matches_dense_reference(self):
+        dist, _ = dict(agreement_cases())["custom-null"]
+        gen = np.random.default_rng(27)
+        for inp in [NULL_SENDER_INPUT] + [random_input(gen) for _ in range(5)]:
+            rows = kernel_sender_rows(inp, dist)
+            assert rows == reference_sender_rows(inp, dist)
+        assert [row[3] is None for row in kernel_sender_rows(NULL_SENDER_INPUT, dist)] == [
+            False, False, True, True] + [False] * 4
+
+    def test_checks_kept(self, monkeypatch):
+        # The qubit cap is checked before any channel state is built, the
+        # joint state must be normalized, and a channel whose family promises
+        # 1/4 per sender outcome is refused when it does not deliver it.
+        with pytest.raises(CapacityError):
+            _sender_rows(np.array([1.0, 0.0]), ghz_channel(19, Endpoint.SENDER_FIRST))
+        dist, _ = bell_pair_channels()
+        with pytest.raises(ValueError, match="not normalized"):
+            _sender_rows(np.array([1.0, 1.0]), dist)
+        basis = StateVector(2, np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))  # no Bell pair
+        monkeypatch.setattr(protocol, "_channel_state", lambda *args: basis)
+        with pytest.raises(ValueError, match="expected 1/4"):
+            distribute(InputQubit(1, 0), dist)
+
+    @pytest.mark.parametrize("name", ["telecloning-smolin", "custom-null"])
+    def test_sampled_builds_one_party_vector(self, name, monkeypatch):
+        built = []
+        build = protocol._party_vector
+        monkeypatch.setattr(protocol, "_party_vector", lambda *args: built.append(args) or build(*args))
+        dist, conc = dict(agreement_cases())[name]
+        gen = np.random.default_rng(28)
+        for seed in range(10):
+            inp = NULL_SENDER_INPUT if name == "custom-null" else random_input(gen)
+            built.clear()
+            distribute(inp, dist, mode="sampled", seed=seed)
+            assert len(built) == 1
+            built.clear()
+            run_end_to_end(inp, dist, conc, mode="sampled", seed=seed)
+            assert len(built) == 1
+        built.clear()
+        distribute(inp, dist)
+        assert len(built) == 4 * len(dist.components)
 
 
 class TestConcentrate:
@@ -624,7 +732,7 @@ class TestSampledLiveStrings:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 4), st.data())
     def test_live_step_matches_dense_rows(self, n, data):
-        # Every step of a plan gives the dense _pair_rows rows exactly, at the
+        # Every step of a plan gives the dense pair_rows rows exactly, at the
         # keys it leaves, with zeros everywhere else, whichever outcome the
         # trajectory goes on with. Channel keys come in receiver-bit pairs, as
         # _sampled_block keeps them.
@@ -640,7 +748,7 @@ class TestSampledLiveStrings:
         plan = _step_plan(pkeys.tobytes(), ckeys.tobytes(), n)
         assert len(plan) == n
         for bits, step in zip(range(n, 0, -1), plan):
-            want = _pair_rows(dense.ravel(), 2 * bits + 1, 1, bits + 1)
+            want = pair_rows(dense.ravel(), 2 * bits + 1, 1, bits + 1)
             rows = _live_pair_rows(mat, step)
             _, pleft, cleft = step
             assert pleft.tolist() == sorted({k % (1 << (bits - 1)) for k in pkeys.tolist()})

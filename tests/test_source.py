@@ -31,10 +31,12 @@ EVALUATOR_INTERNALS = frozenset({
     "_outcome_table",
     "_correction_stack",
     "_distribution_frame",
-    "_distribution_rows",
+    "_sender_rows",
+    "_party_vector",
     "_channel_state",
     "_sampled_block",
     "_step_plan",
+    "_receiver_keys",
     "_live_pair_rows",
     "_draw_outcome",
     "_born_pick",

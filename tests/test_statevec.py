@@ -7,12 +7,11 @@ from qrelay.statevec import (
     DensityMatrix,
     StateVector,
     reduced_density,
-    tensor,
     trace_distance,
 )
 
 from conftest import brute_apply_1q, brute_partial_trace, random_state
-from dense_reference import apply_single_qubit, density_from_pure, make_basis_state
+from dense_reference import apply_single_qubit, density_from_pure, make_basis_state, tensor
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
