@@ -179,6 +179,20 @@ def _channel_state(component: Component, variant: Variant, endpoint: Endpoint, n
     return build_channel_component(component, variant, endpoint, n)
 
 
+def _pauli_frame(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A Pauli as a read-only permutation and phase, ``mat @ v == phase * v[perm]``: one
+    nonzero entry per row, 0, +-1 or +-i, so the products are exact."""
+    perm = np.arange(2) ^ int(mat[0, 0] == 0)
+    phase = mat[[0, 1], perm]
+    perm.setflags(write=False)
+    phase.setflags(write=False)
+    return perm, phase
+
+
+# Looked up per label like PAULI_MATRICES: a cache keyed by label would run Enum.__hash__ in Python.
+_PAULI_FRAMES = {label: _pauli_frame(mat) for label, mat in PAULI_MATRICES.items()}
+
+
 @lru_cache(maxsize=16)  # the four sender outcomes of four (variant, n) pairs
 def _distribution_frame(
     variant: Variant, outcome: BellOutcome, n: int
@@ -187,21 +201,18 @@ def _distribution_frame(
     permutation and phase vector: applying them to ``v`` gives
     ``phase * v[perm]``.
 
-    Each Pauli has one nonzero entry per row, so it maps basis index x to
-    x with party i's bit flipped (X, Y) and scales it by a unit phase read
-    off the matrix; the phases are exact, so the result equals applying
-    the Paulis one party at a time.
+    Party i's Pauli maps basis index x to x with its bit flipped (X, Y) and
+    scales it by its ``_PAULI_FRAMES`` phase at that bit; the phases are
+    exact, so the result equals applying the Paulis one party at a time.
     """
     index = np.arange(1 << n)
     perm = index.copy()
     phase = np.ones(1 << n, dtype=complex)
     for i, label in enumerate(distribution_correction(variant, outcome, n)):
-        mat = PAULI_MATRICES[label]
+        pauli_perm, pauli_phase = _PAULI_FRAMES[label]
         shift = n - 1 - i
-        flip = int(mat[0, 0] == 0)
-        bit = (index >> shift) & 1
-        phase *= mat[bit, bit ^ flip]
-        perm ^= flip << shift
+        phase *= pauli_phase[(index >> shift) & 1]
+        perm ^= int(pauli_perm[0]) << shift  # 1 where the Pauli flips the bit
     perm.setflags(write=False)
     phase.setflags(write=False)
     return perm, phase
@@ -251,7 +262,12 @@ def distribute(
     branch in sampled mode.
     """
     _check_mode(mode, seed)
-    rows = _sender_rows(input_qubit.to_state().amps, channel)
+    return _distribute(input_qubit.to_state().amps, channel, mode, seed)
+
+
+def _distribute(input_amps: np.ndarray, channel: ChannelSpec, mode: str, seed) -> list[BranchState]:
+    """``distribute`` on the input's amplitudes, for a caller that already holds them."""
+    rows = _sender_rows(input_amps, channel)
     if mode == "sampled":  # draw first, then build the one branch drawn
         probs = np.array([row[2] for row in rows])
         rows = [rows[_born_pick(probs / probs.sum(), as_rng(seed))]]
@@ -272,29 +288,36 @@ def _outcome_table(
 
 
 @lru_cache(maxsize=None)
-def _correction_stack(variant: Variant, n: int) -> np.ndarray:
-    """The receiver Pauli of every ``_outcome_table`` row, as a read-only
-    (4**n, 2, 2) array."""
-    stack = np.array([PAULI_MATRICES[label] for label in _outcome_table(variant, n)[1]])
-    stack.setflags(write=False)
-    return stack
+def _correction_frame(variant: Variant, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The receiver Paulis of the ``_outcome_table`` rows as one read-only permutation and
+    phase over the flattened (row, component) axis: row k's ``_PAULI_FRAMES`` entry, shifted by 2k."""
+    perms, phases = zip(*(_PAULI_FRAMES[label] for label in _outcome_table(variant, n)[1]))
+    perm = (np.array(perms) + 2 * np.arange(len(perms))[:, None]).ravel()
+    phase = np.concatenate(phases)
+    perm.setflags(write=False)
+    phase.setflags(write=False)
+    return perm, phase
 
 
 def _all_pair_rows(amps: np.ndarray, n: int) -> np.ndarray:
     """Unnormalized receiver vectors of every concentration outcome of a
-    stack of b joint states, (b, 2**(2n+1)), as a (b, 4**n, 2) array whose
-    rows follow ``_outcome_table`` order.
+    stack of b joint states, (b, 2**(2n+1)), as a C-contiguous (b, 4**n, 2)
+    array whose rows follow ``_outcome_table`` order.
 
     Each joint register is (party qubits 1..n, channel qubits n+1..2n,
-    receiver 2n+1). Moving each pair (i, n+i) onto adjacent axes makes the
-    n simultaneous Bell measurements one Bell-bra contraction per pair axis.
+    receiver 2n+1). The pairs (i, n+i) go first, then the stack axis and the
+    receiver bit. Each party's Bell measurement is then one (4, 4) @ (4, N)
+    Bell-bra product on the leading pair, whose outcome axis moves behind the
+    earlier ones, just before the receiver bit: after n steps the layout is
+    (b, o_1..o_n, receiver).
     """
     b = len(amps)
-    order = [0] + [1 + ax for i in range(n) for ax in (i, n + i)] + [2 * n + 1]
+    order = [1 + ax for i in range(n) for ax in (i, n + i)] + [0, 2 * n + 1]
     psi = amps.reshape([b] + [2] * (2 * n + 1)).transpose(order)
-    for k in range(n):
-        psi = _BELL_BRAS @ psi.reshape(b * 4**k, 4, -1)
-    return psi.reshape(b, 4**n, 2)
+    for _ in range(n):
+        psi = (_BELL_BRAS @ psi.reshape(4, -1)).reshape(4, -1, 2).transpose(1, 0, 2)
+    # Contiguous: a strided view at n = 1 rounds the norms in _finish_rows differently.
+    return np.ascontiguousarray(psi.reshape(b, 4**n, 2))
 
 
 def _check_normalized(vecs: np.ndarray, what: str, skip=False) -> None:
@@ -305,18 +328,22 @@ def _check_normalized(vecs: np.ndarray, what: str, skip=False) -> None:
         raise ValueError(f"{what} not normalized")
 
 
-def _finish_rows(rows: np.ndarray, paulis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _finish_rows(rows: np.ndarray, frame: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Finish unnormalized receiver rows, (..., K, 2): (raw Born probability
     of each row, corrected and normalized receiver vectors).
 
-    ``paulis[k]`` is row k's receiver correction. A row is live unless its
+    ``frame`` applies the receiver corrections as a permutation and phase over
+    the flattened (row, component) axis: ``_correction_frame`` for the rows of
+    ``_outcome_table``, ``_PAULI_FRAMES[label]`` for one row. A row is live unless its
     raw probability is below ``NULL_PROB_EPS``; null rows keep their
     corrected but unnormalized vector, which callers must not read. Every
     live vector must come out normalized to within ``NORM_ATOL``.
     """
+    perm, phase = frame
     raw = np.einsum("...kj,...kj->...k", rows.conj(), rows).real
     null = raw < NULL_PROB_EPS
-    vecs = np.einsum("kij,...kj->...ki", paulis, rows) / np.sqrt(np.where(null, 1.0, raw))[..., None]
+    flat = rows.reshape(*rows.shape[:-2], -1)
+    vecs = (phase * flat[..., perm]).reshape(rows.shape) / np.sqrt(np.where(null, 1.0, raw))[..., None]
     _check_normalized(vecs, "concentrated receiver state", skip=null)
     return raw, vecs
 
@@ -341,7 +368,7 @@ def _exhaustive_blocks(states: np.ndarray, channel: ChannelSpec):
         _channel_state(comp, channel.variant, Endpoint.RECEIVER_LAST, n).amps
         for comp in channel.components
     ])
-    paulis = _correction_stack(channel.variant, n)
+    frame = _correction_frame(channel.variant, n)
     which_state, which_comp = np.divmod(np.arange(len(states) * len(receivers)), len(receivers))
     per_block = _BLOCK_AMPS >> (2 * n + 1)
     for start in range(0, len(which_state), per_block):
@@ -349,7 +376,7 @@ def _exhaustive_blocks(states: np.ndarray, channel: ChannelSpec):
         c = which_comp[start:start + per_block]
         joint = (states[s, :, None] * receivers[c, None, :]).reshape(len(s), -1)
         _check_normalized(joint, "joint state")
-        yield _finish_rows(_all_pair_rows(joint, n), paulis)
+        yield _finish_rows(_all_pair_rows(joint, n), frame)
 
 
 # Plans for 8 starts. Step 1 places at most 2^n x 2^(n+1) amplitudes and each later step a quarter
@@ -435,7 +462,7 @@ def _sampled_block(bobs: BranchState, channel: ChannelSpec, gen: np.random.Gener
         mat = rows[pick].reshape(len(step[1]), len(step[2]))
         outcomes += (BELL_OUTCOMES[pick],)
     label = concentration_correction(channel.variant, outcomes)
-    raw, vecs = _finish_rows(mat, PAULI_MATRICES[label][None])
+    raw, vecs = _finish_rows(mat, _PAULI_FRAMES[label])
     index = bobs.component_index * n_comps + cj
     return [(index, bobs.joint_prob * comp.weight * raw, raw, vecs, (outcomes,), (label,))]
 
@@ -474,12 +501,13 @@ def _branch_rows(
     if len(families) > 1:
         raise ValueError("distribution and concentration channels use different support families")
 
-    input_amps = input_qubit.to_state().amps
+    # InputQubit checked the norm when it was made, and _sender_rows checks it again.
+    input_amps = np.array([input_qubit.alpha, input_qubit.beta], dtype=complex)
     n_conc = len(conc_channel.components)
     rows: list[tuple] = []
     if mode == "sampled":
         gen = as_rng(seed)
-        (db,) = distribute(input_qubit, dist_channel, mode, gen)
+        (db,) = _distribute(input_amps, dist_channel, mode, gen)
         _check_receiver_side(conc_channel)
         alice = db.outcomes[0]
         if db.state is None:

@@ -4,7 +4,9 @@ dense sampled trajectory, kept as the reference for sampled
 ``run_end_to_end``, and the single-state helpers the tests build and
 check states with: Kronecker products, basis states, one-qubit gates, the
 Bell rows of one qubit pair, one Bell projection and a pure state's
-density matrix.
+density matrix. It also keeps the earlier forms of the exhaustive
+concentration kernels, a batched Bell-bra product and a matrix receiver
+correction, as references for the forms that replaced them.
 
 Every branch rebuilds its channel component, forms its Kronecker product
 and applies each Bell projection as an explicit rectangular matrix, so its
@@ -23,7 +25,7 @@ from qrelay.bell import _BELL_BRAS, BELL_OUTCOMES, NULL_PROB_EPS, PAULI_MATRICES
 from qrelay.channels import Endpoint, Variant, build_channel_component
 from qrelay.protocol import (
     OutcomeReport,
-    _finish_rows,
+    _check_normalized,
     _fidelities,
     concentration_correction,
     distribute,
@@ -49,6 +51,28 @@ def pair_rows(amps, num_qubits, q1, q2):
     psi = amps.reshape([2] * num_qubits)
     psi = np.moveaxis(psi, (q1 - 1, q2 - 1), (0, 1))
     return _BELL_BRAS @ psi.reshape(4, -1)
+
+
+def batched_pair_rows(amps, n):
+    """The reference for ``protocol._all_pair_rows``, its earlier form: the stack axis
+    first, so party k's Bell bras act on b * 4**(k-1) (4, N) blocks in one batched
+    product."""
+    b = len(amps)
+    order = [0] + [1 + ax for i in range(n) for ax in (i, n + i)] + [2 * n + 1]
+    psi = amps.reshape([b] + [2] * (2 * n + 1)).transpose(order)
+    for k in range(n):
+        psi = _BELL_BRAS @ psi.reshape(b * 4**k, 4, -1)
+    return psi.reshape(b, 4**n, 2)
+
+
+def matrix_finish_rows(rows, paulis):
+    """The reference for ``protocol._finish_rows``, its earlier form: row k's receiver
+    correction is the matrix ``paulis[k]``, applied by one einsum."""
+    raw = np.einsum("...kj,...kj->...k", rows.conj(), rows).real
+    null = raw < NULL_PROB_EPS
+    vecs = np.einsum("kij,...kj->...ki", paulis, rows) / np.sqrt(np.where(null, 1.0, raw))[..., None]
+    _check_normalized(vecs, "concentrated receiver state", skip=null)
+    return raw, vecs
 
 
 def make_basis_state(bits):
@@ -288,7 +312,8 @@ def dense_sampled(input_qubit, dist, conc, seed):
     the same draws from the same generator (sender branch, receiver
     component, then one Born-rule pick per party), each party's Bell rows
     taken with ``pair_rows`` from the full ``tensor`` of the party state
-    and the receiver channel, and the same finishing kernels."""
+    and the receiver channel, and the receiver Pauli applied as a matrix by
+    ``matrix_finish_rows``."""
     gen = as_rng(seed)
     (db,) = distribute(input_qubit, dist, mode="sampled", seed=gen)
     n, n_conc = conc.n_parties, len(conc.components)
@@ -314,7 +339,7 @@ def dense_sampled(input_qubit, dist, conc, seed):
         amps = rows[k]
         outcomes += (BELL_OUTCOMES[k],)
     label = concentration_correction(conc.variant, outcomes)
-    raw, vecs = _finish_rows(amps[None, :], PAULI_MATRICES[label][None])
+    raw, vecs = matrix_finish_rows(amps[None, :], PAULI_MATRICES[label][None])
     joint = db.joint_prob * comp.weight * raw
     (fid,) = _fidelities(vecs, input_qubit.to_state().amps, raw, joint)
     return [OutcomeReport(

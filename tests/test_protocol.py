@@ -18,6 +18,7 @@ from qrelay.channels import (
     Endpoint,
     Variant,
     build_channel_component,
+    domino_support,
     ghz_channel,
     mixed_channel,
     pure_channel,
@@ -28,10 +29,15 @@ from qrelay.channels import (
 )
 import qrelay.protocol as protocol
 from qrelay.protocol import (
+    _PAULI_FRAMES,
     MAX_EXHAUSTIVE_PARTIES,
     InputQubit,
+    _all_pair_rows,
+    _correction_frame,
     _distribution_frame,
+    _finish_rows,
     _live_pair_rows,
+    _outcome_table,
     _party_vector,
     _sender_rows,
     _step_plan,
@@ -47,10 +53,12 @@ from qrelay.verify import oracle_agreement
 from conftest import equal_up_to_phase, random_state
 from dense_reference import (
     apply_1q,
+    batched_pair_rows,
     concentration_branch,
     dense_branches,
     dense_sampled,
     distribution_branch,
+    matrix_finish_rows,
     pair_rows,
     project_bell,
     tensor,
@@ -349,6 +357,94 @@ class TestSenderRows:
         built.clear()
         distribute(inp, dist)
         assert len(built) == 4 * len(dist.components)
+
+    @pytest.mark.parametrize("name", ["telecloning-smolin", "custom-null"])
+    def test_sampled_run_builds_one_state_vector(self, name, monkeypatch):
+        # InputQubit checked the input's norm when it was made, so a sampled
+        # run builds one validated StateVector, the drawn party vector, and
+        # none at all on a null sender branch; distribute alone also builds
+        # the input's.
+        built = []
+        monkeypatch.setattr(protocol, "StateVector", lambda *args: built.append(args) or StateVector(*args))
+        dist, conc = dict(agreement_cases())[name]
+        gen = np.random.default_rng(29)
+        for seed in range(10):
+            inp = NULL_SENDER_INPUT if name == "custom-null" else random_input(gen)
+            built.clear()
+            (report,) = run_end_to_end(inp, dist, conc, mode="sampled", seed=seed)
+            assert len(built) == (1 if report.bob_outcomes else 0)
+            built.clear()
+            (branch,) = distribute(inp, dist, mode="sampled", seed=seed)
+            assert len(built) == (2 if branch.state is not None else 1)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(n, variant, a stack of b unnormalized joint states) for n = 1..6 and b = 1..5:
+    generic states, staircase-like ones (a party vector on the staircase strings times a
+    receiver channel), and either with exact zeros, all-zero states and tiny ones whose
+    rows fall below NULL_PROB_EPS."""
+    n = draw(st.integers(1, MAX_EXHAUSTIVE_PARTIES))
+    b = draw(st.integers(1, 5))
+    variant = draw(st.sampled_from(list(Variant)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 1 << (2 * n + 1)
+    if draw(st.booleans()):
+        amps = gen.normal(size=(b, size)) + 1j * gen.normal(size=(b, size))
+    else:
+        parties = np.zeros((b, 1 << n), dtype=complex)
+        live = [int(bits, 2) for bits in domino_support(n)]
+        parties[:, live] = gen.normal(size=(b, len(live))) + 1j * gen.normal(size=(b, len(live)))
+        receiver = build_channel_component(
+            random_channel(Variant.DOMINO, n, Endpoint.RECEIVER_LAST, gen).components[0],
+            Variant.DOMINO, Endpoint.RECEIVER_LAST, n).amps
+        amps = (parties[:, :, None] * receiver).reshape(b, size)
+    amps[gen.random(amps.shape) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    if draw(st.booleans()):  # one state of zeros and one whose rows are all null
+        amps[gen.integers(b)] = 0.0
+        amps[gen.integers(b)] *= 1e-9
+    return n, variant, amps
+
+
+def sign_free_bytes(x):
+    """The bytes of ``x`` with -0.0 read as 0.0 (x + 0.0 changes nothing else)."""
+    return (x + 0.0).tobytes()
+
+
+class TestConcentrationKernels:
+    # _all_pair_rows takes one (4, 4) @ (4, N) Bell-bra product per party and
+    # _finish_rows applies the receiver Paulis as a permutation and phase; both
+    # must give the floats of the batched product and the matrix finish they
+    # replaced. A product that is exactly zero may carry the other sign of zero
+    # in either form, so bytes are compared with that sign dropped; np.array_equal
+    # shows the values are equal as they stand.
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(kernel_cases())
+    def test_kernels_match_the_forms_they_replace(self, case):
+        n, variant, amps = case
+        rows, want = _all_pair_rows(amps, n), batched_pair_rows(amps, n)
+        assert rows.flags.c_contiguous
+        assert rows.shape == want.shape
+        assert np.array_equal(rows, want)
+        assert sign_free_bytes(rows) == sign_free_bytes(want)
+        paulis = np.array([PAULI_MATRICES[label] for label in _outcome_table(variant, n)[1]])
+        got, ref = _finish_rows(rows, _correction_frame(variant, n)), matrix_finish_rows(want, paulis)
+        for x, y in zip(got, ref):
+            assert np.array_equal(x, y)
+            assert sign_free_bytes(x) == sign_free_bytes(y)
+
+    def test_dense_rows_are_byte_identical(self):
+        # Without exact zeros there is no sign of zero to differ in.
+        gen = np.random.default_rng(30)
+        for n in range(1, MAX_EXHAUSTIVE_PARTIES + 1):
+            amps = gen.normal(size=(3, 1 << (2 * n + 1))) + 1j * gen.normal(size=(3, 1 << (2 * n + 1)))
+            assert _all_pair_rows(amps, n).tobytes() == batched_pair_rows(amps, n).tobytes()
+
+    @pytest.mark.parametrize("label", list(PauliLabel), ids=lambda p: p.value)
+    def test_pauli_frame_is_the_matrix(self, label):
+        perm, phase = _PAULI_FRAMES[label]
+        assert np.array_equal(phase[:, None] * np.eye(2)[perm], PAULI_MATRICES[label])
+        assert not perm.flags.writeable and not phase.flags.writeable
 
 
 class TestConcentrate:

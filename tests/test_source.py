@@ -29,8 +29,11 @@ EVALUATOR_INTERNALS = frozenset({
     "_finish_rows",
     "_exhaustive_blocks",
     "_outcome_table",
-    "_correction_stack",
+    "_correction_frame",
+    "_pauli_frame",
+    "_PAULI_FRAMES",
     "_distribution_frame",
+    "_distribute",
     "_sender_rows",
     "_party_vector",
     "_channel_state",
