@@ -264,6 +264,8 @@ def smolin_channel(endpoint: Endpoint = Endpoint.RECEIVER_LAST) -> ChannelSpec:
 
 def ghz_channel(n_parties: int, endpoint: Endpoint) -> ChannelSpec:
     """(n+1)-qubit GHZ chain as a single-support staircase channel."""
+    if n_parties > DEFAULT_QUBIT_CAP:
+        raise CapacityError(f"ghz channel capped at n = {DEFAULT_QUBIT_CAP}, got {n_parties}")
     return pure_channel(Variant.DOMINO, n_parties, {"0" * n_parties: 1.0}, endpoint)
 
 

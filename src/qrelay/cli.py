@@ -13,11 +13,11 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import math
 import re
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .bell import BellOutcome, PauliLabel, as_rng
 from .channels import (
@@ -128,16 +128,59 @@ _ALICE = ',\n    {\n      "alice": %s,\n      "bobs": '
 _COMPONENT = ',\n      "component": %d,\n      "correction": '
 _FLOATS = ',\n      "fidelity": %s,\n      "joint_prob": %s\n    }'
 
-# json's text of each outcome, label and None, keyed by id() as Enum.__hash__ runs as Python code
-# in 3.11: these objects live as long as the process, so no id is reused.
-_NAMES = {id(m): json.dumps(None if m is None else m.value) for m in (None, *BellOutcome, *PauliLabel)}
-
 
 def _json_float(x) -> str:
     """``x`` as json writes a float: its repr, or null for None."""
     if x is not None and not math.isfinite(x):
         raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
     return "null" if x is None else float.__repr__(x)
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``value`` exactly as ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``
+    writes it, for dicts with str keys, lists, tuples, str, int, bool, None and float, subclasses
+    included. ``indent`` is the line break and indentation of ``value``'s own nesting level.
+
+    json's indent encoder runs in pure Python; this dispatches on the exact type, floats first as
+    the most common leaf, and falls back to json's isinstance order for subclasses."""
+    kind = type(value)
+    if kind is float:
+        return _json_float(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [_json_str(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + indent + "]"
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return _json_str(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    if isinstance(value, (list, tuple)):
+        return _json_text(list(value), indent)
+    if isinstance(value, dict):
+        return _json_text(dict(value.items()), indent)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+# json's text of each outcome, label and None, keyed by id() as Enum.__hash__ runs as Python code
+# in 3.11: these objects live as long as the process, so no id is reused.
+_NAMES = {id(m): _json_text(None if m is None else m.value) for m in (None, *BellOutcome, *PauliLabel)}
 
 
 def _bobs_text(outcomes) -> str:
@@ -182,8 +225,10 @@ def _branches_head(rows) -> tuple[list[str], list[float]]:
 
 def _emit(report: dict, output: str | None, head: list[str] | None = None) -> None:
     """Write ``report`` as two-space-indented, key-sorted strict JSON and a
-    newline, with ``head`` from ``_branches_head`` for its opening brace."""
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    newline, with ``head`` from ``_branches_head`` for its opening brace.
+    ``_json_text`` writes the report before the file opens, so a
+    non-finite float raises json's ``ValueError`` and leaves no file."""
+    text = _json_text(report)
     pieces = (text, "\n") if head is None else itertools.chain(head, (text[1:], "\n"))
     if output:
         with open(output, "w", encoding="utf-8") as fh:

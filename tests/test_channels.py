@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import qrelay.channels as channels_mod
 from qrelay.channels import (
     TELECLONING_MAIN_AMP,
     TELECLONING_SIDE_AMP,
@@ -30,7 +31,7 @@ from qrelay.channels import (
     spec_to_json,
     telecloning_channel,
 )
-from qrelay.statevec import trace_distance
+from qrelay.statevec import DEFAULT_QUBIT_CAP, CapacityError, trace_distance
 
 from dense_reference import make_basis_state
 
@@ -252,6 +253,22 @@ class TestPresets:
             resolve_preset("telecloning-conc", Endpoint.SENDER_FIRST)
         with pytest.raises(ChannelValidationError):
             resolve_preset("ghz(2)")  # needs an endpoint
+
+    @pytest.mark.parametrize("n", [DEFAULT_QUBIT_CAP + 1, 10**13])
+    def test_ghz_over_the_cap_builds_nothing(self, monkeypatch, n):
+        # The support string alone would take n bytes: refuse before any is built.
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a channel over the qubit cap")
+
+        monkeypatch.setattr(channels_mod, "pure_channel", refuse)
+        with pytest.raises(CapacityError, match=f"got {n}"):
+            ghz_channel(n, Endpoint.SENDER_FIRST)
+        with pytest.raises(CapacityError):
+            resolve_preset(f"ghz({n})", Endpoint.RECEIVER_LAST)
+
+    def test_ghz_at_the_cap_still_builds(self):
+        spec = ghz_channel(DEFAULT_QUBIT_CAP, Endpoint.SENDER_FIRST)
+        assert spec.components[0].coeffs == (("0" * DEFAULT_QUBIT_CAP, 1.0),)
 
 
 class TestRandomChannel:

@@ -1,8 +1,10 @@
+import enum
 import itertools
 import json
 import math
 import subprocess
 import sys
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from qrelay.channels import (
 )
 from qrelay.cli import build_parser, main, parse_input_spec, resolve_channel_arg
 from qrelay.protocol import OutcomeReport, run_end_to_end
-from qrelay.verify import Verdict
+from qrelay.verify import Verdict, run_suite
 from test_protocol import NULL_SENDER_INPUT, agreement_cases
 
 
@@ -230,6 +232,32 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "error:" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("side", ["--dist", "--conc"])
+    def test_ghz_over_the_qubit_cap(self, tmp_path, capsys, side):
+        # Refused before the n-character support string is built.
+        presets = {"--dist": "preset:ghz(3)", "--conc": "preset:ghz(3)", side: "preset:ghz(10000000000000)"}
+        out = tmp_path / "report.json"
+        code = run_cli(["enumerate", *itertools.chain(*presets.items()), "--input", "1,0+0,0",
+                        "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "capped" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_overflowing_total_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # Each branch is finite, but total_prob sums to inf: the summary is strict JSON too.
+        row = (0, BellOutcome.PHI_PLUS, [1e308, 1e308], [1.0, 1.0], ((BellOutcome.PSI_MINUS,),) * 2,
+               (PauliLabel.Y,) * 2)
+        monkeypatch.setattr(cli_mod, "_branch_rows", lambda *args, **kwargs: [row])
+        out = tmp_path / "report.json"
+        code = run_cli([
+            "enumerate", "--dist", "preset:ghz(1)", "--conc", "preset:ghz(1)",
+            "--input", "1,0+0,0", "--output", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: Out of range float values are not JSON compliant: inf\n"
+        assert not out.exists()
 
     def test_unreadable_channel_file(self, capsys):
         code = run_cli([
@@ -552,6 +580,111 @@ class TestBranchRender:
         out = tmp_path / "report.json"
         assert run_cli([*argv, "--output", str(out)]) == 0
         assert load_report(out)["branches"]
+
+
+_TEXT = st.text(st.characters() | st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'), max_size=6)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, -(10**40)]),
+    _BRANCH_FLOATS,
+    _BRANCH_FLOATS.map(np.float64),
+    _TEXT,
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+def dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+class _Label(str, enum.Enum):
+    A = "a\"b"
+
+
+class _Count(enum.IntEnum):
+    TWO = 2
+
+
+class TestJsonText:
+    """``_json_text`` must write what ``json.dumps(indent=2, sort_keys=True,
+    allow_nan=False)`` writes, for every value a report can hold."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_VALUES)
+    def test_text_is_json_dumps(self, value):
+        assert cli_mod._json_text(value) == dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        {"b": _Label.A, "a": [_Count.TWO, np.float64(-0.0)]},
+        OrderedDict([("z", 1), ("a", {})]),
+        [[], {}, (), ""],
+        {"": {"": [{"": None}]}},
+        type("Floats", (list,), {})([1e16, 1e-05]),
+    ])
+    def test_subclasses_and_empties(self, value):
+        assert cli_mod._json_text(value) == dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        math.nan,
+        [1.0, math.inf],
+        {"a": {"b": (0.5, -math.inf)}},
+        {"x": [np.float64(math.nan)]},
+    ])
+    def test_non_finite_raises_json_error(self, value):
+        with pytest.raises(ValueError) as want:
+            dumps(value)
+        with pytest.raises(ValueError) as got:
+            cli_mod._json_text(value)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("value", [{1, 2}, [np.int64(3)], {"a": object()}, {1: "x"}])
+    def test_unsupported_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli_mod._json_text(value)
+
+    def test_verify_report_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_mod, "_timestamp", lambda: STAMP)
+        out = tmp_path / "report.json"
+        argv = ["verify", "--suite", "faithfulness", "--n", "1", "--seed", "2", "--tolerance", "1e-18"]
+        assert run_cli([*argv, "--output", str(out)]) == 1
+        verdicts = run_suite("faithfulness", seed=2, n=1, tolerance=1e-18)
+        expected = {
+            "config": {"command": "verify", "suite": "faithfulness", "seed": 2, "n": 1,
+                       "tolerance": 1e-18},
+            "branches": [],
+            "summary": {"total_prob": None, "min_fidelity": None,
+                        "verdicts": [v.to_json() for v in verdicts]},
+            "timestamp": STAMP,
+        }
+        assert out.read_text(encoding="utf-8") == dumps(expected) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--dist", "preset:telecloning", "--conc", "preset:smolin", "--input", "0.6,0+0.8,0"],
+        ["simulate", "--dist", "preset:telecloning", "--conc", "preset:smolin", "--input", "random",
+         "--seed", "3"],
+        ["simulate", "--dist", "preset:ghz(2)", "--conc", "preset:ghz(2)", "--input", "random",
+         "--seed", "3", "--mode", "exhaustive"],
+        ["verify", "--suite", "clone", "--seed", "1"],
+    ])
+    def test_cli_calls_no_json_dumps(self, tmp_path, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the CLI called json's encoder")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        monkeypatch.setattr(json.JSONEncoder, "encode", refuse)
+        out = tmp_path / "report.json"
+        assert run_cli([*argv, "--output", str(out)]) == 0
+        assert load_report(out)["summary"]
 
 
 class TestParserReuse:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -445,6 +446,47 @@ class TestConcentrationKernels:
         perm, phase = _PAULI_FRAMES[label]
         assert np.array_equal(phase[:, None] * np.eye(2)[perm], PAULI_MATRICES[label])
         assert not perm.flags.writeable and not phase.flags.writeable
+
+
+class TestNormChecks:
+    # run_end_to_end checks three stacks: the distributed states, each joint
+    # block and the finished receiver vectors. Each refuses an unnormalized or
+    # NaN vector; only the last has null rows, and it skips them.
+    @pytest.mark.parametrize("bad", [1.1, math.nan])
+    def test_distributed_state(self, bad):
+        _, conc = bell_pair_channels()
+        states = np.array([[SQ, SQ], [bad, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="distributed state not normalized"):
+            next(protocol._exhaustive_blocks(states, conc))
+
+    @pytest.mark.parametrize("bad", [1.1, math.nan])
+    def test_joint_state(self, monkeypatch, bad):
+        _, conc = bell_pair_channels()
+        amps = protocol._channel_state(conc.components[0], conc.variant, conc.endpoint, 1).amps * bad
+        monkeypatch.setattr(protocol, "_channel_state", lambda *args: SimpleNamespace(amps=amps))
+        with pytest.raises(ValueError, match="joint state not normalized"):
+            next(protocol._exhaustive_blocks(np.array([[SQ, SQ]], dtype=complex), conc))
+
+    @pytest.mark.parametrize("bad", [1.1, math.nan])
+    def test_finished_receiver_state(self, bad):
+        # One live row, then one null row; the phase scales the live row.
+        rows = np.array([[[SQ, SQ], [0.0, 0.0]]], dtype=complex)
+        with pytest.raises(ValueError, match="concentrated receiver state not normalized"):
+            _finish_rows(rows, (np.arange(4), np.array([bad, bad, 1.0, 1.0])))
+
+    @pytest.mark.parametrize("bad", [1.1, math.nan])
+    def test_finished_null_rows_are_skipped(self, bad):
+        rows = np.array([[[SQ, SQ], [0.0, 0.0]]], dtype=complex)
+        raw, vecs = _finish_rows(rows, (np.arange(4), np.array([1.0, 1.0, bad, bad])))
+        assert np.allclose(raw, [[1.0, 0.0]])
+        assert np.allclose(vecs[0, 0], [SQ, SQ])
+
+    def test_skip_mask(self):
+        vecs = np.array([[1.0, 0.0], [2.0, 0.0], [math.nan, 0.0]], dtype=complex)
+        protocol._check_normalized(vecs, "stack", skip=np.array([False, True, True]))
+        for skip in (False, np.array([False, False, True]), np.array([False, True, False])):
+            with pytest.raises(ValueError, match="stack not normalized"):
+                protocol._check_normalized(vecs, "stack", skip=skip)
 
 
 class TestConcentrate:
