@@ -27,6 +27,7 @@ from .statevec import DEFAULT_QUBIT_CAP, CapacityError, DensityMatrix, StateVect
 
 WEIGHT_ATOL = 1e-10
 COEFF_NORM_ATOL = 1e-10
+RANDOM_MIN_AMP = 1e-6  # random_channel redraws any coefficient smaller in modulus
 
 _COMPLEMENT = str.maketrans("01", "10")
 _SQRT_HALF = float(1.0 / np.sqrt(2.0))
@@ -79,9 +80,6 @@ class Component:
     weight: float
     coeffs: tuple[tuple[str, complex], ...]
 
-    def amplitude_map(self) -> dict[str, complex]:
-        return dict(self.coeffs)
-
 
 def make_component(weight: float, coeffs) -> Component:
     """Build a Component from a dict or an iterable of (bits, amp) pairs."""
@@ -116,7 +114,7 @@ def _validate_spec(spec: ChannelSpec) -> None:
             if bits in seen:
                 raise ChannelValidationError(f"distinct-supports: '{bits}' repeated in component {idx}")
             seen.add(bits)
-            norm_sq += abs(amp) ** 2
+            norm_sq += amp.real * amp.real + amp.imag * amp.imag  # inf, not OverflowError, on overflow
             if spec.variant is Variant.PARITY and bits.count("0") % 2 == 0:
                 raise ChannelValidationError(
                     f"parity-support: '{bits}' has an even number of 0 bits"
@@ -269,19 +267,17 @@ def ghz_channel(n_parties: int, endpoint: Endpoint) -> ChannelSpec:
     return pure_channel(Variant.DOMINO, n_parties, {"0" * n_parties: 1.0}, endpoint)
 
 
-def random_channel(
-    variant: Variant, n_parties: int, endpoint: Endpoint, rng, min_amp: float = 1e-6
-) -> ChannelSpec:
+def random_channel(variant: Variant, n_parties: int, endpoint: Endpoint, rng) -> ChannelSpec:
     """Pure channel with normalized complex-Gaussian coefficients over the
     full support set (parity supports for the custom variant too). Draws
-    with any |amp| < ``min_amp`` are redrawn so degenerate coefficients
-    cannot mask protocol failures."""
+    with any |amp| < ``RANDOM_MIN_AMP`` are redrawn so degenerate
+    coefficients cannot mask protocol failures."""
     supports = domino_support(n_parties) if variant is Variant.DOMINO else parity_support(n_parties)
     gen = as_rng(rng)
     while True:
         vec = gen.normal(size=len(supports)) + 1j * gen.normal(size=len(supports))
         vec /= np.linalg.norm(vec)
-        if float(np.abs(vec).min()) >= min_amp:
+        if float(np.abs(vec).min()) >= RANDOM_MIN_AMP:
             break
     return pure_channel(variant, n_parties, dict(zip(supports, map(complex, vec))), endpoint)
 
@@ -328,7 +324,7 @@ def spec_from_json(data) -> ChannelSpec:
             )
             for item in data["components"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # Overflow: an int past float range
         raise ChannelValidationError(f"malformed channel description: {exc}") from exc
     return ChannelSpec(variant, n, endpoint, comps)
 
@@ -340,6 +336,8 @@ def load_channel(path) -> ChannelSpec:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ChannelValidationError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError:
+        raise ChannelValidationError(f"{path}: JSON nested too deeply") from None
     return spec_from_json(data)
 
 

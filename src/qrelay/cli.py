@@ -29,7 +29,7 @@ from .channels import (
 )
 from .protocol import InputQubit, _branch_rows, random_input
 from .statevec import CapacityError
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 # Split "aRe,aIm+bRe,bIm" on the pair separator without biting into
 # exponents like 1e+05.
@@ -106,8 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_flags(enum, ("exhaustive",), "exhaustive")
 
     ver = sub.add_parser("verify", help="run claim-level verification suites")
-    ver.add_argument("--suite", default="all",
-                     choices=("all", "faithfulness", "smolin", "clone", "even-n"))
+    ver.add_argument("--suite", default="all", choices=SUITES)
     ver.add_argument("--seed", type=int, default=1)
     ver.add_argument("--n", type=int,
                      help="restrict the faithfulness and even-n checks to one party count "

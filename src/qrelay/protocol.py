@@ -13,10 +13,11 @@ basis, and sends the outcome to the receiver, who applies one composite
 correction. Branch enumeration is exhaustive (all outcome tuples with
 their joint probabilities) or sampled (one trajectory drawn from them).
 
-``_branch_rows`` is the one way into concentration: exhaustive runs go
-through ``_exhaustive_blocks``, sampled ones through ``_sampled_block``.
-``run_end_to_end`` turns its rows into reports; the CLI writes them as text.
-``distribute`` exposes the distribution phase on its own.
+``_branch_rows`` is the one way into concentration: both modes take the
+sender stage from ``_sender_rows``, then exhaustive runs stack every party
+vector for ``_exhaustive_blocks`` and sampled runs hand the one drawn to
+``_sampled_block``. ``run_end_to_end`` turns its rows into reports; the CLI
+writes them as text. ``distribute`` exposes the distribution phase on its own.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ class InputQubit:
     beta: complex
 
     def __post_init__(self) -> None:
-        norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        # Products, not abs(z) ** 2: an overflow gives inf and fails the check instead of raising.
+        norm_sq = sum(z.real * z.real + z.imag * z.imag for z in (self.alpha, self.beta))
         if not abs(norm_sq - 1.0) <= 1e-10:
             raise ValueError(f"input amplitudes have |a|^2+|b|^2 = {norm_sq}, expected 1")
 
@@ -158,18 +160,6 @@ def concentration_correction(variant: Variant, outcomes) -> PauliLabel:
     return pauli_product([CORRECTION_FOR_OUTCOME[o] for o in outcomes])
 
 
-def _check_mode(mode: str, seed) -> None:
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-    if mode == "sampled" and seed is None:
-        raise ValueError("sampled mode needs a seed or Generator")
-
-
-def _check_receiver_side(channel: ChannelSpec) -> None:
-    if channel.endpoint is not Endpoint.RECEIVER_LAST:
-        raise ValueError("concentration needs a receiver-side channel (endpoint 'receiver')")
-
-
 # 32 entries hold every component of the channel pairs one check uses; a
 # check over larger mixtures still works, rebuilding what it evicts.
 @lru_cache(maxsize=32)
@@ -252,28 +242,15 @@ def _party_vector(channel: ChannelSpec, outcome: BellOutcome, raw: float, row: n
     return phase * (row / math.sqrt(raw))[perm]
 
 
-def distribute(
-    input_qubit: InputQubit, channel: ChannelSpec, mode: str = "exhaustive", seed=None
-) -> list[BranchState]:
-    """Run the distribution phase.
-
-    Returns one BranchState per (component, sender outcome) in exhaustive
-    mode — outcomes in Bell order within each component — or a single drawn
-    branch in sampled mode.
-    """
-    _check_mode(mode, seed)
-    return _distribute(input_qubit.to_state().amps, channel, mode, seed)
-
-
-def _distribute(input_amps: np.ndarray, channel: ChannelSpec, mode: str, seed) -> list[BranchState]:
-    """``distribute`` on the input's amplitudes, for a caller that already holds them."""
-    rows = _sender_rows(input_amps, channel)
-    if mode == "sampled":  # draw first, then build the one branch drawn
-        probs = np.array([row[2] for row in rows])
-        rows = [rows[_born_pick(probs / probs.sum(), as_rng(seed))]]
-    vecs = [_party_vector(channel, outcome, raw, row) for _, outcome, _, raw, row in rows]
-    return [BranchState(None if v is None else StateVector(channel.n_parties, v), prob, (outcome,), ci)
-            for (ci, outcome, prob, _, _), v in zip(rows, vecs)]
+def distribute(input_qubit: InputQubit, channel: ChannelSpec) -> list[BranchState]:
+    """Run the distribution phase: one BranchState per (component, sender
+    outcome), outcomes in Bell order within each component."""
+    branches = []
+    for ci, outcome, prob, raw, row in _sender_rows(input_qubit.to_state().amps, channel):
+        vec = _party_vector(channel, outcome, raw, row)
+        state = None if vec is None else StateVector(channel.n_parties, vec)
+        branches.append(BranchState(state, prob, (outcome,), ci))
+    return branches
 
 
 @lru_cache(maxsize=None)
@@ -434,13 +411,16 @@ def _live_pair_rows(mat: np.ndarray, step: tuple) -> np.ndarray:
     return _BELL_BRAS @ grid.reshape(4, -1)
 
 
-def _sampled_block(bobs: BranchState, channel: ChannelSpec, gen: np.random.Generator):
-    """One trajectory drawn under the Born rule, as a list of one block:
+def _sampled_block(
+    party: np.ndarray, ci: int, prob: float, channel: ChannelSpec, gen: np.random.Generator
+):
+    """One trajectory drawn under the Born rule from the normalized party vector of
+    sender component ``ci`` and joint probability ``prob``, as one block row:
     (flattened component index, joint probabilities, raw probabilities,
     corrected receiver vectors, each row's party outcomes, each row's
-    receiver correction), every column one row long. The list is empty when
-    every outcome of a step is null. The joint state stays on its live strings,
-    stepping through the cached ``_step_plan`` of the strings it starts on."""
+    receiver correction), every column one row long; None when every outcome
+    of a step is null. The joint state stays on its live strings, stepping
+    through the cached ``_step_plan`` of the strings it starts on."""
     n = channel.n_parties
     n_comps = len(channel.components)
     cj = 0
@@ -451,8 +431,8 @@ def _sampled_block(bobs: BranchState, channel: ChannelSpec, gen: np.random.Gener
     if 2 * n + 1 > DEFAULT_QUBIT_CAP:
         raise CapacityError(f"joint state would need {2 * n + 1} qubits, cap is {DEFAULT_QUBIT_CAP}")
     ckeys, live = _receiver_keys(comp, channel.variant, n)
-    pkeys = np.flatnonzero(bobs.state.amps)
-    mat = np.multiply.outer(bobs.state.amps[pkeys], live)
+    pkeys = np.flatnonzero(party)
+    mat = np.multiply.outer(party[pkeys], live)
     if not abs(np.vdot(mat, mat).real - 1.0) <= NORM_ATOL:
         raise ValueError("joint state not normalized")
     outcomes: tuple[BellOutcome, ...] = ()
@@ -460,13 +440,12 @@ def _sampled_block(bobs: BranchState, channel: ChannelSpec, gen: np.random.Gener
         rows = _live_pair_rows(mat, step)
         pick = _draw_outcome(rows, gen)
         if pick is None:
-            return []
+            return None
         mat = rows[pick].reshape(len(step[1]), len(step[2]))
         outcomes += (BELL_OUTCOMES[pick],)
     label = concentration_correction(channel.variant, outcomes)
     raw, vecs = _finish_rows(mat, _PAULI_FRAMES[label])
-    index = bobs.component_index * n_comps + cj
-    return [(index, bobs.joint_prob * comp.weight * raw, raw, vecs, (outcomes,), (label,))]
+    return ci * n_comps + cj, prob * comp.weight * raw, raw, vecs, (outcomes,), (label,)
 
 
 def _fidelities(vecs: np.ndarray, input_amps: np.ndarray, raw: np.ndarray, joint: np.ndarray) -> list:
@@ -477,14 +456,6 @@ def _fidelities(vecs: np.ndarray, input_amps: np.ndarray, raw: np.ndarray, joint
     return np.where(live, fids, None).tolist()
 
 
-def _report_rows(reports: list, index: int, alice: BellOutcome, joint, fids, outcomes, labels) -> None:
-    """Append one ``_branch_rows`` row's branches to ``reports``: plain
-    Python values from the row's columns, fidelity None on a null branch."""
-    reports.extend(map(
-        OutcomeReport, itertools.repeat(index), itertools.repeat(alice), outcomes, joint, labels, fids,
-    ))
-
-
 def _branch_rows(
     input_qubit: InputQubit, dist_channel: ChannelSpec, conc_channel: ChannelSpec, mode: str, seed
 ) -> list[tuple]:
@@ -493,7 +464,10 @@ def _branch_rows(
     fidelities with None on a null branch, party outcome tuples, receiver
     corrections), the last four parallel columns of Python values. A null
     sender branch is one row with no party outcomes and no correction."""
-    _check_mode(mode, seed)
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+    if mode == "sampled" and seed is None:
+        raise ValueError("sampled mode needs a seed or Generator")
     if dist_channel.n_parties != conc_channel.n_parties:
         raise ValueError(
             f"party mismatch: distribution has {dist_channel.n_parties}, "
@@ -505,33 +479,37 @@ def _branch_rows(
 
     # InputQubit checked the norm when it was made, and _sender_rows checks it again.
     input_amps = np.array([input_qubit.alpha, input_qubit.beta], dtype=complex)
-    n_conc = len(conc_channel.components)
-    rows: list[tuple] = []
-    if mode == "sampled":
+    senders = _sender_rows(input_amps, dist_channel)
+    if conc_channel.endpoint is not Endpoint.RECEIVER_LAST:
+        raise ValueError("concentration needs a receiver-side channel (endpoint 'receiver')")
+    if mode == "sampled":  # draw first, then build the one party vector drawn
         gen = as_rng(seed)
-        (db,) = _distribute(input_amps, dist_channel, mode, gen)
-        _check_receiver_side(conc_channel)
-        alice = db.outcomes[0]
-        if db.state is None:
-            return [(db.component_index * n_conc, alice, [db.joint_prob], [None], ((),), (None,))]
-        for index, joint, raw, vecs, outcomes, labels in _sampled_block(db, conc_channel, gen):
-            fids = _fidelities(vecs, input_amps, raw, joint)
-            rows.append((index, alice, joint.tolist(), fids, outcomes, labels))
-        return rows
+        probs = np.array([row[2] for row in senders])
+        senders = [senders[_born_pick(probs / probs.sum(), gen)]]
 
     # Each stacked state's rows go after the null sender rows that precede
     # it; `pending` carries those rows to the next live slot.
-    states, slots, pending = [], [], []
-    for ci, alice, prob, raw, row in _sender_rows(input_amps, dist_channel):
+    n_conc = len(conc_channel.components)
+    rows, states, slots, pending = [], [], [], []
+    for ci, alice, prob, raw, row in senders:
         vec = _party_vector(dist_channel, alice, raw, row)
         if vec is None:
             pending.append((ci * n_conc, alice, [prob], [None], ((),), (None,)))
-            continue
-        states.append(vec)
-        for cj, comp in enumerate(conc_channel.components):
-            slots.append((ci * n_conc + cj, alice, prob * comp.weight, pending))
-            pending = []
-    _check_receiver_side(conc_channel)
+        elif mode == "sampled":
+            _check_normalized(vec, "distributed state")
+            drawn = _sampled_block(vec, ci, prob, conc_channel, gen)
+            if drawn is not None:
+                index, joint, conc_raw, vecs, outcomes, labels = drawn
+                fids = _fidelities(vecs, input_amps, conc_raw, joint)
+                rows.append((index, alice, joint.tolist(), fids, outcomes, labels))
+        else:
+            states.append(vec)
+            for cj, comp in enumerate(conc_channel.components):
+                slots.append((ci * n_conc + cj, alice, prob * comp.weight, pending))
+                pending = []
+
+    if mode == "sampled":  # its one row, drawn or null
+        return rows + pending
 
     outcomes, labels = _outcome_table(conc_channel.variant, conc_channel.n_parties)
     done = 0
@@ -567,6 +545,9 @@ def run_end_to_end(
     one outcome per party.
     """
     reports: list[OutcomeReport] = []
-    for row in _branch_rows(input_qubit, dist_channel, conc_channel, mode, seed):
-        _report_rows(reports, *row)
+    for index, alice, joint, fids, outcomes, labels in _branch_rows(
+        input_qubit, dist_channel, conc_channel, mode, seed
+    ):
+        reports.extend(map(OutcomeReport, itertools.repeat(index), itertools.repeat(alice),
+                           outcomes, joint, labels, fids))
     return reports

@@ -52,6 +52,7 @@ EVEN_N_FID_CEILING = 1.0 - 1e-6
 WITNESS_PROB_FLOOR = 1e-12
 MAX_WITNESSES = 8
 MAX_EVEN_N_WITNESSES = 16
+SUITES = ("all", "faithfulness", "smolin", "clone", "even-n")  # run_suite's names, as `--suite` lists them
 
 
 @dataclass(frozen=True)
@@ -390,7 +391,6 @@ def oracle_agreement(
     trials: int = 3,
     seed=0,
     tolerance: float = ORACLE_TOL,
-    claim_id: str | None = None,
 ) -> Verdict:
     """Compare every end-to-end branch's (joint probability, fidelity)
     between the protocol evaluator and this module's oracle.
@@ -425,10 +425,8 @@ def oracle_agreement(
         bad = [slots[k] for k in np.flatnonzero(~(devs <= tolerance)) if slots[k] is not _MISSING]
         witnesses += bad[: MAX_WITNESSES - len(witnesses)]
 
-    if claim_id is None:
-        claim_id = f"oracle-{dist.variant.value}-n{dist.n_parties}"
     return Verdict(
-        claim_id,
+        f"oracle-{dist.variant.value}-n{dist.n_parties}",
         compared > 0 and worst <= tolerance,
         worst,
         tolerance,
@@ -545,7 +543,7 @@ def clone_report(input_qubit: InputQubit) -> list[float]:
     each party qubit i = 1..3. Qubit 1 is the anticlone; qubits 2 and 3 are
     the optimal clones.
     """
-    branch = distribute(input_qubit, telecloning_channel(), mode="exhaustive")[0]
+    branch = distribute(input_qubit, telecloning_channel())[0]
     if branch.outcomes != (BellOutcome.PHI_PLUS,):
         raise RuntimeError(f"first distribution branch has outcomes {branch.outcomes}, expected phi+")
     inp = input_qubit.to_state().amps
@@ -595,9 +593,8 @@ def run_suite(suite: str, seed=1, n: int | None = None, tolerance: float | None 
     odd ``n``. ``tolerance`` overrides the faithfulness tolerance for that
     run only. Each is rejected for a suite that runs no check it applies to.
     """
-    known = {"all", "faithfulness", "smolin", "clone", "even-n"}
-    if suite not in known:
-        raise ValueError(f"unknown suite {suite!r}; choose from {sorted(known)}")
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     if n is not None and suite not in ("all", "faithfulness", "even-n"):
         raise ValueError(f"n only applies to the faithfulness and even-n checks, not suite {suite!r}")
     if tolerance is not None and suite not in ("all", "faithfulness"):

@@ -307,6 +307,14 @@ def reference_even_n(n, seed=0, dist=None, conc=None, input_qubit=None):
     )
 
 
+def choice_branch(input_qubit, dist, gen):
+    """The sender branch a sampled run draws: ``gen.choice`` among
+    ``distribute``'s branches, weighted by their joint probabilities."""
+    branches = distribute(input_qubit, dist)
+    probs = np.array([b.joint_prob for b in branches])
+    return branches[int(gen.choice(len(branches), p=probs / probs.sum()))]
+
+
 def dense_sampled(input_qubit, dist, conc, seed):
     """``run_end_to_end(mode="sampled")``'s reports from the dense trajectory:
     the same draws from the same generator (sender branch, receiver
@@ -315,7 +323,7 @@ def dense_sampled(input_qubit, dist, conc, seed):
     and the receiver channel, and the receiver Pauli applied as a matrix by
     ``matrix_finish_rows``."""
     gen = as_rng(seed)
-    (db,) = distribute(input_qubit, dist, mode="sampled", seed=gen)
+    db = choice_branch(input_qubit, dist, gen)
     n, n_conc = conc.n_parties, len(conc.components)
     if db.state is None:
         return [OutcomeReport(db.component_index * n_conc, db.outcomes[0], (), db.joint_prob, None, None)]

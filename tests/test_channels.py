@@ -97,6 +97,12 @@ class TestValidation:
         with pytest.raises(ChannelValidationError, match="normalization"):
             pure_channel(Variant.CUSTOM, 2, {"01": SQ, "10": amp}, Endpoint.SENDER_FIRST)
 
+    @pytest.mark.parametrize("amp", [1e200, complex(1e308, 1e308)])
+    def test_overflowing_coefficient_rejected(self, amp):
+        # |amp|^2 overflows to inf, which the normalization check refuses.
+        with pytest.raises(ChannelValidationError, match="normalization.*= inf"):
+            pure_channel(Variant.CUSTOM, 1, {"0": amp}, Endpoint.SENDER_FIRST)
+
     def test_parity_rejects_even_zero_support(self):
         with pytest.raises(ChannelValidationError, match="parity-support"):
             pure_channel(Variant.PARITY, 3, {"001": 1.0}, Endpoint.SENDER_FIRST)
@@ -211,7 +217,7 @@ class TestEnsembles:
 class TestPresets:
     def test_telecloning_amplitudes(self):
         spec = telecloning_channel()
-        coeffs = spec.components[0].amplitude_map()
+        coeffs = dict(spec.components[0].coeffs)
         assert coeffs["000"] == pytest.approx(np.sqrt(2 / 3))
         assert coeffs["101"] == pytest.approx(1 / np.sqrt(6))
         assert coeffs["110"] == pytest.approx(1 / np.sqrt(6))
@@ -315,6 +321,12 @@ class TestSerialization:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ChannelValidationError):
+            load_channel(path)
+
+    def test_deeply_nested_json_file(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        with pytest.raises(ChannelValidationError, match="nested too deeply"):
             load_channel(path)
 
     def test_imaginary_part_optional(self):

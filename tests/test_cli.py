@@ -259,6 +259,54 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: Out of range float values are not JSON compliant: inf\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["1e200,0+0,0", "1e308,1e308+0,0"])
+    def test_overflowing_input_amplitude(self, tmp_path, capsys, text):
+        # |alpha|^2 overflows to inf, which the normalization check refuses.
+        out = tmp_path / "report.json"
+        code = run_cli(["enumerate", "--dist", "preset:telecloning", "--conc", "preset:telecloning-conc",
+                        f"--input={text}", "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: input amplitudes have |a|^2+|b|^2 = inf, expected 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("re, im", [(1e200, 0.0), (1e308, 1e308)])
+    def test_overflowing_channel_amplitude(self, tmp_path, capsys, re, im):
+        data = spec_to_json(ghz_channel(1, Endpoint.SENDER_FIRST))
+        data["components"][0]["coeffs"] = [{"bits": "0", "re": re, "im": im}]
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "report.json"
+        code = run_cli(["enumerate", "--dist", str(path), "--conc", "preset:ghz(1)",
+                        "--input", "1,0+0,0", "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: normalization: component 0 has sum |amp|^2 = inf, expected 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["re", "weight"])
+    def test_integer_beyond_float_range(self, tmp_path, capsys, field):
+        data = spec_to_json(ghz_channel(1, Endpoint.SENDER_FIRST))
+        component = data["components"][0]
+        (component["coeffs"][0] if field == "re" else component)[field] = 10**400
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "report.json"
+        code = run_cli(["enumerate", "--dist", str(path), "--conc", "preset:ghz(1)",
+                        "--input", "1,0+0,0", "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: malformed channel description: ")
+        assert not out.exists()
+
+    def test_deeply_nested_channel_file(self, tmp_path, capsys):
+        path = tmp_path / "dist.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        out = tmp_path / "report.json"
+        code = run_cli(["enumerate", "--dist", str(path), "--conc", "preset:ghz(1)",
+                        "--input", "1,0+0,0", "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
+        assert not out.exists()
+
     def test_unreadable_channel_file(self, capsys):
         code = run_cli([
             "enumerate", "--dist", "/definitely/missing.json",

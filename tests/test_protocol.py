@@ -55,6 +55,7 @@ from conftest import equal_up_to_phase, random_state
 from dense_reference import (
     apply_1q,
     batched_pair_rows,
+    choice_branch,
     concentration_branch,
     dense_branches,
     dense_sampled,
@@ -85,6 +86,12 @@ class TestInputQubit:
     def test_rejects_nan(self, alpha, beta):
         with pytest.raises(ValueError, match="nan"):
             InputQubit(alpha, beta)
+
+    @pytest.mark.parametrize("alpha", [1e200, complex(1e308, 1e308)])
+    def test_rejects_overflowing_amplitude(self, alpha):
+        # |alpha|^2 overflows to inf, which the normalization check refuses.
+        with pytest.raises(ValueError, match="= inf"):
+            InputQubit(alpha, 0.0)
 
     def test_to_state(self):
         s = InputQubit(0.6, 0.8).to_state()
@@ -214,47 +221,61 @@ class TestDistribute:
         assert (report.alice_outcome, report.bob_outcomes) == (PSI_P, (PSI_M,))
         assert report.correction is PauliLabel.Y
 
+    # distribute enumerates every sender branch; a sampled run_end_to_end
+    # draws one of them from its generator before it builds a party vector.
     def test_sampled_requires_seed(self):
-        dist, _ = bell_pair_channels()
-        with pytest.raises(ValueError):
-            distribute(InputQubit(1, 0), dist, mode="sampled")
+        dist, conc = bell_pair_channels()
+        with pytest.raises(ValueError, match="seed"):
+            run_end_to_end(InputQubit(1, 0), dist, conc, mode="sampled")
 
     def test_sampled_deterministic(self):
+        # An int seed draws what a Generator seeded with it draws.
         gen = np.random.default_rng(5)
-        spec = random_channel(Variant.PARITY, 3, Endpoint.SENDER_FIRST, gen)
+        dist = random_channel(Variant.PARITY, 3, Endpoint.SENDER_FIRST, gen)
+        conc = random_channel(Variant.PARITY, 3, Endpoint.RECEIVER_LAST, gen)
         inp = random_input(gen)
-        a = distribute(inp, spec, mode="sampled", seed=11)
-        b = distribute(inp, spec, mode="sampled", seed=11)
+        a = run_end_to_end(inp, dist, conc, mode="sampled", seed=11)
+        b = run_end_to_end(inp, dist, conc, mode="sampled", seed=np.random.default_rng(11))
         assert len(a) == len(b) == 1
-        assert a[0].outcomes == b[0].outcomes
-        assert np.allclose(a[0].state.amps, b[0].state.amps)
+        assert report_fields(a[0]) == report_fields(b[0])
 
     def test_bad_mode_rejected(self):
-        dist, _ = bell_pair_channels()
-        with pytest.raises(ValueError):
-            distribute(InputQubit(1, 0), dist, mode="both")
+        dist, conc = bell_pair_channels()
+        with pytest.raises(ValueError, match="mode"):
+            run_end_to_end(InputQubit(1, 0), dist, conc, mode="both")
 
     @pytest.mark.parametrize("name", ["telecloning-smolin", "custom-null"])
-    def test_sampled_is_the_exhaustive_branch_choice_draws(self, name):
-        # Sampled mode draws before it builds; the branch it keeps must be the
-        # exhaustive branch Generator.choice picks from the same generator,
-        # field for field, and leave the generator where choice leaves it.
-        dist, _ = dict(agreement_cases())[name]
+    def test_sampled_is_the_exhaustive_branch_choice_draws(self, name, monkeypatch):
+        # The sender branch a sampled run keeps must be the exhaustive branch
+        # Generator.choice picks from the same generator: the same component,
+        # outcome and joint probability, and the same party vector handed to
+        # _sampled_block with the generator where choice leaves it.
+        handed = []
+        block = protocol._sampled_block
+
+        def spy(party, ci, prob, channel, gen):
+            handed.append((party, ci, prob, gen.bit_generator.state))
+            return block(party, ci, prob, channel, gen)
+
+        monkeypatch.setattr(protocol, "_sampled_block", spy)
+        dist, conc = dict(agreement_cases())[name]
         gen = np.random.default_rng(26)
         for seed in range(50):
             inp = NULL_SENDER_INPUT if name == "custom-null" else random_input(gen)
             got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
-            (got,) = distribute(inp, dist, mode="sampled", seed=got_gen)
-            branches = distribute(inp, dist)
-            probs = np.array([b.joint_prob for b in branches])
-            want = branches[int(want_gen.choice(len(branches), p=probs / probs.sum()))]
-            assert (got.outcomes, got.component_index) == (want.outcomes, want.component_index), seed
-            assert got.joint_prob.hex() == want.joint_prob.hex()
+            handed.clear()
+            (got,) = run_end_to_end(inp, dist, conc, mode="sampled", seed=got_gen)
+            want = choice_branch(inp, dist, want_gen)
+            assert (got.component_index // len(conc.components), got.alice_outcome) == (
+                want.component_index, want.outcomes[0]), seed
             if want.state is None:
-                assert got.state is None
+                assert (handed, got.bob_outcomes, got.joint_prob.hex()) == ([], (), want.joint_prob.hex())
+                assert got_gen.bit_generator.state == want_gen.bit_generator.state
             else:
-                assert np.array_equal(got.state.amps, want.state.amps)
-            assert got_gen.random() == want_gen.random()
+                ((party, ci, prob, state),) = handed
+                assert (ci, prob.hex()) == (want.component_index, want.joint_prob.hex())
+                assert np.array_equal(party, want.state.amps)
+                assert state == want_gen.bit_generator.state
 
 
 def reference_sender_rows(inp, dist):
@@ -299,7 +320,7 @@ def sender_cases(draw):
             amps = gen.normal(size=len(keys)) + 1j * gen.normal(size=len(keys))
             comps.append(dict(zip([format(k, f"0{n}b") for k in keys], amps / np.linalg.norm(amps))))
         else:
-            comps.append(random_channel(variant, n, Endpoint.SENDER_FIRST, gen).components[0].amplitude_map())
+            comps.append(dict(random_channel(variant, n, Endpoint.SENDER_FIRST, gen).components[0].coeffs))
     weights = gen.random(len(comps)) + 0.1
     dist = mixed_channel(variant, n, Endpoint.SENDER_FIRST, list(zip(weights / weights.sum(), comps)))
     inp = draw(st.sampled_from([InputQubit(1, 0), InputQubit(0, 1), NULL_SENDER_INPUT, None]))
@@ -350,9 +371,6 @@ class TestSenderRows:
         for seed in range(10):
             inp = NULL_SENDER_INPUT if name == "custom-null" else random_input(gen)
             built.clear()
-            distribute(inp, dist, mode="sampled", seed=seed)
-            assert len(built) == 1
-            built.clear()
             run_end_to_end(inp, dist, conc, mode="sampled", seed=seed)
             assert len(built) == 1
         built.clear()
@@ -360,11 +378,11 @@ class TestSenderRows:
         assert len(built) == 4 * len(dist.components)
 
     @pytest.mark.parametrize("name", ["telecloning-smolin", "custom-null"])
-    def test_sampled_run_builds_one_state_vector(self, name, monkeypatch):
-        # InputQubit checked the input's norm when it was made, so a sampled
-        # run builds one validated StateVector, the drawn party vector, and
-        # none at all on a null sender branch; distribute alone also builds
-        # the input's.
+    def test_sampled_run_builds_no_state_vector(self, name, monkeypatch):
+        # InputQubit checked the input's norm when it was made and a sampled
+        # run checks its drawn party vector with _check_normalized, so it
+        # builds no validated StateVector; distribute builds the input's and
+        # one per live branch.
         built = []
         monkeypatch.setattr(protocol, "StateVector", lambda *args: built.append(args) or StateVector(*args))
         dist, conc = dict(agreement_cases())[name]
@@ -372,11 +390,10 @@ class TestSenderRows:
         for seed in range(10):
             inp = NULL_SENDER_INPUT if name == "custom-null" else random_input(gen)
             built.clear()
-            (report,) = run_end_to_end(inp, dist, conc, mode="sampled", seed=seed)
-            assert len(built) == (1 if report.bob_outcomes else 0)
-            built.clear()
-            (branch,) = distribute(inp, dist, mode="sampled", seed=seed)
-            assert len(built) == (2 if branch.state is not None else 1)
+            run_end_to_end(inp, dist, conc, mode="sampled", seed=seed)
+            assert built == []
+        branches = distribute(inp, dist)
+        assert len(built) == 1 + sum(b.state is not None for b in branches)
 
 
 @st.composite
@@ -458,6 +475,14 @@ class TestNormChecks:
         states = np.array([[SQ, SQ], [bad, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="distributed state not normalized"):
             next(protocol._exhaustive_blocks(states, conc))
+
+    @pytest.mark.parametrize("bad", [1.1, math.nan])
+    def test_sampled_distributed_state(self, monkeypatch, bad):
+        dist, conc = bell_pair_channels()
+        build = protocol._party_vector
+        monkeypatch.setattr(protocol, "_party_vector", lambda *args: build(*args) * bad)
+        with pytest.raises(ValueError, match="distributed state not normalized"):
+            run_end_to_end(InputQubit(1, 0), dist, conc, mode="sampled", seed=0)
 
     @pytest.mark.parametrize("bad", [1.1, math.nan])
     def test_joint_state(self, monkeypatch, bad):
@@ -808,14 +833,15 @@ class TestEvaluatorConsumersAgree:
     def test_sampled_end_to_end_matches_branch_states(self, seed):
         # A sampled trajectory is one of the branches the dense reference
         # gives, with the same correction, joint probability and fidelity,
-        # and its sender outcome is distribute's draw from the same generator.
+        # and its sender branch is Generator.choice's pick among distribute's.
         dist, conc = telecloning_channel(), smolin_channel()
         inp = random_input(np.random.default_rng(19))
         fast = run_end_to_end(inp, dist, conc, mode="sampled", seed=seed)
         assert len(fast) == 1
         f = fast[0]
-        (db,) = distribute(inp, dist, mode="sampled", seed=np.random.default_rng(seed))
-        assert f.alice_outcome is db.outcomes[0]
+        db = choice_branch(inp, dist, np.random.default_rng(seed))
+        assert (f.component_index // len(conc.components), f.alice_outcome) == (
+            db.component_index, db.outcomes[0])
         slow = {key: rest for key, *rest in dense_reports(inp, dist, conc)}
         correction, joint, fid = slow[(f.component_index, f.alice_outcome, f.bob_outcomes)]
         assert f.correction is correction

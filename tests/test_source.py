@@ -33,7 +33,6 @@ EVALUATOR_INTERNALS = frozenset({
     "_pauli_frame",
     "_PAULI_FRAMES",
     "_distribution_frame",
-    "_distribute",
     "_sender_rows",
     "_party_vector",
     "_channel_state",
@@ -44,7 +43,6 @@ EVALUATOR_INTERNALS = frozenset({
     "_draw_outcome",
     "_born_pick",
     "_fidelities",
-    "_report_rows",
     "concentration_correction",
     "distribution_correction",
 })
