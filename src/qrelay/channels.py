@@ -195,21 +195,15 @@ def build_channel_component(
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Classical mixture of pure states with weights summing to 1."""
+    """Classical mixture of pure states with weights summing to 1; a bad
+    weight fails ``DensityMatrix``'s trace check in ``to_density``."""
 
     entries: tuple[tuple[float, StateVector], ...]
 
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("ensemble must be nonempty")
-        total = sum(w for w, _ in self.entries)
-        if not abs(total - 1.0) <= WEIGHT_ATOL:
-            raise ValueError(f"ensemble weights sum to {total}, expected 1")
-        if len({s.num_qubits for _, s in self.entries}) != 1:
-            raise ValueError("ensemble states must share a qubit count")
-
     def to_density(self) -> DensityMatrix:
-        return DensityMatrix.from_weighted_states(self.entries)
+        """Weighted projector sum, added up in entry order."""
+        terms = [weight * np.outer(state.amps, state.amps.conj()) for weight, state in self.entries]
+        return DensityMatrix(self.entries[0][1].num_qubits, sum(terms[1:], terms[0]))
 
 
 def expand_mixture(spec: ChannelSpec) -> Ensemble:
@@ -300,9 +294,10 @@ def spec_to_json(spec: ChannelSpec) -> dict:
 
 
 def _json_value(value, what: str, string: bool = False):
-    """``value``, unless a number is due and it is a JSON true or false, which
-    Python reads as 1 or 0, or a string is due and it is not one."""
-    if not isinstance(value, str) if string else isinstance(value, bool):
+    """``value``, if it has the JSON type due: a string, or a JSON int or
+    float. A JSON true or false, which Python reads as 1 or 0, is no number,
+    nor is a string that ``int`` or ``float`` would parse."""
+    if not isinstance(value, str if string else (int, float)) or isinstance(value, bool):
         raise ValueError(f"{what} must be a {'string' if string else 'number'}, got {value!r}")
     return value
 

@@ -64,7 +64,11 @@ class InputQubit:
 
     def __post_init__(self) -> None:
         # Products, not abs(z) ** 2: an overflow gives inf and fails the check instead of raising.
-        norm_sq = sum(z.real * z.real + z.imag * z.imag for z in (self.alpha, self.beta))
+        # An int amplitude's square stays an int, so one past float range overflows on conversion.
+        try:
+            norm_sq = float(sum(z.real * z.real + z.imag * z.imag for z in (self.alpha, self.beta)))
+        except OverflowError:
+            norm_sq = math.inf
         if not abs(norm_sq - 1.0) <= 1e-10:
             raise ValueError(f"input amplitudes have |a|^2+|b|^2 = {norm_sq}, expected 1")
 

@@ -8,7 +8,6 @@ are marked read-only.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,11 +52,6 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
 
-def _check_qubit(qubit: int, num_qubits: int) -> None:
-    if not 1 <= qubit <= num_qubits:
-        raise ValueError(f"qubit {qubit} out of range 1..{num_qubits}")
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Mixed state over ``num_qubits`` qubits; validated on construction
@@ -80,40 +74,8 @@ class DensityMatrix:
             raise ValueError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "entries", entries)
 
-    @classmethod
-    def from_weighted_states(cls, pairs: Iterable[tuple[float, StateVector]]) -> DensityMatrix:
-        """Weighted projector sum over (weight, pure state) pairs."""
-        entries = None
-        num_qubits = None
-        for weight, state in pairs:
-            term = weight * np.outer(state.amps, state.amps.conj())
-            if entries is None:
-                entries, num_qubits = term, state.num_qubits
-            else:
-                if state.num_qubits != num_qubits:
-                    raise ValueError("mixture states must share a qubit count")
-                entries = entries + term
-        if entries is None:
-            raise ValueError("mixture must be nonempty")
-        return cls(num_qubits, entries)
-
     def purity(self) -> float:
         return float(np.trace(self.entries @ self.entries).real)
-
-
-def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
-    """Partial trace keeping the given qubits (ascending order)."""
-    keep_list = sorted(set(keep))
-    if not keep_list:
-        raise ValueError("keep set must be nonempty")
-    for q in keep_list:
-        _check_qubit(q, state.num_qubits)
-    n = state.num_qubits
-    keep_axes = [q - 1 for q in keep_list]
-    drop_axes = [ax for ax in range(n) if ax not in keep_axes]
-    psi = state.amps.reshape([2] * n).transpose(keep_axes + drop_axes)
-    mat = psi.reshape(1 << len(keep_axes), -1)
-    return DensityMatrix(len(keep_axes), mat @ mat.conj().T)
 
 
 def trace_distance(r: DensityMatrix, s: DensityMatrix) -> float:

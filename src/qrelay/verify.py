@@ -4,10 +4,12 @@ The oracle recomputes branch physics from its own literals: every branch
 is linear in the input, so it is one 2x2 map, summed over the channel
 components' support pairs from Bell-bra coefficients, with corrections as
 Kronecker/matrix products of 2x2 gate literals and the staircase receiver
-correction via the counter-based two-table algorithm. The only shared
-ingredient with the protocol module is channel-state construction, which
-is data, not branch logic. Agreement between the two paths is itself one
-of the checks, and the even-n failure search reads the same maps.
+correction via the counter-based two-table algorithm. The claims reach
+the evaluator only through ``run_end_to_end``'s reports; the only shared
+ingredient beyond them is channel-state construction, which is data, not
+branch logic. Agreement between the two paths is itself one of the checks,
+and the even-n failure search and the clone fidelities read the oracle's
+own maps.
 """
 
 from __future__ import annotations
@@ -37,11 +39,10 @@ from .protocol import (
     MAX_EXHAUSTIVE_PARTIES,
     InputQubit,
     OutcomeReport,
-    distribute,
     random_input,
     run_end_to_end,
 )
-from .statevec import CapacityError, reduced_density, trace_distance
+from .statevec import CapacityError, trace_distance
 
 FAITHFUL_TOL = 1e-9
 ORACLE_TOL = 1e-10
@@ -538,20 +539,18 @@ def verify_smolin(seed=0, trials: int = 5) -> Verdict:
 def clone_report(input_qubit: InputQubit) -> list[float]:
     """Per-qubit fidelities of the identity-outcome telecloning branch.
 
-    Distributes over the three-party cloning channel, takes the branch where
-    the sender saw the identity outcome, and returns <input|rho_i|input> for
-    each party qubit i = 1..3. Qubit 1 is the anticlone; qubits 2 and 3 are
-    the optimal clones.
+    Takes the party vector the sender's phi+ outcome leaves over the
+    three-party cloning channel (map 0 of the oracle's ``_sender_maps``),
+    normalizes it, and returns <input|rho_i|input> for each party qubit
+    i = 1..3: the squared norm of the input's bra contracted against qubit i.
+    Qubit 1 is the anticlone; qubits 2 and 3 are the optimal clones.
     """
-    branch = distribute(input_qubit, telecloning_channel())[0]
-    if branch.outcomes != (BellOutcome.PHI_PLUS,):
-        raise RuntimeError(f"first distribution branch has outcomes {branch.outcomes}, expected phi+")
-    inp = input_qubit.to_state().amps
-    fids = []
-    for q in (1, 2, 3):
-        rho = reduced_density(branch.state, (q,))
-        fids.append(float(np.real(np.vdot(inp, rho.entries @ inp))))
-    return fids
+    inp = np.array([input_qubit.alpha, input_qubit.beta], dtype=complex)
+    spec = telecloning_channel()
+    party = _sender_maps(spec.components[0], spec.variant, spec.n_parties)[0] @ inp
+    psi = (party / np.linalg.norm(party)).reshape(2, 2, 2)
+    rests = inp.conj() @ np.array([np.moveaxis(psi, q, 0).reshape(2, 4) for q in range(3)])
+    return [float(np.vdot(rest, rest).real) for rest in rests]
 
 
 def clone_fidelity_verdict(trials: int = 100, seed=0) -> Verdict:

@@ -27,30 +27,6 @@ def brute_apply_1q(amps, num_qubits, qubit, mat):
     return out
 
 
-def brute_partial_trace(amps, num_qubits, keep):
-    """Reduced density matrix over `keep` (1-based, ascending in the result)
-    by looping over every pair of global indices."""
-    keep = tuple(sorted(keep))
-    k = len(keep)
-    rho = np.zeros((1 << k, 1 << k), dtype=complex)
-    for i in range(1 << num_qubits):
-        for j in range(1 << num_qubits):
-            ki = kj = 0
-            env_match = True
-            for q in range(1, num_qubits + 1):
-                bi = (i >> (num_qubits - q)) & 1
-                bj = (j >> (num_qubits - q)) & 1
-                if q in keep:
-                    ki = (ki << 1) | bi
-                    kj = (kj << 1) | bj
-                elif bi != bj:
-                    env_match = False
-                    break
-            if env_match:
-                rho[ki, kj] += amps[i] * np.conj(amps[j])
-    return rho
-
-
 def equal_up_to_phase(a, b, atol=1e-10):
     """Whether two vectors/matrices agree up to one global complex phase."""
     a = np.asarray(a, dtype=complex).ravel()

@@ -30,7 +30,12 @@ from qrelay.protocol import (
     concentration_correction,
     distribute,
 )
-from qrelay.statevec import DEFAULT_QUBIT_CAP, CapacityError, DensityMatrix, StateVector, _check_qubit
+from qrelay.statevec import DEFAULT_QUBIT_CAP, CapacityError, DensityMatrix, StateVector
+
+
+def _check_qubit(qubit, num_qubits):
+    if not 1 <= qubit <= num_qubits:
+        raise ValueError(f"qubit {qubit} out of range 1..{num_qubits}")
 
 
 def tensor(a, b, cap=DEFAULT_QUBIT_CAP):

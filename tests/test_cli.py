@@ -333,7 +333,9 @@ class TestExitCodes:
         ])
         assert code == 2
 
-    @pytest.mark.parametrize("field, value", [("n", 3.7), ("n", True), ("weight", True)])
+    @pytest.mark.parametrize("field, value", [
+        ("n", 3.7), ("n", True), ("weight", True), ("n", "3"), ("weight", "1e0"),
+    ])
     def test_fractional_or_boolean_channel_field(self, tmp_path, capsys, field, value):
         data = spec_to_json(ghz_channel(3, Endpoint.SENDER_FIRST))
         if field == "n":

@@ -93,6 +93,12 @@ class TestInputQubit:
         with pytest.raises(ValueError, match="= inf"):
             InputQubit(alpha, 0.0)
 
+    @pytest.mark.parametrize("beta", [0, 0.5])
+    def test_rejects_int_beyond_float_range(self, beta):
+        # An int amplitude keeps its square an int, past float range.
+        with pytest.raises(ValueError, match="= inf"):
+            InputQubit(10**400, beta)
+
     def test_to_state(self):
         s = InputQubit(0.6, 0.8).to_state()
         assert np.allclose(s.amps, [0.6, 0.8])

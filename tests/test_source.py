@@ -91,6 +91,19 @@ def test_oracle_names_no_evaluator_internal():
     assert sorted(_names_in_verify() & EVALUATOR_INTERNALS) == []
 
 
+def test_verify_reaches_the_evaluator_only_through_run_end_to_end():
+    # The claims consume the evaluator's reports; every other physics step is
+    # the oracle's own, so verify.py imports nothing else from protocol.py.
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    imported = sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "protocol"
+        for alias in node.names
+    )
+    assert imported == ["InputQubit", "MAX_EXHAUSTIVE_PARTIES", "OutcomeReport", "random_input", "run_end_to_end"]
+
+
 def test_dense_reference_draws_with_generator_choice():
     # dense_sampled is the independent reference for sampled trajectories, so
     # it draws with Generator.choice itself, never through the evaluator's pick.

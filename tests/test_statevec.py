@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
+from qrelay.channels import Ensemble
 from qrelay.protocol import _fidelities
 from qrelay.statevec import (
     CapacityError,
     DensityMatrix,
     StateVector,
-    reduced_density,
     trace_distance,
 )
 
-from conftest import brute_apply_1q, brute_partial_trace, random_state
+from conftest import brute_apply_1q, random_state
 from dense_reference import apply_single_qubit, density_from_pure, make_basis_state, tensor
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -129,9 +129,7 @@ class TestDensityMatrix:
         assert rho.purity() == pytest.approx(1.0, abs=1e-10)
 
     def test_from_weighted_states(self):
-        rho = DensityMatrix.from_weighted_states(
-            [(0.5, make_basis_state("0")), (0.5, make_basis_state("1"))]
-        )
+        rho = Ensemble(((0.5, make_basis_state("0")), (0.5, make_basis_state("1")))).to_density()
         assert np.allclose(rho.entries, np.eye(2) / 2)
         assert rho.purity() == pytest.approx(0.5, abs=1e-12)
 
@@ -153,26 +151,6 @@ class TestDensityMatrix:
         bad = np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex)
         with pytest.raises(ValueError):
             DensityMatrix(1, bad)
-
-
-class TestReducedDensity:
-    @pytest.mark.parametrize("keep", [(1,), (2,), (4,), (1, 3), (2, 4), (1, 2, 3)])
-    def test_matches_loop_oracle(self, keep):
-        rng = np.random.default_rng(len(keep) * 11)
-        s = StateVector(4, random_state(rng, 4))
-        got = reduced_density(s, keep)
-        want = brute_partial_trace(s.amps, 4, keep)
-        assert np.allclose(got.entries, want, atol=1e-12)
-
-    def test_keep_order_normalized_ascending(self):
-        rng = np.random.default_rng(9)
-        s = StateVector(3, random_state(rng, 3))
-        assert np.allclose(reduced_density(s, (3, 1)).entries, reduced_density(s, (1, 3)).entries)
-
-    def test_entangled_pair_reduces_to_mixed(self):
-        bell = StateVector(2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
-        rho = reduced_density(bell, (1,))
-        assert np.allclose(rho.entries, np.eye(2) / 2, atol=1e-12)
 
 
 class TestTraceDistance:

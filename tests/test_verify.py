@@ -27,6 +27,7 @@ from qrelay.protocol import (
     InputQubit,
     OutcomeReport,
     concentration_correction,
+    distribute,
     random_input,
     run_end_to_end,
 )
@@ -787,6 +788,21 @@ class TestCloneFidelities:
         assert v.passed
         assert v.worst_deviation <= v.tolerance
         assert v.details["max_pair_gap"] <= 1e-12
+
+    @pytest.mark.parametrize("inp", [InputQubit(1, 0), InputQubit(0, 1)] + [
+        random_input(np.random.default_rng(seed)) for seed in range(50)])
+    def test_matches_evaluator_branch(self, inp):
+        # The evaluator's phi+ distribution branch gives the same per-qubit
+        # fidelities, read off its one-qubit reduced density matrices.
+        branch = distribute(inp, telecloning_channel())[0]
+        assert branch.outcomes == (PHI_P,)
+        psi = branch.state.amps.reshape(2, 2, 2)
+        rhos = [np.einsum("abc,dbc->ad", psi, psi.conj()),
+                np.einsum("bac,bdc->ad", psi, psi.conj()),
+                np.einsum("bca,bcd->ad", psi, psi.conj())]
+        vec = np.array([inp.alpha, inp.beta])
+        want = [np.vdot(vec, rho @ vec).real for rho in rhos]
+        assert np.allclose(clone_report(inp), want, rtol=0.0, atol=1e-12)
 
     def test_zero_trials_fail(self):
         assert not clone_fidelity_verdict(trials=0, seed=0).passed
