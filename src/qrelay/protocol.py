@@ -13,11 +13,12 @@ basis, and sends the outcome to the receiver, who applies one composite
 correction. Branch enumeration is exhaustive (all outcome tuples with
 their joint probabilities) or sampled (one trajectory drawn from them).
 
-``_branch_rows`` is the one way into concentration: both modes take the
-sender stage from ``_sender_rows``, then exhaustive runs stack every party
-vector for ``_exhaustive_blocks`` and sampled runs hand the one drawn to
-``_sampled_block``. ``run_end_to_end`` turns its rows into reports; the CLI
-writes them as text. ``distribute`` exposes the distribution phase on its own.
+``_branch_rows`` is the one way into concentration. A run reads all it needs
+but its input from one cached ``_pair_plan`` per channel pair, and one batched
+``_sender_stage`` gives every sender row; exhaustive runs build every live party
+vector at once for ``_exhaustive_blocks``, sampled runs the drawn one for
+``_sampled_block``. ``run_end_to_end`` turns the rows into reports, the CLI writes
+them as text, and ``distribute`` exposes the distribution phase on its own.
 """
 
 from __future__ import annotations
@@ -187,10 +188,7 @@ def _pauli_frame(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _PAULI_FRAMES = {label: _pauli_frame(mat) for label, mat in PAULI_MATRICES.items()}
 
 
-@lru_cache(maxsize=16)  # the four sender outcomes of four (variant, n) pairs
-def _distribution_frame(
-    variant: Variant, outcome: BellOutcome, n: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _distribution_frame(variant: Variant, outcome: BellOutcome, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``distribution_correction``'s party Paulis as one basis-index
     permutation and phase vector: applying them to ``v`` gives
     ``phase * v[perm]``.
@@ -207,54 +205,60 @@ def _distribution_frame(
         shift = n - 1 - i
         phase *= pauli_phase[(index >> shift) & 1]
         perm ^= int(pauli_perm[0]) << shift  # 1 where the Pauli flips the bit
-    perm.setflags(write=False)
-    phase.setflags(write=False)
     return perm, phase
 
 
-def _sender_rows(input_amps: np.ndarray, channel: ChannelSpec) -> list[tuple]:
-    """Every sender outcome of every channel component, components first and
-    outcomes in Bell order within each: (component index, outcome, joint
-    probability, raw probability, unnormalized party row). The sender's pair,
-    qubits 1 and 2, leads each input x channel state: one Bell contraction."""
+def _sender_plan(channel: ChannelSpec) -> tuple[np.ndarray, ...]:
+    """What the sender stage needs of ``channel`` besides the input, read-only: its component states
+    (d, 2^(n+1)) and weights (d, 1), and its four ``_distribution_frame``s as one (4, 2^n) gather
+    index and phase table. Refuses a receiver-side channel, or one past the cap, before any state."""
     if channel.endpoint is not Endpoint.SENDER_FIRST:
         raise ValueError("distribution needs a sender-side channel (endpoint 'sender')")
     n = channel.n_parties
     if n + 2 > DEFAULT_QUBIT_CAP:
         raise CapacityError(f"sender joint state would need {n + 2} qubits, cap is {DEFAULT_QUBIT_CAP}")
-    out = []
-    for ci, comp in enumerate(channel.components):
-        chan = _channel_state(comp, channel.variant, Endpoint.SENDER_FIRST, n).amps
-        joint = np.multiply.outer(input_amps, chan).ravel()
-        if not abs(float(np.vdot(joint, joint).real) - 1.0) <= NORM_ATOL:
+    states = [_channel_state(c, channel.variant, channel.endpoint, n).amps for c in channel.components]
+    frames = zip(*(_distribution_frame(channel.variant, outcome, n) for outcome in BELL_OUTCOMES))
+    plan = (np.array(states), np.array([[c.weight] for c in channel.components]), *map(np.array, frames))
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
+def _sender_stage(input_amps: np.ndarray, channel: ChannelSpec, plan: tuple) -> tuple[np.ndarray, ...]:
+    """Every sender outcome of every component of ``channel`` (its ``_sender_plan``), component then
+    Bell order: the unnormalized party rows (d, 4, 2^n) and raw and joint probabilities (d, 4). The
+    sender's pair, qubits 1 and 2, leads each input x channel state: one batched Bell-bra product."""
+    states, weights = plan[:2]
+    rows = _BELL_BRAS @ (input_amps[:, None] * states[:, None, :]).reshape(len(states), 4, -1)
+    raw = np.vecdot(rows, rows).real
+    for probs in raw.tolist():  # the bras are unitary: a joint state's norm is its rows' total
+        if not abs(sum(probs) - 1.0) <= NORM_ATOL:
             raise ValueError("sender joint state not normalized")
-        for outcome, row in zip(BELL_OUTCOMES, _BELL_BRAS @ joint.reshape(4, -1)):
-            raw = float(np.vdot(row, row).real)
-            if channel.faithfulness_guaranteed and not abs(4.0 * raw - 1.0) < PROB_SANITY_ATOL:
-                raise ValueError(
-                    f"outcome {outcome.value} has conditional probability {raw}, expected 1/4"
-                )
-            out.append((ci, outcome, comp.weight * raw, raw, row))
-    return out
+        for outcome, prob in zip(BELL_OUTCOMES, probs if channel.faithfulness_guaranteed else ()):
+            if not abs(4.0 * prob - 1.0) < PROB_SANITY_ATOL:
+                raise ValueError(f"outcome {outcome.value} has conditional probability {prob}, expected 1/4")
+    return rows, raw, weights * raw
 
 
-def _party_vector(channel: ChannelSpec, outcome: BellOutcome, raw: float, row: np.ndarray):
-    """A ``_sender_rows`` row's corrected, normalized party vector; None on a null branch."""
-    if raw < NULL_PROB_EPS:
-        return None
-    perm, phase = _distribution_frame(channel.variant, outcome, channel.n_parties)
-    return phase * (row / math.sqrt(raw))[perm]
+def _party_vectors(rows: np.ndarray, raw: np.ndarray, plan: tuple, ci, a) -> np.ndarray:
+    """The corrected, normalized party vectors of the live sender rows (ci, a), numpy integers or
+    index arrays: each gathered through its outcome's frame in the ``_sender_plan``, over the root
+    of its raw probability, times the frame's phases; (2^n,) or (k, 2^n)."""
+    gather, phases = plan[2:]
+    return phases[a] * (rows[ci[..., None], a[..., None], gather[a]] / np.sqrt(raw[ci, a])[..., None])
 
 
 def distribute(input_qubit: InputQubit, channel: ChannelSpec) -> list[BranchState]:
     """Run the distribution phase: one BranchState per (component, sender
     outcome), outcomes in Bell order within each component."""
-    branches = []
-    for ci, outcome, prob, raw, row in _sender_rows(input_qubit.to_state().amps, channel):
-        vec = _party_vector(channel, outcome, raw, row)
-        state = None if vec is None else StateVector(channel.n_parties, vec)
-        branches.append(BranchState(state, prob, (outcome,), ci))
-    return branches
+    plan = _sender_plan(channel)
+    rows, raw, joint = _sender_stage(input_qubit.to_state().amps, channel, plan)
+    live = ~(raw < NULL_PROB_EPS)
+    vecs = iter(_party_vectors(rows, raw, plan, *np.nonzero(live)))
+    states = [StateVector(channel.n_parties, next(vecs)) if x else None for x in live.ravel().tolist()]
+    return [BranchState(state, prob, (BELL_OUTCOMES[k % 4],), k // 4)
+            for k, (state, prob) in enumerate(zip(states, joint.ravel().tolist()))]
 
 
 @lru_cache(maxsize=None)
@@ -301,13 +305,16 @@ def _all_pair_rows(amps: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(psi.reshape(b, 4**n, 2))
 
 
-def _check_normalized(vecs: np.ndarray, what: str, skip=False) -> None:
+def _check_normalized(vecs: np.ndarray, what: str, skip=None) -> None:
     """The check a ``StateVector`` makes, on every vector along the last
-    axis of ``vecs`` but those where the mask ``skip`` is set. ``vecs`` must be
-    C-contiguous: its squared norms are read from its real view, with no conjugate copy."""
+    axis of ``vecs`` but those where the mask ``skip`` is set; a NaN fails unless masked. ``vecs``
+    must be C-contiguous: its squared norms are read from its real view, with no conjugate copy."""
     flat = vecs.view(float)
     norms = np.einsum("...j,...j->...", flat, flat)
-    if not ((np.abs(norms - 1.0) <= NORM_ATOL) | skip).all():
+    if skip is not None:
+        norms = np.where(skip, 1.0, norms)
+    lo, hi = np.minimum.reduce(norms, None), np.maximum.reduce(norms, None)  # no ndarray.min wrapper
+    if not (lo >= 1.0 - NORM_ATOL and hi <= 1.0 + NORM_ATOL):
         raise ValueError(f"{what} not normalized")
 
 
@@ -331,35 +338,23 @@ def _finish_rows(rows: np.ndarray, frame: tuple[np.ndarray, np.ndarray]) -> tupl
     return raw, vecs
 
 
-def _exhaustive_blocks(states: np.ndarray, channel: ChannelSpec):
-    """Every concentration outcome of each (party state, receiver component)
-    pair, for a stack of normalized n-party states. The joint states are
-    stacked state by state, components in order within each, and finished
-    in blocks of at most ``_BLOCK_AMPS`` amplitudes. Yields (raw, vecs) per
-    block: (b, 4**n) raw probabilities and (b, 4**n, 2) corrected receiver
-    vectors, rows in ``_outcome_table`` order.
+def _exhaustive_blocks(states: np.ndarray, receivers: np.ndarray, frame: tuple, n: int):
+    """Every concentration outcome of each (party state, receiver component) pair of a stack
+    of normalized n-party states and one of receiver channel states, state by state, finished
+    in blocks of at most ``_BLOCK_AMPS`` amplitudes: whole states' components, or a share of
+    one state's. Yields (raw, vecs) per block: (b, 4**n) raw probabilities and (b, 4**n, 2)
+    corrected receiver vectors, rows in ``_outcome_table`` order.
 
     This is the one place exhaustive branches are evaluated.
     """
-    n = channel.n_parties
-    if n > MAX_EXHAUSTIVE_PARTIES:
-        raise CapacityError(
-            f"exhaustive enumeration capped at {MAX_EXHAUSTIVE_PARTIES} parties, got {n}"
-        )
-    _check_normalized(states, "distributed state")
-    receivers = np.array([
-        _channel_state(comp, channel.variant, Endpoint.RECEIVER_LAST, n).amps
-        for comp in channel.components
-    ])
-    frame = _correction_frame(channel.variant, n)
-    which_state, which_comp = np.divmod(np.arange(len(states) * len(receivers)), len(receivers))
     per_block = _BLOCK_AMPS >> (2 * n + 1)
-    for start in range(0, len(which_state), per_block):
-        s = which_state[start:start + per_block]
-        c = which_comp[start:start + per_block]
-        joint = (states[s, :, None] * receivers[c, None, :]).reshape(len(s), -1)
-        _check_normalized(joint, "joint state")
-        yield _finish_rows(_all_pair_rows(joint, n), frame)
+    step, width = max(1, per_block // len(receivers)), min(len(receivers), per_block)
+    for i in range(0, len(states), step):
+        for j in range(0, len(receivers), width):
+            joint = states[i:i + step, None, :, None] * receivers[j:j + width, None, :]
+            joint = joint.reshape(-1, 2 << (2 * n))
+            _check_normalized(joint, "joint state")
+            yield _finish_rows(_all_pair_rows(joint, n), frame)
 
 
 # Plans for 8 starts. Step 1 places at most 2^n x 2^(n+1) amplitudes and each later step a quarter
@@ -389,18 +384,6 @@ def _step_plan(pkeys: bytes, ckeys: bytes, n: int) -> tuple:
     return tuple(plan)
 
 
-@lru_cache(maxsize=32)  # as many as _channel_state holds
-def _receiver_keys(component: Component, variant: Variant, n: int) -> tuple[bytes, np.ndarray]:
-    """A receiver component's live channel keys (intp bytes) and its amplitudes there. Live
-    strings keep both receiver bits: rows then never narrow to one column, which rounds
-    unlike the dense rows, and end as the receiver vector."""
-    receiver = _channel_state(component, variant, Endpoint.RECEIVER_LAST, n).amps
-    ckeys = (2 * np.flatnonzero(receiver.reshape(-1, 2).any(axis=1))[:, None] + np.arange(2)).ravel()
-    live = receiver[ckeys]
-    live.setflags(write=False)
-    return ckeys.tobytes(), live
-
-
 def _live_pair_rows(mat: np.ndarray, step: tuple) -> np.ndarray:
     """The Bell rows of the top party and channel bits of a joint state on its live
     strings, ``mat[i, j]`` being the amplitude at the i-th party and j-th channel key that
@@ -416,31 +399,23 @@ def _live_pair_rows(mat: np.ndarray, step: tuple) -> np.ndarray:
 
 
 def _sampled_block(
-    party: np.ndarray, ci: int, prob: float, channel: ChannelSpec, gen: np.random.Generator
+    party: np.ndarray, ci: int, prob: float, channel: ChannelSpec, plan: tuple, gen: np.random.Generator
 ):
-    """One trajectory drawn under the Born rule from the normalized party vector of
-    sender component ``ci`` and joint probability ``prob``, as one block row:
-    (flattened component index, joint probabilities, raw probabilities,
-    corrected receiver vectors, each row's party outcomes, each row's
-    receiver correction), every column one row long; None when every outcome
-    of a step is null. The joint state stays on its live strings, stepping
-    through the cached ``_step_plan`` of the strings it starts on."""
-    n = channel.n_parties
-    n_comps = len(channel.components)
-    cj = 0
-    if n_comps > 1:
-        weights = np.array([c.weight for c in channel.components])
-        cj = _born_pick(weights / weights.sum(), gen)
-    comp = channel.components[cj]
-    if 2 * n + 1 > DEFAULT_QUBIT_CAP:
-        raise CapacityError(f"joint state would need {2 * n + 1} qubits, cap is {DEFAULT_QUBIT_CAP}")
-    ckeys, live = _receiver_keys(comp, channel.variant, n)
+    """One trajectory drawn under the Born rule from the normalized party vector of sender
+    component ``ci`` and joint probability ``prob``, on the pair's ``_pair_plan``, as one block
+    row: (flattened component index, joint probabilities, raw probabilities, corrected receiver
+    vectors, each row's party outcomes, each row's receiver correction), every column one row
+    long; None when every outcome of a step is null. The joint state stays on its live
+    strings, stepping through the cached ``_step_plan`` of the strings it starts on."""
+    weights, live_keys = plan[2:4]
+    cj = _born_pick(weights / weights.sum(), gen) if len(weights) > 1 else 0
+    ckeys, live = live_keys[cj]
     pkeys = np.flatnonzero(party)
     mat = np.multiply.outer(party[pkeys], live)
     if not abs(np.vdot(mat, mat).real - 1.0) <= NORM_ATOL:
         raise ValueError("joint state not normalized")
     outcomes: tuple[BellOutcome, ...] = ()
-    for step in _step_plan(pkeys.tobytes(), ckeys, n):
+    for step in _step_plan(pkeys.tobytes(), ckeys, channel.n_parties):
         rows = _live_pair_rows(mat, step)
         pick = _draw_outcome(rows, gen)
         if pick is None:
@@ -449,7 +424,7 @@ def _sampled_block(
         outcomes += (BELL_OUTCOMES[pick],)
     label = concentration_correction(channel.variant, outcomes)
     raw, vecs = _finish_rows(mat, _PAULI_FRAMES[label])
-    return ci * n_comps + cj, prob * comp.weight * raw, raw, vecs, (outcomes,), (label,)
+    return ci * len(weights) + cj, prob * weights[cj] * raw, raw, vecs, (outcomes,), (label,)
 
 
 def _fidelities(vecs: np.ndarray, input_amps: np.ndarray, raw: np.ndarray, joint: np.ndarray) -> list:
@@ -460,6 +435,33 @@ def _fidelities(vecs: np.ndarray, input_amps: np.ndarray, raw: np.ndarray, joint
     return np.where(live, fids, None).tolist()
 
 
+@lru_cache(maxsize=32)  # a verify suite's pairs, or a benchmark pool's: a few KiB each
+def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
+    """Checks a channel pair, then holds all a run on it needs besides the input, read-only:
+    the ``_sender_plan`` of ``dist``; the receiver states (c, 2^(n+1)) and weights (c,) of
+    ``conc``; for sampled runs, each receiver's live channel keys (intp bytes) and amplitudes
+    there, both receiver bits kept so rows never narrow to one column (which rounds unlike the
+    dense rows); and, at exhaustive sizes, its ``_correction_frame`` and ``_outcome_table``."""
+    n, variant = conc.n_parties, conc.variant
+    if dist.n_parties != n:
+        raise ValueError(f"party mismatch: distribution has {dist.n_parties}, concentration has {n}")
+    if len({dist.variant, variant} - {Variant.CUSTOM}) > 1:
+        raise ValueError("distribution and concentration channels use different support families")
+    sender = _sender_plan(dist)
+    if conc.endpoint is not Endpoint.RECEIVER_LAST:
+        raise ValueError("concentration needs a receiver-side channel (endpoint 'receiver')")
+    receivers = np.array([_channel_state(c, variant, conc.endpoint, n).amps for c in conc.components])
+    weights = np.array([c.weight for c in conc.components])
+    keys = [(2 * np.flatnonzero(r.reshape(-1, 2).any(axis=1))[:, None] + np.arange(2)).ravel()
+            for r in receivers]
+    live = tuple((k.tobytes(), r[k]) for k, r in zip(keys, receivers))
+    for arr in (receivers, weights, *(amps for _, amps in live)):
+        arr.setflags(write=False)
+    exhaustive = n <= MAX_EXHAUSTIVE_PARTIES  # sampled runs reach sizes whose tables are too large
+    tables = (_correction_frame(variant, n), *_outcome_table(variant, n)) if exhaustive else None
+    return sender, receivers, weights, live, tables
+
+
 def _branch_rows(
     input_qubit: InputQubit, dist_channel: ChannelSpec, conc_channel: ChannelSpec, mode: str, seed
 ) -> list[tuple]:
@@ -467,66 +469,56 @@ def _branch_rows(
     (flattened component index, sender outcome, joint probabilities,
     fidelities with None on a null branch, party outcome tuples, receiver
     corrections), the last four parallel columns of Python values. A null
-    sender branch is one row with no party outcomes and no correction."""
+    sender branch is one row with no party outcomes and no correction. The caps
+    are checked before the pair's ``_pair_plan`` checks the pair and builds any state."""
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     if mode == "sampled" and seed is None:
         raise ValueError("sampled mode needs a seed or Generator")
-    if dist_channel.n_parties != conc_channel.n_parties:
-        raise ValueError(
-            f"party mismatch: distribution has {dist_channel.n_parties}, "
-            f"concentration has {conc_channel.n_parties}"
-        )
-    families = {dist_channel.variant, conc_channel.variant} - {Variant.CUSTOM}
-    if len(families) > 1:
-        raise ValueError("distribution and concentration channels use different support families")
+    n = dist_channel.n_parties
+    if mode == "exhaustive" and n > MAX_EXHAUSTIVE_PARTIES:
+        raise CapacityError(f"exhaustive enumeration capped at {MAX_EXHAUSTIVE_PARTIES} parties, got {n}")
+    if mode == "sampled" and 2 * n + 1 > DEFAULT_QUBIT_CAP:
+        raise CapacityError(f"joint state would need {2 * n + 1} qubits, cap is {DEFAULT_QUBIT_CAP}")
 
-    # InputQubit checked the norm when it was made, and _sender_rows checks it again.
+    sender, receivers, weights, _, tables = plan = _pair_plan(dist_channel, conc_channel)
+    # InputQubit checked the norm when it was made, and the sender stage checks it again.
     input_amps = np.array([input_qubit.alpha, input_qubit.beta], dtype=complex)
-    senders = _sender_rows(input_amps, dist_channel)
-    if conc_channel.endpoint is not Endpoint.RECEIVER_LAST:
-        raise ValueError("concentration needs a receiver-side channel (endpoint 'receiver')")
+    rows, raw, joint = _sender_stage(input_amps, dist_channel, sender)
+    n_conc = len(receivers)
     if mode == "sampled":  # draw first, then build the one party vector drawn
         gen = as_rng(seed)
-        probs = np.array([row[2] for row in senders])
-        senders = [senders[_born_pick(probs / probs.sum(), gen)]]
+        probs = joint.ravel()
+        ci, a = divmod(_born_pick(probs / probs.sum(), gen), 4)
+        alice, prob = BELL_OUTCOMES[a], float(joint[ci, a])
+        if raw[ci, a] < NULL_PROB_EPS:
+            return [(ci * n_conc, alice, [prob], [None], ((),), (None,))]
+        vec = _party_vectors(rows, raw, sender, np.intp(ci), np.intp(a))
+        _check_normalized(vec, "distributed state")
+        drawn = _sampled_block(vec, ci, prob, conc_channel, plan, gen)
+        if drawn is None:
+            return []
+        index, conc_joint, conc_raw, vecs, outcomes, labels = drawn
+        fids = _fidelities(vecs, input_amps, conc_raw, conc_joint)
+        return [(index, alice, conc_joint.tolist(), fids, outcomes, labels)]
 
-    # Each stacked state's rows go after the null sender rows that precede
-    # it; `pending` carries those rows to the next live slot.
-    n_conc = len(conc_channel.components)
-    rows, states, slots, pending = [], [], [], []
-    for ci, alice, prob, raw, row in senders:
-        vec = _party_vector(dist_channel, alice, raw, row)
-        if vec is None:
-            pending.append((ci * n_conc, alice, [prob], [None], ((),), (None,)))
-        elif mode == "sampled":
-            _check_normalized(vec, "distributed state")
-            drawn = _sampled_block(vec, ci, prob, conc_channel, gen)
-            if drawn is not None:
-                index, joint, conc_raw, vecs, outcomes, labels = drawn
-                fids = _fidelities(vecs, input_amps, conc_raw, joint)
-                rows.append((index, alice, joint.tolist(), fids, outcomes, labels))
-        else:
-            states.append(vec)
-            for cj, comp in enumerate(conc_channel.components):
-                slots.append((ci * n_conc + cj, alice, prob * comp.weight, pending))
-                pending = []
-
-    if mode == "sampled":  # its one row, drawn or null
-        return rows + pending
-
-    outcomes, labels = _outcome_table(conc_channel.variant, conc_channel.n_parties)
-    done = 0
-    for raw, vecs in _exhaustive_blocks(np.array(states), conc_channel):
-        block = slots[done:done + len(raw)]
-        done += len(raw)
-        joint = np.array([slot[2] for slot in block])[:, None] * raw
-        fids = _fidelities(vecs, input_amps, raw, joint)
-        for (index, alice, _, nulls), joint_row, fid_row in zip(block, joint.tolist(), fids):
-            rows.extend(nulls)
-            rows.append((index, alice, joint_row, fid_row, outcomes, labels))
-    rows.extend(pending)
-    return rows
+    null = raw < NULL_PROB_EPS
+    ci, a = np.nonzero(~null)
+    states = _party_vectors(rows, raw, sender, ci, a)
+    _check_normalized(states, "distributed state")
+    slot_weights = (joint[ci, a][:, None] * weights).ravel()
+    frame, outcomes, labels = tables
+    joints, fids = [], []
+    for conc_raw, vecs in _exhaustive_blocks(states, receivers, frame, n):
+        block_joint = slot_weights[len(joints):len(joints) + len(conc_raw), None] * conc_raw
+        joints += block_joint.tolist()
+        fids += _fidelities(vecs, input_amps, conc_raw, block_joint)
+    slots, out = zip(joints, fids), []
+    for k, (prob, is_null) in enumerate(zip(joint.ravel().tolist(), null.ravel().tolist())):
+        index, alice = k // 4 * n_conc, BELL_OUTCOMES[k % 4]
+        out += [(index, alice, [prob], [None], ((),), (None,))] if is_null else [
+            (index + cj, alice, *next(slots), outcomes, labels) for cj in range(n_conc)]
+    return out
 
 
 def run_end_to_end(

@@ -536,6 +536,20 @@ def verify_smolin(seed=0, trials: int = 5) -> Verdict:
     )
 
 
+def _clone_fidelities(inputs) -> list[list[float]]:
+    """``clone_report`` of each input, from one build of the telecloning channel's map."""
+    spec = telecloning_channel()
+    clone_map = _sender_maps(spec.components[0], spec.variant, spec.n_parties)[0]
+    out = []
+    for input_qubit in inputs:
+        inp = np.array([input_qubit.alpha, input_qubit.beta], dtype=complex)
+        party = clone_map @ inp
+        psi = (party / np.linalg.norm(party)).reshape(2, 2, 2)
+        rests = inp.conj() @ np.array([np.moveaxis(psi, q, 0).reshape(2, 4) for q in range(3)])
+        out.append([float(np.vdot(rest, rest).real) for rest in rests])
+    return out
+
+
 def clone_report(input_qubit: InputQubit) -> list[float]:
     """Per-qubit fidelities of the identity-outcome telecloning branch.
 
@@ -545,12 +559,7 @@ def clone_report(input_qubit: InputQubit) -> list[float]:
     i = 1..3: the squared norm of the input's bra contracted against qubit i.
     Qubit 1 is the anticlone; qubits 2 and 3 are the optimal clones.
     """
-    inp = np.array([input_qubit.alpha, input_qubit.beta], dtype=complex)
-    spec = telecloning_channel()
-    party = _sender_maps(spec.components[0], spec.variant, spec.n_parties)[0] @ inp
-    psi = (party / np.linalg.norm(party)).reshape(2, 2, 2)
-    rests = inp.conj() @ np.array([np.moveaxis(psi, q, 0).reshape(2, 4) for q in range(3)])
-    return [float(np.vdot(rest, rest).real) for rest in rests]
+    return _clone_fidelities([input_qubit])[0]
 
 
 def clone_fidelity_verdict(trials: int = 100, seed=0) -> Verdict:
@@ -559,8 +568,7 @@ def clone_fidelity_verdict(trials: int = 100, seed=0) -> Verdict:
     worst = 0.0
     pair_gap = 0.0
     anticlone_lo, anticlone_hi = 1.0, 0.0
-    for _ in range(trials):
-        f1, f2, f3 = clone_report(random_input(gen))
+    for f1, f2, f3 in _clone_fidelities([random_input(gen) for _ in range(trials)]):
         worst = _worse(_worse(worst, abs(f2 - CLONE_TARGET)), abs(f3 - CLONE_TARGET))
         pair_gap = _worse(pair_gap, abs(f2 - f3))
         anticlone_lo = min(anticlone_lo, f1)

@@ -1,7 +1,6 @@
 import itertools
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +25,8 @@ from qrelay.channels import (
     random_channel,
     resolve_preset,
     smolin_channel,
+    spec_from_json,
+    spec_to_json,
     telecloning_channel,
 )
 import qrelay.protocol as protocol
@@ -39,8 +40,9 @@ from qrelay.protocol import (
     _finish_rows,
     _live_pair_rows,
     _outcome_table,
-    _party_vector,
-    _sender_rows,
+    _party_vectors,
+    _sender_plan,
+    _sender_stage,
     _step_plan,
     concentration_correction,
     distribute,
@@ -48,7 +50,7 @@ from qrelay.protocol import (
     random_input,
     run_end_to_end,
 )
-from qrelay.statevec import CapacityError, StateVector
+from qrelay.statevec import NORM_ATOL, CapacityError, StateVector
 from qrelay.verify import oracle_agreement
 
 from conftest import equal_up_to_phase, random_state
@@ -75,6 +77,27 @@ def bell_pair_channels():
     dist = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.SENDER_FIRST)
     conc = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.RECEIVER_LAST)
     return dist, conc
+
+
+@pytest.fixture
+def fresh_plans():
+    """Clears the channel-pair plans before and after a test that patches a
+    channel state, so none is built from the real state or outlives the patch."""
+    protocol._pair_plan.cache_clear()
+    yield
+    protocol._pair_plan.cache_clear()
+
+
+def scale_party_vectors(monkeypatch, factor):
+    """Patch the pair plans so that every party vector comes out times ``factor``:
+    its distribution phases are scaled."""
+    plan = protocol._pair_plan
+
+    def scaled(dist, conc):
+        sender, *rest = plan(dist, conc)
+        return ((*sender[:3], sender[3] * factor), *rest)
+
+    monkeypatch.setattr(protocol, "_pair_plan", scaled)
 
 
 class TestInputQubit:
@@ -259,9 +282,9 @@ class TestDistribute:
         handed = []
         block = protocol._sampled_block
 
-        def spy(party, ci, prob, channel, gen):
+        def spy(party, ci, prob, channel, plan, gen):
             handed.append((party, ci, prob, gen.bit_generator.state))
-            return block(party, ci, prob, channel, gen)
+            return block(party, ci, prob, channel, plan, gen)
 
         monkeypatch.setattr(protocol, "_sampled_block", spy)
         dist, conc = dict(agreement_cases())[name]
@@ -303,11 +326,19 @@ def reference_sender_rows(inp, dist):
 
 
 def kernel_sender_rows(inp, dist):
-    """``_sender_rows`` and ``_party_vector`` in ``reference_sender_rows``' form."""
+    """``_sender_stage`` and ``_party_vectors`` in ``reference_sender_rows``' form. Each live
+    party vector is built alone, as a sampled run builds its drawn one, and must equal, byte
+    for byte, the same vector from the one pass over every live row an exhaustive run makes."""
+    plan = _sender_plan(dist)
+    rows, raw, joint = _sender_stage(inp.to_state().amps, dist, plan)
+    stacked = iter(_party_vectors(rows, raw, plan, *np.nonzero(~(raw < NULL_PROB_EPS))))
     out = []
-    for ci, outcome, prob, raw, row in _sender_rows(inp.to_state().amps, dist):
-        vec = _party_vector(dist, outcome, raw, row)
-        out.append((ci, outcome, prob.hex(), None if vec is None else vec.tobytes()))
+    for (ci, a), prob, r in zip(np.ndindex(raw.shape), joint.ravel().tolist(), raw.ravel().tolist()):
+        vec = None
+        if not r < NULL_PROB_EPS:
+            vec = _party_vectors(rows, raw, plan, np.intp(ci), np.intp(a)).tobytes()
+            assert next(stacked).tobytes() == vec
+        out.append((ci, BELL_OUTCOMES[a], prob.hex(), vec))
     return out
 
 
@@ -334,10 +365,10 @@ def sender_cases(draw):
 
 
 class TestSenderRows:
-    # The sender stage takes every row's probability from one Bell contraction
-    # of input x channel and builds a party vector only where one is needed;
-    # both must equal the tensor + pair_rows + _distribution_frame reference
-    # byte for byte.
+    # The sender stage takes every row of every component from one batched Bell
+    # contraction of input x channel and builds a party vector only where one is
+    # needed; both must equal the tensor + pair_rows + _distribution_frame
+    # reference byte for byte.
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(sender_cases())
     def test_matches_dense_reference(self, case):
@@ -353,35 +384,61 @@ class TestSenderRows:
         assert [row[3] is None for row in kernel_sender_rows(NULL_SENDER_INPUT, dist)] == [
             False, False, True, True] + [False] * 4
 
-    def test_checks_kept(self, monkeypatch):
-        # The qubit cap is checked before any channel state is built, the
+    def test_checks_kept(self, monkeypatch, fresh_plans):
+        # The qubit caps are checked before any channel state is built, the
         # joint state must be normalized, and a channel whose family promises
         # 1/4 per sender outcome is refused when it does not deliver it.
-        with pytest.raises(CapacityError):
-            _sender_rows(np.array([1.0, 0.0]), ghz_channel(19, Endpoint.SENDER_FIRST))
-        dist, _ = bell_pair_channels()
-        with pytest.raises(ValueError, match="not normalized"):
-            _sender_rows(np.array([1.0, 1.0]), dist)
+        def refuse(*args):
+            raise RuntimeError("channel state built above a cap")
+
+        monkeypatch.setattr(protocol, "_channel_state", refuse)
+        with pytest.raises(CapacityError, match="sender joint state"):
+            distribute(InputQubit(1, 0), ghz_channel(19, Endpoint.SENDER_FIRST))
+        for n, mode in ((MAX_EXHAUSTIVE_PARTIES + 1, "exhaustive"), (10, "sampled")):
+            with pytest.raises(CapacityError):
+                run_end_to_end(InputQubit(1, 0), ghz_channel(n, Endpoint.SENDER_FIRST),
+                               ghz_channel(n, Endpoint.RECEIVER_LAST), mode=mode, seed=0)
+        monkeypatch.undo()
+        dist, conc = bell_pair_channels()
+        with pytest.raises(ValueError, match="sender joint state not normalized"):
+            _sender_stage(np.array([1.0, 1.0]), dist, _sender_plan(dist))
         basis = StateVector(2, np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))  # no Bell pair
         monkeypatch.setattr(protocol, "_channel_state", lambda *args: basis)
         with pytest.raises(ValueError, match="expected 1/4"):
             distribute(InputQubit(1, 0), dist)
+        with pytest.raises(ValueError, match="expected 1/4"):
+            run_end_to_end(InputQubit(1, 0), dist, conc)
+
+    def test_vecdot_is_per_row_vdot(self):
+        # The stage reads every row's probability from one np.vecdot over the
+        # stack; it must give each row's np.vdot float, as both take it from
+        # BLAS zdotc.
+        gen = np.random.default_rng(32)
+        for n in range(1, MAX_EXHAUSTIVE_PARTIES + 1):
+            for d in (1, 3):
+                rows = gen.normal(size=(d, 4, 1 << n)) + 1j * gen.normal(size=(d, 4, 1 << n))
+                rows[gen.random(rows.shape) < 0.3] = 0.0
+                want = [[float(np.vdot(row, row).real).hex() for row in comp] for comp in rows]
+                assert [[x.hex() for x in comp] for comp in np.vecdot(rows, rows).real.tolist()] == want
 
     @pytest.mark.parametrize("name", ["telecloning-smolin", "custom-null"])
     def test_sampled_builds_one_party_vector(self, name, monkeypatch):
+        # One vector, for the drawn row; distribute builds every live branch's
+        # in one call.
         built = []
-        build = protocol._party_vector
-        monkeypatch.setattr(protocol, "_party_vector", lambda *args: built.append(args) or build(*args))
+        build = protocol._party_vectors
+        monkeypatch.setattr(protocol, "_party_vectors",
+                            lambda *args: built.append(np.size(args[3])) or build(*args))
         dist, conc = dict(agreement_cases())[name]
         gen = np.random.default_rng(28)
         for seed in range(10):
             inp = NULL_SENDER_INPUT if name == "custom-null" else random_input(gen)
             built.clear()
             run_end_to_end(inp, dist, conc, mode="sampled", seed=seed)
-            assert len(built) == 1
+            assert built == [1]
         built.clear()
-        distribute(inp, dist)
-        assert len(built) == 4 * len(dist.components)
+        branches = distribute(inp, dist)
+        assert built == [sum(b.state is not None for b in branches)]
 
     @pytest.mark.parametrize("name", ["telecloning-smolin", "custom-null"])
     def test_sampled_run_builds_no_state_vector(self, name, monkeypatch):
@@ -476,27 +533,26 @@ class TestNormChecks:
     # block and the finished receiver vectors. Each refuses an unnormalized or
     # NaN vector; only the last has null rows, and it skips them.
     @pytest.mark.parametrize("bad", [1.1, math.nan])
-    def test_distributed_state(self, bad):
-        _, conc = bell_pair_channels()
-        states = np.array([[SQ, SQ], [bad, 0.0]], dtype=complex)
+    def test_distributed_state(self, monkeypatch, bad):
+        dist, conc = bell_pair_channels()
+        scale_party_vectors(monkeypatch, bad)
         with pytest.raises(ValueError, match="distributed state not normalized"):
-            next(protocol._exhaustive_blocks(states, conc))
+            run_end_to_end(InputQubit(1, 0), dist, conc)
 
     @pytest.mark.parametrize("bad", [1.1, math.nan])
     def test_sampled_distributed_state(self, monkeypatch, bad):
         dist, conc = bell_pair_channels()
-        build = protocol._party_vector
-        monkeypatch.setattr(protocol, "_party_vector", lambda *args: build(*args) * bad)
+        scale_party_vectors(monkeypatch, bad)
         with pytest.raises(ValueError, match="distributed state not normalized"):
             run_end_to_end(InputQubit(1, 0), dist, conc, mode="sampled", seed=0)
 
     @pytest.mark.parametrize("bad", [1.1, math.nan])
-    def test_joint_state(self, monkeypatch, bad):
+    def test_joint_state(self, bad):
         _, conc = bell_pair_channels()
-        amps = protocol._channel_state(conc.components[0], conc.variant, conc.endpoint, 1).amps * bad
-        monkeypatch.setattr(protocol, "_channel_state", lambda *args: SimpleNamespace(amps=amps))
+        receivers = protocol._pair_plan(*bell_pair_channels())[1] * bad
         with pytest.raises(ValueError, match="joint state not normalized"):
-            next(protocol._exhaustive_blocks(np.array([[SQ, SQ]], dtype=complex), conc))
+            next(protocol._exhaustive_blocks(
+                np.array([[SQ, SQ]], dtype=complex), receivers, _correction_frame(conc.variant, 1), 1))
 
     @pytest.mark.parametrize("bad", [1.1, math.nan])
     def test_finished_receiver_state(self, bad):
@@ -518,6 +574,20 @@ class TestNormChecks:
         for skip in (False, np.array([False, False, True]), np.array([False, True, False])):
             with pytest.raises(ValueError, match="stack not normalized"):
                 protocol._check_normalized(vecs, "stack", skip=skip)
+
+    def test_nan_and_tolerance_edges(self):
+        # A NaN norm fails unless its row is masked; a norm just inside
+        # 1 +- NORM_ATOL passes and one just past it fails, on either side.
+        check = protocol._check_normalized
+        nan_row = np.array([[1.0, 0.0], [math.nan, 0.0]], dtype=complex)
+        check(nan_row, "stack", skip=np.array([False, True]))
+        for skip in (None, np.array([True, False])):
+            with pytest.raises(ValueError, match="stack not normalized"):
+                check(nan_row, "stack", skip=skip)
+        for sign in (1.0, -1.0):
+            check(np.array([[math.sqrt(1.0 + sign * 0.9 * NORM_ATOL), 0.0]], dtype=complex), "stack")
+            with pytest.raises(ValueError, match="stack not normalized"):
+                check(np.array([[1.0, 0.0], [math.sqrt(1.0 + sign * 1.1 * NORM_ATOL), 0.0]], dtype=complex), "stack")
 
 
 class TestConcentrate:
@@ -853,6 +923,44 @@ class TestEvaluatorConsumersAgree:
         assert f.correction is correction
         assert f.joint_prob == pytest.approx(joint, rel=0, abs=1e-12)
         assert f.fidelity == pytest.approx(fid, rel=0, abs=1e-12)
+
+
+class TestPairPlan:
+    # A run reads everything but its input from one cached plan per channel pair.
+    def test_each_pair_reads_its_own_plan(self):
+        # Pairs sharing a distribution channel but not a concentration channel,
+        # and equal but distinct specs, must each give the dense reference's
+        # branches; equal specs share one plan.
+        gen = np.random.default_rng(34)
+        dist = random_channel(Variant.PARITY, 3, Endpoint.SENDER_FIRST, gen)
+        concs = [random_channel(Variant.PARITY, 3, Endpoint.RECEIVER_LAST, gen), smolin_channel()]
+        twins = [spec_from_json(spec_to_json(spec)) for spec in (dist, concs[0])]
+        assert twins == [dist, concs[0]] and twins[0] is not dist and twins[1] is not concs[0]
+        inp = random_input(gen)
+        for d, c in [(dist, concs[0]), (dist, concs[1]), tuple(twins), (dist, twins[1])]:
+            fast = run_end_to_end(inp, d, c)
+            slow = dense_reports(inp, d, c)
+            assert len(fast) == len(slow)
+            for f, (key, correction, joint, fid) in zip(fast, slow):
+                assert ((f.component_index, f.alice_outcome, f.bob_outcomes), f.correction) == (key, correction)
+                assert f.joint_prob == pytest.approx(joint, rel=0, abs=1e-12)
+                assert f.fidelity == (None if fid is None else pytest.approx(fid, rel=0, abs=1e-12))
+        assert protocol._pair_plan(*twins) is protocol._pair_plan(dist, concs[0])
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_block_size_leaves_rows_unchanged(self, n, monkeypatch):
+        # A block holds whole states' worth of receiver components, so a
+        # three-component mixture fills blocks unevenly; every report must be
+        # the same floats as with one joint state per block.
+        gen = np.random.default_rng(35 + n)
+        comps = [dict(random_channel(Variant.DOMINO, n, Endpoint.RECEIVER_LAST, gen).components[0].coeffs)
+                 for _ in range(3)]
+        conc = mixed_channel(Variant.DOMINO, n, Endpoint.RECEIVER_LAST, list(zip((0.2, 0.3, 0.5), comps)))
+        dist = random_channel(Variant.DOMINO, n, Endpoint.SENDER_FIRST, gen)
+        inp = random_input(gen)
+        stacked = [report_fields(r) for r in run_end_to_end(inp, dist, conc)]
+        monkeypatch.setattr(protocol, "_BLOCK_AMPS", 2 << (2 * n))
+        assert [report_fields(r) for r in run_end_to_end(inp, dist, conc)] == stacked
 
 
 def full_support_pair(n, gen):

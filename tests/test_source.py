@@ -33,12 +33,13 @@ EVALUATOR_INTERNALS = frozenset({
     "_pauli_frame",
     "_PAULI_FRAMES",
     "_distribution_frame",
-    "_sender_rows",
-    "_party_vector",
+    "_sender_plan",
+    "_sender_stage",
+    "_party_vectors",
+    "_pair_plan",
     "_channel_state",
     "_sampled_block",
     "_step_plan",
-    "_receiver_keys",
     "_live_pair_rows",
     "_draw_outcome",
     "_born_pick",

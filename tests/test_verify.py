@@ -807,8 +807,26 @@ class TestCloneFidelities:
     def test_zero_trials_fail(self):
         assert not clone_fidelity_verdict(trials=0, seed=0).passed
 
+    def test_map_built_once_per_verdict(self, monkeypatch):
+        # The verdict builds the telecloning map once and gives the floats of
+        # clone_report, which builds it for each input.
+        calls = []
+        maps = verify_mod._sender_maps
+        monkeypatch.setattr(verify_mod, "_sender_maps", lambda *args: calls.append(args) or maps(*args))
+        for seed in range(3):
+            calls.clear()
+            v = clone_fidelity_verdict(trials=20, seed=seed)
+            assert len(calls) == 1
+            gen = np.random.default_rng(seed)
+            fids = [clone_report(random_input(gen)) for _ in range(20)]
+            assert v.worst_deviation.hex() == max(
+                abs(f - CLONE_TARGET) for _, f2, f3 in fids for f in (f2, f3)).hex()
+            assert v.details["max_pair_gap"].hex() == max(abs(f2 - f3) for _, f2, f3 in fids).hex()
+            assert v.details["anticlone_min"].hex() == min(f1 for f1, _, _ in fids).hex()
+            assert v.details["anticlone_max"].hex() == max(f1 for f1, _, _ in fids).hex()
+
     def test_nan_clone_fidelity_fails(self, monkeypatch):
-        monkeypatch.setattr(verify_mod, "clone_report", lambda input_qubit: [0.5, math.nan, math.nan])
+        monkeypatch.setattr(verify_mod, "_clone_fidelities", lambda inputs: [[0.5, math.nan, math.nan]] * len(inputs))
         v = clone_fidelity_verdict(trials=3, seed=0)
         assert not v.passed
         assert math.isnan(v.worst_deviation)
