@@ -222,13 +222,12 @@ def _branches_head(rows) -> tuple[list[str], list[float]]:
     return chunks, fidelities
 
 
-def _emit(report: dict, output: str | None, head: list[str] | None = None) -> None:
+def _emit(report: dict, output: str | None, head: list[str]) -> None:
     """Write ``report`` as two-space-indented, key-sorted strict JSON and a
     newline, with ``head`` from ``_branches_head`` for its opening brace.
     ``_json_text`` writes the report before the file opens, so a
     non-finite float raises json's ``ValueError`` and leaves no file."""
-    text = _json_text(report)
-    pieces = (text, "\n") if head is None else itertools.chain(head, (text[1:], "\n"))
+    pieces = itertools.chain(head, (_json_text(report)[1:], "\n"))
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
@@ -291,7 +290,6 @@ def _run_verify(args) -> int:
             "n": args.n,
             "tolerance": args.tolerance,
         },
-        "branches": [],
         "summary": {
             "total_prob": None,
             "min_fidelity": None,
@@ -299,7 +297,7 @@ def _run_verify(args) -> int:
         },
         "timestamp": _timestamp(),
     }
-    _emit(report, args.output)
+    _emit(report, args.output, _branches_head([])[0])
     for v in verdicts:
         status = "PASS" if v.passed else "FAIL"
         print(

@@ -16,8 +16,8 @@ their joint probabilities) or sampled (one trajectory drawn from them).
 ``_branch_rows`` is the one way into concentration. A run reads all it needs
 but its input from one cached ``_pair_plan`` per channel pair, and one batched
 ``_sender_stage`` gives every sender row; exhaustive runs build every live party
-vector at once for ``_exhaustive_blocks``, sampled runs the drawn one for
-``_sampled_block``. ``run_end_to_end`` turns the rows into reports, the CLI writes
+vector at once for ``_exhaustive_blocks``, sampled runs the drawn one in
+``_sampled_rows``. ``run_end_to_end`` turns the rows into reports, the CLI writes
 them as text, and ``distribute`` exposes the distribution phase on its own.
 """
 
@@ -43,7 +43,7 @@ from .bell import (
     as_rng,
     pauli_product,
 )
-from .channels import ChannelSpec, Component, Endpoint, Variant, build_channel_component
+from .channels import ChannelSpec, Endpoint, Variant, build_channel_component
 from .statevec import DEFAULT_QUBIT_CAP, NORM_ATOL, CapacityError, StateVector
 
 MAX_EXHAUSTIVE_PARTIES = 6
@@ -165,15 +165,6 @@ def concentration_correction(variant: Variant, outcomes) -> PauliLabel:
     return pauli_product([CORRECTION_FOR_OUTCOME[o] for o in outcomes])
 
 
-# 32 entries hold every component of the channel pairs one check uses; a
-# check over larger mixtures still works, rebuilding what it evicts.
-@lru_cache(maxsize=32)
-def _channel_state(component: Component, variant: Variant, endpoint: Endpoint, n: int) -> StateVector:
-    """``build_channel_component``, cached: a multi-trial check builds each
-    channel component once."""
-    return build_channel_component(component, variant, endpoint, n)
-
-
 def _pauli_frame(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A Pauli as a read-only permutation and phase, ``mat @ v == phase * v[perm]``: one
     nonzero entry per row, 0, +-1 or +-i, so the products are exact."""
@@ -217,7 +208,7 @@ def _sender_plan(channel: ChannelSpec) -> tuple[np.ndarray, ...]:
     n = channel.n_parties
     if n + 2 > DEFAULT_QUBIT_CAP:
         raise CapacityError(f"sender joint state would need {n + 2} qubits, cap is {DEFAULT_QUBIT_CAP}")
-    states = [_channel_state(c, channel.variant, channel.endpoint, n).amps for c in channel.components]
+    states = [build_channel_component(c, channel.variant, channel.endpoint, n).amps for c in channel.components]
     frames = zip(*(_distribution_frame(channel.variant, outcome, n) for outcome in BELL_OUTCOMES))
     plan = (np.array(states), np.array([[c.weight] for c in channel.components]), *map(np.array, frames))
     for arr in plan:
@@ -251,7 +242,8 @@ def _party_vectors(rows: np.ndarray, raw: np.ndarray, plan: tuple, ci, a) -> np.
 
 def distribute(input_qubit: InputQubit, channel: ChannelSpec) -> list[BranchState]:
     """Run the distribution phase: one BranchState per (component, sender
-    outcome), outcomes in Bell order within each component."""
+    outcome), outcomes in Bell order within each component. Each call builds
+    the channel's states: no plan is kept."""
     plan = _sender_plan(channel)
     rows, raw, joint = _sender_stage(input_qubit.to_state().amps, channel, plan)
     live = ~(raw < NULL_PROB_EPS)
@@ -262,32 +254,26 @@ def distribute(input_qubit: InputQubit, channel: ChannelSpec) -> list[BranchStat
 
 
 @lru_cache(maxsize=None)
-def _outcome_table(
-    variant: Variant, n: int
-) -> tuple[tuple[tuple[BellOutcome, ...], ...], tuple[PauliLabel, ...]]:
-    """Two parallel columns: every concentration outcome tuple in
-    lexicographic Bell order (party 1 most significant), and its receiver
-    correction."""
+def _receiver_table(variant: Variant, n: int) -> tuple:
+    """Every concentration outcome tuple in lexicographic Bell order (party 1
+    most significant) and its receiver correction, as two parallel columns,
+    after those corrections as one read-only permutation and phase over the
+    flattened (row, component) axis: row k's ``_PAULI_FRAMES`` entry, shifted
+    by 2k. Returns (frame, outcomes, labels)."""
     outcomes = tuple(itertools.product(BELL_OUTCOMES, repeat=n))
-    return outcomes, tuple(concentration_correction(variant, o) for o in outcomes)
-
-
-@lru_cache(maxsize=None)
-def _correction_frame(variant: Variant, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The receiver Paulis of the ``_outcome_table`` rows as one read-only permutation and
-    phase over the flattened (row, component) axis: row k's ``_PAULI_FRAMES`` entry, shifted by 2k."""
-    perms, phases = zip(*(_PAULI_FRAMES[label] for label in _outcome_table(variant, n)[1]))
+    labels = tuple(concentration_correction(variant, o) for o in outcomes)
+    perms, phases = zip(*(_PAULI_FRAMES[label] for label in labels))
     perm = (np.array(perms) + 2 * np.arange(len(perms))[:, None]).ravel()
     phase = np.concatenate(phases)
     perm.setflags(write=False)
     phase.setflags(write=False)
-    return perm, phase
+    return (perm, phase), outcomes, labels
 
 
 def _all_pair_rows(amps: np.ndarray, n: int) -> np.ndarray:
     """Unnormalized receiver vectors of every concentration outcome of a
     stack of b joint states, (b, 2**(2n+1)), as a C-contiguous (b, 4**n, 2)
-    array whose rows follow ``_outcome_table`` order.
+    array whose rows follow ``_receiver_table`` order.
 
     Each joint register is (party qubits 1..n, channel qubits n+1..2n,
     receiver 2n+1). The pairs (i, n+i) go first, then the stack axis and the
@@ -323,8 +309,8 @@ def _finish_rows(rows: np.ndarray, frame: tuple[np.ndarray, np.ndarray]) -> tupl
     of each row, corrected and normalized receiver vectors).
 
     ``frame`` applies the receiver corrections as a permutation and phase over
-    the flattened (row, component) axis: ``_correction_frame`` for the rows of
-    ``_outcome_table``, ``_PAULI_FRAMES[label]`` for one row. A row is live unless its
+    the flattened (row, component) axis: the ``_receiver_table`` frame for its
+    rows, ``_PAULI_FRAMES[label]`` for one row. A row is live unless its
     raw probability is below ``NULL_PROB_EPS``; null rows keep their
     corrected but unnormalized vector, which callers must not read. Every
     live vector must come out normalized to within ``NORM_ATOL``.
@@ -343,7 +329,7 @@ def _exhaustive_blocks(states: np.ndarray, receivers: np.ndarray, frame: tuple, 
     of normalized n-party states and one of receiver channel states, state by state, finished
     in blocks of at most ``_BLOCK_AMPS`` amplitudes: whole states' components, or a share of
     one state's. Yields (raw, vecs) per block: (b, 4**n) raw probabilities and (b, 4**n, 2)
-    corrected receiver vectors, rows in ``_outcome_table`` order.
+    corrected receiver vectors, rows in ``_receiver_table`` order.
 
     This is the one place exhaustive branches are evaluated.
     """
@@ -398,16 +384,25 @@ def _live_pair_rows(mat: np.ndarray, step: tuple) -> np.ndarray:
     return _BELL_BRAS @ grid.reshape(4, -1)
 
 
-def _sampled_block(
-    party: np.ndarray, ci: int, prob: float, channel: ChannelSpec, plan: tuple, gen: np.random.Generator
-):
-    """One trajectory drawn under the Born rule from the normalized party vector of sender
-    component ``ci`` and joint probability ``prob``, on the pair's ``_pair_plan``, as one block
-    row: (flattened component index, joint probabilities, raw probabilities, corrected receiver
-    vectors, each row's party outcomes, each row's receiver correction), every column one row
-    long; None when every outcome of a step is null. The joint state stays on its live
-    strings, stepping through the cached ``_step_plan`` of the strings it starts on."""
-    weights, live_keys = plan[2:4]
+def _sampled_rows(
+    input_amps: np.ndarray, sender_rows: tuple, channel: ChannelSpec, plan: tuple, gen: np.random.Generator
+) -> list[tuple]:
+    """One trajectory drawn under the Born rule, as ``_branch_rows`` rows, from the
+    ``_sender_stage`` rows, raw and joint probabilities ``sender_rows`` and the pair's
+    ``_pair_plan``: the sender row, then the one party vector drawn is built and checked,
+    then a receiver component (of a mixture) and one outcome per party. A null sender row
+    is one row with no party outcomes; [] when every outcome of a step is null. The joint
+    state stays on its live strings, stepping through the cached ``_step_plan`` of the
+    strings it starts on."""
+    sender, _, weights, live_keys, _ = plan
+    rows, raw, joint = sender_rows
+    probs = joint.ravel()
+    ci, a = divmod(_born_pick(probs / probs.sum(), gen), 4)
+    alice, prob = BELL_OUTCOMES[a], float(joint[ci, a])
+    if raw[ci, a] < NULL_PROB_EPS:
+        return [(ci * len(weights), alice, [prob], [None], ((),), (None,))]
+    party = _party_vectors(rows, raw, sender, np.intp(ci), np.intp(a))
+    _check_normalized(party, "distributed state")
     cj = _born_pick(weights / weights.sum(), gen) if len(weights) > 1 else 0
     ckeys, live = live_keys[cj]
     pkeys = np.flatnonzero(party)
@@ -416,15 +411,17 @@ def _sampled_block(
         raise ValueError("joint state not normalized")
     outcomes: tuple[BellOutcome, ...] = ()
     for step in _step_plan(pkeys.tobytes(), ckeys, channel.n_parties):
-        rows = _live_pair_rows(mat, step)
-        pick = _draw_outcome(rows, gen)
+        pair = _live_pair_rows(mat, step)
+        pick = _draw_outcome(pair, gen)
         if pick is None:
-            return None
-        mat = rows[pick].reshape(len(step[1]), len(step[2]))
+            return []
+        mat = pair[pick].reshape(len(step[1]), len(step[2]))
         outcomes += (BELL_OUTCOMES[pick],)
     label = concentration_correction(channel.variant, outcomes)
-    raw, vecs = _finish_rows(mat, _PAULI_FRAMES[label])
-    return ci * len(weights) + cj, prob * weights[cj] * raw, raw, vecs, (outcomes,), (label,)
+    conc_raw, vecs = _finish_rows(mat, _PAULI_FRAMES[label])
+    conc_joint = prob * weights[cj] * conc_raw
+    fids = _fidelities(vecs, input_amps, conc_raw, conc_joint)
+    return [(ci * len(weights) + cj, alice, conc_joint.tolist(), fids, (outcomes,), (label,))]
 
 
 def _fidelities(vecs: np.ndarray, input_amps: np.ndarray, raw: np.ndarray, joint: np.ndarray) -> list:
@@ -441,7 +438,8 @@ def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
     the ``_sender_plan`` of ``dist``; the receiver states (c, 2^(n+1)) and weights (c,) of
     ``conc``; for sampled runs, each receiver's live channel keys (intp bytes) and amplitudes
     there, both receiver bits kept so rows never narrow to one column (which rounds unlike the
-    dense rows); and, at exhaustive sizes, its ``_correction_frame`` and ``_outcome_table``."""
+    dense rows); and, at exhaustive sizes, its ``_receiver_table``. Each channel state is built
+    here once per plan."""
     n, variant = conc.n_parties, conc.variant
     if dist.n_parties != n:
         raise ValueError(f"party mismatch: distribution has {dist.n_parties}, concentration has {n}")
@@ -450,7 +448,7 @@ def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
     sender = _sender_plan(dist)
     if conc.endpoint is not Endpoint.RECEIVER_LAST:
         raise ValueError("concentration needs a receiver-side channel (endpoint 'receiver')")
-    receivers = np.array([_channel_state(c, variant, conc.endpoint, n).amps for c in conc.components])
+    receivers = np.array([build_channel_component(c, variant, conc.endpoint, n).amps for c in conc.components])
     weights = np.array([c.weight for c in conc.components])
     keys = [(2 * np.flatnonzero(r.reshape(-1, 2).any(axis=1))[:, None] + np.arange(2)).ravel()
             for r in receivers]
@@ -458,7 +456,7 @@ def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
     for arr in (receivers, weights, *(amps for _, amps in live)):
         arr.setflags(write=False)
     exhaustive = n <= MAX_EXHAUSTIVE_PARTIES  # sampled runs reach sizes whose tables are too large
-    tables = (_correction_frame(variant, n), *_outcome_table(variant, n)) if exhaustive else None
+    tables = _receiver_table(variant, n) if exhaustive else None
     return sender, receivers, weights, live, tables
 
 
@@ -484,24 +482,11 @@ def _branch_rows(
     sender, receivers, weights, _, tables = plan = _pair_plan(dist_channel, conc_channel)
     # InputQubit checked the norm when it was made, and the sender stage checks it again.
     input_amps = np.array([input_qubit.alpha, input_qubit.beta], dtype=complex)
-    rows, raw, joint = _sender_stage(input_amps, dist_channel, sender)
-    n_conc = len(receivers)
-    if mode == "sampled":  # draw first, then build the one party vector drawn
-        gen = as_rng(seed)
-        probs = joint.ravel()
-        ci, a = divmod(_born_pick(probs / probs.sum(), gen), 4)
-        alice, prob = BELL_OUTCOMES[a], float(joint[ci, a])
-        if raw[ci, a] < NULL_PROB_EPS:
-            return [(ci * n_conc, alice, [prob], [None], ((),), (None,))]
-        vec = _party_vectors(rows, raw, sender, np.intp(ci), np.intp(a))
-        _check_normalized(vec, "distributed state")
-        drawn = _sampled_block(vec, ci, prob, conc_channel, plan, gen)
-        if drawn is None:
-            return []
-        index, conc_joint, conc_raw, vecs, outcomes, labels = drawn
-        fids = _fidelities(vecs, input_amps, conc_raw, conc_joint)
-        return [(index, alice, conc_joint.tolist(), fids, outcomes, labels)]
+    rows, raw, joint = sender_rows = _sender_stage(input_amps, dist_channel, sender)
+    if mode == "sampled":
+        return _sampled_rows(input_amps, sender_rows, conc_channel, plan, as_rng(seed))
 
+    n_conc = len(receivers)
     null = raw < NULL_PROB_EPS
     ci, a = np.nonzero(~null)
     states = _party_vectors(rows, raw, sender, ci, a)

@@ -34,9 +34,8 @@ def _frozen_array(values, shape: tuple[int, ...]) -> np.ndarray:
 class StateVector:
     """Pure state of ``num_qubits`` qubits as ``2**num_qubits`` amplitudes.
 
-    ``num_qubits == 0`` is allowed: it is the scalar left over after
-    measuring away an entire register, and its single amplitude carries the
-    branch phase.
+    ``num_qubits == 0`` is allowed: a single unit amplitude, a scalar
+    phase.
     """
 
     num_qubits: int

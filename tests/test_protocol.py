@@ -35,12 +35,11 @@ from qrelay.protocol import (
     MAX_EXHAUSTIVE_PARTIES,
     InputQubit,
     _all_pair_rows,
-    _correction_frame,
     _distribution_frame,
     _finish_rows,
     _live_pair_rows,
-    _outcome_table,
     _party_vectors,
+    _receiver_table,
     _sender_plan,
     _sender_stage,
     _step_plan,
@@ -276,17 +275,20 @@ class TestDistribute:
     @pytest.mark.parametrize("name", ["telecloning-smolin", "custom-null"])
     def test_sampled_is_the_exhaustive_branch_choice_draws(self, name, monkeypatch):
         # The sender branch a sampled run keeps must be the exhaustive branch
-        # Generator.choice picks from the same generator: the same component,
-        # outcome and joint probability, and the same party vector handed to
-        # _sampled_block with the generator where choice leaves it.
+        # Generator.choice picks from the same generator: the same component
+        # and outcome (and joint probability, when null), and the same party
+        # vector built by the run's one _party_vectors call, with the generator
+        # where choice leaves it: nothing draws between that call and the
+        # receiver draw.
         handed = []
-        block = protocol._sampled_block
+        vectors = protocol._party_vectors
 
-        def spy(party, ci, prob, channel, plan, gen):
-            handed.append((party, ci, prob, gen.bit_generator.state))
-            return block(party, ci, prob, channel, plan, gen)
+        def spy(rows, raw, plan, ci, a):
+            vec = vectors(rows, raw, plan, ci, a)
+            handed.append((ci, vec, got_gen.bit_generator.state))
+            return vec
 
-        monkeypatch.setattr(protocol, "_sampled_block", spy)
+        monkeypatch.setattr(protocol, "_party_vectors", spy)
         dist, conc = dict(agreement_cases())[name]
         gen = np.random.default_rng(26)
         for seed in range(50):
@@ -294,15 +296,16 @@ class TestDistribute:
             got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
             handed.clear()
             (got,) = run_end_to_end(inp, dist, conc, mode="sampled", seed=got_gen)
+            calls = handed[:]  # choice_branch's distribute calls the spy too
             want = choice_branch(inp, dist, want_gen)
             assert (got.component_index // len(conc.components), got.alice_outcome) == (
                 want.component_index, want.outcomes[0]), seed
             if want.state is None:
-                assert (handed, got.bob_outcomes, got.joint_prob.hex()) == ([], (), want.joint_prob.hex())
+                assert (calls, got.bob_outcomes, got.joint_prob.hex()) == ([], (), want.joint_prob.hex())
                 assert got_gen.bit_generator.state == want_gen.bit_generator.state
             else:
-                ((party, ci, prob, state),) = handed
-                assert (ci, prob.hex()) == (want.component_index, want.joint_prob.hex())
+                ((ci, party, state),) = calls
+                assert ci == want.component_index
                 assert np.array_equal(party, want.state.amps)
                 assert state == want_gen.bit_generator.state
 
@@ -391,7 +394,7 @@ class TestSenderRows:
         def refuse(*args):
             raise RuntimeError("channel state built above a cap")
 
-        monkeypatch.setattr(protocol, "_channel_state", refuse)
+        monkeypatch.setattr(protocol, "build_channel_component", refuse)
         with pytest.raises(CapacityError, match="sender joint state"):
             distribute(InputQubit(1, 0), ghz_channel(19, Endpoint.SENDER_FIRST))
         for n, mode in ((MAX_EXHAUSTIVE_PARTIES + 1, "exhaustive"), (10, "sampled")):
@@ -403,7 +406,7 @@ class TestSenderRows:
         with pytest.raises(ValueError, match="sender joint state not normalized"):
             _sender_stage(np.array([1.0, 1.0]), dist, _sender_plan(dist))
         basis = StateVector(2, np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))  # no Bell pair
-        monkeypatch.setattr(protocol, "_channel_state", lambda *args: basis)
+        monkeypatch.setattr(protocol, "build_channel_component", lambda *args: basis)
         with pytest.raises(ValueError, match="expected 1/4"):
             distribute(InputQubit(1, 0), dist)
         with pytest.raises(ValueError, match="expected 1/4"):
@@ -508,8 +511,9 @@ class TestConcentrationKernels:
         assert rows.shape == want.shape
         assert np.array_equal(rows, want)
         assert sign_free_bytes(rows) == sign_free_bytes(want)
-        paulis = np.array([PAULI_MATRICES[label] for label in _outcome_table(variant, n)[1]])
-        got, ref = _finish_rows(rows, _correction_frame(variant, n)), matrix_finish_rows(want, paulis)
+        frame, _, labels = _receiver_table(variant, n)
+        paulis = np.array([PAULI_MATRICES[label] for label in labels])
+        got, ref = _finish_rows(rows, frame), matrix_finish_rows(want, paulis)
         for x, y in zip(got, ref):
             assert np.array_equal(x, y)
             assert sign_free_bytes(x) == sign_free_bytes(y)
@@ -552,7 +556,7 @@ class TestNormChecks:
         receivers = protocol._pair_plan(*bell_pair_channels())[1] * bad
         with pytest.raises(ValueError, match="joint state not normalized"):
             next(protocol._exhaustive_blocks(
-                np.array([[SQ, SQ]], dtype=complex), receivers, _correction_frame(conc.variant, 1), 1))
+                np.array([[SQ, SQ]], dtype=complex), receivers, _receiver_table(conc.variant, 1)[0], 1))
 
     @pytest.mark.parametrize("bad", [1.1, math.nan])
     def test_finished_receiver_state(self, bad):
@@ -946,6 +950,29 @@ class TestPairPlan:
                 assert f.joint_prob == pytest.approx(joint, rel=0, abs=1e-12)
                 assert f.fidelity == (None if fid is None else pytest.approx(fid, rel=0, abs=1e-12))
         assert protocol._pair_plan(*twins) is protocol._pair_plan(dist, concs[0])
+
+    def test_plan_builds_each_component_once(self, monkeypatch, fresh_plans):
+        # The plan is the one store of a pair's channel states: the first run on
+        # telecloning->Smolin builds the 1 sender and 4 receiver components, and
+        # no later run on the pair, or on an equal pair from JSON, builds one.
+        built = []
+        build = protocol.build_channel_component
+
+        def spy(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(protocol, "build_channel_component", spy)
+        dist, conc = telecloning_channel(), smolin_channel()
+        twins = tuple(spec_from_json(spec_to_json(spec)) for spec in (dist, conc))
+        inp = random_input(np.random.default_rng(36))
+        run_end_to_end(inp, dist, conc)
+        assert len(built) == 1 + 4
+        for d, c in ((dist, conc), twins):
+            run_end_to_end(inp, d, c)
+            for seed in range(3):
+                run_end_to_end(inp, d, c, mode="sampled", seed=seed)
+        assert len(built) == 5
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_block_size_leaves_rows_unchanged(self, n, monkeypatch):

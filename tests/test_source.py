@@ -28,8 +28,7 @@ EVALUATOR_INTERNALS = frozenset({
     "_all_pair_rows",
     "_finish_rows",
     "_exhaustive_blocks",
-    "_outcome_table",
-    "_correction_frame",
+    "_receiver_table",
     "_pauli_frame",
     "_PAULI_FRAMES",
     "_distribution_frame",
@@ -37,8 +36,7 @@ EVALUATOR_INTERNALS = frozenset({
     "_sender_stage",
     "_party_vectors",
     "_pair_plan",
-    "_channel_state",
-    "_sampled_block",
+    "_sampled_rows",
     "_step_plan",
     "_live_pair_rows",
     "_draw_outcome",
@@ -129,3 +127,11 @@ def test_public_names_are_documented():
         root / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
     used = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
     assert sorted(set(qrelay.__all__) - used) == []
+
+
+def test_readme_library_example_runs():
+    # The README's Library example is code users copy; it must run as written.
+    # optimize=0 keeps its assert under `python -O`.
+    text = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", text, flags=re.DOTALL | re.MULTILINE)
+    exec(compile(block, "README.md", "exec", optimize=0), {})
