@@ -78,10 +78,12 @@ class InputQubit:
 
 
 def random_input(rng) -> InputQubit:
-    gen = as_rng(rng)
-    vec = gen.normal(size=2) + 1j * gen.normal(size=2)
-    vec /= np.linalg.norm(vec)
-    return InputQubit(complex(vec[0]), complex(vec[1]))
+    """A Haar-random input: one draw of four normals, the real then the imaginary parts."""
+    draws = as_rng(rng).normal(size=4)
+    re, im = draws[:2], draws[2:]
+    vec = re + 1j * im
+    vec /= math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's sum; numpy's division, not Python's
+    return InputQubit(*vec.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,6 +272,11 @@ def _receiver_table(variant: Variant, n: int) -> tuple:
     return (perm, phase), outcomes, labels
 
 
+# Per party count: a joint state's qubit axes, and _all_pair_rows' order of them (the stack axis is 0).
+_PAIR_AXES = {n: ((2,) * (2 * n + 1), (*[1 + ax for i in range(n) for ax in (i, n + i)], 0, 2 * n + 1))
+              for n in range(1, MAX_EXHAUSTIVE_PARTIES + 1)}
+
+
 def _all_pair_rows(amps: np.ndarray, n: int) -> np.ndarray:
     """Unnormalized receiver vectors of every concentration outcome of a
     stack of b joint states, (b, 2**(2n+1)), as a C-contiguous (b, 4**n, 2)
@@ -283,8 +290,8 @@ def _all_pair_rows(amps: np.ndarray, n: int) -> np.ndarray:
     (b, o_1..o_n, receiver).
     """
     b = len(amps)
-    order = [1 + ax for i in range(n) for ax in (i, n + i)] + [0, 2 * n + 1]
-    psi = amps.reshape([b] + [2] * (2 * n + 1)).transpose(order)
+    shape, order = _PAIR_AXES[n]
+    psi = amps.reshape((b, *shape)).transpose(order)
     for _ in range(n):
         psi = (_BELL_BRAS @ psi.reshape(4, -1)).reshape(4, -1, 2).transpose(1, 0, 2)
     # Contiguous: a strided view at n = 1 rounds the norms in _finish_rows differently.
@@ -296,7 +303,7 @@ def _check_normalized(vecs: np.ndarray, what: str, skip=None) -> None:
     axis of ``vecs`` but those where the mask ``skip`` is set; a NaN fails unless masked. ``vecs``
     must be C-contiguous: its squared norms are read from its real view, with no conjugate copy."""
     flat = vecs.view(float)
-    norms = np.einsum("...j,...j->...", flat, flat)
+    norms = np.vecdot(flat, flat)
     if skip is not None:
         norms = np.where(skip, 1.0, norms)
     lo, hi = np.minimum.reduce(norms, None), np.maximum.reduce(norms, None)  # no ndarray.min wrapper
@@ -319,7 +326,7 @@ def _finish_rows(rows: np.ndarray, frame: tuple[np.ndarray, np.ndarray]) -> tupl
     raw = np.einsum("...kj,...kj->...k", rows.conj(), rows).real
     null = raw < NULL_PROB_EPS
     flat = rows.reshape(*rows.shape[:-2], -1)
-    vecs = (phase * flat[..., perm]).reshape(rows.shape) / np.sqrt(np.where(null, 1.0, raw))[..., None]
+    vecs = (phase * flat.take(perm, axis=-1)).reshape(rows.shape) / np.sqrt(np.where(null, 1.0, raw))[..., None]
     _check_normalized(vecs, "concentrated receiver state", skip=null)
     return raw, vecs
 
@@ -428,8 +435,8 @@ def _fidelities(vecs: np.ndarray, input_amps: np.ndarray, raw: np.ndarray, joint
     """Each row's fidelity against the input as a (nested) list of Python
     floats, None where the branch is null by raw or joint probability."""
     fids = np.abs(vecs.conj() @ input_amps) ** 2
-    live = ~(raw < NULL_PROB_EPS) & ~(joint <= NULL_PROB_EPS)
-    return np.where(live, fids, None).tolist()
+    null = (raw < NULL_PROB_EPS) | (joint <= NULL_PROB_EPS)
+    return np.where(null, None, fids).tolist() if null.any() else fids.tolist()
 
 
 @lru_cache(maxsize=32)  # a verify suite's pairs, or a benchmark pool's: a few KiB each

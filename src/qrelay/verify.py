@@ -185,21 +185,26 @@ def _receiver_labels(variant: Variant, n: int) -> tuple[PauliLabel, ...]:
     return tuple(PauliLabel(_CORR_LETTER[i]) for i in overlaps.argmax(axis=1).tolist())
 
 
+@lru_cache(maxsize=None)  # no channel in the key: fresh random channels hit it too
+def _dist_gates(variant: Variant, n: int) -> np.ndarray:
+    """Every sender outcome's party correction, the Kronecker product of its
+    distribution letters, as one read-only (4, 2^n, 2^n) array."""
+    gates = np.array([reduce(np.kron, [_ORACLE_GATE[x] for x in _oracle_dist_letters(variant, a, n)])
+                      for a in BELL_OUTCOMES])
+    gates.setflags(write=False)
+    return gates
+
+
 def _sender_maps(component: Component, variant: Variant, n: int) -> np.ndarray:
     """(4, 2^n, 2): column x of map a is the corrected, unnormalized party
     vector that sender outcome a leaves for the input |x>.
 
     The sender's bra on (input bit x, endpoint bit e) is
     conj(_ORACLE_BELL[a, 2x + e]); endpoint e = 0 carries the supports and
-    e = 1 their complements. The party correction is the Kronecker product
-    of the distribution letters."""
+    e = 1 their complements. The party correction is ``_dist_gates``."""
     chan = build_channel_component(component, variant, Endpoint.SENDER_FIRST, n).amps.reshape(2, -1)
     maps = np.einsum("axe,ep->apx", _ORACLE_BELL.conj().reshape(4, 2, 2), chan)
-    gates = [
-        reduce(np.kron, [_ORACLE_GATE[letter] for letter in _oracle_dist_letters(variant, a, n)])
-        for a in BELL_OUTCOMES
-    ]
-    return np.array(gates) @ maps
+    return _dist_gates(variant, n) @ maps
 
 
 def _pair_bras(parties: np.ndarray, channels: np.ndarray, n: int) -> np.ndarray:

@@ -6,7 +6,8 @@ check states with: Kronecker products, basis states, one-qubit gates, the
 Bell rows of one qubit pair, one Bell projection and a pure state's
 density matrix. It also keeps the earlier forms of the exhaustive
 concentration kernels, a batched Bell-bra product and a matrix receiver
-correction, as references for the forms that replaced them.
+correction, as references for the forms that replaced them, and the earlier
+forms of ``random_input`` and of the oracle's distribution gates.
 
 Every branch rebuilds its channel component, forms its Kronecker product
 and applies each Bell projection as an explicit rectangular matrix, so its
@@ -24,6 +25,7 @@ import qrelay.verify as verify_mod
 from qrelay.bell import _BELL_BRAS, BELL_OUTCOMES, NULL_PROB_EPS, PAULI_MATRICES, as_rng
 from qrelay.channels import Endpoint, Variant, build_channel_component
 from qrelay.protocol import (
+    InputQubit,
     OutcomeReport,
     _check_normalized,
     _fidelities,
@@ -78,6 +80,22 @@ def matrix_finish_rows(rows, paulis):
     vecs = np.einsum("kij,...kj->...ki", paulis, rows) / np.sqrt(np.where(null, 1.0, raw))[..., None]
     _check_normalized(vecs, "concentrated receiver state", skip=null)
     return raw, vecs
+
+
+def two_draw_random_input(rng):
+    """The reference for ``protocol.random_input``, its earlier form: two draws
+    of two normals, scaled by ``np.linalg.norm``."""
+    gen = as_rng(rng)
+    vec = gen.normal(size=2) + 1j * gen.normal(size=2)
+    vec /= np.linalg.norm(vec)
+    return InputQubit(complex(vec[0]), complex(vec[1]))
+
+
+def kron_dist_gate(variant, outcome, n):
+    """The reference for one of ``verify._dist_gates``, its earlier per-call
+    form: the Kronecker product of the oracle's distribution letters."""
+    letters = verify_mod._oracle_dist_letters(variant, outcome, n)
+    return reduce(np.kron, [verify_mod._ORACLE_GATE[letter] for letter in letters])
 
 
 def make_basis_state(bits):

@@ -25,7 +25,7 @@ from qrelay.channels import (
     telecloning_channel,
 )
 from qrelay.cli import build_parser, main, parse_input_spec, resolve_channel_arg
-from qrelay.protocol import OutcomeReport, run_end_to_end
+from qrelay.protocol import MAX_EXHAUSTIVE_PARTIES, OutcomeReport, run_end_to_end
 from qrelay.verify import Verdict, run_suite
 from test_protocol import NULL_SENDER_INPUT, agreement_cases
 
@@ -209,7 +209,8 @@ class TestExitCodes:
 
     def test_verify_even_n_above_the_cap(self, tmp_path, capsys):
         out = tmp_path / "report.json"
-        code = run_cli(["verify", "--suite", "even-n", "--n", "8", "--output", str(out)])
+        above = MAX_EXHAUSTIVE_PARTIES + 2 - MAX_EXHAUSTIVE_PARTIES % 2  # the first even size past the cap
+        code = run_cli(["verify", "--suite", "even-n", "--n", str(above), "--output", str(out)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
@@ -325,8 +326,8 @@ class TestExitCodes:
     def test_exhaustive_party_cap(self, tmp_path):
         dist_path = tmp_path / "dist.json"
         conc_path = tmp_path / "conc.json"
-        save_channel(ghz_channel(7, Endpoint.SENDER_FIRST), dist_path)
-        save_channel(ghz_channel(7, Endpoint.RECEIVER_LAST), conc_path)
+        save_channel(ghz_channel(MAX_EXHAUSTIVE_PARTIES + 1, Endpoint.SENDER_FIRST), dist_path)
+        save_channel(ghz_channel(MAX_EXHAUSTIVE_PARTIES + 1, Endpoint.RECEIVER_LAST), conc_path)
         code = run_cli([
             "enumerate", "--dist", str(dist_path), "--conc", str(conc_path),
             "--input", "1,0+0,0",

@@ -65,6 +65,7 @@ from dense_reference import (
     pair_rows,
     project_bell,
     tensor,
+    two_draw_random_input,
 )
 
 SQ = 1 / np.sqrt(2)
@@ -130,6 +131,20 @@ class TestInputQubit:
         b = random_input(np.random.default_rng(3))
         assert a == b
         assert abs(a.alpha) ** 2 + abs(a.beta) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_random_input_is_the_two_draw_form(self):
+        # One draw of four normals gives the amplitudes of two draws of two, bit
+        # for bit, and leaves the generator where they did, draw after draw, as
+        # run_suite and `simulate --input random` keep drawing from one generator.
+        def hexes(q):
+            return [x.hex() for z in (q.alpha, q.beta) for x in (z.real, z.imag)]
+
+        for seed in range(2000):
+            got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+            for draw in range(3):
+                assert hexes(random_input(got)) == hexes(two_draw_random_input(want)), (seed, draw)
+                assert got.bit_generator.state == want.bit_generator.state, (seed, draw)
+        assert hexes(random_input(7)) == hexes(two_draw_random_input(7))  # a seed, not a Generator
 
 
 class TestDistributionCorrection:
@@ -1040,7 +1055,7 @@ class TestSampledLiveStrings:
         # Every step of a plan gives the dense pair_rows rows exactly, at the
         # keys it leaves, with zeros everywhere else, whichever outcome the
         # trajectory goes on with. Channel keys come in receiver-bit pairs, as
-        # _sampled_block keeps them.
+        # _pair_plan's live keys keep them.
         masks = [data.draw(st.lists(st.booleans(), min_size=1 << n, max_size=1 << n)
                            .filter(any)) for _ in range(2)]
         pkeys = np.flatnonzero(masks[0])

@@ -56,6 +56,7 @@ from dense_reference import (
     bra_matrix,
     concentration_branch,
     distribution_branch,
+    kron_dist_gate,
     reference_even_n,
     reference_oracle_agreement,
 )
@@ -162,6 +163,18 @@ class TestOracleBranches:
         assert float(np.vdot(vec, vec).real) <= 1e-14
         assert vec_ref is None and raw_ref <= 1e-14
 
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_dist_gates_are_the_kron_products(self, variant):
+        # Every check and sender component shares the cached gates, so they
+        # must be read-only and exactly the products each call used to build.
+        for n in range(1, MAX_EXHAUSTIVE_PARTIES + 1):
+            gates = verify_mod._dist_gates(variant, n)
+            assert gates is verify_mod._dist_gates(variant, n)
+            assert not gates.flags.writeable
+            assert gates.shape == (4, 1 << n, 1 << n)
+            for o in BELL_OUTCOMES:
+                assert gates[o.index].tobytes() == kron_dist_gate(variant, o, n).tobytes()
+
 
 class TestCheckFaithful:
     def test_teleportation_chain(self):
@@ -212,8 +225,8 @@ class TestCheckFaithful:
         assert not v.passed
 
     def test_capacity_cap(self):
-        dist = ghz_channel(7, Endpoint.SENDER_FIRST)
-        conc = ghz_channel(7, Endpoint.RECEIVER_LAST)
+        dist = ghz_channel(MAX_EXHAUSTIVE_PARTIES + 1, Endpoint.SENDER_FIRST)
+        conc = ghz_channel(MAX_EXHAUSTIVE_PARTIES + 1, Endpoint.RECEIVER_LAST)
         with pytest.raises(CapacityError):
             check_faithful(dist, conc, trials=1, seed=0)
 
