@@ -13,12 +13,12 @@ basis, and sends the outcome to the receiver, who applies one composite
 correction. Branch enumeration is exhaustive (all outcome tuples with
 their joint probabilities) or sampled (one trajectory drawn from them).
 
-``_branch_rows`` is the one way into concentration. A run reads all it needs
-but its input from one cached ``_pair_plan`` per channel pair, and one batched
-``_sender_stage`` gives every sender row; exhaustive runs build every live party
-vector at once for ``_exhaustive_blocks``, sampled runs the drawn one in
-``_sampled_rows``. ``run_end_to_end`` turns the rows into reports, the CLI writes
-them as text, and ``distribute`` exposes the distribution phase on its own.
+``_branch_rows`` is the one way into concentration. A run reads all it needs but its
+input from one cached ``_pair_plan`` per channel pair, and one batched ``_sender_stage``
+gives every sender row. Both modes keep the joint state on its live strings and take each
+Bell measurement with the one kernel ``_live_pair_rows``: ``_exhaustive_blocks`` keeps
+all four outcomes of every step, ``_sampled_rows`` the one it draws. ``run_end_to_end``
+turns the rows into reports and ``distribute`` exposes the distribution phase alone.
 """
 
 from __future__ import annotations
@@ -234,11 +234,12 @@ def _sender_stage(input_amps: np.ndarray, channel: ChannelSpec, plan: tuple) -> 
     return rows, raw, weights * raw
 
 
-def _party_vectors(rows: np.ndarray, raw: np.ndarray, plan: tuple, ci, a) -> np.ndarray:
+def _party_vectors(rows: np.ndarray, raw: np.ndarray, frames: tuple, ci, a) -> np.ndarray:
     """The corrected, normalized party vectors of the live sender rows (ci, a), numpy integers or
-    index arrays: each gathered through its outcome's frame in the ``_sender_plan``, over the root
-    of its raw probability, times the frame's phases; (2^n,) or (k, 2^n)."""
-    gather, phases = plan[2:]
+    index arrays: each gathered through its outcome's gather index in ``frames`` (a ``_sender_plan``'s
+    or, on its start strings, a ``_pair_plan``'s), over the root of its raw probability, times the
+    frame's phases; (k,) or (m, k) for k gathered strings."""
+    gather, phases = frames
     return phases[a] * (rows[ci[..., None], a[..., None], gather[a]] / np.sqrt(raw[ci, a])[..., None])
 
 
@@ -249,7 +250,7 @@ def distribute(input_qubit: InputQubit, channel: ChannelSpec) -> list[BranchStat
     plan = _sender_plan(channel)
     rows, raw, joint = _sender_stage(input_qubit.to_state().amps, channel, plan)
     live = ~(raw < NULL_PROB_EPS)
-    vecs = iter(_party_vectors(rows, raw, plan, *np.nonzero(live)))
+    vecs = iter(_party_vectors(rows, raw, plan[2:], *np.nonzero(live)))
     states = [StateVector(channel.n_parties, next(vecs)) if x else None for x in live.ravel().tolist()]
     return [BranchState(state, prob, (BELL_OUTCOMES[k % 4],), k // 4)
             for k, (state, prob) in enumerate(zip(states, joint.ravel().tolist()))]
@@ -270,32 +271,6 @@ def _receiver_table(variant: Variant, n: int) -> tuple:
     perm.setflags(write=False)
     phase.setflags(write=False)
     return (perm, phase), outcomes, labels
-
-
-# Per party count: a joint state's qubit axes, and _all_pair_rows' order of them (the stack axis is 0).
-_PAIR_AXES = {n: ((2,) * (2 * n + 1), (*[1 + ax for i in range(n) for ax in (i, n + i)], 0, 2 * n + 1))
-              for n in range(1, MAX_EXHAUSTIVE_PARTIES + 1)}
-
-
-def _all_pair_rows(amps: np.ndarray, n: int) -> np.ndarray:
-    """Unnormalized receiver vectors of every concentration outcome of a
-    stack of b joint states, (b, 2**(2n+1)), as a C-contiguous (b, 4**n, 2)
-    array whose rows follow ``_receiver_table`` order.
-
-    Each joint register is (party qubits 1..n, channel qubits n+1..2n,
-    receiver 2n+1). The pairs (i, n+i) go first, then the stack axis and the
-    receiver bit. Each party's Bell measurement is then one (4, 4) @ (4, N)
-    Bell-bra product on the leading pair, whose outcome axis moves behind the
-    earlier ones, just before the receiver bit: after n steps the layout is
-    (b, o_1..o_n, receiver).
-    """
-    b = len(amps)
-    shape, order = _PAIR_AXES[n]
-    psi = amps.reshape((b, *shape)).transpose(order)
-    for _ in range(n):
-        psi = (_BELL_BRAS @ psi.reshape(4, -1)).reshape(4, -1, 2).transpose(1, 0, 2)
-    # Contiguous: a strided view at n = 1 rounds the norms in _finish_rows differently.
-    return np.ascontiguousarray(psi.reshape(b, 4**n, 2))
 
 
 def _check_normalized(vecs: np.ndarray, what: str, skip=None) -> None:
@@ -331,25 +306,6 @@ def _finish_rows(rows: np.ndarray, frame: tuple[np.ndarray, np.ndarray]) -> tupl
     return raw, vecs
 
 
-def _exhaustive_blocks(states: np.ndarray, receivers: np.ndarray, frame: tuple, n: int):
-    """Every concentration outcome of each (party state, receiver component) pair of a stack
-    of normalized n-party states and one of receiver channel states, state by state, finished
-    in blocks of at most ``_BLOCK_AMPS`` amplitudes: whole states' components, or a share of
-    one state's. Yields (raw, vecs) per block: (b, 4**n) raw probabilities and (b, 4**n, 2)
-    corrected receiver vectors, rows in ``_receiver_table`` order.
-
-    This is the one place exhaustive branches are evaluated.
-    """
-    per_block = _BLOCK_AMPS >> (2 * n + 1)
-    step, width = max(1, per_block // len(receivers)), min(len(receivers), per_block)
-    for i in range(0, len(states), step):
-        for j in range(0, len(receivers), width):
-            joint = states[i:i + step, None, :, None] * receivers[j:j + width, None, :]
-            joint = joint.reshape(-1, 2 << (2 * n))
-            _check_normalized(joint, "joint state")
-            yield _finish_rows(_all_pair_rows(joint, n), frame)
-
-
 # Plans for 8 starts. Step 1 places at most 2^n x 2^(n+1) amplitudes and each later step a quarter
 # as many: a plan holds at most 5.4 MiB of indices at n = 9, 43 MiB for all 8; staircases < 20 KiB.
 @lru_cache(maxsize=8)
@@ -378,17 +334,42 @@ def _step_plan(pkeys: bytes, ckeys: bytes, n: int) -> tuple:
 
 
 def _live_pair_rows(mat: np.ndarray, step: tuple) -> np.ndarray:
-    """The Bell rows of the top party and channel bits of a joint state on its live
-    strings, ``mat[i, j]`` being the amplitude at the i-th party and j-th channel key that
-    ``step``, one ``_step_plan`` entry, starts from. The rows are over its keys left."""
+    """The Bell rows of the top party and channel bits of joint states on their live strings,
+    ``mat[i, j, *stack]`` being the amplitudes at the i-th party and j-th channel key that ``step``,
+    one ``_step_plan`` entry, starts from. The rows are (4, r, c, *stack), over the keys left."""
     place, pnew, cnew = step
-    r, c = len(pnew), len(cnew)
+    r, c, stack = len(pnew), len(cnew), mat.shape[2:]
     if place is None:
-        grid = mat.reshape(2, r, 2, c).transpose(0, 2, 1, 3)
-    else:  # a zero (2, 2, r, c) grid holding mat at each key pair's place
-        grid = np.zeros(4 * r * c, dtype=complex)
+        grid = mat.reshape(2, r, 2, c, *stack).swapaxes(1, 2)
+    else:  # a zero (2, 2, r, c, *stack) grid holding mat at each key pair's place
+        grid = np.zeros((4 * r * c, *stack), dtype=complex)
         grid[place] = mat
-    return _BELL_BRAS @ grid.reshape(4, -1)
+    # ndarray.dot: the BLAS product @ makes, with less overhead per call.
+    return _BELL_BRAS.dot(grid.reshape(4, -1)).reshape(4, r, c, *stack)
+
+
+def _exhaustive_blocks(states: np.ndarray, receivers: np.ndarray, steps: tuple, frame: tuple):
+    """Every concentration outcome of each (party state, receiver component) pair of a stack
+    of normalized n-party states and one of receiver channel states, both on the keys the
+    ``_step_plan`` ``steps`` starts from, state by state, finished in blocks of at most
+    ``_BLOCK_AMPS`` dense amplitudes: whole states' components, or a share of one state's.
+    Each step keeps all four outcomes, its outcome axis behind the stack and earlier ones.
+    Yields (raw, vecs) per block: (b, 4**n) raw probabilities and (b, 4**n, 2) corrected
+    receiver vectors, rows in ``_receiver_table`` order. The one exhaustive evaluator."""
+    r, c, n = states.shape[1], receivers.shape[1], len(steps)
+    per_block = _BLOCK_AMPS >> (2 * n + 1)
+    height, width = max(1, per_block // len(receivers)), min(len(receivers), per_block)
+    for i in range(0, len(states), height):
+        for j in range(0, len(receivers), width):
+            joint = (states[i:i + height, None, :, None] * receivers[j:j + width, None, :]).reshape(-1, r * c)
+            _check_normalized(joint, "joint state")
+            pair = _live_pair_rows(joint.T.reshape(r, c, -1), steps[0])  # (party key, channel key, b)
+            for step in steps[1:]:
+                pair = _live_pair_rows(pair.transpose(*range(1, pair.ndim), 0), step)
+            # The last pair is (o_n, 1, receiver bit, b, o_1..o_n-1): one contiguous copy, since a
+            # strided view at n = 1 rounds the norms in _finish_rows differently.
+            rows = np.ascontiguousarray(pair.reshape(4, 2, -1).transpose(2, 0, 1)).reshape(len(joint), -1, 2)
+            yield _finish_rows(rows, frame)
 
 
 def _sampled_rows(
@@ -401,28 +382,27 @@ def _sampled_rows(
     is one row with no party outcomes; [] when every outcome of a step is null. The joint
     state stays on its live strings, stepping through the cached ``_step_plan`` of the
     strings it starts on."""
-    sender, _, weights, live_keys, _ = plan
+    sender, receivers, weights, ckeys, _ = plan
     rows, raw, joint = sender_rows
     probs = joint.ravel()
     ci, a = divmod(_born_pick(probs / probs.sum(), gen), 4)
     alice, prob = BELL_OUTCOMES[a], float(joint[ci, a])
     if raw[ci, a] < NULL_PROB_EPS:
         return [(ci * len(weights), alice, [prob], [None], ((),), (None,))]
-    party = _party_vectors(rows, raw, sender, np.intp(ci), np.intp(a))
+    party = _party_vectors(rows, raw, sender[2:], np.intp(ci), np.intp(a))
     _check_normalized(party, "distributed state")
     cj = _born_pick(weights / weights.sum(), gen) if len(weights) > 1 else 0
-    ckeys, live = live_keys[cj]
     pkeys = np.flatnonzero(party)
-    mat = np.multiply.outer(party[pkeys], live)
+    mat = np.multiply.outer(party[pkeys], receivers[cj])
     if not abs(np.vdot(mat, mat).real - 1.0) <= NORM_ATOL:
         raise ValueError("joint state not normalized")
     outcomes: tuple[BellOutcome, ...] = ()
     for step in _step_plan(pkeys.tobytes(), ckeys, channel.n_parties):
         pair = _live_pair_rows(mat, step)
-        pick = _draw_outcome(pair, gen)
+        pick = _draw_outcome(pair.reshape(4, -1), gen)
         if pick is None:
             return []
-        mat = pair[pick].reshape(len(step[1]), len(step[2]))
+        mat = pair[pick]
         outcomes += (BELL_OUTCOMES[pick],)
     label = concentration_correction(channel.variant, outcomes)
     conc_raw, vecs = _finish_rows(mat, _PAULI_FRAMES[label])
@@ -442,11 +422,12 @@ def _fidelities(vecs: np.ndarray, input_amps: np.ndarray, raw: np.ndarray, joint
 @lru_cache(maxsize=32)  # a verify suite's pairs, or a benchmark pool's: a few KiB each
 def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
     """Checks a channel pair, then holds all a run on it needs besides the input, read-only:
-    the ``_sender_plan`` of ``dist``; the receiver states (c, 2^(n+1)) and weights (c,) of
-    ``conc``; for sampled runs, each receiver's live channel keys (intp bytes) and amplitudes
-    there, both receiver bits kept so rows never narrow to one column (which rounds unlike the
-    dense rows); and, at exhaustive sizes, its ``_receiver_table``. Each channel state is built
-    here once per plan."""
+    the ``_sender_plan`` of ``dist``; the receiver states (c, k) and weights (c,) of ``conc`` on
+    the k channel strings any component holds (both receiver bits kept so rows never narrow to
+    one column, which rounds unlike the dense rows) and those keys (intp bytes); and, at
+    exhaustive sizes, the start: the sender frames on the party strings a corrected sender row
+    can reach, the uncached ``_step_plan`` from them and the ``_receiver_table``. Each channel
+    state is built here once per plan."""
     n, variant = conc.n_parties, conc.variant
     if dist.n_parties != n:
         raise ValueError(f"party mismatch: distribution has {dist.n_parties}, concentration has {n}")
@@ -457,14 +438,18 @@ def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
         raise ValueError("concentration needs a receiver-side channel (endpoint 'receiver')")
     receivers = np.array([build_channel_component(c, variant, conc.endpoint, n).amps for c in conc.components])
     weights = np.array([c.weight for c in conc.components])
-    keys = [(2 * np.flatnonzero(r.reshape(-1, 2).any(axis=1))[:, None] + np.arange(2)).ravel()
-            for r in receivers]
-    live = tuple((k.tobytes(), r[k]) for k, r in zip(keys, receivers))
-    for arr in (receivers, weights, *(amps for _, amps in live)):
+    ckeys = (2 * np.flatnonzero(receivers.reshape(len(receivers), -1, 2).any(axis=(0, 2)))[:, None]
+             + np.arange(2)).ravel()
+    receivers, start = receivers.take(ckeys, axis=1), None  # take, not [:, ckeys]: C order
+    if n <= MAX_EXHAUSTIVE_PARTIES:  # sampled runs reach sizes whose tables are too large
+        states, _, gather, phases = sender
+        # The strings either endpoint branch of a component holds, seen through each outcome's frame.
+        pkeys = np.flatnonzero(states.reshape(len(states), 2, -1).any(axis=(0, 1))[gather].any(axis=0))
+        start = ((gather.take(pkeys, axis=1), phases.take(pkeys, axis=1)),
+                 _step_plan.__wrapped__(pkeys.tobytes(), ckeys.tobytes(), n), _receiver_table(variant, n))
+    for arr in (receivers, weights, *(start[0] if start else ())):
         arr.setflags(write=False)
-    exhaustive = n <= MAX_EXHAUSTIVE_PARTIES  # sampled runs reach sizes whose tables are too large
-    tables = _receiver_table(variant, n) if exhaustive else None
-    return sender, receivers, weights, live, tables
+    return sender, receivers, weights, ckeys.tobytes(), start
 
 
 def _branch_rows(
@@ -486,7 +471,7 @@ def _branch_rows(
     if mode == "sampled" and 2 * n + 1 > DEFAULT_QUBIT_CAP:
         raise CapacityError(f"joint state would need {2 * n + 1} qubits, cap is {DEFAULT_QUBIT_CAP}")
 
-    sender, receivers, weights, _, tables = plan = _pair_plan(dist_channel, conc_channel)
+    sender, receivers, weights, _, start = plan = _pair_plan(dist_channel, conc_channel)
     # InputQubit checked the norm when it was made, and the sender stage checks it again.
     input_amps = np.array([input_qubit.alpha, input_qubit.beta], dtype=complex)
     rows, raw, joint = sender_rows = _sender_stage(input_amps, dist_channel, sender)
@@ -496,12 +481,12 @@ def _branch_rows(
     n_conc = len(receivers)
     null = raw < NULL_PROB_EPS
     ci, a = np.nonzero(~null)
-    states = _party_vectors(rows, raw, sender, ci, a)
+    frames, steps, (frame, outcomes, labels) = start
+    states = _party_vectors(rows, raw, frames, ci, a)
     _check_normalized(states, "distributed state")
     slot_weights = (joint[ci, a][:, None] * weights).ravel()
-    frame, outcomes, labels = tables
     joints, fids = [], []
-    for conc_raw, vecs in _exhaustive_blocks(states, receivers, frame, n):
+    for conc_raw, vecs in _exhaustive_blocks(states, receivers, steps, frame):
         block_joint = slot_weights[len(joints):len(joints) + len(conc_raw), None] * conc_raw
         joints += block_joint.tolist()
         fids += _fidelities(vecs, input_amps, conc_raw, block_joint)
@@ -526,8 +511,8 @@ def run_end_to_end(
     Registers are ordered (party qubits 1..n, channel qubits n+1..2n+1):
     party i measures the pair (i, n+i) and the receiver holds qubit 2n+1.
     Exhaustive mode stacks the joint state of every live sender branch with
-    every receiver component and finishes the stack with one batched
-    Bell-basis kernel; reports follow component, sender outcome, receiver
+    every receiver component and takes every outcome of each party's Bell
+    measurement; reports follow component, sender outcome, receiver
     component and party outcomes in order, with one record per null sender
     branch. Sampled mode draws one sender branch, one receiver component and
     one outcome per party.

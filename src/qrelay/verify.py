@@ -349,7 +349,7 @@ def _oracle_columns(senders, maps, dist: ChannelSpec, conc: ChannelSpec, inputs,
     raw_c = norm / np.where(dead, 1.0, raw_a)[..., None, None]
     shape = (len(inputs), nd, 4, nc * rows)
     joint = (sender_joint[..., None, None] * w_c[:, None] * raw_c).reshape(shape)
-    null = (raw_c < NULL_PROB_EPS).reshape(shape)
+    null = (raw_c < NULL_PROB_EPS).reshape(shape) | (joint <= NULL_PROB_EPS)  # the evaluator's rule
     fid = (overlap / np.where(raw_c < NULL_PROB_EPS, 1.0, norm)).reshape(shape)
     joint[dead, 0] = sender_joint[dead]
     null[dead, 0] = True

@@ -61,9 +61,9 @@ def pair_rows(amps, num_qubits, q1, q2):
 
 
 def batched_pair_rows(amps, n):
-    """The reference for ``protocol._all_pair_rows``, its earlier form: the stack axis
-    first, so party k's Bell bras act on b * 4**(k-1) (4, N) blocks in one batched
-    product."""
+    """The reference for exhaustive concentration's Bell rows, on the dense joint states
+    (b, 2**(2n+1)): the stack axis first, so party k's Bell bras act on b * 4**(k-1) (4, N)
+    blocks in one batched product."""
     b = len(amps)
     order = [0] + [1 + ax for i in range(n) for ax in (i, n + i)] + [2 * n + 1]
     psi = amps.reshape([b] + [2] * (2 * n + 1)).transpose(order)
@@ -259,6 +259,7 @@ def reference_oracle_agreement(dist, conc, trials, seed, tolerance=verify_mod.OR
             dev = 1.0
         else:
             dev = abs(r.joint_prob - joint)
+            vec = None if joint <= NULL_PROB_EPS else vec  # null by raw or joint probability
             if (vec is None) != (r.fidelity is None):
                 dev = max(dev, 1.0)
             elif vec is not None:

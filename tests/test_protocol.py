@@ -34,7 +34,6 @@ from qrelay.protocol import (
     _PAULI_FRAMES,
     MAX_EXHAUSTIVE_PARTIES,
     InputQubit,
-    _all_pair_rows,
     _distribution_frame,
     _finish_rows,
     _live_pair_rows,
@@ -90,12 +89,13 @@ def fresh_plans():
 
 def scale_party_vectors(monkeypatch, factor):
     """Patch the pair plans so that every party vector comes out times ``factor``:
-    its distribution phases are scaled."""
+    its distribution phases are scaled, the sender plan's and the exhaustive start's."""
     plan = protocol._pair_plan
 
     def scaled(dist, conc):
-        sender, *rest = plan(dist, conc)
-        return ((*sender[:3], sender[3] * factor), *rest)
+        sender, receivers, weights, ckeys, ((gather, phases), *start) = plan(dist, conc)
+        return ((*sender[:3], sender[3] * factor), receivers, weights, ckeys,
+                ((gather, phases * factor), *start))
 
     monkeypatch.setattr(protocol, "_pair_plan", scaled)
 
@@ -349,12 +349,12 @@ def kernel_sender_rows(inp, dist):
     for byte, the same vector from the one pass over every live row an exhaustive run makes."""
     plan = _sender_plan(dist)
     rows, raw, joint = _sender_stage(inp.to_state().amps, dist, plan)
-    stacked = iter(_party_vectors(rows, raw, plan, *np.nonzero(~(raw < NULL_PROB_EPS))))
+    stacked = iter(_party_vectors(rows, raw, plan[2:], *np.nonzero(~(raw < NULL_PROB_EPS))))
     out = []
     for (ci, a), prob, r in zip(np.ndindex(raw.shape), joint.ravel().tolist(), raw.ravel().tolist()):
         vec = None
         if not r < NULL_PROB_EPS:
-            vec = _party_vectors(rows, raw, plan, np.intp(ci), np.intp(a)).tobytes()
+            vec = _party_vectors(rows, raw, plan[2:], np.intp(ci), np.intp(a)).tobytes()
             assert next(stacked).tobytes() == vec
         out.append((ci, BELL_OUTCOMES[a], prob.hex(), vec))
     return out
@@ -477,32 +477,40 @@ class TestSenderRows:
         assert len(built) == 1 + sum(b.state is not None for b in branches)
 
 
+def normalized_rows(vecs):
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
 @st.composite
 def kernel_cases(draw):
-    """(n, variant, a stack of b unnormalized joint states) for n = 1..6 and b = 1..5:
-    generic states, staircase-like ones (a party vector on the staircase strings times a
-    receiver channel), and either with exact zeros, all-zero states and tiny ones whose
-    rows fall below NULL_PROB_EPS."""
+    """(n, variant, k normalized party states (k, 2**n), c normalized receiver states
+    (c, 2**(n+1)), party keys, channel keys) for n = 1..6, k = 1..5 and c = 1..3: generic
+    states on every string with all-strings keys, or staircase ones (party states on the
+    staircase strings, receivers staircase channels) with the staircase strings and the
+    receivers' live strings as keys; either with exact zeros, and party states whose
+    amplitudes are partly tiny, so that some rows fall below NULL_PROB_EPS."""
     n = draw(st.integers(1, MAX_EXHAUSTIVE_PARTIES))
-    b = draw(st.integers(1, 5))
+    k, c = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     variant = draw(st.sampled_from(list(Variant)))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    size = 1 << (2 * n + 1)
     if draw(st.booleans()):
-        amps = gen.normal(size=(b, size)) + 1j * gen.normal(size=(b, size))
+        pkeys, ckeys = np.arange(1 << n), np.arange(2 << n)
+        receivers = gen.normal(size=(c, 2 << n)) + 1j * gen.normal(size=(c, 2 << n))
     else:
-        parties = np.zeros((b, 1 << n), dtype=complex)
-        live = [int(bits, 2) for bits in domino_support(n)]
-        parties[:, live] = gen.normal(size=(b, len(live))) + 1j * gen.normal(size=(b, len(live)))
-        receiver = build_channel_component(
+        pkeys = np.array([int(bits, 2) for bits in domino_support(n)])
+        receivers = np.array([build_channel_component(
             random_channel(Variant.DOMINO, n, Endpoint.RECEIVER_LAST, gen).components[0],
-            Variant.DOMINO, Endpoint.RECEIVER_LAST, n).amps
-        amps = (parties[:, :, None] * receiver).reshape(b, size)
-    amps[gen.random(amps.shape) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
-    if draw(st.booleans()):  # one state of zeros and one whose rows are all null
-        amps[gen.integers(b)] = 0.0
-        amps[gen.integers(b)] *= 1e-9
-    return n, variant, amps
+            Variant.DOMINO, Endpoint.RECEIVER_LAST, n).amps for _ in range(c)])
+        ckeys = np.flatnonzero(np.repeat(receivers.reshape(c, -1, 2).any(axis=(0, 2)), 2))
+    parties = np.zeros((k, 1 << n), dtype=complex)
+    parties[:, pkeys] = gen.normal(size=(k, len(pkeys))) + 1j * gen.normal(size=(k, len(pkeys)))
+    for amps in (parties, receivers):
+        zero = gen.random(amps.shape) < draw(st.sampled_from([0.0, 0.3, 0.9]))
+        zero[np.arange(len(amps)), np.argmax(np.abs(amps), axis=1)] = False  # none all zeros
+        amps[zero] = 0.0
+    if draw(st.booleans()):
+        parties[gen.random(parties.shape) < 0.5] *= 1e-9
+    return n, variant, normalized_rows(parties), normalized_rows(receivers), pkeys, ckeys
 
 
 def sign_free_bytes(x):
@@ -510,26 +518,35 @@ def sign_free_bytes(x):
     return (x + 0.0).tobytes()
 
 
+def exhaustive_and_reference(n, variant, parties, receivers, pkeys, ckeys):
+    """Exhaustive concentration of every (party state, receiver) pair two ways, each as
+    (raw, vecs) over the whole stack: ``_exhaustive_blocks`` on the keys given, through the
+    step plan of those keys, and the dense joint states through the batched Bell-bra
+    product and the matrix finish that ``_all_pair_rows`` and ``_finish_rows`` replaced."""
+    frame, _, labels = _receiver_table(variant, n)
+    steps = _step_plan.__wrapped__(pkeys.tobytes(), ckeys.tobytes(), n)
+    live = parties.take(pkeys, axis=1), receivers.take(ckeys, axis=1)  # C order, as plans hold them
+    blocks = protocol._exhaustive_blocks(*live, steps, frame)
+    got = [np.concatenate(column) for column in zip(*blocks)]
+    dense = (parties[:, None, :, None] * receivers[:, None, :]).reshape(-1, 2 << (2 * n))
+    paulis = np.array([PAULI_MATRICES[label] for label in labels])
+    return got, matrix_finish_rows(batched_pair_rows(dense, n), paulis)
+
+
 class TestConcentrationKernels:
-    # _all_pair_rows takes one (4, 4) @ (4, N) Bell-bra product per party and
-    # _finish_rows applies the receiver Paulis as a permutation and phase; both
-    # must give the floats of the batched product and the matrix finish they
-    # replaced. A product that is exactly zero may carry the other sign of zero
-    # in either form, so bytes are compared with that sign dropped; np.array_equal
-    # shows the values are equal as they stand.
+    # Exhaustive runs take every party's Bell measurement with _live_pair_rows on the
+    # joint states' live strings, and _finish_rows applies the receiver Paulis as a
+    # permutation and phase; together they must give the floats of the dense batched
+    # product and the matrix finish they replaced. A product that is exactly zero may
+    # carry the other sign of zero in either form, so bytes are compared with that sign
+    # dropped; np.array_equal shows the values are equal as they stand.
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(kernel_cases())
     def test_kernels_match_the_forms_they_replace(self, case):
-        n, variant, amps = case
-        rows, want = _all_pair_rows(amps, n), batched_pair_rows(amps, n)
-        assert rows.flags.c_contiguous
-        assert rows.shape == want.shape
-        assert np.array_equal(rows, want)
-        assert sign_free_bytes(rows) == sign_free_bytes(want)
-        frame, _, labels = _receiver_table(variant, n)
-        paulis = np.array([PAULI_MATRICES[label] for label in labels])
-        got, ref = _finish_rows(rows, frame), matrix_finish_rows(want, paulis)
-        for x, y in zip(got, ref):
+        n, _, parties, receivers = case[:4]
+        got, want = exhaustive_and_reference(*case)
+        assert got[1].shape == (len(parties) * len(receivers), 4**n, 2)
+        for x, y in zip(got, want):
             assert np.array_equal(x, y)
             assert sign_free_bytes(x) == sign_free_bytes(y)
 
@@ -537,8 +554,11 @@ class TestConcentrationKernels:
         # Without exact zeros there is no sign of zero to differ in.
         gen = np.random.default_rng(30)
         for n in range(1, MAX_EXHAUSTIVE_PARTIES + 1):
-            amps = gen.normal(size=(3, 1 << (2 * n + 1))) + 1j * gen.normal(size=(3, 1 << (2 * n + 1)))
-            assert _all_pair_rows(amps, n).tobytes() == batched_pair_rows(amps, n).tobytes()
+            parties = normalized_rows(gen.normal(size=(3, 1 << n)) + 1j * gen.normal(size=(3, 1 << n)))
+            receivers = normalized_rows(gen.normal(size=(2, 2 << n)) + 1j * gen.normal(size=(2, 2 << n)))
+            got, want = exhaustive_and_reference(
+                n, Variant.PARITY, parties, receivers, np.arange(1 << n), np.arange(2 << n))
+            assert [x.tobytes() for x in got] == [y.tobytes() for y in want]
 
     @pytest.mark.parametrize("label", list(PauliLabel), ids=lambda p: p.value)
     def test_pauli_frame_is_the_matrix(self, label):
@@ -567,11 +587,26 @@ class TestNormChecks:
 
     @pytest.mark.parametrize("bad", [1.1, math.nan])
     def test_joint_state(self, bad):
-        _, conc = bell_pair_channels()
-        receivers = protocol._pair_plan(*bell_pair_channels())[1] * bad
+        _, receivers, _, _, (_, steps, (frame, _, _)) = protocol._pair_plan(*bell_pair_channels())
+        states = np.array([[SQ, SQ]], dtype=complex)
         with pytest.raises(ValueError, match="joint state not normalized"):
-            next(protocol._exhaustive_blocks(
-                np.array([[SQ, SQ]], dtype=complex), receivers, _receiver_table(conc.variant, 1)[0], 1))
+            next(protocol._exhaustive_blocks(states, receivers * bad, steps, frame))
+
+    def test_start_missing_a_key(self):
+        # A start that leaves out a string a party vector holds loses that
+        # string's amplitudes, and the joint-norm check refuses the block.
+        dist, conc = telecloning_channel(), smolin_channel()
+        sender, receivers, _, ckeys, (_, _, (frame, _, _)) = protocol._pair_plan(dist, conc)
+        rows, raw, _ = _sender_stage(random_input(np.random.default_rng(37)).to_state().amps, dist, sender)
+        state = _party_vectors(rows, raw, sender[2:], np.intp(0), np.intp(0))
+
+        def first_block(pkeys):
+            steps = _step_plan.__wrapped__(pkeys.tobytes(), ckeys, dist.n_parties)
+            return next(protocol._exhaustive_blocks(state[None, pkeys], receivers, steps, frame))
+
+        first_block(np.flatnonzero(state))  # every string the vector holds
+        with pytest.raises(ValueError, match="joint state not normalized"):
+            first_block(np.flatnonzero(state)[1:])
 
     @pytest.mark.parametrize("bad", [1.1, math.nan])
     def test_finished_receiver_state(self, bad):
@@ -989,6 +1024,21 @@ class TestPairPlan:
                 run_end_to_end(inp, d, c, mode="sampled", seed=seed)
         assert len(built) == 5
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(sender_cases())
+    def test_start_holds_every_live_party_vector(self, case):
+        # Exhaustive runs gather party vectors on the plan's start strings only,
+        # so every live vector's nonzeros must lie there, for any input.
+        inp, dist = case
+        conc = random_channel(dist.variant, dist.n_parties, Endpoint.RECEIVER_LAST, np.random.default_rng(38))
+        sender, _, _, _, ((gather, _), _, _) = protocol._pair_plan(dist, conc)
+        assert np.array_equal(sender[2][0], np.arange(1 << dist.n_parties))  # phi+ flips no bit
+        start = set(gather[0].tolist())
+        for qubit in (inp, InputQubit(1, 0), InputQubit(0, 1), NULL_SENDER_INPUT):
+            rows, raw, _ = _sender_stage(qubit.to_state().amps, dist, sender)
+            for vec in _party_vectors(rows, raw, sender[2:], *np.nonzero(~(raw < NULL_PROB_EPS))):
+                assert set(np.flatnonzero(vec).tolist()) <= start
+
     @pytest.mark.parametrize("n", [2, 5])
     def test_block_size_leaves_rows_unchanged(self, n, monkeypatch):
         # A block holds whole states' worth of receiver components, so a
@@ -1054,30 +1104,36 @@ class TestSampledLiveStrings:
     def test_live_step_matches_dense_rows(self, n, data):
         # Every step of a plan gives the dense pair_rows rows exactly, at the
         # keys it leaves, with zeros everywhere else, whichever outcome the
-        # trajectory goes on with. Channel keys come in receiver-bit pairs, as
-        # _pair_plan's live keys keep them.
+        # trajectory goes on with, for each state of a stack along trailing
+        # axes, as exhaustive runs hold one. Channel keys come in receiver-bit
+        # pairs, as _pair_plan's live keys keep them.
         masks = [data.draw(st.lists(st.booleans(), min_size=1 << n, max_size=1 << n)
                            .filter(any)) for _ in range(2)]
         pkeys = np.flatnonzero(masks[0])
         ckeys = (2 * np.flatnonzero(masks[1])[:, None] + np.arange(2)).ravel()
+        stack = data.draw(st.sampled_from([(), (2,), (2, 3)]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        mat = rng.normal(size=(len(pkeys), len(ckeys))) + 1j * rng.normal(size=(len(pkeys), len(ckeys)))
+        size = (len(pkeys), len(ckeys), *stack)
+        mat = rng.normal(size=size) + 1j * rng.normal(size=size)
         mat[rng.random(mat.shape) < data.draw(st.floats(0.0, 1.0))] = 0.0
-        dense = np.zeros((1 << n, 1 << (n + 1)), dtype=complex)
+        dense = np.zeros((1 << n, 2 << n, *stack), dtype=complex)
         dense[np.ix_(pkeys, ckeys)] = mat
         plan = _step_plan(pkeys.tobytes(), ckeys.tobytes(), n)
         assert len(plan) == n
         for bits, step in zip(range(n, 0, -1), plan):
-            want = pair_rows(dense.ravel(), 2 * bits + 1, 1, bits + 1)
+            states = dense.reshape(1 << bits, 2 << bits, -1)
+            want = np.stack([pair_rows(states[..., s].ravel(), 2 * bits + 1, 1, bits + 1)
+                             for s in range(states.shape[-1])], axis=-1)
             rows = _live_pair_rows(mat, step)
             _, pleft, cleft = step
             assert pleft.tolist() == sorted({k % (1 << (bits - 1)) for k in pkeys.tolist()})
             assert cleft.tolist() == sorted({k % (1 << bits) for k in ckeys.tolist()})
-            got = np.zeros((4, 1 << (bits - 1), 1 << bits), dtype=complex)
-            got[:, pleft[:, None], cleft] = rows.reshape(4, len(pleft), len(cleft))
-            assert np.array_equal(got.reshape(4, -1), want)
+            assert rows.shape == (4, len(pleft), len(cleft), *stack)
+            got = np.zeros((4, 1 << (bits - 1), 1 << bits, *stack), dtype=complex)
+            got[:, pleft[:, None], cleft] = rows
+            assert np.array_equal(got.reshape(want.shape), want)
             k = data.draw(st.integers(0, 3))
-            mat, dense = rows[k].reshape(len(pleft), len(cleft)), want[k].reshape(1 << (bits - 1), -1)
+            mat, dense = rows[k], want[k].reshape(1 << (bits - 1), 1 << bits, *stack)
             pkeys, ckeys = pleft, cleft
 
     def test_fewer_live_strings_get_their_own_plan(self):

@@ -25,7 +25,6 @@ def test_no_assert_statements():
 # routing the oracle through the evaluator's kernels would make their
 # agreement a tautology.
 EVALUATOR_INTERNALS = frozenset({
-    "_all_pair_rows",
     "_finish_rows",
     "_exhaustive_blocks",
     "_receiver_table",

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import qrelay.verify as verify_mod
 
-from qrelay.bell import BELL_OUTCOMES, BellOutcome, PauliLabel, as_rng, bell_vector
+from qrelay.bell import BELL_OUTCOMES, NULL_PROB_EPS, BellOutcome, PauliLabel, as_rng, bell_vector
 from qrelay.channels import (
     Endpoint,
     Variant,
@@ -414,6 +414,23 @@ class TestOracleAgreement:
         assert not v.passed
         assert v.worst_deviation == 1.0
         assert [(w.alice_outcome, w.bob_outcomes, w.fidelity) for w in v.witnesses] == [(PSI_M, (), 1.0)]
+
+    @pytest.mark.parametrize("offset", [3e-7, 2e-7, 1e-7, 5e-8])
+    def test_oracle_nulls_branches_as_the_evaluator_does(self, monkeypatch, offset):
+        # Just off |+>, the custom mixture below gives live branches whose joint
+        # probability is at most NULL_PROB_EPS. The evaluator reports those as
+        # null (fidelity None), and the oracle must null them too.
+        theta = math.pi / 4 + offset
+        inp = InputQubit(math.cos(theta), math.sin(theta))
+        monkeypatch.setattr(verify_mod, "random_input", lambda gen: inp)
+        dist = mixed_channel(Variant.CUSTOM, 2, Endpoint.SENDER_FIRST,
+                             [(0.5, {"00": SQ, "11": SQ}), (0.5, {"01": 0.6, "10": 0.8})])
+        conc = mixed_channel(Variant.CUSTOM, 2, Endpoint.RECEIVER_LAST,
+                             [(0.4, {"00": 1.0}), (0.6, {"01": SQ, "10": SQ})])
+        reports = run_end_to_end(inp, dist, conc)
+        assert any(r.bob_outcomes and 0.0 < r.joint_prob <= NULL_PROB_EPS for r in reports)
+        v, ref = assert_matches_reference(dist, conc, trials=1, seed=0)
+        assert v.passed and ref.passed, (v.worst_deviation, ref.worst_deviation)
 
     def test_agreement_holds_even_when_unfaithful(self):
         gen = np.random.default_rng(11)
