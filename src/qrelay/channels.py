@@ -145,6 +145,14 @@ class ChannelSpec:
         except ValueError as exc:
             raise ChannelValidationError(str(exc)) from None
         _validate_spec(self)
+        # Cached: the generated hash walks every component, and each run looks its pair plan up.
+        object.__setattr__(self, "_hash", hash((self.variant, self.n_parties, self.endpoint, self.components)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # pickles rebuild the spec, so a cached hash never goes stale
+        return ChannelSpec, (self.variant, self.n_parties, self.endpoint, self.components)
 
     @property
     def faithfulness_guaranteed(self) -> bool:

@@ -13,12 +13,13 @@ basis, and sends the outcome to the receiver, who applies one composite
 correction. Branch enumeration is exhaustive (all outcome tuples with
 their joint probabilities) or sampled (one trajectory drawn from them).
 
-``_branch_rows`` is the one way into concentration. A run reads all it needs but its
-input from one cached ``_pair_plan`` per channel pair, and one batched ``_sender_stage``
-gives every sender row. Both modes keep the joint state on its live strings and take each
-Bell measurement with the one kernel ``_live_pair_rows``: ``_exhaustive_blocks`` keeps
-all four outcomes of every step, ``_sampled_rows`` the one it draws. ``run_end_to_end``
-turns the rows into reports and ``distribute`` exposes the distribution phase alone.
+``_branch_rows`` is the one way into concentration. A run reads all it needs but its input
+from one cached ``_pair_plan`` per channel pair, and one batched ``_sender_stage`` gives every
+sender row. Both modes keep the joint state on its live strings and take each Bell measurement
+with the one kernel ``_live_pair_rows``: ``_receiver_rows`` keeps all four outcomes of every
+step, ``_sampled_rows`` the one it draws. Each branch is linear in the input, so a small pair's
+plan holds its 2x2 maps (``_pair_maps``), and an exhaustive run on it is one product.
+``run_end_to_end`` turns the rows into reports and ``distribute`` exposes distribution alone.
 """
 
 from __future__ import annotations
@@ -48,9 +49,8 @@ from .statevec import DEFAULT_QUBIT_CAP, NORM_ATOL, CapacityError, StateVector
 
 MAX_EXHAUSTIVE_PARTIES = 6
 
-# Exhaustive concentration stacks joint states and finishes them in blocks of
-# at most this many amplitudes: one joint state at the party cap, so a stack
-# never needs more memory than the largest single state.
+# Exhaustive concentration stacks joint states in blocks of at most this many amplitudes, one
+# joint state at the party cap, and a plan holds branch maps only if they fit in one block.
 _BLOCK_AMPS = 1 << (2 * MAX_EXHAUSTIVE_PARTIES + 1)
 
 PROB_SANITY_ATOL = 1e-9
@@ -290,12 +290,11 @@ def _finish_rows(rows: np.ndarray, frame: tuple[np.ndarray, np.ndarray]) -> tupl
     """Finish unnormalized receiver rows, (..., K, 2): (raw Born probability
     of each row, corrected and normalized receiver vectors).
 
-    ``frame`` applies the receiver corrections as a permutation and phase over
-    the flattened (row, component) axis: the ``_receiver_table`` frame for its
-    rows, ``_PAULI_FRAMES[label]`` for one row. A row is live unless its
-    raw probability is below ``NULL_PROB_EPS``; null rows keep their
-    corrected but unnormalized vector, which callers must not read. Every
-    live vector must come out normalized to within ``NORM_ATOL``.
+    ``frame`` applies the receiver corrections as a permutation and phase over the flattened
+    (row, component) axis: ``_PAULI_FRAMES[label]`` for a sampled trajectory's one row. A row
+    is live unless its raw probability is below ``NULL_PROB_EPS``; null rows keep their
+    corrected but unnormalized vector, which callers must not read. Every live vector must
+    come out normalized to within ``NORM_ATOL``.
     """
     perm, phase = frame
     raw = np.einsum("...kj,...kj->...k", rows.conj(), rows).real
@@ -348,28 +347,24 @@ def _live_pair_rows(mat: np.ndarray, step: tuple) -> np.ndarray:
     return _BELL_BRAS.dot(grid.reshape(4, -1)).reshape(4, r, c, *stack)
 
 
-def _exhaustive_blocks(states: np.ndarray, receivers: np.ndarray, steps: tuple, frame: tuple):
-    """Every concentration outcome of each (party state, receiver component) pair of a stack
-    of normalized n-party states and one of receiver channel states, both on the keys the
-    ``_step_plan`` ``steps`` starts from, state by state, finished in blocks of at most
-    ``_BLOCK_AMPS`` dense amplitudes: whole states' components, or a share of one state's.
-    Each step keeps all four outcomes, its outcome axis behind the stack and earlier ones.
-    Yields (raw, vecs) per block: (b, 4**n) raw probabilities and (b, 4**n, 2) corrected
-    receiver vectors, rows in ``_receiver_table`` order. The one exhaustive evaluator."""
-    r, c, n = states.shape[1], receivers.shape[1], len(steps)
+def _receiver_rows(parties: np.ndarray, receivers: np.ndarray, steps: tuple, frame: tuple):
+    """Every concentration outcome of each (party vector, receiver component) pair of stacks of
+    unnormalized party vectors and receiver states on the keys the ``_step_plan`` ``steps``
+    starts from, pair by pair, in blocks of at most ``_BLOCK_AMPS`` amplitudes (whole vectors'
+    components, or a share of one's); each step's outcome axis goes behind the stack. Yields
+    (b, 4**n, 2) rows, corrected by the ``_receiver_table`` ``frame``: the one exhaustive kernel."""
+    r, c, n = parties.shape[1], receivers.shape[1], len(steps)
     per_block = _BLOCK_AMPS >> (2 * n + 1)
     height, width = max(1, per_block // len(receivers)), min(len(receivers), per_block)
-    for i in range(0, len(states), height):
+    for i in range(0, len(parties), height):
         for j in range(0, len(receivers), width):
-            joint = (states[i:i + height, None, :, None] * receivers[j:j + width, None, :]).reshape(-1, r * c)
-            _check_normalized(joint, "joint state")
+            joint = (parties[i:i + height, None, :, None] * receivers[j:j + width, None, :]).reshape(-1, r * c)
             pair = _live_pair_rows(joint.T.reshape(r, c, -1), steps[0])  # (party key, channel key, b)
             for step in steps[1:]:
                 pair = _live_pair_rows(pair.transpose(*range(1, pair.ndim), 0), step)
-            # The last pair is (o_n, 1, receiver bit, b, o_1..o_n-1): one contiguous copy, since a
-            # strided view at n = 1 rounds the norms in _finish_rows differently.
-            rows = np.ascontiguousarray(pair.reshape(4, 2, -1).transpose(2, 0, 1)).reshape(len(joint), -1, 2)
-            yield _finish_rows(rows, frame)
+            # The last pair is (o_n, 1, receiver bit, b, o_1..o_n-1).
+            rows = pair.reshape(4, 2, -1).transpose(2, 0, 1).reshape(len(joint), -1)
+            yield (frame[1] * rows.take(frame[0], axis=1)).reshape(len(joint), -1, 2)
 
 
 def _sampled_rows(
@@ -411,23 +406,39 @@ def _sampled_rows(
     return [(ci * len(weights) + cj, alice, conc_joint.tolist(), fids, (outcomes,), (label,))]
 
 
-def _fidelities(vecs: np.ndarray, input_amps: np.ndarray, raw: np.ndarray, joint: np.ndarray) -> list:
-    """Each row's fidelity against the input as a (nested) list of Python
-    floats, None where the branch is null by raw or joint probability."""
-    fids = np.abs(vecs.conj() @ input_amps) ** 2
+def _fidelities(vecs: np.ndarray, input_amps: np.ndarray, raw: np.ndarray, joint: np.ndarray, norms=1.0) -> list:
+    """Each row's fidelity against the input, over its squared ``norms`` if not normalized, as a
+    (nested) list of Python floats, None where the branch is null by raw or joint probability."""
     null = (raw < NULL_PROB_EPS) | (joint <= NULL_PROB_EPS)
+    fids = np.abs(vecs.conj() @ input_amps) ** 2 / np.where(null, 1.0, norms)
     return np.where(null, None, fids).tolist() if null.any() else fids.tolist()
 
 
-@lru_cache(maxsize=32)  # a verify suite's pairs, or a benchmark pool's: a few KiB each
+def _pair_maps(dist: ChannelSpec, sender: tuple, receivers: np.ndarray, weights: np.ndarray, start: tuple):
+    """Each branch's 2x2 map K as (2, m), read-only: a trial's ``_receiver_rows`` in (sender component,
+    sender outcome, receiver component, row) order are ``input @ maps``. Refuses maps unless, per sender
+    component, the sum over sender outcomes, weighted receivers and rows of K^dagger K is I."""
+    (gather, phases), steps, (frame, _, _) = start
+    rows = np.concatenate([_sender_stage(amps, dist, sender)[0] for amps in np.eye(2, dtype=complex)])
+    parties = (phases * rows[:, np.arange(4)[:, None], gather]).reshape(-1, gather.shape[1])
+    maps = np.concatenate([*_receiver_rows(parties, receivers, steps, frame)])
+    maps = maps.reshape(2, -1, 4, len(weights), 2 << 2 * len(steps))
+    gram = np.einsum("xdacj,c,ydacj->dxy", maps.conj(), weights, maps)
+    if not np.all(abs(gram - np.eye(2)) <= NORM_ATOL):
+        raise ValueError("branch maps do not conserve probability")
+    maps.setflags(write=False)
+    return maps.reshape(2, -1)
+
+
+@lru_cache(maxsize=32)  # a verify suite's pairs, or a benchmark pool's: a few KiB each, maps <= 128 KiB
 def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
-    """Checks a channel pair, then holds all a run on it needs besides the input, read-only:
-    the ``_sender_plan`` of ``dist``; the receiver states (c, k) and weights (c,) of ``conc`` on
-    the k channel strings any component holds (both receiver bits kept so rows never narrow to
-    one column, which rounds unlike the dense rows) and those keys (intp bytes); and, at
-    exhaustive sizes, the start: the sender frames on the party strings a corrected sender row
-    can reach, the uncached ``_step_plan`` from them and the ``_receiver_table``. Each channel
-    state is built here once per plan."""
+    """Checks a channel pair, then holds all a run on it needs besides the input, read-only: the
+    ``_sender_plan`` of ``dist``; the receiver states (c, k) and weights (c,) of ``conc`` on the k channel
+    strings any component holds (both receiver bits kept so rows never narrow to one column, which rounds
+    unlike the dense rows) and those keys (intp bytes); and, at exhaustive sizes, the start: the sender
+    frames on the party strings a corrected sender row can reach, the uncached ``_step_plan`` from them,
+    the ``_receiver_table``, and the ``_pair_maps`` if they fit in one block (16 d c 4^n amplitudes: pure
+    pairs to n = 4 and telecloning->Smolin), else None. Each channel state is built here once per plan."""
     n, variant = conc.n_parties, conc.variant
     if dist.n_parties != n:
         raise ValueError(f"party mismatch: distribution has {dist.n_parties}, concentration has {n}")
@@ -447,6 +458,8 @@ def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
         pkeys = np.flatnonzero(states.reshape(len(states), 2, -1).any(axis=(0, 1))[gather].any(axis=0))
         start = ((gather.take(pkeys, axis=1), phases.take(pkeys, axis=1)),
                  _step_plan.__wrapped__(pkeys.tobytes(), ckeys.tobytes(), n), _receiver_table(variant, n))
+        fits = 16 * len(states) * len(receivers) << 2 * n <= _BLOCK_AMPS
+        start += (_pair_maps(dist, sender, receivers, weights, start) if fits else None,)
     for arr in (receivers, weights, *(start[0] if start else ())):
         arr.setflags(write=False)
     return sender, receivers, weights, ckeys.tobytes(), start
@@ -481,15 +494,24 @@ def _branch_rows(
     n_conc = len(receivers)
     null = raw < NULL_PROB_EPS
     ci, a = np.nonzero(~null)
-    frames, steps, (frame, outcomes, labels) = start
-    states = _party_vectors(rows, raw, frames, ci, a)
-    _check_normalized(states, "distributed state")
-    slot_weights = (joint[ci, a][:, None] * weights).ravel()
-    joints, fids = [], []
-    for conc_raw, vecs in _exhaustive_blocks(states, receivers, steps, frame):
-        block_joint = slot_weights[len(joints):len(joints) + len(conc_raw), None] * conc_raw
+    (gather, phases), steps, (frame, outcomes, labels), maps = start
+    if maps is None:  # too large for maps: the kernel on this trial's unnormalized party vectors
+        blocks = _receiver_rows(phases[a] * rows[ci[:, None], a[:, None], gather[a]], receivers, steps, frame)
+    else:
+        blocks = [(input_amps @ maps).reshape(*raw.shape, -1)[ci, a].reshape(len(ci) * n_conc, -1, 2)]
+    # A row u of sender row (ci, a) has raw = |u|^2 / raw[ci, a]: its party vector was not normalized.
+    slot_raw, slot_weights = raw[ci, a].repeat(n_conc)[:, None], (joint[ci, a][:, None] * weights).reshape(-1, 1)
+    joints, fids, total = [], [], joint[null].sum()
+    for u in blocks:
+        at = slice(len(joints), len(joints) + len(u))
+        norms = np.vecdot(u.view(float), u.view(float))
+        conc_raw = norms / slot_raw[at]
+        block_joint = slot_weights[at] * conc_raw
+        total += block_joint.sum()
         joints += block_joint.tolist()
-        fids += _fidelities(vecs, input_amps, conc_raw, block_joint)
+        fids += _fidelities(u, input_amps, conc_raw, block_joint, norms)
+    if not abs(total - 1.0) <= NORM_ATOL:
+        raise ValueError(f"branch probabilities sum to {total}, expected 1")
     slots, out = zip(joints, fids), []
     for k, (prob, is_null) in enumerate(zip(joint.ravel().tolist(), null.ravel().tolist())):
         index, alice = k // 4 * n_conc, BELL_OUTCOMES[k % 4]

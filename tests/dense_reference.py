@@ -72,12 +72,18 @@ def batched_pair_rows(amps, n):
     return psi.reshape(b, 4**n, 2)
 
 
+def matrix_corrected_rows(rows, paulis):
+    """The reference for the receiver frame of ``protocol._receiver_rows``, its earlier
+    form: row k's receiver correction is the matrix ``paulis[k]``, applied by one einsum."""
+    return np.einsum("kij,...kj->...ki", paulis, rows)
+
+
 def matrix_finish_rows(rows, paulis):
-    """The reference for ``protocol._finish_rows``, its earlier form: row k's receiver
-    correction is the matrix ``paulis[k]``, applied by one einsum."""
+    """The reference for ``protocol._finish_rows``, its earlier form: the
+    ``matrix_corrected_rows``, each over the root of its raw probability."""
     raw = np.einsum("...kj,...kj->...k", rows.conj(), rows).real
     null = raw < NULL_PROB_EPS
-    vecs = np.einsum("kij,...kj->...ki", paulis, rows) / np.sqrt(np.where(null, 1.0, raw))[..., None]
+    vecs = matrix_corrected_rows(rows, paulis) / np.sqrt(np.where(null, 1.0, raw))[..., None]
     _check_normalized(vecs, "concentrated receiver state", skip=null)
     return raw, vecs
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ from dense_reference import (
     dense_branches,
     dense_sampled,
     distribution_branch,
-    matrix_finish_rows,
+    matrix_corrected_rows,
     pair_rows,
     project_bell,
     tensor,
@@ -88,16 +89,24 @@ def fresh_plans():
 
 
 def scale_party_vectors(monkeypatch, factor):
-    """Patch the pair plans so that every party vector comes out times ``factor``:
-    its distribution phases are scaled, the sender plan's and the exhaustive start's."""
-    plan = protocol._pair_plan
+    """Patch the sender plans so that every party vector comes out times ``factor``:
+    their distribution phases are scaled, and pair plans built after the patch (use
+    ``fresh_plans``) take their starts and branch maps from them."""
+    plan = protocol._sender_plan
 
-    def scaled(dist, conc):
-        sender, receivers, weights, ckeys, ((gather, phases), *start) = plan(dist, conc)
-        return ((*sender[:3], sender[3] * factor), receivers, weights, ckeys,
-                ((gather, phases * factor), *start))
+    def scaled(dist):
+        states, weights, gather, phases = plan(dist)
+        return states, weights, gather, phases * factor
 
-    monkeypatch.setattr(protocol, "_pair_plan", scaled)
+    monkeypatch.setattr(protocol, "_sender_plan", scaled)
+
+
+def force_path(monkeypatch, path, n):
+    """Clear the pair plans and set the block budget so that a pair of n parties built
+    next holds its branch maps ("maps") or runs the kernel on every trial ("kernel");
+    use with ``fresh_plans``, so that no plan built under the patch outlives the test."""
+    protocol._pair_plan.cache_clear()
+    monkeypatch.setattr(protocol, "_BLOCK_AMPS", 1 << 20 if path == "maps" else 2 << (2 * n))
 
 
 class TestInputQubit:
@@ -519,36 +528,34 @@ def sign_free_bytes(x):
 
 
 def exhaustive_and_reference(n, variant, parties, receivers, pkeys, ckeys):
-    """Exhaustive concentration of every (party state, receiver) pair two ways, each as
-    (raw, vecs) over the whole stack: ``_exhaustive_blocks`` on the keys given, through the
-    step plan of those keys, and the dense joint states through the batched Bell-bra
-    product and the matrix finish that ``_all_pair_rows`` and ``_finish_rows`` replaced."""
+    """The corrected receiver rows of every (party vector, receiver) pair two ways, each
+    over the whole stack: ``_receiver_rows`` on the keys given, through the step plan of
+    those keys, and the dense joint states through the batched Bell-bra product and the
+    matrix Paulis that the live-string kernel and the receiver frame replaced."""
     frame, _, labels = _receiver_table(variant, n)
     steps = _step_plan.__wrapped__(pkeys.tobytes(), ckeys.tobytes(), n)
     live = parties.take(pkeys, axis=1), receivers.take(ckeys, axis=1)  # C order, as plans hold them
-    blocks = protocol._exhaustive_blocks(*live, steps, frame)
-    got = [np.concatenate(column) for column in zip(*blocks)]
+    got = np.concatenate(list(protocol._receiver_rows(*live, steps, frame)))
     dense = (parties[:, None, :, None] * receivers[:, None, :]).reshape(-1, 2 << (2 * n))
     paulis = np.array([PAULI_MATRICES[label] for label in labels])
-    return got, matrix_finish_rows(batched_pair_rows(dense, n), paulis)
+    return got, matrix_corrected_rows(batched_pair_rows(dense, n), paulis)
 
 
 class TestConcentrationKernels:
     # Exhaustive runs take every party's Bell measurement with _live_pair_rows on the
-    # joint states' live strings, and _finish_rows applies the receiver Paulis as a
-    # permutation and phase; together they must give the floats of the dense batched
-    # product and the matrix finish they replaced. A product that is exactly zero may
-    # carry the other sign of zero in either form, so bytes are compared with that sign
-    # dropped; np.array_equal shows the values are equal as they stand.
+    # joint states' live strings and apply the receiver Paulis as a permutation and
+    # phase; together they must give the floats of the dense batched product and the
+    # matrix Paulis they replaced. A product that is exactly zero may carry the other
+    # sign of zero in either form, so bytes are compared with that sign dropped;
+    # np.array_equal shows the values are equal as they stand.
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(kernel_cases())
     def test_kernels_match_the_forms_they_replace(self, case):
         n, _, parties, receivers = case[:4]
         got, want = exhaustive_and_reference(*case)
-        assert got[1].shape == (len(parties) * len(receivers), 4**n, 2)
-        for x, y in zip(got, want):
-            assert np.array_equal(x, y)
-            assert sign_free_bytes(x) == sign_free_bytes(y)
+        assert got.shape == (len(parties) * len(receivers), 4**n, 2)
+        assert np.array_equal(got, want)
+        assert sign_free_bytes(got) == sign_free_bytes(want)
 
     def test_dense_rows_are_byte_identical(self):
         # Without exact zeros there is no sign of zero to differ in.
@@ -558,7 +565,7 @@ class TestConcentrationKernels:
             receivers = normalized_rows(gen.normal(size=(2, 2 << n)) + 1j * gen.normal(size=(2, 2 << n)))
             got, want = exhaustive_and_reference(
                 n, Variant.PARITY, parties, receivers, np.arange(1 << n), np.arange(2 << n))
-            assert [x.tobytes() for x in got] == [y.tobytes() for y in want]
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("label", list(PauliLabel), ids=lambda p: p.value)
     def test_pauli_frame_is_the_matrix(self, label):
@@ -567,46 +574,71 @@ class TestConcentrationKernels:
         assert not perm.flags.writeable and not phase.flags.writeable
 
 
+# The message each exhaustive path refuses a fault with: the plan checks a pair's branch
+# maps once, and a pair too large to hold them checks every trial's total probability.
+PATH_REFUSALS = (("maps", "branch maps do not conserve probability"),
+                 ("kernel", "branch probabilities sum to"))
+
+
 class TestNormChecks:
-    # run_end_to_end checks three stacks: the distributed states, each joint
-    # block and the finished receiver vectors. Each refuses an unnormalized or
-    # NaN vector; only the last has null rows, and it skips them.
+    # Exhaustive runs check that a pair's branch maps conserve probability for every
+    # input, when its plan builds them, and that each trial's branch probabilities sum to
+    # 1; a pair too large to hold maps reaches only the second. Sampled runs check the
+    # drawn party vector, the joint state and the finished receiver vector; only the last
+    # has null rows, and it skips them. Each check refuses an unnormalized or NaN vector.
     @pytest.mark.parametrize("bad", [1.1, math.nan])
-    def test_distributed_state(self, monkeypatch, bad):
+    def test_distributed_state(self, monkeypatch, fresh_plans, bad):
         dist, conc = bell_pair_channels()
         scale_party_vectors(monkeypatch, bad)
-        with pytest.raises(ValueError, match="distributed state not normalized"):
-            run_end_to_end(InputQubit(1, 0), dist, conc)
+        for path, refusal in PATH_REFUSALS:
+            force_path(monkeypatch, path, dist.n_parties)
+            with pytest.raises(ValueError, match=refusal):
+                run_end_to_end(InputQubit(1, 0), dist, conc)
 
     @pytest.mark.parametrize("bad", [1.1, math.nan])
-    def test_sampled_distributed_state(self, monkeypatch, bad):
+    def test_sampled_distributed_state(self, monkeypatch, fresh_plans, bad):
         dist, conc = bell_pair_channels()
         scale_party_vectors(monkeypatch, bad)
+        force_path(monkeypatch, "kernel", dist.n_parties)  # no maps, whose check would refuse first
         with pytest.raises(ValueError, match="distributed state not normalized"):
             run_end_to_end(InputQubit(1, 0), dist, conc, mode="sampled", seed=0)
 
     @pytest.mark.parametrize("bad", [1.1, math.nan])
-    def test_joint_state(self, bad):
-        _, receivers, _, _, (_, steps, (frame, _, _)) = protocol._pair_plan(*bell_pair_channels())
-        states = np.array([[SQ, SQ]], dtype=complex)
-        with pytest.raises(ValueError, match="joint state not normalized"):
-            next(protocol._exhaustive_blocks(states, receivers * bad, steps, frame))
+    def test_joint_state(self, monkeypatch, fresh_plans, bad):
+        # Scaled receiver states: each path refuses them, and so does a sampled run.
+        build = protocol.build_channel_component
 
-    def test_start_missing_a_key(self):
-        # A start that leaves out a string a party vector holds loses that
-        # string's amplitudes, and the joint-norm check refuses the block.
+        def scaled(comp, variant, endpoint, n):
+            amps = build(comp, variant, endpoint, n).amps
+            return SimpleNamespace(amps=amps * bad if endpoint is Endpoint.RECEIVER_LAST else amps)
+
+        monkeypatch.setattr(protocol, "build_channel_component", scaled)
+        dist, conc = bell_pair_channels()
+        for path, refusal in PATH_REFUSALS:
+            force_path(monkeypatch, path, dist.n_parties)
+            with pytest.raises(ValueError, match=refusal):
+                run_end_to_end(InputQubit(1, 0), dist, conc)
+        with pytest.raises(ValueError, match="joint state not normalized"):
+            run_end_to_end(InputQubit(1, 0), dist, conc, mode="sampled", seed=0)
+
+    def test_start_missing_a_key(self, monkeypatch):
+        # A start that leaves out a string a party vector holds loses that string's
+        # amplitudes: the plan refuses maps built on it, and a trial on the kernel path
+        # refuses its branch probabilities' total.
         dist, conc = telecloning_channel(), smolin_channel()
-        sender, receivers, _, ckeys, (_, _, (frame, _, _)) = protocol._pair_plan(dist, conc)
-        rows, raw, _ = _sender_stage(random_input(np.random.default_rng(37)).to_state().amps, dist, sender)
-        state = _party_vectors(rows, raw, sender[2:], np.intp(0), np.intp(0))
+        sender, receivers, weights, ckeys, ((gather, phases), _, table, maps) = plan = protocol._pair_plan(dist, conc)
 
-        def first_block(pkeys):
-            steps = _step_plan.__wrapped__(pkeys.tobytes(), ckeys, dist.n_parties)
-            return next(protocol._exhaustive_blocks(state[None, pkeys], receivers, steps, frame))
+        def start(keep):  # gather[0] is the start's strings: phi+ flips no bit
+            steps = _step_plan.__wrapped__(gather[0][keep].tobytes(), ckeys, dist.n_parties)
+            return (gather[:, keep], phases[:, keep]), steps, table
 
-        first_block(np.flatnonzero(state))  # every string the vector holds
-        with pytest.raises(ValueError, match="joint state not normalized"):
-            first_block(np.flatnonzero(state)[1:])
+        every = np.arange(gather.shape[1])
+        assert np.array_equal(protocol._pair_maps(dist, sender, receivers, weights, start(every)), maps)
+        with pytest.raises(ValueError, match=PATH_REFUSALS[0][1]):
+            protocol._pair_maps(dist, sender, receivers, weights, start(every[1:]))
+        monkeypatch.setattr(protocol, "_pair_plan", lambda *pair: (*plan[:4], (*start(every[1:]), None)))
+        with pytest.raises(ValueError, match=PATH_REFUSALS[1][1]):
+            run_end_to_end(random_input(np.random.default_rng(37)), dist, conc)
 
     @pytest.mark.parametrize("bad", [1.1, math.nan])
     def test_finished_receiver_state(self, bad):
@@ -979,6 +1011,23 @@ class TestEvaluatorConsumersAgree:
         assert f.fidelity == pytest.approx(fid, rel=0, abs=1e-12)
 
 
+def path_cases():
+    """Pairs for comparing the map path with the kernel path: pure pairs at n = 1..5,
+    receiver mixtures, and the custom pair whose |+> input nulls sender rows."""
+    gen = np.random.default_rng(40)
+    cases = {f"{v.value}-n{n}": (random_channel(v, n, Endpoint.SENDER_FIRST, gen),
+                                 random_channel(v, n, Endpoint.RECEIVER_LAST, gen))
+             for v, n in ((Variant.PARITY, 1), (Variant.DOMINO, 2), (Variant.PARITY, 3),
+                          (Variant.DOMINO, 4), (Variant.PARITY, 5))}
+    comps = [dict(random_channel(Variant.DOMINO, 2, Endpoint.RECEIVER_LAST, gen).components[0].coeffs)
+             for _ in range(3)]
+    cases["domino-n2-mixed"] = (random_channel(Variant.DOMINO, 2, Endpoint.SENDER_FIRST, gen), mixed_channel(
+        Variant.DOMINO, 2, Endpoint.RECEIVER_LAST, list(zip((0.2, 0.3, 0.5), comps))))
+    cases["telecloning-smolin"] = telecloning_channel(), smolin_channel()
+    cases["custom-null"] = dict(agreement_cases())["custom-null"]
+    return cases
+
+
 class TestPairPlan:
     # A run reads everything but its input from one cached plan per channel pair.
     def test_each_pair_reads_its_own_plan(self):
@@ -1031,7 +1080,7 @@ class TestPairPlan:
         # so every live vector's nonzeros must lie there, for any input.
         inp, dist = case
         conc = random_channel(dist.variant, dist.n_parties, Endpoint.RECEIVER_LAST, np.random.default_rng(38))
-        sender, _, _, _, ((gather, _), _, _) = protocol._pair_plan(dist, conc)
+        sender, _, _, _, ((gather, _), _, _, _) = protocol._pair_plan(dist, conc)
         assert np.array_equal(sender[2][0], np.arange(1 << dist.n_parties))  # phi+ flips no bit
         start = set(gather[0].tolist())
         for qubit in (inp, InputQubit(1, 0), InputQubit(0, 1), NULL_SENDER_INPUT):
@@ -1040,19 +1089,73 @@ class TestPairPlan:
                 assert set(np.flatnonzero(vec).tolist()) <= start
 
     @pytest.mark.parametrize("n", [2, 5])
-    def test_block_size_leaves_rows_unchanged(self, n, monkeypatch):
+    def test_block_size_leaves_rows_unchanged(self, n, monkeypatch, fresh_plans):
         # A block holds whole states' worth of receiver components, so a
         # three-component mixture fills blocks unevenly; every report must be
-        # the same floats as with one joint state per block.
+        # the same floats as with one joint state per block. Both runs take the
+        # kernel path: the first budget is one amplitude short of the maps.
         gen = np.random.default_rng(35 + n)
         comps = [dict(random_channel(Variant.DOMINO, n, Endpoint.RECEIVER_LAST, gen).components[0].coeffs)
                  for _ in range(3)]
         conc = mixed_channel(Variant.DOMINO, n, Endpoint.RECEIVER_LAST, list(zip((0.2, 0.3, 0.5), comps)))
         dist = random_channel(Variant.DOMINO, n, Endpoint.SENDER_FIRST, gen)
         inp = random_input(gen)
+        monkeypatch.setattr(protocol, "_BLOCK_AMPS", (16 * 3 << 2 * n) - 1)
         stacked = [report_fields(r) for r in run_end_to_end(inp, dist, conc)]
-        monkeypatch.setattr(protocol, "_BLOCK_AMPS", 2 << (2 * n))
+        force_path(monkeypatch, "kernel", n)
         assert [report_fields(r) for r in run_end_to_end(inp, dist, conc)] == stacked
+        assert protocol._pair_plan(dist, conc)[4][3] is None
+
+    @pytest.mark.parametrize("name", list(path_cases()))
+    def test_maps_match_the_kernel(self, name, monkeypatch, fresh_plans):
+        # A pair's branch maps and the kernel on each trial's party vectors are the
+        # same linear algebra in another order: the same branches and null flags, and
+        # floats a few ulps apart, for inputs that null sender rows or receiver rows.
+        dist, conc = path_cases()[name]
+        inputs = [InputQubit(1, 0), NULL_SENDER_INPUT, random_input(np.random.default_rng(41))]
+        runs = []
+        for path in ("maps", "kernel"):
+            force_path(monkeypatch, path, dist.n_parties)
+            runs.append([run_end_to_end(inp, dist, conc) for inp in inputs])
+            assert (protocol._pair_plan(dist, conc)[4][3] is None) == (path == "kernel")
+        for maps, kernel in zip(*runs):
+            assert len(maps) == len(kernel)
+            for m, k in zip(maps, kernel):
+                assert (m.component_index, m.alice_outcome, m.bob_outcomes, m.correction) == (
+                    k.component_index, k.alice_outcome, k.bob_outcomes, k.correction)
+                assert (m.fidelity is None) == (k.fidelity is None)
+                assert abs(m.joint_prob - k.joint_prob) <= 1e-16
+                assert m.fidelity is None or abs(m.fidelity - k.fidelity) <= 2e-15
+
+    @pytest.mark.parametrize("bad", [1e-4, math.nan])
+    def test_corrupted_maps_are_refused(self, bad, monkeypatch, fresh_plans):
+        # One amplitude off breaks sum w_c K^dagger K = I for its sender component,
+        # whatever the amplitude was: the plan refuses the maps when it builds them,
+        # and on the kernel path the trial refuses its total.
+        rows = protocol._receiver_rows
+
+        def corrupt(*args):
+            blocks = list(rows(*args))
+            blocks[0][0, 0, 0] += bad
+            return iter(blocks)
+
+        monkeypatch.setattr(protocol, "_receiver_rows", corrupt)
+        dist, conc = telecloning_channel(), smolin_channel()
+        for path, refusal in PATH_REFUSALS:
+            force_path(monkeypatch, path, dist.n_parties)
+            with pytest.raises(ValueError, match=refusal):
+                run_end_to_end(InputQubit(1, 0), dist, conc)
+
+    def test_maps_only_where_they_fit_one_block(self):
+        # The memory rule: a plan holds maps only if they fit one kernel block, so a
+        # domino n = 6 plan holds none and runs the kernel on each trial.
+        gen = np.random.default_rng(42)
+        domino6 = (random_channel(Variant.DOMINO, 6, Endpoint.SENDER_FIRST, gen),
+                   random_channel(Variant.DOMINO, 6, Endpoint.RECEIVER_LAST, gen))
+        assert protocol._pair_plan(*domino6)[4][3] is None
+        for name in ("parity-n1", "domino-n4", "telecloning-smolin"):
+            maps = protocol._pair_plan(*path_cases()[name])[4][3]
+            assert maps.size <= protocol._BLOCK_AMPS and not maps.flags.writeable
 
 
 def full_support_pair(n, gen):

@@ -26,7 +26,8 @@ def test_no_assert_statements():
 # agreement a tautology.
 EVALUATOR_INTERNALS = frozenset({
     "_finish_rows",
-    "_exhaustive_blocks",
+    "_receiver_rows",
+    "_pair_maps",
     "_receiver_table",
     "_pauli_frame",
     "_PAULI_FRAMES",
