@@ -18,8 +18,9 @@ from one cached ``_pair_plan`` per channel pair, and one batched ``_sender_stage
 sender row. Both modes keep the joint state on its live strings and take each Bell measurement
 with the one kernel ``_live_pair_rows``: ``_receiver_rows`` keeps all four outcomes of every
 step, ``_sampled_rows`` the one it draws. Each branch is linear in the input, so a small pair's
-plan holds its 2x2 maps (``_pair_maps``), and an exhaustive run on it is one product.
-``run_end_to_end`` turns the rows into reports and ``distribute`` exposes distribution alone.
+plan holds its 2x2 maps (``_pair_maps``), and an exhaustive run on it is one product. Both modes
+end in the one finish ``_finish_rows``. ``run_end_to_end`` turns the rows into reports and
+``distribute`` exposes distribution alone.
 """
 
 from __future__ import annotations
@@ -273,38 +274,6 @@ def _receiver_table(variant: Variant, n: int) -> tuple:
     return (perm, phase), outcomes, labels
 
 
-def _check_normalized(vecs: np.ndarray, what: str, skip=None) -> None:
-    """The check a ``StateVector`` makes, on every vector along the last
-    axis of ``vecs`` but those where the mask ``skip`` is set; a NaN fails unless masked. ``vecs``
-    must be C-contiguous: its squared norms are read from its real view, with no conjugate copy."""
-    flat = vecs.view(float)
-    norms = np.vecdot(flat, flat)
-    if skip is not None:
-        norms = np.where(skip, 1.0, norms)
-    lo, hi = np.minimum.reduce(norms, None), np.maximum.reduce(norms, None)  # no ndarray.min wrapper
-    if not (lo >= 1.0 - NORM_ATOL and hi <= 1.0 + NORM_ATOL):
-        raise ValueError(f"{what} not normalized")
-
-
-def _finish_rows(rows: np.ndarray, frame: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Finish unnormalized receiver rows, (..., K, 2): (raw Born probability
-    of each row, corrected and normalized receiver vectors).
-
-    ``frame`` applies the receiver corrections as a permutation and phase over the flattened
-    (row, component) axis: ``_PAULI_FRAMES[label]`` for a sampled trajectory's one row. A row
-    is live unless its raw probability is below ``NULL_PROB_EPS``; null rows keep their
-    corrected but unnormalized vector, which callers must not read. Every live vector must
-    come out normalized to within ``NORM_ATOL``.
-    """
-    perm, phase = frame
-    raw = np.einsum("...kj,...kj->...k", rows.conj(), rows).real
-    null = raw < NULL_PROB_EPS
-    flat = rows.reshape(*rows.shape[:-2], -1)
-    vecs = (phase * flat.take(perm, axis=-1)).reshape(rows.shape) / np.sqrt(np.where(null, 1.0, raw))[..., None]
-    _check_normalized(vecs, "concentrated receiver state", skip=null)
-    return raw, vecs
-
-
 # Plans for 8 starts. Step 1 places at most 2^n x 2^(n+1) amplitudes and each later step a quarter
 # as many: a plan holds at most 5.4 MiB of indices at n = 9, 43 MiB for all 8; staircases < 20 KiB.
 @lru_cache(maxsize=8)
@@ -367,6 +336,19 @@ def _receiver_rows(parties: np.ndarray, receivers: np.ndarray, steps: tuple, fra
             yield (frame[1] * rows.take(frame[0], axis=1)).reshape(len(joint), -1, 2)
 
 
+def _finish_rows(u: np.ndarray, input_amps: np.ndarray, party_raw, weights) -> tuple[np.ndarray, list]:
+    """The one finish of both modes: corrected, unnormalized receiver rows u (..., 2), C-contiguous, of
+    party vectors with raw probabilities ``party_raw`` to their joint probabilities (``weights`` times
+    raw |u|^2 / party_raw) and their fidelities |<in|u>|^2 / |u|^2, as a (nested) list of Python floats
+    with None where the branch is null by raw or joint probability."""
+    norms = np.vecdot(u.view(float), u.view(float))
+    raw = norms / party_raw
+    joint = weights * raw
+    null = (raw < NULL_PROB_EPS) | (joint <= NULL_PROB_EPS)
+    fids = np.abs(u @ input_amps.conj()) ** 2 / np.where(null, 1.0, norms)
+    return joint, np.where(null, None, fids).tolist() if null.any() else fids.tolist()
+
+
 def _sampled_rows(
     input_amps: np.ndarray, sender_rows: tuple, channel: ChannelSpec, plan: tuple, gen: np.random.Generator
 ) -> list[tuple]:
@@ -385,7 +367,8 @@ def _sampled_rows(
     if raw[ci, a] < NULL_PROB_EPS:
         return [(ci * len(weights), alice, [prob], [None], ((),), (None,))]
     party = _party_vectors(rows, raw, sender[2:], np.intp(ci), np.intp(a))
-    _check_normalized(party, "distributed state")
+    if not abs(np.vdot(party, party).real - 1.0) <= NORM_ATOL:
+        raise ValueError("distributed state not normalized")
     cj = _born_pick(weights / weights.sum(), gen) if len(weights) > 1 else 0
     pkeys = np.flatnonzero(party)
     mat = np.multiply.outer(party[pkeys], receivers[cj])
@@ -400,18 +383,9 @@ def _sampled_rows(
         mat = pair[pick]
         outcomes += (BELL_OUTCOMES[pick],)
     label = concentration_correction(channel.variant, outcomes)
-    conc_raw, vecs = _finish_rows(mat, _PAULI_FRAMES[label])
-    conc_joint = prob * weights[cj] * conc_raw
-    fids = _fidelities(vecs, input_amps, conc_raw, conc_joint)
+    perm, phase = _PAULI_FRAMES[label]
+    conc_joint, fids = _finish_rows(phase * mat[:, perm], input_amps, 1.0, prob * weights[cj])
     return [(ci * len(weights) + cj, alice, conc_joint.tolist(), fids, (outcomes,), (label,))]
-
-
-def _fidelities(vecs: np.ndarray, input_amps: np.ndarray, raw: np.ndarray, joint: np.ndarray, norms=1.0) -> list:
-    """Each row's fidelity against the input, over its squared ``norms`` if not normalized, as a
-    (nested) list of Python floats, None where the branch is null by raw or joint probability."""
-    null = (raw < NULL_PROB_EPS) | (joint <= NULL_PROB_EPS)
-    fids = np.abs(vecs.conj() @ input_amps) ** 2 / np.where(null, 1.0, norms)
-    return np.where(null, None, fids).tolist() if null.any() else fids.tolist()
 
 
 def _pair_maps(dist: ChannelSpec, sender: tuple, receivers: np.ndarray, weights: np.ndarray, start: tuple):
@@ -504,12 +478,10 @@ def _branch_rows(
     joints, fids, total = [], [], joint[null].sum()
     for u in blocks:
         at = slice(len(joints), len(joints) + len(u))
-        norms = np.vecdot(u.view(float), u.view(float))
-        conc_raw = norms / slot_raw[at]
-        block_joint = slot_weights[at] * conc_raw
+        block_joint, block_fids = _finish_rows(u, input_amps, slot_raw[at], slot_weights[at])
         total += block_joint.sum()
         joints += block_joint.tolist()
-        fids += _fidelities(u, input_amps, conc_raw, block_joint, norms)
+        fids += block_fids
     if not abs(total - 1.0) <= NORM_ATOL:
         raise ValueError(f"branch probabilities sum to {total}, expected 1")
     slots, out = zip(joints, fids), []

@@ -603,7 +603,8 @@ def run_suite(suite: str, seed=1, n: int | None = None, tolerance: float | None 
     parity faithfulness runs only at odd sizes and even-n only at even ones,
     so ``all`` skips the check a size does not fit and ``even-n`` rejects an
     odd ``n``. ``tolerance`` overrides the faithfulness tolerance for that
-    run only. Each is rejected for a suite that runs no check it applies to.
+    run only. Each is rejected for a suite that runs no check it applies to;
+    an ``n`` above ``MAX_EXHAUSTIVE_PARTIES`` raises ``CapacityError`` first.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
@@ -611,6 +612,8 @@ def run_suite(suite: str, seed=1, n: int | None = None, tolerance: float | None 
         raise ValueError(f"n only applies to the faithfulness and even-n checks, not suite {suite!r}")
     if tolerance is not None and suite not in ("all", "faithfulness"):
         raise ValueError(f"tolerance only applies to the faithfulness checks, not suite {suite!r}")
+    if n is not None and n > MAX_EXHAUSTIVE_PARTIES:  # before any channel is drawn
+        raise CapacityError(f"sized checks capped at {MAX_EXHAUSTIVE_PARTIES} parties, got {n}")
     gen = as_rng(seed)
     verdicts: list[Verdict] = []
     if suite in ("all", "faithfulness"):

@@ -27,8 +27,7 @@ from qrelay.channels import Endpoint, Variant, build_channel_component
 from qrelay.protocol import (
     InputQubit,
     OutcomeReport,
-    _check_normalized,
-    _fidelities,
+    _finish_rows,
     concentration_correction,
     distribute,
 )
@@ -76,16 +75,6 @@ def matrix_corrected_rows(rows, paulis):
     """The reference for the receiver frame of ``protocol._receiver_rows``, its earlier
     form: row k's receiver correction is the matrix ``paulis[k]``, applied by one einsum."""
     return np.einsum("kij,...kj->...ki", paulis, rows)
-
-
-def matrix_finish_rows(rows, paulis):
-    """The reference for ``protocol._finish_rows``, its earlier form: the
-    ``matrix_corrected_rows``, each over the root of its raw probability."""
-    raw = np.einsum("...kj,...kj->...k", rows.conj(), rows).real
-    null = raw < NULL_PROB_EPS
-    vecs = matrix_corrected_rows(rows, paulis) / np.sqrt(np.where(null, 1.0, raw))[..., None]
-    _check_normalized(vecs, "concentrated receiver state", skip=null)
-    return raw, vecs
 
 
 def two_draw_random_input(rng):
@@ -351,7 +340,7 @@ def dense_sampled(input_qubit, dist, conc, seed):
     component, then one Born-rule pick per party), each party's Bell rows
     taken with ``pair_rows`` from the full ``tensor`` of the party state
     and the receiver channel, and the receiver Pauli applied as a matrix by
-    ``matrix_finish_rows``."""
+    ``matrix_corrected_rows`` before the evaluator's one finish."""
     gen = as_rng(seed)
     db = choice_branch(input_qubit, dist, gen)
     n, n_conc = conc.n_parties, len(conc.components)
@@ -377,8 +366,7 @@ def dense_sampled(input_qubit, dist, conc, seed):
         amps = rows[k]
         outcomes += (BELL_OUTCOMES[k],)
     label = concentration_correction(conc.variant, outcomes)
-    raw, vecs = matrix_finish_rows(amps[None, :], PAULI_MATRICES[label][None])
-    joint = db.joint_prob * comp.weight * raw
-    (fid,) = _fidelities(vecs, input_qubit.to_state().amps, raw, joint)
+    u = matrix_corrected_rows(amps[None, :], PAULI_MATRICES[label][None])
+    joint, (fid,) = _finish_rows(u, input_qubit.to_state().amps, 1.0, db.joint_prob * comp.weight)
     return [OutcomeReport(
         db.component_index * n_conc + cj, db.outcomes[0], outcomes, float(joint[0]), label, fid)]

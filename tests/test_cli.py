@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import qrelay.cli as cli_mod
 import qrelay.protocol as protocol_mod
+import qrelay.verify as verify_mod
 from qrelay.bell import BELL_OUTCOMES, BellOutcome, PauliLabel, as_rng
 from qrelay.channels import (
     Endpoint,
@@ -213,6 +214,19 @@ class TestExitCodes:
         code = run_cli(["verify", "--suite", "even-n", "--n", str(above), "--output", str(out)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("suite, n", [("even-n", 20), ("faithfulness", 19)])
+    def test_verify_above_the_cap_draws_no_channel(self, tmp_path, capsys, monkeypatch, suite, n):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a channel was drawn above the cap")
+
+        monkeypatch.setattr(verify_mod, "random_channel", refuse)
+        out = tmp_path / "report.json"
+        code = run_cli(["verify", "--suite", suite, "--n", str(n), "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "capped" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_verify_all_at_odd_n(self, tmp_path):

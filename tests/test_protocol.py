@@ -36,7 +36,6 @@ from qrelay.protocol import (
     MAX_EXHAUSTIVE_PARTIES,
     InputQubit,
     _distribution_frame,
-    _finish_rows,
     _live_pair_rows,
     _party_vectors,
     _receiver_table,
@@ -470,9 +469,9 @@ class TestSenderRows:
     @pytest.mark.parametrize("name", ["telecloning-smolin", "custom-null"])
     def test_sampled_run_builds_no_state_vector(self, name, monkeypatch):
         # InputQubit checked the input's norm when it was made and a sampled
-        # run checks its drawn party vector with _check_normalized, so it
-        # builds no validated StateVector; distribute builds the input's and
-        # one per live branch.
+        # run checks its drawn party vector's norm itself, so it builds no
+        # validated StateVector; distribute builds the input's and one per
+        # live branch.
         built = []
         monkeypatch.setattr(protocol, "StateVector", lambda *args: built.append(args) or StateVector(*args))
         dist, conc = dict(agreement_cases())[name]
@@ -584,8 +583,9 @@ class TestNormChecks:
     # Exhaustive runs check that a pair's branch maps conserve probability for every
     # input, when its plan builds them, and that each trial's branch probabilities sum to
     # 1; a pair too large to hold maps reaches only the second. Sampled runs check the
-    # drawn party vector, the joint state and the finished receiver vector; only the last
-    # has null rows, and it skips them. Each check refuses an unnormalized or NaN vector.
+    # drawn party vector and the joint state; the receiver row they finish is a Bell row
+    # of that checked joint state, times an exact Pauli phase. Each check refuses an
+    # unnormalized or NaN vector.
     @pytest.mark.parametrize("bad", [1.1, math.nan])
     def test_distributed_state(self, monkeypatch, fresh_plans, bad):
         dist, conc = bell_pair_channels()
@@ -640,40 +640,22 @@ class TestNormChecks:
         with pytest.raises(ValueError, match=PATH_REFUSALS[1][1]):
             run_end_to_end(random_input(np.random.default_rng(37)), dist, conc)
 
-    @pytest.mark.parametrize("bad", [1.1, math.nan])
-    def test_finished_receiver_state(self, bad):
-        # One live row, then one null row; the phase scales the live row.
-        rows = np.array([[[SQ, SQ], [0.0, 0.0]]], dtype=complex)
-        with pytest.raises(ValueError, match="concentrated receiver state not normalized"):
-            _finish_rows(rows, (np.arange(4), np.array([bad, bad, 1.0, 1.0])))
-
-    @pytest.mark.parametrize("bad", [1.1, math.nan])
-    def test_finished_null_rows_are_skipped(self, bad):
-        rows = np.array([[[SQ, SQ], [0.0, 0.0]]], dtype=complex)
-        raw, vecs = _finish_rows(rows, (np.arange(4), np.array([1.0, 1.0, bad, bad])))
-        assert np.allclose(raw, [[1.0, 0.0]])
-        assert np.allclose(vecs[0, 0], [SQ, SQ])
-
-    def test_skip_mask(self):
-        vecs = np.array([[1.0, 0.0], [2.0, 0.0], [math.nan, 0.0]], dtype=complex)
-        protocol._check_normalized(vecs, "stack", skip=np.array([False, True, True]))
-        for skip in (False, np.array([False, False, True]), np.array([False, True, False])):
-            with pytest.raises(ValueError, match="stack not normalized"):
-                protocol._check_normalized(vecs, "stack", skip=skip)
-
-    def test_nan_and_tolerance_edges(self):
-        # A NaN norm fails unless its row is masked; a norm just inside
-        # 1 +- NORM_ATOL passes and one just past it fails, on either side.
-        check = protocol._check_normalized
-        nan_row = np.array([[1.0, 0.0], [math.nan, 0.0]], dtype=complex)
-        check(nan_row, "stack", skip=np.array([False, True]))
-        for skip in (None, np.array([True, False])):
-            with pytest.raises(ValueError, match="stack not normalized"):
-                check(nan_row, "stack", skip=skip)
-        for sign in (1.0, -1.0):
-            check(np.array([[math.sqrt(1.0 + sign * 0.9 * NORM_ATOL), 0.0]], dtype=complex), "stack")
-            with pytest.raises(ValueError, match="stack not normalized"):
-                check(np.array([[1.0, 0.0], [math.sqrt(1.0 + sign * 1.1 * NORM_ATOL), 0.0]], dtype=complex), "stack")
+    def test_nan_and_tolerance_edges(self, monkeypatch, fresh_plans):
+        # Party vectors whose squared norms are 1 + scale * NORM_ATOL: just inside the
+        # bound, each mode runs on each path; just past it, or NaN, each check refuses them.
+        dist, conc = bell_pair_channels()
+        checks = [(path, refusal, "exhaustive") for path, refusal in PATH_REFUSALS]
+        checks.append(("kernel", "distributed state not normalized", "sampled"))
+        for scale in (0.9, -0.9, 1.1, -1.1, math.nan):
+            for path, refusal, mode in checks:
+                with monkeypatch.context() as patch:
+                    scale_party_vectors(patch, math.sqrt(1.0 + scale * NORM_ATOL))
+                    force_path(patch, path, dist.n_parties)
+                    if abs(scale) < 1.0:
+                        assert run_end_to_end(InputQubit(1, 0), dist, conc, mode=mode, seed=0)
+                        continue
+                    with pytest.raises(ValueError, match=refusal):
+                        run_end_to_end(InputQubit(1, 0), dist, conc, mode=mode, seed=0)
 
 
 class TestConcentrate:

@@ -41,7 +41,6 @@ EVALUATOR_INTERNALS = frozenset({
     "_live_pair_rows",
     "_draw_outcome",
     "_born_pick",
-    "_fidelities",
     "concentration_correction",
     "distribution_correction",
 })

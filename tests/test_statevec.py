@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qrelay.channels import Ensemble
-from qrelay.protocol import _fidelities
+from qrelay.protocol import _finish_rows
 from qrelay.statevec import (
     CapacityError,
     DensityMatrix,
@@ -95,8 +95,8 @@ class TestApplySingleQubit:
 
 def fidelity(vec, target):
     """|<target|vec>|^2 as every run_end_to_end report computes it: the
-    fidelity kernel on a live one-row block."""
-    return _fidelities(np.asarray(vec)[None], np.asarray(target), np.ones(1), np.ones(1))[0]
+    one finish on a live one-row block."""
+    return _finish_rows(np.asarray(vec, dtype=complex)[None], np.asarray(target), 1.0, 1.0)[1][0]
 
 
 class TestFidelity:
@@ -109,8 +109,8 @@ class TestFidelity:
         zero, one = make_basis_state("0").amps, make_basis_state("1").amps
         assert fidelity(zero, one) == pytest.approx(0.0, abs=1e-12)
         # A row null by raw or by joint probability has no fidelity.
-        assert _fidelities(np.array([zero, zero]), zero, np.array([1e-15, 1.0]),
-                           np.array([1.0, 1e-15])) == [None, None]
+        assert _finish_rows(np.array([zero, zero]), zero, np.array([1e15, 1.0]),
+                            np.array([1e15, 1e-15]))[1] == [None, None]
 
     def test_symmetric_and_phase_invariant(self):
         rng = np.random.default_rng(1)

@@ -910,6 +910,18 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="even"):
             run_suite("even-n", seed=1, n=3)
 
+    @pytest.mark.parametrize("suite, n", [
+        ("even-n", MAX_EXHAUSTIVE_PARTIES + 2), ("even-n", 20), ("faithfulness", MAX_EXHAUSTIVE_PARTIES + 1),
+        ("faithfulness", 19), ("all", MAX_EXHAUSTIVE_PARTIES + 1), ("all", MAX_EXHAUSTIVE_PARTIES + 2)])
+    def test_n_above_the_cap_draws_no_channel(self, monkeypatch, suite, n):
+        # A random channel of n parties holds 2^(n-1) supports: refused before one is drawn.
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a channel was drawn above the cap")
+
+        monkeypatch.setattr(verify_mod, "random_channel", refuse)
+        with pytest.raises(CapacityError, match="capped"):
+            run_suite(suite, seed=1, n=n)
+
     def test_faithfulness_restricted_size(self):
         verdicts = run_suite("faithfulness", seed=2, n=2)
         # Parity skips even sizes; only the staircase check remains.
