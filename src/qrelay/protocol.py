@@ -13,14 +13,14 @@ basis, and sends the outcome to the receiver, who applies one composite
 correction. Branch enumeration is exhaustive (all outcome tuples with
 their joint probabilities) or sampled (one trajectory drawn from them).
 
-``_branch_rows`` is the one way into concentration. A run reads all it needs but its input
-from one cached ``_pair_plan`` per channel pair, and one batched ``_sender_stage`` gives every
-sender row. Both modes keep the joint state on its live strings and take each Bell measurement
-with the one kernel ``_live_pair_rows``: ``_receiver_rows`` keeps all four outcomes of every
-step, ``_sampled_rows`` the one it draws. Each branch is linear in the input, so a small pair's
-plan holds its 2x2 maps (``_pair_maps``), and an exhaustive run on it is one product. Both modes
-end in the one finish ``_finish_rows``. ``run_end_to_end`` turns the rows into reports and
-``distribute`` exposes distribution alone.
+``_branch_rows`` is the one way into concentration. A run reads all it needs but its input from
+one cached ``_pair_plan`` per channel pair. Both modes keep the joint state on its live strings and
+take each Bell measurement with the one kernel ``_live_pair_rows``: ``_receiver_rows`` keeps all
+four outcomes of every step, ``_sampled_rows`` the one it draws. Each branch and sender row is linear
+in the input, so a small pair's plan holds their 2x2 maps (``_pair_maps``) and an exhaustive run on
+it is one product; other runs take every sender row from one batched ``_sender_stage``. Sender rows
+pass ``_checked_sender_rows`` either way, and both modes end in the one finish ``_finish_rows``.
+``run_end_to_end`` turns the rows into reports and ``distribute`` exposes distribution alone.
 """
 
 from __future__ import annotations
@@ -225,6 +225,12 @@ def _sender_stage(input_amps: np.ndarray, channel: ChannelSpec, plan: tuple) -> 
     sender's pair, qubits 1 and 2, leads each input x channel state: one batched Bell-bra product."""
     states, weights = plan[:2]
     rows = _BELL_BRAS @ (input_amps[:, None] * states[:, None, :]).reshape(len(states), 4, -1)
+    return _checked_sender_rows(rows, channel, weights)
+
+
+def _checked_sender_rows(rows: np.ndarray, channel: ChannelSpec, weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Sender rows (d, 4, 2^n) and their raw and joint probabilities (d, 4), once each component's rows
+    hold total probability 1 and, where the family of ``channel`` promises it, 1/4 each."""
     raw = np.vecdot(rows, rows).real
     for probs in raw.tolist():  # the bras are unitary: a joint state's norm is its rows' total
         if not abs(sum(probs) - 1.0) <= NORM_ATOL:
@@ -345,22 +351,22 @@ def _finish_rows(u: np.ndarray, input_amps: np.ndarray, party_raw, weights) -> t
     raw = norms / party_raw
     joint = weights * raw
     null = (raw < NULL_PROB_EPS) | (joint <= NULL_PROB_EPS)
-    fids = np.abs(u @ input_amps.conj()) ** 2 / np.where(null, 1.0, norms)
-    return joint, np.where(null, None, fids).tolist() if null.any() else fids.tolist()
+    all_live = not null.any()
+    fids = np.abs(u @ input_amps.conj()) ** 2 / (norms if all_live else np.where(null, 1.0, norms))
+    return joint, fids.tolist() if all_live else np.where(null, None, fids).tolist()
 
 
 def _sampled_rows(
-    input_amps: np.ndarray, sender_rows: tuple, channel: ChannelSpec, plan: tuple, gen: np.random.Generator
+    input_amps: np.ndarray, dist: ChannelSpec, channel: ChannelSpec, plan: tuple, gen: np.random.Generator
 ) -> list[tuple]:
-    """One trajectory drawn under the Born rule, as ``_branch_rows`` rows, from the
-    ``_sender_stage`` rows, raw and joint probabilities ``sender_rows`` and the pair's
-    ``_pair_plan``: the sender row, then the one party vector drawn is built and checked,
-    then a receiver component (of a mixture) and one outcome per party. A null sender row
-    is one row with no party outcomes; [] when every outcome of a step is null. The joint
-    state stays on its live strings, stepping through the cached ``_step_plan`` of the
-    strings it starts on."""
+    """One trajectory drawn under the Born rule, as ``_branch_rows`` rows, from the ``_sender_stage``
+    rows of ``dist`` and the pair's (``dist``, ``channel``) ``_pair_plan``: the sender row, then the
+    one party vector drawn is built and checked, then a receiver component (of a mixture) and one
+    outcome per party. A null sender row is one row with no party outcomes; [] when every outcome of
+    a step is null. The joint state stays on its live strings, stepping through the cached
+    ``_step_plan`` of the strings it starts on."""
     sender, receivers, weights, ckeys, _ = plan
-    rows, raw, joint = sender_rows
+    rows, raw, joint = _sender_stage(input_amps, dist, sender)
     probs = joint.ravel()
     ci, a = divmod(_born_pick(probs / probs.sum(), gen), 4)
     alice, prob = BELL_OUTCOMES[a], float(joint[ci, a])
@@ -389,9 +395,9 @@ def _sampled_rows(
 
 
 def _pair_maps(dist: ChannelSpec, sender: tuple, receivers: np.ndarray, weights: np.ndarray, start: tuple):
-    """Each branch's 2x2 map K as (2, m), read-only: a trial's ``_receiver_rows`` in (sender component,
-    sender outcome, receiver component, row) order are ``input @ maps``. Refuses maps unless, per sender
-    component, the sum over sender outcomes, weighted receivers and rows of K^dagger K is I."""
+    """Each branch's 2x2 map K, then each sender row's, read-only (2, m): ``input @ maps`` is a trial's
+    ``_receiver_rows`` in (sender component, sender outcome, receiver component, row) order, then its
+    ``_sender_stage`` rows. Refuses unless, per sender component, sum w_c K^dagger K over its branches is I."""
     (gather, phases), steps, (frame, _, _) = start
     rows = np.concatenate([_sender_stage(amps, dist, sender)[0] for amps in np.eye(2, dtype=complex)])
     parties = (phases * rows[:, np.arange(4)[:, None], gather]).reshape(-1, gather.shape[1])
@@ -400,19 +406,20 @@ def _pair_maps(dist: ChannelSpec, sender: tuple, receivers: np.ndarray, weights:
     gram = np.einsum("xdacj,c,ydacj->dxy", maps.conj(), weights, maps)
     if not np.all(abs(gram - np.eye(2)) <= NORM_ATOL):
         raise ValueError("branch maps do not conserve probability")
+    maps = np.concatenate([maps.reshape(2, -1), rows.reshape(2, -1)], axis=1)
     maps.setflags(write=False)
-    return maps.reshape(2, -1)
+    return maps
 
 
-@lru_cache(maxsize=32)  # a verify suite's pairs, or a benchmark pool's: a few KiB each, maps <= 128 KiB
+@lru_cache(maxsize=32)  # a verify suite's pairs, or a benchmark pool's: a few KiB each, maps <= 160 KiB
 def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
-    """Checks a channel pair, then holds all a run on it needs besides the input, read-only: the
-    ``_sender_plan`` of ``dist``; the receiver states (c, k) and weights (c,) of ``conc`` on the k channel
-    strings any component holds (both receiver bits kept so rows never narrow to one column, which rounds
-    unlike the dense rows) and those keys (intp bytes); and, at exhaustive sizes, the start: the sender
-    frames on the party strings a corrected sender row can reach, the uncached ``_step_plan`` from them,
-    the ``_receiver_table``, and the ``_pair_maps`` if they fit in one block (16 d c 4^n amplitudes: pure
-    pairs to n = 4 and telecloning->Smolin), else None. Each channel state is built here once per plan."""
+    """Checks a channel pair, then holds all a run on it needs but its input, read-only: the ``_sender_plan``
+    of ``dist``; the receiver states (c, k) and weights (c,) of ``conc`` on the k channel strings any component
+    holds (both receiver bits kept so rows never narrow to one column, which rounds unlike the dense rows) and
+    those keys (intp bytes); and, at exhaustive sizes, the start: the sender frames on the party strings a
+    corrected sender row can reach, the uncached ``_step_plan`` from them, the ``_receiver_table``, and the
+    ``_pair_maps`` if its branch maps fit one block (16 d c 4^n amplitudes, sender rows aside: pure pairs
+    to n = 4 and telecloning->Smolin), else None. Each channel state is built here once per plan."""
     n, variant = conc.n_parties, conc.variant
     if dist.n_parties != n:
         raise ValueError(f"party mismatch: distribution has {dist.n_parties}, concentration has {n}")
@@ -459,37 +466,45 @@ def _branch_rows(
         raise CapacityError(f"joint state would need {2 * n + 1} qubits, cap is {DEFAULT_QUBIT_CAP}")
 
     sender, receivers, weights, _, start = plan = _pair_plan(dist_channel, conc_channel)
-    # InputQubit checked the norm when it was made, and the sender stage checks it again.
+    # InputQubit checked the norm when it was made, and the sender rows' check repeats it.
     input_amps = np.array([input_qubit.alpha, input_qubit.beta], dtype=complex)
-    rows, raw, joint = sender_rows = _sender_stage(input_amps, dist_channel, sender)
     if mode == "sampled":
-        return _sampled_rows(input_amps, sender_rows, conc_channel, plan, as_rng(seed))
+        return _sampled_rows(input_amps, dist_channel, conc_channel, plan, as_rng(seed))
+    (gather, phases), steps, (frame, outcomes, labels), maps = start
+    if maps is None:
+        rows, raw, joint = _sender_stage(input_amps, dist_channel, sender)
+    else:  # one product gives every branch row, then every sender row
+        product = input_amps @ maps
+        _, raw, joint = _checked_sender_rows(product[-2 * sender[0].size:].reshape(len(sender[0]), 4, -1),
+                                             dist_channel, sender[1])
 
     n_conc = len(receivers)
     null = raw < NULL_PROB_EPS
-    ci, a = np.nonzero(~null)
-    (gather, phases), steps, (frame, outcomes, labels), maps = start
-    if maps is None:  # too large for maps: the kernel on this trial's unnormalized party vectors
-        blocks = _receiver_rows(phases[a] * rows[ci[:, None], a[:, None], gather[a]], receivers, steps, frame)
-    else:
-        blocks = [(input_amps @ maps).reshape(*raw.shape, -1)[ci, a].reshape(len(ci) * n_conc, -1, 2)]
+    probs, nulls = joint.ravel().tolist(), null.ravel().tolist()
+    # When every sender row of a maps trial is live, as in most, views stand in for their live rows.
+    ci, a = live = np.nonzero(~null) if maps is None or True in nulls else (slice(None),) * 2
     # A row u of sender row (ci, a) has raw = |u|^2 / raw[ci, a]: its party vector was not normalized.
-    slot_raw, slot_weights = raw[ci, a].repeat(n_conc)[:, None], (joint[ci, a][:, None] * weights).reshape(-1, 1)
-    joints, fids, total = [], [], joint[null].sum()
-    for u in blocks:
-        at = slice(len(joints), len(joints) + len(u))
-        block_joint, block_fids = _finish_rows(u, input_amps, slot_raw[at], slot_weights[at])
-        total += block_joint.sum()
-        joints += block_joint.tolist()
-        fids += block_fids
+    slot_raw, slot_weights = raw[live].repeat(n_conc)[:, None], (joint[live][..., None] * weights).reshape(-1, 1)
+    total = sum(itertools.compress(probs, nulls))
+    if maps is None:  # too large for maps: the kernel on this trial's unnormalized party vectors, block by block
+        joints, fids = [], []
+        for u in _receiver_rows(phases[a] * rows[ci[:, None], a[:, None], gather[a]], receivers, steps, frame):
+            at = slice(len(joints), len(joints) + len(u))
+            block_joint, block_fids = _finish_rows(u, input_amps, slot_raw[at], slot_weights[at])
+            total += block_joint.sum()
+            joints += block_joint.tolist()
+            fids += block_fids
+    else:
+        u = product[:-2 * sender[0].size].reshape(*raw.shape, -1)[live].reshape(len(slot_raw), -1, 2)
+        joints, fids = _finish_rows(u, input_amps, slot_raw, slot_weights)
+        total += joints.sum()
+        joints = joints.tolist()
     if not abs(total - 1.0) <= NORM_ATOL:
         raise ValueError(f"branch probabilities sum to {total}, expected 1")
-    slots, out = zip(joints, fids), []
-    for k, (prob, is_null) in enumerate(zip(joint.ravel().tolist(), null.ravel().tolist())):
-        index, alice = k // 4 * n_conc, BELL_OUTCOMES[k % 4]
-        out += [(index, alice, [prob], [None], ((),), (None,))] if is_null else [
-            (index + cj, alice, *next(slots), outcomes, labels) for cj in range(n_conc)]
-    return out
+    slots = zip(joints, fids)
+    return [(k // 4 * n_conc + cj, BELL_OUTCOMES[k % 4], [prob], [None], ((),), (None,)) if is_null else
+            (k // 4 * n_conc + cj, BELL_OUTCOMES[k % 4], *next(slots), outcomes, labels)
+            for k, (prob, is_null) in enumerate(zip(probs, nulls)) for cj in range(1 if is_null else n_conc)]
 
 
 def run_end_to_end(

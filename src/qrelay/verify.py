@@ -572,12 +572,12 @@ def clone_fidelity_verdict(trials: int = 100, seed=0) -> Verdict:
     gen = as_rng(seed)
     worst = 0.0
     pair_gap = 0.0
-    anticlone_lo, anticlone_hi = 1.0, 0.0
-    for f1, f2, f3 in _clone_fidelities([random_input(gen) for _ in range(trials)]):
+    fids = _clone_fidelities([random_input(gen) for _ in range(trials)])
+    for _, f2, f3 in fids:
         worst = _worse(_worse(worst, abs(f2 - CLONE_TARGET)), abs(f3 - CLONE_TARGET))
         pair_gap = _worse(pair_gap, abs(f2 - f3))
-        anticlone_lo = min(anticlone_lo, f1)
-        anticlone_hi = max(anticlone_hi, f1)
+    # np.min and np.max keep a NaN fidelity that min and max would drop; no trials, no range.
+    anticlone_lo, anticlone_hi = (float(f([f1 for f1, _, _ in fids])) if fids else None for f in (np.min, np.max))
     return Verdict(
         "clone-fidelity",
         trials > 0 and worst <= CLONE_TOL,

@@ -640,6 +640,30 @@ class TestNormChecks:
         with pytest.raises(ValueError, match=PATH_REFUSALS[1][1]):
             run_end_to_end(random_input(np.random.default_rng(37)), dist, conc)
 
+    @pytest.mark.parametrize("bad", [1.1, math.nan])
+    def test_held_sender_rows(self, monkeypatch, fresh_plans, bad):
+        # A maps trial checks the sender rows its product gives as the sender stage checks
+        # its own: rows scaled or NaN break the joint state's norm, and rows that keep it
+        # but move probability between outcomes break 1/4 on a channel that promises it.
+        dist, conc = bell_pair_channels()
+        pair_maps = protocol._pair_maps
+
+        def held(scale):
+            def patched(*args):
+                maps = pair_maps(*args).copy()
+                maps[:, -8:] *= np.repeat(scale, 2)  # the four sender rows of 2 amplitudes each
+                return maps
+            return patched
+
+        force_path(monkeypatch, "maps", dist.n_parties)
+        monkeypatch.setattr(protocol, "_pair_maps", held(np.array([bad] * 4)))
+        with pytest.raises(ValueError, match="sender joint state not normalized"):
+            run_end_to_end(InputQubit(1, 0), dist, conc)
+        protocol._pair_plan.cache_clear()
+        monkeypatch.setattr(protocol, "_pair_maps", held(np.array([math.sqrt(2.0), 0.0, 1.0, 1.0])))
+        with pytest.raises(ValueError, match="expected 1/4"):
+            run_end_to_end(InputQubit(1, 0), dist, conc)
+
     def test_nan_and_tolerance_edges(self, monkeypatch, fresh_plans):
         # Party vectors whose squared norms are 1 + scale * NORM_ATOL: just inside the
         # bound, each mode runs on each path; just past it, or NaN, each check refuses them.
@@ -1109,6 +1133,26 @@ class TestPairPlan:
                 assert abs(m.joint_prob - k.joint_prob) <= 1e-16
                 assert m.fidelity is None or abs(m.fidelity - k.fidelity) <= 2e-15
 
+    @pytest.mark.parametrize("name", ["telecloning-smolin", "custom-null"])
+    def test_maps_run_is_one_product(self, name, monkeypatch, fresh_plans):
+        # Once a pair's plan holds maps, an exhaustive run reads its sender rows and every
+        # branch row from one product: no sender stage, no kernel and no party vector. On
+        # the kernel path every run takes the sender stage and the kernel.
+        dist, conc = path_cases()[name]
+        calls = []
+        for fn in ("_sender_stage", "_receiver_rows", "_party_vectors"):
+            real = getattr(protocol, fn)
+            monkeypatch.setattr(protocol, fn, lambda *args, fn=fn, real=real: calls.append(fn) or real(*args))
+        gen = np.random.default_rng(43)
+        inputs = [InputQubit(1, 0), NULL_SENDER_INPUT, random_input(gen)]
+        for path in ("maps", "kernel"):
+            force_path(monkeypatch, path, dist.n_parties)
+            protocol._pair_plan(dist, conc)
+            for inp in inputs:
+                calls.clear()
+                run_end_to_end(inp, dist, conc)
+                assert sorted(set(calls)) == ([] if path == "maps" else ["_receiver_rows", "_sender_stage"])
+
     @pytest.mark.parametrize("bad", [1e-4, math.nan])
     def test_corrupted_maps_are_refused(self, bad, monkeypatch, fresh_plans):
         # One amplitude off breaks sum w_c K^dagger K = I for its sender component,
@@ -1129,15 +1173,24 @@ class TestPairPlan:
                 run_end_to_end(InputQubit(1, 0), dist, conc)
 
     def test_maps_only_where_they_fit_one_block(self):
-        # The memory rule: a plan holds maps only if they fit one kernel block, so a
-        # domino n = 6 plan holds none and runs the kernel on each trial.
+        # The memory rule: a plan holds maps only if its branch maps fit one kernel block,
+        # so a domino n = 6 plan holds none and runs the kernel on each trial, while a
+        # domino n = 4 pair with a two-component receiver fills the block exactly. The
+        # held sender rows (4 d 2^n per input) do not count.
         gen = np.random.default_rng(42)
         domino6 = (random_channel(Variant.DOMINO, 6, Endpoint.SENDER_FIRST, gen),
                    random_channel(Variant.DOMINO, 6, Endpoint.RECEIVER_LAST, gen))
         assert protocol._pair_plan(*domino6)[4][3] is None
-        for name in ("parity-n1", "domino-n4", "telecloning-smolin"):
-            maps = protocol._pair_plan(*path_cases()[name])[4][3]
-            assert maps.size <= protocol._BLOCK_AMPS and not maps.flags.writeable
+        comps = [dict(random_channel(Variant.DOMINO, 4, Endpoint.RECEIVER_LAST, gen).components[0].coeffs)
+                 for _ in range(2)]
+        full = (random_channel(Variant.DOMINO, 4, Endpoint.SENDER_FIRST, gen),
+                mixed_channel(Variant.DOMINO, 4, Endpoint.RECEIVER_LAST, list(zip((0.4, 0.6), comps))))
+        cases = [path_cases()[name] for name in ("parity-n1", "domino-n4", "telecloning-smolin")] + [full]
+        for dist, conc in cases:
+            maps = protocol._pair_plan(dist, conc)[4][3]
+            branch_amps = 2 * (maps.shape[1] - (4 * len(dist.components) << dist.n_parties))
+            assert branch_amps <= protocol._BLOCK_AMPS and not maps.flags.writeable
+        assert branch_amps == protocol._BLOCK_AMPS
 
 
 def full_support_pair(n, gen):

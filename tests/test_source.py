@@ -34,6 +34,7 @@ EVALUATOR_INTERNALS = frozenset({
     "_distribution_frame",
     "_sender_plan",
     "_sender_stage",
+    "_checked_sender_rows",
     "_party_vectors",
     "_pair_plan",
     "_sampled_rows",

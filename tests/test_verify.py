@@ -835,7 +835,10 @@ class TestCloneFidelities:
         assert np.allclose(clone_report(inp), want, rtol=0.0, atol=1e-12)
 
     def test_zero_trials_fail(self):
-        assert not clone_fidelity_verdict(trials=0, seed=0).passed
+        v = clone_fidelity_verdict(trials=0, seed=0)
+        assert not v.passed
+        # No fidelity was produced, so there is no anticlone range to report.
+        assert (v.details["anticlone_min"], v.details["anticlone_max"]) == (None, None)
 
     def test_map_built_once_per_verdict(self, monkeypatch):
         # The verdict builds the telecloning map once and gives the floats of
@@ -861,6 +864,13 @@ class TestCloneFidelities:
         assert not v.passed
         assert math.isnan(v.worst_deviation)
         assert math.isnan(v.details["max_pair_gap"])
+
+    def test_nan_anticlone_fidelity_is_reported(self, monkeypatch):
+        # min and max would drop a NaN anticlone fidelity and report the others' range.
+        fids = [[0.5, 5 / 6, 5 / 6], [math.nan, 5 / 6, 5 / 6], [0.7, 5 / 6, 5 / 6]]
+        monkeypatch.setattr(verify_mod, "_clone_fidelities", lambda inputs: fids[:len(inputs)])
+        v = clone_fidelity_verdict(trials=3, seed=0)
+        assert math.isnan(v.details["anticlone_min"]) and math.isnan(v.details["anticlone_max"])
 
 
 def random_input_for_test(seed):
