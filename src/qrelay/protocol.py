@@ -351,9 +351,8 @@ def _finish_rows(u: np.ndarray, input_amps: np.ndarray, party_raw, weights) -> t
     raw = norms / party_raw
     joint = weights * raw
     null = (raw < NULL_PROB_EPS) | (joint <= NULL_PROB_EPS)
-    all_live = not null.any()
-    fids = np.abs(u @ input_amps.conj()) ** 2 / (norms if all_live else np.where(null, 1.0, norms))
-    return joint, fids.tolist() if all_live else np.where(null, None, fids).tolist()
+    fids = np.abs(u @ input_amps.conj()) ** 2 / np.where(null, 1.0, norms)
+    return joint, np.where(null, None, fids).tolist() if null.any() else fids.tolist()
 
 
 def _sampled_rows(
@@ -473,15 +472,14 @@ def _branch_rows(
     (gather, phases), steps, (frame, outcomes, labels), maps = start
     if maps is None:
         rows, raw, joint = _sender_stage(input_amps, dist_channel, sender)
-    else:  # one product gives every branch row, then every sender row
-        product = input_amps @ maps
-        _, raw, joint = _checked_sender_rows(product[-2 * sender[0].size:].reshape(len(sender[0]), 4, -1),
-                                             dist_channel, sender[1])
+    else:  # one product gives every branch row, then from column cut every sender row
+        product, cut = input_amps @ maps, maps.shape[1] - 2 * sender[0].size
+        _, raw, joint = _checked_sender_rows(product[cut:].reshape(len(sender[0]), 4, -1), dist_channel, sender[1])
 
     n_conc = len(receivers)
     null = raw < NULL_PROB_EPS
     probs, nulls = joint.ravel().tolist(), null.ravel().tolist()
-    # When every sender row of a maps trial is live, as in most, views stand in for their live rows.
+    # A maps trial with no null sender row (every one the benchmark runs) reads its rows as views.
     ci, a = live = np.nonzero(~null) if maps is None or True in nulls else (slice(None),) * 2
     # A row u of sender row (ci, a) has raw = |u|^2 / raw[ci, a]: its party vector was not normalized.
     slot_raw, slot_weights = raw[live].repeat(n_conc)[:, None], (joint[live][..., None] * weights).reshape(-1, 1)
@@ -495,16 +493,18 @@ def _branch_rows(
             joints += block_joint.tolist()
             fids += block_fids
     else:
-        u = product[:-2 * sender[0].size].reshape(*raw.shape, -1)[live].reshape(len(slot_raw), -1, 2)
+        u = product[:cut].reshape(*raw.shape, -1)[live].reshape(len(slot_raw), -1, 2)
         joints, fids = _finish_rows(u, input_amps, slot_raw, slot_weights)
         total += joints.sum()
         joints = joints.tolist()
     if not abs(total - 1.0) <= NORM_ATOL:
         raise ValueError(f"branch probabilities sum to {total}, expected 1")
-    slots = zip(joints, fids)
-    return [(k // 4 * n_conc + cj, BELL_OUTCOMES[k % 4], [prob], [None], ((),), (None,)) if is_null else
-            (k // 4 * n_conc + cj, BELL_OUTCOMES[k % 4], *next(slots), outcomes, labels)
-            for k, (prob, is_null) in enumerate(zip(probs, nulls)) for cj in range(1 if is_null else n_conc)]
+    slots, out = zip(joints, fids), []
+    for k, (prob, is_null) in enumerate(zip(probs, nulls)):
+        index, alice = k // 4 * n_conc, BELL_OUTCOMES[k % 4]
+        out += [(index, alice, [prob], [None], ((),), (None,))] if is_null else [
+            (index + cj, alice, *next(slots), outcomes, labels) for cj in range(n_conc)]
+    return out
 
 
 def run_end_to_end(

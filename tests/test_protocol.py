@@ -649,9 +649,10 @@ class TestNormChecks:
         pair_maps = protocol._pair_maps
 
         def held(scale):
-            def patched(*args):
-                maps = pair_maps(*args).copy()
-                maps[:, -8:] *= np.repeat(scale, 2)  # the four sender rows of 2 amplitudes each
+            def patched(dist, sender, *rest):
+                maps = pair_maps(dist, sender, *rest).copy()
+                rows = maps[:, maps.shape[1] - 2 * sender[0].size:]  # the held sender rows, as a trial splits them
+                rows *= np.repeat(scale, rows.shape[1] // len(scale))  # d = 1: one factor per outcome's row
                 return maps
             return patched
 
@@ -1176,7 +1177,7 @@ class TestPairPlan:
         # The memory rule: a plan holds maps only if its branch maps fit one kernel block,
         # so a domino n = 6 plan holds none and runs the kernel on each trial, while a
         # domino n = 4 pair with a two-component receiver fills the block exactly. The
-        # held sender rows (4 d 2^n per input) do not count.
+        # held sender rows, which follow the branch maps, do not count.
         gen = np.random.default_rng(42)
         domino6 = (random_channel(Variant.DOMINO, 6, Endpoint.SENDER_FIRST, gen),
                    random_channel(Variant.DOMINO, 6, Endpoint.RECEIVER_LAST, gen))
@@ -1187,8 +1188,9 @@ class TestPairPlan:
                 mixed_channel(Variant.DOMINO, 4, Endpoint.RECEIVER_LAST, list(zip((0.4, 0.6), comps))))
         cases = [path_cases()[name] for name in ("parity-n1", "domino-n4", "telecloning-smolin")] + [full]
         for dist, conc in cases:
-            maps = protocol._pair_plan(dist, conc)[4][3]
-            branch_amps = 2 * (maps.shape[1] - (4 * len(dist.components) << dist.n_parties))
+            plan = protocol._pair_plan(dist, conc)
+            sender, maps = plan[0], plan[4][3]
+            branch_amps = 2 * (maps.shape[1] - 2 * sender[0].size)  # the columns a trial reads as branch rows
             assert branch_amps <= protocol._BLOCK_AMPS and not maps.flags.writeable
         assert branch_amps == protocol._BLOCK_AMPS
 
