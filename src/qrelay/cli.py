@@ -70,15 +70,21 @@ def resolve_channel_arg(arg: str, endpoint: Endpoint):
     return spec
 
 
-def _tolerance_arg(text: str) -> float:
-    """Parse the --tolerance flag: a finite, non-negative number."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
-    return value
+def _nonnegative_arg(parse, expected: str):
+    """An argparse type: ``parse`` of the flag's text, refused as not ``expected`` unless in [0, inf)."""
+    def arg(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = math.nan
+        if not 0.0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return arg
+
+
+_tolerance_arg = _nonnegative_arg(float, "a finite non-negative number")
+_seed_arg = _nonnegative_arg(int, "a non-negative integer")  # numpy's seeding refuses a negative one
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True,
                        help="input qubit as 'aRe,aIm+bRe,bIm', or 'random' (needs --seed)")
         p.add_argument("--mode", choices=modes, default=default_mode)
-        p.add_argument("--seed", type=int, help="RNG seed (required for sampling)")
+        p.add_argument("--seed", type=_seed_arg, help="RNG seed (required for sampling)")
         p.add_argument("--output", help="write the JSON report to this path instead of stdout")
 
     sim = sub.add_parser("simulate", help="run the protocol, sampling one trajectory by default")
@@ -107,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run claim-level verification suites")
     ver.add_argument("--suite", default="all", choices=SUITES)
-    ver.add_argument("--seed", type=int, default=1)
+    ver.add_argument("--seed", type=_seed_arg, default=1)
     ver.add_argument("--n", type=int,
                      help="restrict the faithfulness and even-n checks to one party count "
                      "(suites 'all', 'faithfulness' and 'even-n' only; any other suite rejects "

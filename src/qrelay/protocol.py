@@ -17,9 +17,10 @@ their joint probabilities) or sampled (one trajectory drawn from them).
 one cached ``_pair_plan`` per channel pair. Both modes keep the joint state on its live strings and
 take each Bell measurement with the one kernel ``_live_pair_rows``: ``_receiver_rows`` keeps all
 four outcomes of every step, ``_sampled_rows`` the one it draws. Each branch and sender row is linear
-in the input, so a small pair's plan holds their 2x2 maps (``_pair_maps``) and an exhaustive run on
-it is one product; other runs take every sender row from one batched ``_sender_stage``. Sender rows
-pass ``_checked_sender_rows`` either way, and both modes end in the one finish ``_finish_rows``.
+in the input, so its probability and overlap with the input are fixed forms on the input's four
+bilinears: a small, well-conditioned pair's plan holds them (``_pair_forms``) and proves the sender
+checks for every input, and an exhaustive run on it is one real product. Other runs take every sender
+row from one batched ``_sender_stage``, which checks them. Every path ends in the one finish ``_finish_rows``.
 ``run_end_to_end`` turns the rows into reports and ``distribute`` exposes distribution alone.
 """
 
@@ -51,10 +52,20 @@ from .statevec import DEFAULT_QUBIT_CAP, NORM_ATOL, CapacityError, StateVector
 MAX_EXHAUSTIVE_PARTIES = 6
 
 # Exhaustive concentration stacks joint states in blocks of at most this many amplitudes, one
-# joint state at the party cap, and a plan holds branch maps only if they fit in one block.
+# joint state at the party cap, and a plan holds forms only if its branch maps fit in one block.
 _BLOCK_AMPS = 1 << (2 * MAX_EXHAUSTIVE_PARTIES + 1)
 
 PROB_SANITY_ATOL = 1e-9
+
+# <in|M|in> for a 2x2 M is (_BILINEAR @ M.ravel()) . b on the input's bilinears b = (|alpha|^2, |beta|^2,
+# Re conj(alpha) beta, Im conj(alpha) beta): coefficients real where M is Hermitian, a trial's "forms".
+_BILINEAR = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0]])
+
+# A value b @ forms is exact to a few eps times its Gram's largest eigenvalue, so a plan holds forms only
+# if each Gram's smallest eigenvalue is at least this share of its largest: then every value keeps about
+# 12 digits for every input. Faithful pairs' maps are multiples of I (share 1); a map that nearly
+# annihilates some input would lose all its digits there, where the kernel's linear rows keep them.
+_FORMS_CONDITION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -78,13 +89,19 @@ class InputQubit:
         return StateVector(1, np.array([self.alpha, self.beta], dtype=complex))
 
 
+def random_inputs(rng, count: int) -> list[InputQubit]:
+    """``count`` Haar-random inputs from one draw of (count, 4) normals, each row the real then the
+    imaginary parts: the floats and generator state of ``count`` successive ``random_input`` draws."""
+    draws = as_rng(rng).normal(size=(count, 4))
+    re, im = draws[:, :2], draws[:, 2:]
+    # Two 2-term dots, summed as the earlier np.linalg.norm form did: one 4-term dot rounds differently.
+    vecs = (re + 1j * im) / np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[:, None]
+    return [InputQubit(*vec) for vec in vecs.tolist()]
+
+
 def random_input(rng) -> InputQubit:
-    """A Haar-random input: one draw of four normals, the real then the imaginary parts."""
-    draws = as_rng(rng).normal(size=4)
-    re, im = draws[:2], draws[2:]
-    vec = re + 1j * im
-    vec /= math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's sum; numpy's division, not Python's
-    return InputQubit(*vec.tolist())
+    """A Haar-random input: ``random_inputs``' one-row case."""
+    return random_inputs(rng, 1)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,25 +237,33 @@ def _sender_plan(channel: ChannelSpec) -> tuple[np.ndarray, ...]:
 
 
 def _sender_stage(input_amps: np.ndarray, channel: ChannelSpec, plan: tuple) -> tuple[np.ndarray, ...]:
-    """Every sender outcome of every component of ``channel`` (its ``_sender_plan``), component then
-    Bell order: the unnormalized party rows (d, 4, 2^n) and raw and joint probabilities (d, 4). The
-    sender's pair, qubits 1 and 2, leads each input x channel state: one batched Bell-bra product."""
+    """Every sender outcome of every component of ``channel`` (its ``_sender_plan``), component then Bell order:
+    the unnormalized party rows (d, 4, 2^n) and raw and joint probabilities (d, 4), which ``_check_sender`` passed.
+    The sender's pair, qubits 1 and 2, leads each input x channel state: one batched unitary Bell-bra product."""
     states, weights = plan[:2]
     rows = _BELL_BRAS @ (input_amps[:, None] * states[:, None, :]).reshape(len(states), 4, -1)
-    return _checked_sender_rows(rows, channel, weights)
-
-
-def _checked_sender_rows(rows: np.ndarray, channel: ChannelSpec, weights: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Sender rows (d, 4, 2^n) and their raw and joint probabilities (d, 4), once each component's rows
-    hold total probability 1 and, where the family of ``channel`` promises it, 1/4 each."""
     raw = np.vecdot(rows, rows).real
-    for probs in raw.tolist():  # the bras are unitary: a joint state's norm is its rows' total
-        if not abs(sum(probs) - 1.0) <= NORM_ATOL:
+    probs = raw.tolist()
+    _check_sender(map(sum, probs), probs, channel)
+    return rows, raw, weights * raw
+
+
+def _check_sender(totals, probs, channel: ChannelSpec) -> None:
+    """Refuses sender rows unless each component's total probability in ``totals`` is 1 and, where the family
+    of ``channel`` promises it, each of its four outcome probabilities in ``probs`` is 1/4."""
+    for total, row in zip(totals, probs):
+        if not abs(total - 1.0) <= NORM_ATOL:
             raise ValueError("sender joint state not normalized")
-        for outcome, prob in zip(BELL_OUTCOMES, probs if channel.faithfulness_guaranteed else ()):
+        for outcome, prob in zip(BELL_OUTCOMES, row if channel.faithfulness_guaranteed else ()):
             if not abs(4.0 * prob - 1.0) < PROB_SANITY_ATOL:
                 raise ValueError(f"outcome {outcome.value} has conditional probability {prob}, expected 1/4")
-    return rows, raw, weights * raw
+
+
+def _extreme(forms: np.ndarray, target: float) -> np.ndarray:
+    """The value of <in|H|in> farthest from ``target`` over unit inputs, for Hermitian H given by its real
+    forms (4, ...): the eigenvalue of H on that side, mean +- half the spread."""
+    mean = (forms[0] + forms[1]) / 2
+    return mean + np.copysign(np.hypot(forms[0] - forms[1], np.hypot(forms[2], forms[3])) / 2, mean - target)
 
 
 def _party_vectors(rows: np.ndarray, raw: np.ndarray, frames: tuple, ci, a) -> np.ndarray:
@@ -342,16 +367,19 @@ def _receiver_rows(parties: np.ndarray, receivers: np.ndarray, steps: tuple, fra
             yield (frame[1] * rows.take(frame[0], axis=1)).reshape(len(joint), -1, 2)
 
 
-def _finish_rows(u: np.ndarray, input_amps: np.ndarray, party_raw, weights) -> tuple[np.ndarray, list]:
-    """The one finish of both modes: corrected, unnormalized receiver rows u (..., 2), C-contiguous, of
-    party vectors with raw probabilities ``party_raw`` to their joint probabilities (``weights`` times
-    raw |u|^2 / party_raw) and their fidelities |<in|u>|^2 / |u|^2, as a (nested) list of Python floats
-    with None where the branch is null by raw or joint probability."""
-    norms = np.vecdot(u.view(float), u.view(float))
+def _norms_and_overlaps(u: np.ndarray, input_amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What ``_finish_rows`` takes of C-contiguous receiver rows u (..., 2): |u|^2 and |<in|u>|^2."""
+    return np.vecdot(u.view(float), u.view(float)), np.abs(u @ input_amps.conj()) ** 2
+
+
+def _finish_rows(norms: np.ndarray, overlaps: np.ndarray, party_raw, weights) -> tuple[np.ndarray, list]:
+    """The one finish of every path: unnormalized receiver rows u, given by |u|^2 and |<in|u>|^2, of party vectors
+    with raw probabilities ``party_raw`` to joint probabilities (``weights`` times raw |u|^2 / party_raw) and
+    fidelities |<in|u>|^2 / |u|^2, a (nested) list of Python floats with None on a null branch (raw or joint)."""
     raw = norms / party_raw
     joint = weights * raw
     null = (raw < NULL_PROB_EPS) | (joint <= NULL_PROB_EPS)
-    fids = np.abs(u @ input_amps.conj()) ** 2 / np.where(null, 1.0, norms)
+    fids = overlaps / np.where(null, 1.0, norms)
     return joint, np.where(null, None, fids).tolist() if null.any() else fids.tolist()
 
 
@@ -389,36 +417,46 @@ def _sampled_rows(
         outcomes += (BELL_OUTCOMES[pick],)
     label = concentration_correction(channel.variant, outcomes)
     perm, phase = _PAULI_FRAMES[label]
-    conc_joint, fids = _finish_rows(phase * mat[:, perm], input_amps, 1.0, prob * weights[cj])
+    conc_joint, fids = _finish_rows(*_norms_and_overlaps(phase * mat[:, perm], input_amps), 1.0, prob * weights[cj])
     return [(ci * len(weights) + cj, alice, conc_joint.tolist(), fids, (outcomes,), (label,))]
 
 
-def _pair_maps(dist: ChannelSpec, sender: tuple, receivers: np.ndarray, weights: np.ndarray, start: tuple):
-    """Each branch's 2x2 map K, then each sender row's, read-only (2, m): ``input @ maps`` is a trial's
-    ``_receiver_rows`` in (sender component, sender outcome, receiver component, row) order, then its
-    ``_sender_stage`` rows. Refuses unless, per sender component, sum w_c K^dagger K over its branches is I."""
+def _pair_forms(dist: ChannelSpec, sender: tuple, receivers: np.ndarray, weights: np.ndarray, start: tuple):
+    """The S sender rows' and B branches' forms on a trial's bilinears b (``_BILINEAR``), read-only (4, S + 3B):
+    ``b @ forms`` is each sender row's raw probability (Gram S^dagger S of its map S), then, in ``_receiver_rows``
+    order, each branch's |K in|^2 (K^dagger K for its 2x2 map K) and the real and imaginary parts of <in|K in>.
+    Refuses, with a trial's texts, unless at the worst unit input (``_extreme``) each sender component has
+    sum_a S_a^dagger S_a = I (and S_a^dagger S_a = I/4 where ``_check_sender`` asks it) and sum w_c K^dagger K = I.
+    None if a Gram is too ill-conditioned (``_FORMS_CONDITION``) for the forms to keep their digits."""
     (gather, phases), steps, (frame, _, _) = start
     rows = np.concatenate([_sender_stage(amps, dist, sender)[0] for amps in np.eye(2, dtype=complex)])
     parties = (phases * rows[:, np.arange(4)[:, None], gather]).reshape(-1, gather.shape[1])
-    maps = np.concatenate([*_receiver_rows(parties, receivers, steps, frame)])
-    maps = maps.reshape(2, -1, 4, len(weights), 2 << 2 * len(steps))
-    gram = np.einsum("xdacj,c,ydacj->dxy", maps.conj(), weights, maps)
-    if not np.all(abs(gram - np.eye(2)) <= NORM_ATOL):
+    maps = np.concatenate([*_receiver_rows(parties, receivers, steps, frame)]).reshape(2, -1, 2)
+    grams = [(_BILINEAR @ np.einsum("x...r,y...r->...xy", m.conj(), m).reshape(-1, 4).T).real
+             for m in (rows.reshape(2, -1, rows.shape[-1]), maps)]  # sender rows (d, a), then branches
+    sender_forms = grams[0].reshape(4, -1, 4)
+    _check_sender(_extreme(sender_forms.sum(axis=-1), 1.0).tolist(), _extreme(sender_forms, 0.25).tolist(), dist)
+    total = np.einsum("fdacb,c->fd", grams[1].reshape(*sender_forms.shape, len(weights), -1), weights)
+    if not np.all(abs(_extreme(total, 1.0) - 1.0) <= NORM_ATOL):
         raise ValueError("branch maps do not conserve probability")
-    maps = np.concatenate([maps.reshape(2, -1), rows.reshape(2, -1)], axis=1)
-    maps.setflags(write=False)
-    return maps
+    grams = np.concatenate(grams, axis=1)
+    if not np.all(_extreme(grams, math.inf) >= _FORMS_CONDITION * _extreme(grams, -math.inf)):
+        return None
+    overlaps = _BILINEAR @ maps.transpose(1, 2, 0).reshape(-1, 4).T  # K[r, x] is maps[x, branch, r]
+    forms = np.concatenate([grams, overlaps.real, overlaps.imag], axis=1)
+    forms.setflags(write=False)
+    return forms
 
 
-@lru_cache(maxsize=32)  # a verify suite's pairs, or a benchmark pool's: a few KiB each, maps <= 160 KiB
+@lru_cache(maxsize=32)  # a verify suite's pairs, or a benchmark pool's: a few KiB each, forms <= 200 KiB
 def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
     """Checks a channel pair, then holds all a run on it needs but its input, read-only: the ``_sender_plan``
     of ``dist``; the receiver states (c, k) and weights (c,) of ``conc`` on the k channel strings any component
     holds (both receiver bits kept so rows never narrow to one column, which rounds unlike the dense rows) and
     those keys (intp bytes); and, at exhaustive sizes, the start: the sender frames on the party strings a
     corrected sender row can reach, the uncached ``_step_plan`` from them, the ``_receiver_table``, and the
-    ``_pair_maps`` if its branch maps fit one block (16 d c 4^n amplitudes, sender rows aside: pure pairs
-    to n = 4 and telecloning->Smolin), else None. Each channel state is built here once per plan."""
+    ``_pair_forms`` if its branch maps fit one block (16 d c 4^n amplitudes: pure pairs to n = 4 and
+    telecloning->Smolin) and are well-conditioned, else None. Each channel state is built here once per plan."""
     n, variant = conc.n_parties, conc.variant
     if dist.n_parties != n:
         raise ValueError(f"party mismatch: distribution has {dist.n_parties}, concentration has {n}")
@@ -439,7 +477,7 @@ def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
         start = ((gather.take(pkeys, axis=1), phases.take(pkeys, axis=1)),
                  _step_plan.__wrapped__(pkeys.tobytes(), ckeys.tobytes(), n), _receiver_table(variant, n))
         fits = 16 * len(states) * len(receivers) << 2 * n <= _BLOCK_AMPS
-        start += (_pair_maps(dist, sender, receivers, weights, start) if fits else None,)
+        start += (_pair_forms(dist, sender, receivers, weights, start) if fits else None,)
     for arr in (receivers, weights, *(start[0] if start else ())):
         arr.setflags(write=False)
     return sender, receivers, weights, ckeys.tobytes(), start
@@ -465,36 +503,40 @@ def _branch_rows(
         raise CapacityError(f"joint state would need {2 * n + 1} qubits, cap is {DEFAULT_QUBIT_CAP}")
 
     sender, receivers, weights, _, start = plan = _pair_plan(dist_channel, conc_channel)
-    # InputQubit checked the norm when it was made, and the sender rows' check repeats it.
+    # InputQubit checked the norm when it was made; the sender stage's check and the branch total repeat it.
     input_amps = np.array([input_qubit.alpha, input_qubit.beta], dtype=complex)
     if mode == "sampled":
         return _sampled_rows(input_amps, dist_channel, conc_channel, plan, as_rng(seed))
-    (gather, phases), steps, (frame, outcomes, labels), maps = start
-    if maps is None:
+    (gather, phases), steps, (frame, outcomes, labels), forms = start
+    if forms is None:
         rows, raw, joint = _sender_stage(input_amps, dist_channel, sender)
-    else:  # one product gives every branch row, then from column cut every sender row
-        product, cut = input_amps @ maps, maps.shape[1] - 2 * sender[0].size
-        _, raw, joint = _checked_sender_rows(product[cut:].reshape(len(sender[0]), 4, -1), dist_channel, sender[1])
+    else:  # one product of the input's bilinears and the forms, whose plan proved the sender checks
+        x, y = input_amps.tolist()
+        xy = x.conjugate() * y
+        values = np.dot([(x.conjugate() * x).real, (y.conjugate() * y).real, xy.real, xy.imag], forms)
+        raw = values[:4 * len(sender[0])].reshape(-1, 4)
+        joint = sender[1] * raw
 
     n_conc = len(receivers)
     null = raw < NULL_PROB_EPS
     probs, nulls = joint.ravel().tolist(), null.ravel().tolist()
-    # A maps trial with no null sender row (every one the benchmark runs) reads its rows as views.
-    ci, a = live = np.nonzero(~null) if maps is None or True in nulls else (slice(None),) * 2
+    # A forms trial reads its values as views: no sender row can be null, as each raw is at least
+    # _FORMS_CONDITION times its Gram's largest eigenvalue, itself at least 1/4.
+    ci, a = live = np.nonzero(~null) if forms is None else (slice(None),) * 2
     # A row u of sender row (ci, a) has raw = |u|^2 / raw[ci, a]: its party vector was not normalized.
     slot_raw, slot_weights = raw[live].repeat(n_conc)[:, None], (joint[live][..., None] * weights).reshape(-1, 1)
     total = sum(itertools.compress(probs, nulls))
-    if maps is None:  # too large for maps: the kernel on this trial's unnormalized party vectors, block by block
+    if forms is None:  # too large for forms: the kernel on this trial's unnormalized party vectors, block by block
         joints, fids = [], []
         for u in _receiver_rows(phases[a] * rows[ci[:, None], a[:, None], gather[a]], receivers, steps, frame):
             at = slice(len(joints), len(joints) + len(u))
-            block_joint, block_fids = _finish_rows(u, input_amps, slot_raw[at], slot_weights[at])
+            block_joint, block_fids = _finish_rows(*_norms_and_overlaps(u, input_amps), slot_raw[at], slot_weights[at])
             total += block_joint.sum()
             joints += block_joint.tolist()
             fids += block_fids
     else:
-        u = product[:cut].reshape(*raw.shape, -1)[live].reshape(len(slot_raw), -1, 2)
-        joints, fids = _finish_rows(u, input_amps, slot_raw, slot_weights)
+        norms, re, im = values[raw.size:].reshape(3, *raw.shape, -1)[:, ci, a].reshape(3, len(slot_raw), -1)
+        joints, fids = _finish_rows(norms, re * re + im * im, slot_raw, slot_weights)
         total += joints.sum()
         joints = joints.tolist()
     if not abs(total - 1.0) <= NORM_ATOL:

@@ -39,7 +39,7 @@ from .protocol import (
     MAX_EXHAUSTIVE_PARTIES,
     InputQubit,
     OutcomeReport,
-    random_input,
+    random_inputs,
     run_end_to_end,
 )
 from .statevec import CapacityError, trace_distance
@@ -289,13 +289,12 @@ def check_faithful(
     check that each nonzero branch reconstructs the input and that branch
     probabilities sum to one. worst_deviation is the larger of the worst
     fidelity gap and the worst probability-sum gap."""
-    gen = as_rng(seed)
     worst = 0.0
     prob_gap = 0.0
     branches_checked = 0
     witnesses: list[OutcomeReport] = []
-    for _ in range(trials):
-        reports = run_end_to_end(random_input(gen), dist, conc, mode="exhaustive")
+    for input_qubit in random_inputs(seed, trials):
+        reports = run_end_to_end(input_qubit, dist, conc, mode="exhaustive")
         # Columns by list comprehension: on slotted reports it beats both a
         # generator and map(attrgetter), and sum keeps the same order.
         total = sum([r.joint_prob for r in reports])
@@ -410,8 +409,7 @@ def oracle_agreement(
     Raises as ``_oracle_maps`` does.
     """
     senders, maps = _oracle_maps(dist, conc)
-    gen = as_rng(seed)
-    inputs = [random_input(gen) for _ in range(trials)]
+    inputs = random_inputs(seed, trials)
     worst = 0.0
     compared = 0
     witnesses: list[OutcomeReport] = []
@@ -475,7 +473,7 @@ def even_n_counterexample(
         if spec.n_parties != n:
             raise ValueError(f"{side} channel has {spec.n_parties} parties, expected n = {n}")
     if input_qubit is None:
-        input_qubit = random_input(gen)
+        (input_qubit,) = random_inputs(gen, 1)
     senders, maps = _oracle_maps(dist, conc)
 
     inputs = np.array([[input_qubit.alpha, input_qubit.beta]], dtype=complex)
@@ -569,10 +567,9 @@ def clone_report(input_qubit: InputQubit) -> list[float]:
 
 def clone_fidelity_verdict(trials: int = 100, seed=0) -> Verdict:
     """Clone qubits must report fidelity 5/6 independent of the input."""
-    gen = as_rng(seed)
     worst = 0.0
     pair_gap = 0.0
-    fids = _clone_fidelities([random_input(gen) for _ in range(trials)])
+    fids = _clone_fidelities(random_inputs(seed, trials))
     for _, f2, f3 in fids:
         worst = _worse(_worse(worst, abs(f2 - CLONE_TARGET)), abs(f3 - CLONE_TARGET))
         pair_gap = _worse(pair_gap, abs(f2 - f3))

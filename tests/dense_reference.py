@@ -28,6 +28,7 @@ from qrelay.protocol import (
     InputQubit,
     OutcomeReport,
     _finish_rows,
+    _norms_and_overlaps,
     concentration_correction,
     distribute,
 )
@@ -237,7 +238,7 @@ def misplaced(report, component_index, alice, bobs):
 
 def reference_oracle_agreement(dist, conc, trials, seed, tolerance=verify_mod.ORACLE_TOL):
     """oracle_agreement's verdict from a per-branch loop over the reports of
-    ``qrelay.verify``'s own ``run_end_to_end`` and ``random_input``
+    ``qrelay.verify``'s own ``run_end_to_end`` and ``random_inputs``
     bindings."""
 
     def worse(a, b):
@@ -264,8 +265,7 @@ def reference_oracle_agreement(dist, conc, trials, seed, tolerance=verify_mod.OR
         if not dev <= tolerance and r is not None and len(witnesses) < verify_mod.MAX_WITNESSES:
             witnesses.append(r)
 
-    for _ in range(trials):
-        inp = verify_mod.random_input(gen)
+    for inp in verify_mod.random_inputs(gen, trials):
         inp_vec = np.array([inp.alpha, inp.beta], dtype=complex)
         reports = iter(verify_mod.run_end_to_end(inp, dist, conc, mode="exhaustive"))
         for branch in dense_branches(inp_vec, dist, conc):
@@ -295,7 +295,7 @@ def reference_even_n(n, seed=0, dist=None, conc=None, input_qubit=None):
     if conc is None:
         conc = verify_mod.random_channel(Variant.PARITY, n, Endpoint.RECEIVER_LAST, gen)
     if input_qubit is None:
-        input_qubit = verify_mod.random_input(gen)
+        (input_qubit,) = verify_mod.random_inputs(gen, 1)
     inp_vec = np.array([input_qubit.alpha, input_qubit.beta], dtype=complex)
     gates = [verify_mod._ORACLE_GATE[x] for x in verify_mod._CORR_LETTER]
     examined = witness_count = 0
@@ -367,6 +367,6 @@ def dense_sampled(input_qubit, dist, conc, seed):
         outcomes += (BELL_OUTCOMES[k],)
     label = concentration_correction(conc.variant, outcomes)
     u = matrix_corrected_rows(amps[None, :], PAULI_MATRICES[label][None])
-    joint, (fid,) = _finish_rows(u, input_qubit.to_state().amps, 1.0, db.joint_prob * comp.weight)
+    joint, (fid,) = _finish_rows(*_norms_and_overlaps(u, input_qubit.to_state().amps), 1.0, db.joint_prob * comp.weight)
     return [OutcomeReport(
         db.component_index * n_conc + cj, db.outcomes[0], outcomes, float(joint[0]), label, fid)]

@@ -187,6 +187,19 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["verify", "simulate", "enumerate"])
+    @pytest.mark.parametrize("value", ["-1", "1.5", "many"])
+    def test_rejects_bad_seed(self, tmp_path, capsys, command, value):
+        # numpy refuses a negative seed in words that do not name the flag; the
+        # parser refuses it first, and names both the flag and the value.
+        out = tmp_path / "report.json"
+        argv = [command, f"--seed={value}", "--output", str(out)]
+        if command != "verify":
+            argv += ["--dist", "preset:ghz(2)", "--conc", "preset:ghz(2)", "--input", "random"]
+        assert run_cli(argv) == 2
+        assert f"argument --seed: expected a non-negative integer, got '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_tolerance_without_faithfulness_suite(self, tmp_path, capsys):
         # Only the faithfulness checks take a tolerance; echoing one that
         # judged nothing would misreport the run.

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -32,10 +33,12 @@ from qrelay.channels import (
 )
 import qrelay.protocol as protocol
 from qrelay.protocol import (
+    _BILINEAR,
     _PAULI_FRAMES,
     MAX_EXHAUSTIVE_PARTIES,
     InputQubit,
     _distribution_frame,
+    _extreme,
     _live_pair_rows,
     _party_vectors,
     _receiver_table,
@@ -46,9 +49,11 @@ from qrelay.protocol import (
     distribute,
     distribution_correction,
     random_input,
+    random_inputs,
     run_end_to_end,
 )
 from qrelay.statevec import NORM_ATOL, CapacityError, StateVector
+import qrelay.verify as verify_mod
 from qrelay.verify import oracle_agreement
 
 from conftest import equal_up_to_phase, random_state
@@ -90,7 +95,7 @@ def fresh_plans():
 def scale_party_vectors(monkeypatch, factor):
     """Patch the sender plans so that every party vector comes out times ``factor``:
     their distribution phases are scaled, and pair plans built after the patch (use
-    ``fresh_plans``) take their starts and branch maps from them."""
+    ``fresh_plans``) take their starts and forms from them."""
     plan = protocol._sender_plan
 
     def scaled(dist):
@@ -102,10 +107,10 @@ def scale_party_vectors(monkeypatch, factor):
 
 def force_path(monkeypatch, path, n):
     """Clear the pair plans and set the block budget so that a pair of n parties built
-    next holds its branch maps ("maps") or runs the kernel on every trial ("kernel");
+    next holds its forms ("forms") or runs the kernel on every trial ("kernel");
     use with ``fresh_plans``, so that no plan built under the patch outlives the test."""
     protocol._pair_plan.cache_clear()
-    monkeypatch.setattr(protocol, "_BLOCK_AMPS", 1 << 20 if path == "maps" else 2 << (2 * n))
+    monkeypatch.setattr(protocol, "_BLOCK_AMPS", 1 << 20 if path == "forms" else 2 << (2 * n))
 
 
 class TestInputQubit:
@@ -153,6 +158,19 @@ class TestInputQubit:
                 assert hexes(random_input(got)) == hexes(two_draw_random_input(want)), (seed, draw)
                 assert got.bit_generator.state == want.bit_generator.state, (seed, draw)
         assert hexes(random_input(7)) == hexes(two_draw_random_input(7))  # a seed, not a Generator
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 64])
+    def test_random_inputs_are_successive_random_inputs(self, count):
+        # One draw of (count, 4) normals gives the amplitudes of count successive
+        # random_input calls, bit for bit, and leaves the generator where they did.
+        def hexes(q):
+            return [x.hex() for z in (q.alpha, q.beta) for x in (z.real, z.imag)]
+
+        for seed in range(200):
+            got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+            batch = random_inputs(got, count)
+            assert [hexes(q) for q in batch] == [hexes(random_input(want)) for _ in range(count)], seed
+            assert got.bit_generator.state == want.bit_generator.state, seed
 
 
 class TestDistributionCorrection:
@@ -574,15 +592,16 @@ class TestConcentrationKernels:
 
 
 # The message each exhaustive path refuses a fault with: the plan checks a pair's branch
-# maps once, and a pair too large to hold them checks every trial's total probability.
-PATH_REFUSALS = (("maps", "branch maps do not conserve probability"),
+# maps once, when it builds their forms, and a pair too large to hold forms checks every
+# trial's total probability.
+PATH_REFUSALS = (("forms", "branch maps do not conserve probability"),
                  ("kernel", "branch probabilities sum to"))
 
 
 class TestNormChecks:
     # Exhaustive runs check that a pair's branch maps conserve probability for every
     # input, when its plan builds them, and that each trial's branch probabilities sum to
-    # 1; a pair too large to hold maps reaches only the second. Sampled runs check the
+    # 1; a pair too large to hold forms reaches only the second. Sampled runs check the
     # drawn party vector and the joint state; the receiver row they finish is a Bell row
     # of that checked joint state, times an exact Pauli phase. Each check refuses an
     # unnormalized or NaN vector.
@@ -599,7 +618,7 @@ class TestNormChecks:
     def test_sampled_distributed_state(self, monkeypatch, fresh_plans, bad):
         dist, conc = bell_pair_channels()
         scale_party_vectors(monkeypatch, bad)
-        force_path(monkeypatch, "kernel", dist.n_parties)  # no maps, whose check would refuse first
+        force_path(monkeypatch, "kernel", dist.n_parties)  # no forms, whose check would refuse first
         with pytest.raises(ValueError, match="distributed state not normalized"):
             run_end_to_end(InputQubit(1, 0), dist, conc, mode="sampled", seed=0)
 
@@ -623,47 +642,53 @@ class TestNormChecks:
 
     def test_start_missing_a_key(self, monkeypatch):
         # A start that leaves out a string a party vector holds loses that string's
-        # amplitudes: the plan refuses maps built on it, and a trial on the kernel path
+        # amplitudes: the plan refuses forms built on it, and a trial on the kernel path
         # refuses its branch probabilities' total.
         dist, conc = telecloning_channel(), smolin_channel()
-        sender, receivers, weights, ckeys, ((gather, phases), _, table, maps) = plan = protocol._pair_plan(dist, conc)
+        sender, receivers, weights, ckeys, ((gather, phases), _, table, forms) = plan = protocol._pair_plan(dist, conc)
 
         def start(keep):  # gather[0] is the start's strings: phi+ flips no bit
             steps = _step_plan.__wrapped__(gather[0][keep].tobytes(), ckeys, dist.n_parties)
             return (gather[:, keep], phases[:, keep]), steps, table
 
         every = np.arange(gather.shape[1])
-        assert np.array_equal(protocol._pair_maps(dist, sender, receivers, weights, start(every)), maps)
+        assert np.array_equal(protocol._pair_forms(dist, sender, receivers, weights, start(every)), forms)
         with pytest.raises(ValueError, match=PATH_REFUSALS[0][1]):
-            protocol._pair_maps(dist, sender, receivers, weights, start(every[1:]))
+            protocol._pair_forms(dist, sender, receivers, weights, start(every[1:]))
         monkeypatch.setattr(protocol, "_pair_plan", lambda *pair: (*plan[:4], (*start(every[1:]), None)))
         with pytest.raises(ValueError, match=PATH_REFUSALS[1][1]):
             run_end_to_end(random_input(np.random.default_rng(37)), dist, conc)
 
     @pytest.mark.parametrize("bad", [1.1, math.nan])
     def test_held_sender_rows(self, monkeypatch, fresh_plans, bad):
-        # A maps trial checks the sender rows its product gives as the sender stage checks
-        # its own: rows scaled or NaN break the joint state's norm, and rows that keep it
-        # but move probability between outcomes break 1/4 on a channel that promises it.
+        # A plan that holds forms proves the sender checks for every input when it is built,
+        # refusing with the texts a kernel-path trial's check gives: a sender state scaled or
+        # NaN breaks the joint state's norm, and |++>, which gives 1/4 per outcome on |0> and
+        # |1> but not on |+>, breaks 1/4 on a channel that promises it.
         dist, conc = bell_pair_channels()
-        pair_maps = protocol._pair_maps
+        build = protocol.build_channel_component
 
-        def held(scale):
-            def patched(dist, sender, *rest):
-                maps = pair_maps(dist, sender, *rest).copy()
-                rows = maps[:, maps.shape[1] - 2 * sender[0].size:]  # the held sender rows, as a trial splits them
-                rows *= np.repeat(scale, rows.shape[1] // len(scale))  # d = 1: one factor per outcome's row
-                return maps
+        def sender_state(amps):
+            def patched(comp, variant, endpoint, n):
+                if endpoint is Endpoint.SENDER_FIRST:
+                    return SimpleNamespace(amps=amps)
+                return build(comp, variant, endpoint, n)
             return patched
 
-        force_path(monkeypatch, "maps", dist.n_parties)
-        monkeypatch.setattr(protocol, "_pair_maps", held(np.array([bad] * 4)))
-        with pytest.raises(ValueError, match="sender joint state not normalized"):
-            run_end_to_end(InputQubit(1, 0), dist, conc)
-        protocol._pair_plan.cache_clear()
-        monkeypatch.setattr(protocol, "_pair_maps", held(np.array([math.sqrt(2.0), 0.0, 1.0, 1.0])))
-        with pytest.raises(ValueError, match="expected 1/4"):
-            run_end_to_end(InputQubit(1, 0), dist, conc)
+        quarter = r"outcome phi\+ has conditional probability (\S+), expected 1/4"
+        for amps, refusal in ((bad * build(dist.components[0], dist.variant, dist.endpoint, 1).amps,
+                               "sender joint state not normalized"), (np.full(4, 0.5, dtype=complex), quarter)):
+            monkeypatch.setattr(protocol, "build_channel_component", sender_state(amps))
+            force_path(monkeypatch, "forms", dist.n_parties)
+            with pytest.raises(ValueError, match=refusal) as refused:
+                protocol._pair_plan(dist, conc)
+            force_path(monkeypatch, "kernel", dist.n_parties)
+            protocol._pair_plan(dist, conc)  # no forms, so each trial checks its own sender rows
+            with pytest.raises(ValueError, match=refusal):
+                run_end_to_end(NULL_SENDER_INPUT, dist, conc)
+        # |++> passes on |0>; the plan names an input's worst outcome probability, 0 or 1/2.
+        assert len(run_end_to_end(InputQubit(1, 0), dist, conc)) == 16
+        assert abs(abs(4.0 * float(re.fullmatch(quarter, str(refused.value))[1]) - 1.0) - 1.0) <= 1e-15
 
     def test_nan_and_tolerance_edges(self, monkeypatch, fresh_plans):
         # Party vectors whose squared norms are 1 + scale * NORM_ATOL: just inside the
@@ -1018,6 +1043,11 @@ class TestEvaluatorConsumersAgree:
         assert f.fidelity == pytest.approx(fid, rel=0, abs=1e-12)
 
 
+# Pairs whose plans hold no forms at any block budget: custom-null's product receiver
+# component |00> and its first sender component make rank-deficient maps.
+ILL_CONDITIONED = frozenset({"custom-null"})
+
+
 def path_cases():
     """Pairs for comparing the map path with the kernel path: pure pairs at n = 1..5,
     receiver mixtures, and the custom pair whose |+> input nulls sender rows."""
@@ -1032,7 +1062,31 @@ def path_cases():
         Variant.DOMINO, 2, Endpoint.RECEIVER_LAST, list(zip((0.2, 0.3, 0.5), comps))))
     cases["telecloning-smolin"] = telecloning_channel(), smolin_channel()
     cases["custom-null"] = dict(agreement_cases())["custom-null"]
+    # Even parity is unfaithful, so its branch maps are not multiples of I.
+    cases["parity-n2"] = (random_channel(Variant.PARITY, 2, Endpoint.SENDER_FIRST, gen),
+                          random_channel(Variant.PARITY, 2, Endpoint.RECEIVER_LAST, gen))
     return cases
+
+
+class TestForms:
+    def test_forms_are_the_input_quadratics(self):
+        # (_BILINEAR @ M.ravel()) . b is <in|M|in> on the input's bilinears b for any 2x2 M,
+        # real for a Hermitian H, whose _extreme is the eigenvalue farthest from the target:
+        # the bound the plan's checks read, as <in|H|in> lies between the eigenvalues.
+        rng = np.random.default_rng(44)
+        for inp in random_inputs(rng, 200):
+            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            h = m + m.conj().T
+            vec = np.array([inp.alpha, inp.beta])
+            cross = np.conj(vec[0]) * vec[1]
+            b = np.array([abs(vec[0]) ** 2, abs(vec[1]) ** 2, cross.real, cross.imag])
+            assert (_BILINEAR @ m.ravel()) @ b == pytest.approx(np.vdot(vec, m @ vec), abs=1e-12)
+            forms = _BILINEAR @ h.ravel()
+            assert not forms.imag.any()
+            lo, hi = np.linalg.eigvalsh(h)
+            assert lo - 1e-12 <= forms.real @ b <= hi + 1e-12
+            for target, farthest in ((lo - 1.0, hi), ((lo + hi) / 2 - 0.1, hi), ((lo + hi) / 2 + 0.1, lo)):
+                assert _extreme(forms.real, target) == pytest.approx(farthest, abs=1e-12)
 
 
 class TestPairPlan:
@@ -1100,7 +1154,7 @@ class TestPairPlan:
         # A block holds whole states' worth of receiver components, so a
         # three-component mixture fills blocks unevenly; every report must be
         # the same floats as with one joint state per block. Both runs take the
-        # kernel path: the first budget is one amplitude short of the maps.
+        # kernel path: the first budget is one amplitude short of the forms.
         gen = np.random.default_rng(35 + n)
         comps = [dict(random_channel(Variant.DOMINO, n, Endpoint.RECEIVER_LAST, gen).components[0].coeffs)
                  for _ in range(3)]
@@ -1115,30 +1169,32 @@ class TestPairPlan:
 
     @pytest.mark.parametrize("name", list(path_cases()))
     def test_maps_match_the_kernel(self, name, monkeypatch, fresh_plans):
-        # A pair's branch maps and the kernel on each trial's party vectors are the
-        # same linear algebra in another order: the same branches and null flags, and
-        # floats a few ulps apart, for inputs that null sender rows or receiver rows.
+        # A pair's forms and the kernel on each trial's party vectors are the same
+        # linear algebra in another order: the same branches and null flags, and
+        # floats a few ulps apart, for inputs that null receiver rows. An ill-conditioned
+        # pair, whose |+> input nulls sender rows, holds no forms and runs the kernel.
         dist, conc = path_cases()[name]
-        inputs = [InputQubit(1, 0), NULL_SENDER_INPUT, random_input(np.random.default_rng(41))]
+        inputs = [InputQubit(1, 0), NULL_SENDER_INPUT, *random_inputs(np.random.default_rng(41), 3)]
         runs = []
-        for path in ("maps", "kernel"):
+        for path in ("forms", "kernel"):
             force_path(monkeypatch, path, dist.n_parties)
             runs.append([run_end_to_end(inp, dist, conc) for inp in inputs])
-            assert (protocol._pair_plan(dist, conc)[4][3] is None) == (path == "kernel")
-        for maps, kernel in zip(*runs):
-            assert len(maps) == len(kernel)
-            for m, k in zip(maps, kernel):
-                assert (m.component_index, m.alice_outcome, m.bob_outcomes, m.correction) == (
+            assert (protocol._pair_plan(dist, conc)[4][3] is None) == (path == "kernel" or name in ILL_CONDITIONED)
+        for forms, kernel in zip(*runs):
+            assert len(forms) == len(kernel)
+            for f, k in zip(forms, kernel):
+                assert (f.component_index, f.alice_outcome, f.bob_outcomes, f.correction) == (
                     k.component_index, k.alice_outcome, k.bob_outcomes, k.correction)
-                assert (m.fidelity is None) == (k.fidelity is None)
-                assert abs(m.joint_prob - k.joint_prob) <= 1e-16
-                assert m.fidelity is None or abs(m.fidelity - k.fidelity) <= 2e-15
+                assert (f.fidelity is None) == (k.fidelity is None)
+                assert abs(f.joint_prob - k.joint_prob) <= 1e-16
+                assert f.fidelity is None or abs(f.fidelity - k.fidelity) <= 2e-15
 
     @pytest.mark.parametrize("name", ["telecloning-smolin", "custom-null"])
     def test_maps_run_is_one_product(self, name, monkeypatch, fresh_plans):
-        # Once a pair's plan holds maps, an exhaustive run reads its sender rows and every
-        # branch row from one product: no sender stage, no kernel and no party vector. On
-        # the kernel path every run takes the sender stage and the kernel.
+        # Once a pair's plan holds forms, an exhaustive run reads its sender rows and every
+        # branch from one product: no sender stage, no kernel and no party vector. On
+        # the kernel path, or for an ill-conditioned pair, every run takes the sender
+        # stage and the kernel.
         dist, conc = path_cases()[name]
         calls = []
         for fn in ("_sender_stage", "_receiver_rows", "_party_vectors"):
@@ -1146,13 +1202,14 @@ class TestPairPlan:
             monkeypatch.setattr(protocol, fn, lambda *args, fn=fn, real=real: calls.append(fn) or real(*args))
         gen = np.random.default_rng(43)
         inputs = [InputQubit(1, 0), NULL_SENDER_INPUT, random_input(gen)]
-        for path in ("maps", "kernel"):
+        for path in ("forms", "kernel"):
             force_path(monkeypatch, path, dist.n_parties)
             protocol._pair_plan(dist, conc)
             for inp in inputs:
                 calls.clear()
                 run_end_to_end(inp, dist, conc)
-                assert sorted(set(calls)) == ([] if path == "maps" else ["_receiver_rows", "_sender_stage"])
+                one_product = path == "forms" and name not in ILL_CONDITIONED
+                assert sorted(set(calls)) == ([] if one_product else ["_receiver_rows", "_sender_stage"])
 
     @pytest.mark.parametrize("bad", [1e-4, math.nan])
     def test_corrupted_maps_are_refused(self, bad, monkeypatch, fresh_plans):
@@ -1173,11 +1230,26 @@ class TestPairPlan:
             with pytest.raises(ValueError, match=refusal):
                 run_end_to_end(InputQubit(1, 0), dist, conc)
 
+    def test_ill_conditioned_maps_hold_no_forms(self, monkeypatch, fresh_plans):
+        # Forms read |K in|^2 off a Gram, so a map that annihilates some input would lose
+        # every digit near it: on custom-null, inputs 1e-4 to 1e-7 off |+> would read
+        # fidelities 1e-9 to 1e-4 off the oracle's. Its plan holds no forms even where they
+        # fit, so the kernel runs and the evaluator agrees with the oracle near |+>.
+        dist, conc = path_cases()["custom-null"]
+        force_path(monkeypatch, "forms", dist.n_parties)
+        assert protocol._pair_plan(dist, conc)[4][3] is None
+        for offset in (1e-4, 1e-5, 1e-6, 3e-7, 1e-7):
+            theta = math.pi / 4 + offset
+            inp = InputQubit(math.cos(theta), math.sin(theta))
+            monkeypatch.setattr(verify_mod, "random_inputs", lambda gen, count, inp=inp: [inp] * count)
+            v = oracle_agreement(dist, conc, trials=1, seed=0)
+            assert v.passed and v.worst_deviation <= 1e-14, (offset, v.worst_deviation)
+
     def test_maps_only_where_they_fit_one_block(self):
-        # The memory rule: a plan holds maps only if its branch maps fit one kernel block,
+        # The memory rule: a plan holds forms only if its branch maps fit one kernel block,
         # so a domino n = 6 plan holds none and runs the kernel on each trial, while a
         # domino n = 4 pair with a two-component receiver fills the block exactly. The
-        # held sender rows, which follow the branch maps, do not count.
+        # forms are one column per sender row, then three per branch.
         gen = np.random.default_rng(42)
         domino6 = (random_channel(Variant.DOMINO, 6, Endpoint.SENDER_FIRST, gen),
                    random_channel(Variant.DOMINO, 6, Endpoint.RECEIVER_LAST, gen))
@@ -1189,9 +1261,11 @@ class TestPairPlan:
         cases = [path_cases()[name] for name in ("parity-n1", "domino-n4", "telecloning-smolin")] + [full]
         for dist, conc in cases:
             plan = protocol._pair_plan(dist, conc)
-            sender, maps = plan[0], plan[4][3]
-            branch_amps = 2 * (maps.shape[1] - 2 * sender[0].size)  # the columns a trial reads as branch rows
-            assert branch_amps <= protocol._BLOCK_AMPS and not maps.flags.writeable
+            sender, forms = plan[0], plan[4][3]
+            branches = 4 * len(sender[0]) * len(conc.components) << 2 * dist.n_parties
+            assert forms.shape == (4, 4 * len(sender[0]) + 3 * branches) and not forms.flags.writeable
+            branch_amps = 4 * branches  # one 2x2 map per branch
+            assert branch_amps <= protocol._BLOCK_AMPS
         assert branch_amps == protocol._BLOCK_AMPS
 
 

@@ -26,15 +26,18 @@ def test_no_assert_statements():
 # agreement a tautology.
 EVALUATOR_INTERNALS = frozenset({
     "_finish_rows",
+    "_norms_and_overlaps",
     "_receiver_rows",
-    "_pair_maps",
+    "_pair_forms",
+    "_BILINEAR",
+    "_extreme",
+    "_check_sender",
     "_receiver_table",
     "_pauli_frame",
     "_PAULI_FRAMES",
     "_distribution_frame",
     "_sender_plan",
     "_sender_stage",
-    "_checked_sender_rows",
     "_party_vectors",
     "_pair_plan",
     "_sampled_rows",
@@ -100,7 +103,7 @@ def test_verify_reaches_the_evaluator_only_through_run_end_to_end():
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "protocol"
         for alias in node.names
     )
-    assert imported == ["InputQubit", "MAX_EXHAUSTIVE_PARTIES", "OutcomeReport", "random_input", "run_end_to_end"]
+    assert imported == ["InputQubit", "MAX_EXHAUSTIVE_PARTIES", "OutcomeReport", "random_inputs", "run_end_to_end"]
 
 
 def test_dense_reference_draws_with_generator_choice():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qrelay.channels import Ensemble
-from qrelay.protocol import _finish_rows
+from qrelay.protocol import _finish_rows, _norms_and_overlaps
 from qrelay.statevec import (
     CapacityError,
     DensityMatrix,
@@ -96,7 +96,7 @@ class TestApplySingleQubit:
 def fidelity(vec, target):
     """|<target|vec>|^2 as every run_end_to_end report computes it: the
     one finish on a live one-row block."""
-    return _finish_rows(np.asarray(vec, dtype=complex)[None], np.asarray(target), 1.0, 1.0)[1][0]
+    return _finish_rows(*_norms_and_overlaps(np.asarray(vec, dtype=complex)[None], np.asarray(target)), 1.0, 1.0)[1][0]
 
 
 class TestFidelity:
@@ -109,7 +109,7 @@ class TestFidelity:
         zero, one = make_basis_state("0").amps, make_basis_state("1").amps
         assert fidelity(zero, one) == pytest.approx(0.0, abs=1e-12)
         # A row null by raw or by joint probability has no fidelity.
-        assert _finish_rows(np.array([zero, zero]), zero, np.array([1e15, 1.0]),
+        assert _finish_rows(*_norms_and_overlaps(np.array([zero, zero]), zero), np.array([1e15, 1.0]),
                             np.array([1e15, 1e-15]))[1] == [None, None]
 
     def test_symmetric_and_phase_invariant(self):

@@ -396,7 +396,7 @@ class TestOracleAgreement:
     def test_deviating_null_sender_branch_is_a_witness(self, monkeypatch):
         # With input |+> the |+>|+> channel nulls the psi- sender branch; an
         # evaluator that gives that branch a fidelity must be named.
-        monkeypatch.setattr(verify_mod, "random_input", lambda gen: InputQubit(SQ, SQ))
+        monkeypatch.setattr(verify_mod, "random_inputs", lambda gen, count: [InputQubit(SQ, SQ)] * count)
         evaluate = verify_mod.run_end_to_end
 
         def tampered(*args, **kwargs):
@@ -422,7 +422,7 @@ class TestOracleAgreement:
         # null (fidelity None), and the oracle must null them too.
         theta = math.pi / 4 + offset
         inp = InputQubit(math.cos(theta), math.sin(theta))
-        monkeypatch.setattr(verify_mod, "random_input", lambda gen: inp)
+        monkeypatch.setattr(verify_mod, "random_inputs", lambda gen, count: [inp] * count)
         dist = mixed_channel(Variant.CUSTOM, 2, Endpoint.SENDER_FIRST,
                              [(0.5, {"00": SQ, "11": SQ}), (0.5, {"01": 0.6, "10": 0.8})])
         conc = mixed_channel(Variant.CUSTOM, 2, Endpoint.RECEIVER_LAST,
@@ -497,7 +497,7 @@ class TestOracleMatchesPerBranchLoop:
     def test_custom_null_sender_branches(self, monkeypatch):
         # For the |+> input the first sender component nulls psi- and phi-,
         # so null sender records fall between live branches.
-        monkeypatch.setattr(verify_mod, "random_input", lambda gen: InputQubit(SQ, SQ))
+        monkeypatch.setattr(verify_mod, "random_inputs", lambda gen, count: [InputQubit(SQ, SQ)] * count)
         dist = mixed_channel(Variant.CUSTOM, 2, Endpoint.SENDER_FIRST,
                              [(0.5, {"00": SQ, "11": SQ}), (0.5, {"01": 0.6, "10": 0.8})])
         conc = mixed_channel(Variant.CUSTOM, 2, Endpoint.RECEIVER_LAST,

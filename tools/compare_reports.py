@@ -5,7 +5,7 @@
 Each SRC is a directory holding the ``qrelay`` package (``src`` of a checkout). Both trees are
 loaded side by side in one process, as two separately named packages, and each runs the same
 fixed list of channel pairs (drawn from its own ``random_channel`` with the same seeds) and
-inputs in both modes: exhaustive runs on pairs whose plans hold branch maps and on larger pairs,
+inputs in both modes: exhaustive runs on pairs whose plans hold forms and on larger pairs,
 sampled trajectories at n = 1..9. One line per mode and pair kind gives the branch count, whether
 every key (component, sender and party outcomes, correction) matches, the null flips, how many
 joint probabilities and fidelities are identical floats, and the largest gap of each. Exits 1
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-EXHAUSTIVE = [("parity", 1), ("domino", 2), ("parity", 3), ("domino", 4),  # their plans hold branch maps
+EXHAUSTIVE = [("parity", 1), ("domino", 2), ("parity", 3), ("domino", 4),  # their plans hold forms
               ("parity", 5), ("domino", 5), ("domino", 6)]  # the kernel on every trial
 SAMPLED = [("domino", n) for n in range(1, 10)] + [("parity", n) for n in (1, 3, 5, 7)]
 SAMPLED_RUNS = 4  # trajectories per pair and input
