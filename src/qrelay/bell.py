@@ -1,11 +1,10 @@
 """Bell-basis construction, Bell-pair projective measurement, and the Pauli
-label algebra used for outcome-driven corrections."""
+labels and (x, z) bits that outcome-driven corrections are stated on."""
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from collections.abc import Iterable
 from enum import Enum
 
 import numpy as np
@@ -116,15 +115,3 @@ def _draw_outcome(rows: np.ndarray, gen: np.random.Generator) -> int | None:
         return None
     return _born_pick([x / total for x in p], gen)
 
-
-def pauli_product(ops: Iterable[PauliLabel]) -> PauliLabel:
-    """Label of the ordered matrix product, global phase discarded.
-
-    An empty product is the identity.
-    """
-    x = z = 0
-    for op in ops:
-        ox, oz = _TO_XZ[op]
-        x ^= ox
-        z ^= oz
-    return _FROM_XZ[(x, z)]

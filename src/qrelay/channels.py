@@ -339,6 +339,8 @@ def load_channel(path) -> ChannelSpec:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ChannelValidationError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ChannelValidationError(f"{path}: not UTF-8 text ({exc})") from exc
     except RecursionError:
         raise ChannelValidationError(f"{path}: JSON nested too deeply") from None
     return spec_from_json(data)

@@ -10,8 +10,10 @@ support structure.
 Concentration: each party holds one qubit of the distributed state and one
 qubit of a fresh receiver-side channel, measures its pair in the Bell
 basis, and sends the outcome to the receiver, who applies one composite
-correction. Branch enumeration is exhaustive (all outcome tuples with
-their joint probabilities) or sampled (one trajectory drawn from them).
+correction. Both corrections are one rule each on the outcomes' (x, z)
+bits, and a family enters them only as its count of marked parties
+(``_marked_parties``). Branch enumeration is exhaustive (all outcome tuples
+with their joint probabilities) or sampled (one trajectory drawn from them).
 
 ``_branch_rows`` is the one way into concentration. A run reads all it needs but its input from
 one cached ``_pair_plan`` per channel pair. Both modes keep the joint state on its live strings and
@@ -20,7 +22,7 @@ four outcomes of every step, ``_sampled_rows`` the one it draws. Each branch and
 in the input, so its probability and overlap with the input are fixed forms on the input's four
 bilinears: a small, well-conditioned pair's plan holds them (``_pair_forms``) and proves the sender
 checks for every input, and an exhaustive run on it is one real product. Other runs take every sender
-row from one batched ``_sender_stage``, which checks them. Every path ends in the one finish ``_finish_rows``.
+row from one batched ``_sender_stage``, which checks them. Every trial ends in one call of the finish ``_finish_rows``.
 ``run_end_to_end`` turns the rows into reports and ``distribute`` exposes distribution alone.
 """
 
@@ -41,10 +43,11 @@ from .bell import (
     PAULI_MATRICES,
     BellOutcome,
     PauliLabel,
+    _FROM_XZ,
+    _TO_XZ,
     _born_pick,
     _draw_outcome,
     as_rng,
-    pauli_product,
 )
 from .channels import ChannelSpec, Endpoint, Variant, build_channel_component
 from .statevec import DEFAULT_QUBIT_CAP, NORM_ATOL, CapacityError, StateVector
@@ -140,49 +143,35 @@ class OutcomeReport:
         }
 
 
+def _marked_parties(variant: Variant, n_parties: int) -> int:
+    """How many leading parties each correction rule marks: every party of a parity (or custom)
+    channel, party 1 alone of a staircase, whose first support bit is the only one that varies."""
+    return 1 if variant is Variant.DOMINO else n_parties
+
+
 def distribution_correction(
     variant: Variant, outcome: BellOutcome, n_parties: int
 ) -> tuple[PauliLabel, ...]:
-    """Local correction each party applies after the sender's broadcast.
-
-    Parity channels need the same Pauli at every party. Staircase channels
-    concentrate the phase on party 1 and the bit flip everywhere: only the
-    first support bit can differ between supports (it alternates along the
-    staircase), so the phase correction must act there, while the flip
-    pattern is uniform. Custom channels reuse the parity rule.
+    """Local correction each party applies after the sender's broadcast: for
+    the sender byproduct X^x Z^z, each marked party (``_marked_parties``)
+    applies X^x Z^z and every other party X^x, so a staircase takes the phase
+    on party 1 alone and the bit flip everywhere.
     """
-    uniform = CORRECTION_FOR_OUTCOME[outcome]
-    if variant is not Variant.DOMINO:
-        return (uniform,) * n_parties
-    if outcome is BellOutcome.PHI_PLUS:
-        return (PauliLabel.I,) * n_parties
-    if outcome is BellOutcome.PHI_MINUS:
-        return (PauliLabel.Z,) + (PauliLabel.I,) * (n_parties - 1)
-    if outcome is BellOutcome.PSI_PLUS:
-        return (PauliLabel.X,) * n_parties
-    return (PauliLabel.Y,) + (PauliLabel.X,) * (n_parties - 1)
-
-
-_MINUS_TYPES = frozenset({BellOutcome.PSI_MINUS, BellOutcome.PHI_MINUS})
-_FLIP_TYPES = frozenset({BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS})
+    x, z = _TO_XZ[CORRECTION_FOR_OUTCOME[outcome]]
+    marked = _marked_parties(variant, n_parties)
+    return (_FROM_XZ[x, z],) * marked + (_FROM_XZ[x, 0],) * (n_parties - marked)
 
 
 def concentration_correction(variant: Variant, outcomes) -> PauliLabel:
-    """Single receiver-side correction folding all parties' outcomes.
-
-    For parity channels each outcome contributes its own Pauli and the
-    product collapses them. For staircase channels only party 1's outcome
-    decides the bit flip (its support bit is the only one that varies), and
-    the phase flips once per minus-signed outcome anywhere.
+    """Single receiver-side correction folding all parties' outcomes: with
+    each outcome's byproduct X^x Z^z, X to the XOR of the marked parties'
+    x bits (``_marked_parties``) and Z to the XOR of every party's z bit.
     """
-    outcomes = tuple(outcomes)
-    if not outcomes:
+    bits = [_TO_XZ[CORRECTION_FOR_OUTCOME[o]] for o in outcomes]
+    if not bits:
         raise ValueError("at least one outcome required")
-    if variant is Variant.DOMINO:
-        flips = 1 if outcomes[0] in _FLIP_TYPES else 0
-        phases = sum(1 for o in outcomes if o in _MINUS_TYPES)
-        return pauli_product([PauliLabel.X] * flips + [PauliLabel.Z] * (phases % 2))
-    return pauli_product([CORRECTION_FOR_OUTCOME[o] for o in outcomes])
+    x = sum(ox for ox, _ in bits[:_marked_parties(variant, len(bits))]) & 1
+    return _FROM_XZ[x, sum(oz for _, oz in bits) & 1]
 
 
 def _pauli_frame(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -373,9 +362,10 @@ def _norms_and_overlaps(u: np.ndarray, input_amps: np.ndarray) -> tuple[np.ndarr
 
 
 def _finish_rows(norms: np.ndarray, overlaps: np.ndarray, party_raw, weights) -> tuple[np.ndarray, list]:
-    """The one finish of every path: unnormalized receiver rows u, given by |u|^2 and |<in|u>|^2, of party vectors
-    with raw probabilities ``party_raw`` to joint probabilities (``weights`` times raw |u|^2 / party_raw) and
-    fidelities |<in|u>|^2 / |u|^2, a (nested) list of Python floats with None on a null branch (raw or joint)."""
+    """The one finish of every path, called once per trial: unnormalized receiver rows u, given by |u|^2 and
+    |<in|u>|^2, of party vectors with raw probabilities ``party_raw`` to joint probabilities (``weights`` times
+    raw |u|^2 / party_raw) and fidelities |<in|u>|^2 / |u|^2, a (nested) list of Python floats with None on a
+    null branch (raw or joint)."""
     raw = norms / party_raw
     joint = weights * raw
     null = (raw < NULL_PROB_EPS) | (joint <= NULL_PROB_EPS)
@@ -491,7 +481,10 @@ def _branch_rows(
     fidelities with None on a null branch, party outcome tuples, receiver
     corrections), the last four parallel columns of Python values. A null
     sender branch is one row with no party outcomes and no correction. The caps
-    are checked before the pair's ``_pair_plan`` checks the pair and builds any state."""
+    are checked before the pair's ``_pair_plan`` checks the pair and builds any state.
+    An exhaustive trial reads each live slot's |u|^2 and |<in|u>|^2 from its plan's forms,
+    as views, or from the kernel's blocks, concatenated, then finishes them in one
+    ``_finish_rows`` call and checks their total once."""
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     if mode == "sampled" and seed is None:
@@ -508,40 +501,30 @@ def _branch_rows(
     if mode == "sampled":
         return _sampled_rows(input_amps, dist_channel, conc_channel, plan, as_rng(seed))
     (gather, phases), steps, (frame, outcomes, labels), forms = start
-    if forms is None:
+    n_conc = len(receivers)
+    if forms is None:  # too large for forms: the kernel on this trial's unnormalized party vectors, block by block
         rows, raw, joint = _sender_stage(input_amps, dist_channel, sender)
+        ci, a = live = np.nonzero(~(raw < NULL_PROB_EPS))
+        norms, overlaps = map(np.concatenate, zip(*(_norms_and_overlaps(u, input_amps) for u in _receiver_rows(
+            phases[a] * rows[ci[:, None], a[:, None], gather[a]], receivers, steps, frame))))
     else:  # one product of the input's bilinears and the forms, whose plan proved the sender checks
         x, y = input_amps.tolist()
         xy = x.conjugate() * y
         values = np.dot([(x.conjugate() * x).real, (y.conjugate() * y).real, xy.real, xy.imag], forms)
         raw = values[:4 * len(sender[0])].reshape(-1, 4)
-        joint = sender[1] * raw
-
-    n_conc = len(receivers)
-    null = raw < NULL_PROB_EPS
-    probs, nulls = joint.ravel().tolist(), null.ravel().tolist()
-    # A forms trial reads its values as views: no sender row can be null, as each raw is at least
-    # _FORMS_CONDITION times its Gram's largest eigenvalue, itself at least 1/4.
-    ci, a = live = np.nonzero(~null) if forms is None else (slice(None),) * 2
+        # Read as views: no sender row can be null, as each raw is at least _FORMS_CONDITION times its
+        # Gram's largest eigenvalue, itself at least 1/4.
+        joint, live = sender[1] * raw, (slice(None),) * 2
+        norms, re, im = values[raw.size:].reshape(3, raw.size * n_conc, -1)
+        overlaps = re * re + im * im
+    probs, nulls = joint.ravel().tolist(), (raw < NULL_PROB_EPS).ravel().tolist()
     # A row u of sender row (ci, a) has raw = |u|^2 / raw[ci, a]: its party vector was not normalized.
     slot_raw, slot_weights = raw[live].repeat(n_conc)[:, None], (joint[live][..., None] * weights).reshape(-1, 1)
-    total = sum(itertools.compress(probs, nulls))
-    if forms is None:  # too large for forms: the kernel on this trial's unnormalized party vectors, block by block
-        joints, fids = [], []
-        for u in _receiver_rows(phases[a] * rows[ci[:, None], a[:, None], gather[a]], receivers, steps, frame):
-            at = slice(len(joints), len(joints) + len(u))
-            block_joint, block_fids = _finish_rows(*_norms_and_overlaps(u, input_amps), slot_raw[at], slot_weights[at])
-            total += block_joint.sum()
-            joints += block_joint.tolist()
-            fids += block_fids
-    else:
-        norms, re, im = values[raw.size:].reshape(3, *raw.shape, -1)[:, ci, a].reshape(3, len(slot_raw), -1)
-        joints, fids = _finish_rows(norms, re * re + im * im, slot_raw, slot_weights)
-        total += joints.sum()
-        joints = joints.tolist()
+    joints, fids = _finish_rows(norms, overlaps, slot_raw, slot_weights)
+    total = sum(itertools.compress(probs, nulls)) + joints.sum()
     if not abs(total - 1.0) <= NORM_ATOL:
         raise ValueError(f"branch probabilities sum to {total}, expected 1")
-    slots, out = zip(joints, fids), []
+    slots, out = zip(joints.tolist(), fids), []
     for k, (prob, is_null) in enumerate(zip(probs, nulls)):
         index, alice = k // 4 * n_conc, BELL_OUTCOMES[k % 4]
         out += [(index, alice, [prob], [None], ((),), (None,))] if is_null else [

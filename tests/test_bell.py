@@ -17,7 +17,6 @@ from qrelay.bell import (
     _born_pick,
     _draw_outcome,
     bell_vector,
-    pauli_product,
 )
 from qrelay.statevec import StateVector
 
@@ -208,28 +207,6 @@ class TestBornPick:
         rows[2] = np.nan
         with pytest.raises(ValueError):
             _draw_outcome(rows, np.random.default_rng(0))
-
-
-class TestPauliProduct:
-    def test_empty_is_identity(self):
-        assert pauli_product([]) is PauliLabel.I
-
-    def test_single(self):
-        for label in PauliLabel:
-            assert pauli_product([label]) is label
-
-    def test_all_triples_match_matrix_products(self):
-        # The label product must equal the matrix product up to a phase.
-        labels = list(PauliLabel)
-        for a in labels:
-            for b in labels:
-                for c in labels:
-                    got = PAULI_MATRICES[pauli_product([a, b, c])]
-                    want = PAULI_MATRICES[a] @ PAULI_MATRICES[b] @ PAULI_MATRICES[c]
-                    assert equal_up_to_phase(got, want), (a, b, c)
-
-    def test_worked_example(self):
-        assert pauli_product([PauliLabel.I, PauliLabel.Y, PauliLabel.X]) is PauliLabel.Z
 
 
 class TestTeleportationIdentity:

@@ -324,6 +324,13 @@ class TestSerialization:
         with pytest.raises(ChannelValidationError):
             load_channel(path)
 
+    def test_non_utf8_file_names_it(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff{}")
+        with pytest.raises(ChannelValidationError, match="not UTF-8") as info:
+            load_channel(path)
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_deeply_nested_json_file(self, tmp_path):
         path = tmp_path / "nested.json"
         path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")

@@ -335,6 +335,13 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
         assert not out.exists()
 
+    def test_non_utf8_channel_file(self, tmp_path, capsys):
+        path = tmp_path / "dist.json"
+        path.write_bytes(b"\xff{}")
+        code = run_cli(["enumerate", "--dist", str(path), "--conc", "preset:ghz(1)", "--input", "1,0+0,0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text ")
+
     def test_unreadable_channel_file(self, capsys):
         code = run_cli([
             "enumerate", "--dist", "/definitely/missing.json",

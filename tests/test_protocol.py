@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qrelay.bell import (
     BELL_OUTCOMES,
+    CORRECTION_FOR_OUTCOME,
     NULL_PROB_EPS,
     PAULI_MATRICES,
     BellOutcome,
@@ -224,6 +225,25 @@ class TestConcentrationCorrection:
             concentration_correction(Variant.PARITY, ())
         with pytest.raises(ValueError):
             concentration_correction(Variant.DOMINO, ())
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_matches_matrix_product(self, variant, n):
+        # The bit rule must give, up to a phase, the matrix product the label
+        # product formed: every outcome's byproduct in order for parity and
+        # custom, X^(party 1 flips) Z^(minus signs, mod 2) for a staircase.
+        x, z = PAULI_MATRICES[PauliLabel.X], PAULI_MATRICES[PauliLabel.Z]
+        for outcomes in itertools.product(BELL_OUTCOMES, repeat=n):
+            if variant is Variant.DOMINO:
+                flip = outcomes[0] in (PSI_P, PSI_M)
+                minus = sum(o in (PSI_M, PHI_M) for o in outcomes)
+                want = np.linalg.matrix_power(x, flip) @ np.linalg.matrix_power(z, minus % 2)
+            else:
+                want = np.eye(2)
+                for o in outcomes:
+                    want = want @ PAULI_MATRICES[CORRECTION_FOR_OUTCOME[o]]
+            got = PAULI_MATRICES[concentration_correction(variant, outcomes)]
+            assert equal_up_to_phase(got, want), outcomes
 
 
 class TestDistribute:

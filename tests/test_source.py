@@ -47,6 +47,7 @@ EVALUATOR_INTERNALS = frozenset({
     "_born_pick",
     "concentration_correction",
     "distribution_correction",
+    "_marked_parties",
 })
 
 # The evaluator's Bell and Pauli literals: the oracle declares its own, so a
@@ -56,7 +57,8 @@ EVALUATOR_LITERALS = frozenset({
     "_BELL_BRAS",
     "PAULI_MATRICES",
     "CORRECTION_FOR_OUTCOME",
-    "pauli_product",
+    "_TO_XZ",
+    "_FROM_XZ",
 })
 
 
