@@ -16,6 +16,7 @@ amplitudes. Mixtures are classical: a list of weighted pure components.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -142,6 +143,9 @@ class ChannelSpec:
         try:
             object.__setattr__(self, "variant", Variant(self.variant))
             object.__setattr__(self, "endpoint", Endpoint(self.endpoint))
+            object.__setattr__(self, "n_parties", operator.index(self.n_parties))  # a numpy integer, as an int
+        except TypeError:  # only operator.index raises it: 2.0 would fail in the first run's bit shift
+            raise ChannelValidationError(f"parties: n_parties must be an integer, got {self.n_parties!r}") from None
         except ValueError as exc:
             raise ChannelValidationError(str(exc)) from None
         _validate_spec(self)

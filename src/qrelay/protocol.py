@@ -20,9 +20,10 @@ one cached ``_pair_plan`` per channel pair. Both modes keep the joint state on i
 take each Bell measurement with the one kernel ``_live_pair_rows``: ``_receiver_rows`` keeps all
 four outcomes of every step, ``_sampled_rows`` the one it draws. Each branch and sender row is linear
 in the input, so its probability and overlap with the input are fixed forms on the input's four
-bilinears: a small, well-conditioned pair's plan holds them (``_pair_forms``) and proves the sender
-checks for every input, and an exhaustive run on it is one real product. Other runs take every sender
-row from one batched ``_sender_stage``, which checks them. Every trial ends in one call of the finish ``_finish_rows``.
+bilinears: a small, well-conditioned pair's plan holds them (``_pair_forms``), and an exhaustive run on
+it is one real product. Other runs take every sender row from one batched ``_sender_stage``. Plans prove
+for every path and input all that the input does not change: ``_sender_plan`` the sender checks, ``_pair_plan``
+the sampled norms. A trial only checks, if exhaustive, its branch total, and ends in one ``_finish_rows``.
 ``run_end_to_end`` turns the rows into reports and ``distribute`` exposes distribution alone.
 """
 
@@ -95,6 +96,8 @@ class InputQubit:
 def random_inputs(rng, count: int) -> list[InputQubit]:
     """``count`` Haar-random inputs from one draw of (count, 4) normals, each row the real then the
     imaginary parts: the floats and generator state of ``count`` successive ``random_input`` draws."""
+    if count < 0:
+        raise ValueError(f"input count must be >= 0, got {count}")
     draws = as_rng(rng).normal(size=(count, 4))
     re, im = draws[:, :2], draws[:, 2:]
     # Two 2-term dots, summed as the earlier np.linalg.norm form did: one 4-term dot rounds differently.
@@ -208,10 +211,12 @@ def _distribution_frame(variant: Variant, outcome: BellOutcome, n: int) -> tuple
     return perm, phase
 
 
-def _sender_plan(channel: ChannelSpec) -> tuple[np.ndarray, ...]:
+def _sender_plan(channel: ChannelSpec) -> tuple:
     """What the sender stage needs of ``channel`` besides the input, read-only: its component states
     (d, 2^(n+1)) and weights (d, 1), and its four ``_distribution_frame``s as one (4, 2^n) gather
-    index and phase table. Refuses a receiver-side channel, or one past the cap, before any state."""
+    index and phase table. Refuses a receiver-side channel, or one past the cap, before any state. Then proves,
+    at the worst unit input (``_extreme``), that each component's sender maps S_a have sum_a S_a^dagger S_a = I
+    (and S_a^dagger S_a = I/4 where the family promises it). Also returns the basis rows (2d, 4, 2^n) and forms."""
     if channel.endpoint is not Endpoint.SENDER_FIRST:
         raise ValueError("distribution needs a sender-side channel (endpoint 'sender')")
     n = channel.n_parties
@@ -222,30 +227,26 @@ def _sender_plan(channel: ChannelSpec) -> tuple[np.ndarray, ...]:
     plan = (np.array(states), np.array([[c.weight] for c in channel.components]), *map(np.array, frames))
     for arr in plan:
         arr.setflags(write=False)
-    return plan
+    rows = np.concatenate([_sender_stage(amps, plan)[0] for amps in np.eye(2, dtype=complex)])
+    maps = rows.reshape(2, -1, rows.shape[-1])  # each sender row's 2-column map S, S[r, x] = maps[x, row, r]
+    forms = (_BILINEAR @ np.einsum("x...r,y...r->...xy", maps.conj(), maps).reshape(-1, 4).T).real.reshape(4, -1, 4)
+    for total, probs in zip(_extreme(forms.sum(axis=-1), 1.0).tolist(), _extreme(forms, 0.25).tolist()):
+        if not abs(total - 1.0) <= NORM_ATOL:
+            raise ValueError("sender joint state not normalized")
+        for outcome, prob in zip(BELL_OUTCOMES, probs if channel.faithfulness_guaranteed else ()):
+            if not abs(4.0 * prob - 1.0) < PROB_SANITY_ATOL:
+                raise ValueError(f"outcome {outcome.value} has conditional probability {prob}, expected 1/4")
+    return plan, rows, forms
 
 
-def _sender_stage(input_amps: np.ndarray, channel: ChannelSpec, plan: tuple) -> tuple[np.ndarray, ...]:
-    """Every sender outcome of every component of ``channel`` (its ``_sender_plan``), component then Bell order:
-    the unnormalized party rows (d, 4, 2^n) and raw and joint probabilities (d, 4), which ``_check_sender`` passed.
-    The sender's pair, qubits 1 and 2, leads each input x channel state: one batched unitary Bell-bra product."""
+def _sender_stage(input_amps: np.ndarray, plan: tuple) -> tuple[np.ndarray, ...]:
+    """Every sender outcome of every component of a ``_sender_plan``, which proved their checks, component then Bell
+    order: the unnormalized party rows (d, 4, 2^n) and raw and joint probabilities (d, 4). The sender's pair, qubits
+    1 and 2, leads each input x channel state: one batched unitary Bell-bra product, with no check."""
     states, weights = plan[:2]
     rows = _BELL_BRAS @ (input_amps[:, None] * states[:, None, :]).reshape(len(states), 4, -1)
     raw = np.vecdot(rows, rows).real
-    probs = raw.tolist()
-    _check_sender(map(sum, probs), probs, channel)
     return rows, raw, weights * raw
-
-
-def _check_sender(totals, probs, channel: ChannelSpec) -> None:
-    """Refuses sender rows unless each component's total probability in ``totals`` is 1 and, where the family
-    of ``channel`` promises it, each of its four outcome probabilities in ``probs`` is 1/4."""
-    for total, row in zip(totals, probs):
-        if not abs(total - 1.0) <= NORM_ATOL:
-            raise ValueError("sender joint state not normalized")
-        for outcome, prob in zip(BELL_OUTCOMES, row if channel.faithfulness_guaranteed else ()):
-            if not abs(4.0 * prob - 1.0) < PROB_SANITY_ATOL:
-                raise ValueError(f"outcome {outcome.value} has conditional probability {prob}, expected 1/4")
 
 
 def _extreme(forms: np.ndarray, target: float) -> np.ndarray:
@@ -267,9 +268,9 @@ def _party_vectors(rows: np.ndarray, raw: np.ndarray, frames: tuple, ci, a) -> n
 def distribute(input_qubit: InputQubit, channel: ChannelSpec) -> list[BranchState]:
     """Run the distribution phase: one BranchState per (component, sender
     outcome), outcomes in Bell order within each component. Each call builds
-    the channel's states: no plan is kept."""
-    plan = _sender_plan(channel)
-    rows, raw, joint = _sender_stage(input_qubit.to_state().amps, channel, plan)
+    the channel's states and proves its sender checks: no plan is kept."""
+    plan = _sender_plan(channel)[0]
+    rows, raw, joint = _sender_stage(input_qubit.to_state().amps, plan)
     live = ~(raw < NULL_PROB_EPS)
     vecs = iter(_party_vectors(rows, raw, plan[2:], *np.nonzero(live)))
     states = [StateVector(channel.n_parties, next(vecs)) if x else None for x in live.ravel().tolist()]
@@ -373,30 +374,23 @@ def _finish_rows(norms: np.ndarray, overlaps: np.ndarray, party_raw, weights) ->
     return joint, np.where(null, None, fids).tolist() if null.any() else fids.tolist()
 
 
-def _sampled_rows(
-    input_amps: np.ndarray, dist: ChannelSpec, channel: ChannelSpec, plan: tuple, gen: np.random.Generator
-) -> list[tuple]:
-    """One trajectory drawn under the Born rule, as ``_branch_rows`` rows, from the ``_sender_stage``
-    rows of ``dist`` and the pair's (``dist``, ``channel``) ``_pair_plan``: the sender row, then the
-    one party vector drawn is built and checked, then a receiver component (of a mixture) and one
-    outcome per party. A null sender row is one row with no party outcomes; [] when every outcome of
-    a step is null. The joint state stays on its live strings, stepping through the cached
-    ``_step_plan`` of the strings it starts on."""
+def _sampled_rows(input_amps: np.ndarray, channel: ChannelSpec, plan: tuple, gen: np.random.Generator) -> list[tuple]:
+    """One trajectory drawn under the Born rule, as ``_branch_rows`` rows, from the ``_sender_stage`` rows and the
+    pair's ``_pair_plan``, which proved its norms (``channel`` the concentration channel): the sender row, then the
+    one party vector drawn, a receiver component (of a mixture) and one outcome per party. A null sender row is one
+    row with no party outcomes; [] when every outcome of a step is null. The joint state stays on its live strings,
+    stepping through the cached ``_step_plan`` of the strings it starts on."""
     sender, receivers, weights, ckeys, _ = plan
-    rows, raw, joint = _sender_stage(input_amps, dist, sender)
+    rows, raw, joint = _sender_stage(input_amps, sender)
     probs = joint.ravel()
     ci, a = divmod(_born_pick(probs / probs.sum(), gen), 4)
     alice, prob = BELL_OUTCOMES[a], float(joint[ci, a])
     if raw[ci, a] < NULL_PROB_EPS:
         return [(ci * len(weights), alice, [prob], [None], ((),), (None,))]
     party = _party_vectors(rows, raw, sender[2:], np.intp(ci), np.intp(a))
-    if not abs(np.vdot(party, party).real - 1.0) <= NORM_ATOL:
-        raise ValueError("distributed state not normalized")
     cj = _born_pick(weights / weights.sum(), gen) if len(weights) > 1 else 0
     pkeys = np.flatnonzero(party)
     mat = np.multiply.outer(party[pkeys], receivers[cj])
-    if not abs(np.vdot(mat, mat).real - 1.0) <= NORM_ATOL:
-        raise ValueError("joint state not normalized")
     outcomes: tuple[BellOutcome, ...] = ()
     for step in _step_plan(pkeys.tobytes(), ckeys, channel.n_parties):
         pair = _live_pair_rows(mat, step)
@@ -411,25 +405,20 @@ def _sampled_rows(
     return [(ci * len(weights) + cj, alice, conc_joint.tolist(), fids, (outcomes,), (label,))]
 
 
-def _pair_forms(dist: ChannelSpec, sender: tuple, receivers: np.ndarray, weights: np.ndarray, start: tuple):
-    """The S sender rows' and B branches' forms on a trial's bilinears b (``_BILINEAR``), read-only (4, S + 3B):
-    ``b @ forms`` is each sender row's raw probability (Gram S^dagger S of its map S), then, in ``_receiver_rows``
-    order, each branch's |K in|^2 (K^dagger K for its 2x2 map K) and the real and imaginary parts of <in|K in>.
-    Refuses, with a trial's texts, unless at the worst unit input (``_extreme``) each sender component has
-    sum_a S_a^dagger S_a = I (and S_a^dagger S_a = I/4 where ``_check_sender`` asks it) and sum w_c K^dagger K = I.
-    None if a Gram is too ill-conditioned (``_FORMS_CONDITION``) for the forms to keep their digits."""
+def _pair_forms(rows, sender_forms, receivers: np.ndarray, weights: np.ndarray, start: tuple):
+    """The S sender rows' and B branches' forms on a trial's bilinears b (``_BILINEAR``), read-only (4, S + 3B), from
+    ``_sender_plan``'s basis rows and forms: ``b @ forms`` is each sender row's raw probability, then, in
+    ``_receiver_rows`` order, each branch's |K in|^2 (K^dagger K for its 2x2 map K) and the real and imaginary parts
+    of <in|K in>. Refuses unless at the worst unit input (``_extreme``) each sender component has sum w_c K^dagger K
+    = I. None if a Gram is too ill-conditioned (``_FORMS_CONDITION``) for the forms to keep their digits."""
     (gather, phases), steps, (frame, _, _) = start
-    rows = np.concatenate([_sender_stage(amps, dist, sender)[0] for amps in np.eye(2, dtype=complex)])
     parties = (phases * rows[:, np.arange(4)[:, None], gather]).reshape(-1, gather.shape[1])
     maps = np.concatenate([*_receiver_rows(parties, receivers, steps, frame)]).reshape(2, -1, 2)
-    grams = [(_BILINEAR @ np.einsum("x...r,y...r->...xy", m.conj(), m).reshape(-1, 4).T).real
-             for m in (rows.reshape(2, -1, rows.shape[-1]), maps)]  # sender rows (d, a), then branches
-    sender_forms = grams[0].reshape(4, -1, 4)
-    _check_sender(_extreme(sender_forms.sum(axis=-1), 1.0).tolist(), _extreme(sender_forms, 0.25).tolist(), dist)
-    total = np.einsum("fdacb,c->fd", grams[1].reshape(*sender_forms.shape, len(weights), -1), weights)
+    grams = (_BILINEAR @ np.einsum("x...r,y...r->...xy", maps.conj(), maps).reshape(-1, 4).T).real
+    total = np.einsum("fdacb,c->fd", grams.reshape(*sender_forms.shape, len(weights), -1), weights)
     if not np.all(abs(_extreme(total, 1.0) - 1.0) <= NORM_ATOL):
         raise ValueError("branch maps do not conserve probability")
-    grams = np.concatenate(grams, axis=1)
+    grams = np.concatenate([sender_forms.reshape(4, -1), grams], axis=1)
     if not np.all(_extreme(grams, math.inf) >= _FORMS_CONDITION * _extreme(grams, -math.inf)):
         return None
     overlaps = _BILINEAR @ maps.transpose(1, 2, 0).reshape(-1, 4).T  # K[r, x] is maps[x, branch, r]
@@ -452,7 +441,7 @@ def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
         raise ValueError(f"party mismatch: distribution has {dist.n_parties}, concentration has {n}")
     if len({dist.variant, variant} - {Variant.CUSTOM}) > 1:
         raise ValueError("distribution and concentration channels use different support families")
-    sender = _sender_plan(dist)
+    sender, basis_rows, sender_forms = _sender_plan(dist)
     if conc.endpoint is not Endpoint.RECEIVER_LAST:
         raise ValueError("concentration needs a receiver-side channel (endpoint 'receiver')")
     receivers = np.array([build_channel_component(c, variant, conc.endpoint, n).amps for c in conc.components])
@@ -460,14 +449,19 @@ def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
     ckeys = (2 * np.flatnonzero(receivers.reshape(len(receivers), -1, 2).any(axis=(0, 2)))[:, None]
              + np.arange(2)).ravel()
     receivers, start = receivers.take(ckeys, axis=1), None  # take, not [:, ckeys]: C order
+    states, _, gather, phases = sender
+    # Every sampled norm: a party vector is a unit sender row, permuted, times phases; a joint state it x a receiver.
+    if not np.all(abs(abs(phases) ** 2 - 1.0) <= NORM_ATOL):
+        raise ValueError("distributed state not normalized")
+    if not np.all(abs(np.vecdot(receivers, receivers).real - 1.0) <= NORM_ATOL):
+        raise ValueError("joint state not normalized")
     if n <= MAX_EXHAUSTIVE_PARTIES:  # sampled runs reach sizes whose tables are too large
-        states, _, gather, phases = sender
         # The strings either endpoint branch of a component holds, seen through each outcome's frame.
         pkeys = np.flatnonzero(states.reshape(len(states), 2, -1).any(axis=(0, 1))[gather].any(axis=0))
         start = ((gather.take(pkeys, axis=1), phases.take(pkeys, axis=1)),
                  _step_plan.__wrapped__(pkeys.tobytes(), ckeys.tobytes(), n), _receiver_table(variant, n))
         fits = 16 * len(states) * len(receivers) << 2 * n <= _BLOCK_AMPS
-        start += (_pair_forms(dist, sender, receivers, weights, start) if fits else None,)
+        start += (_pair_forms(basis_rows, sender_forms, receivers, weights, start) if fits else None,)
     for arr in (receivers, weights, *(start[0] if start else ())):
         arr.setflags(write=False)
     return sender, receivers, weights, ckeys.tobytes(), start
@@ -496,18 +490,18 @@ def _branch_rows(
         raise CapacityError(f"joint state would need {2 * n + 1} qubits, cap is {DEFAULT_QUBIT_CAP}")
 
     sender, receivers, weights, _, start = plan = _pair_plan(dist_channel, conc_channel)
-    # InputQubit checked the norm when it was made; the sender stage's check and the branch total repeat it.
+    # InputQubit checked the norm when it was made; the plan's sender proof and the branch total repeat it.
     input_amps = np.array([input_qubit.alpha, input_qubit.beta], dtype=complex)
     if mode == "sampled":
-        return _sampled_rows(input_amps, dist_channel, conc_channel, plan, as_rng(seed))
+        return _sampled_rows(input_amps, conc_channel, plan, as_rng(seed))
     (gather, phases), steps, (frame, outcomes, labels), forms = start
     n_conc = len(receivers)
     if forms is None:  # too large for forms: the kernel on this trial's unnormalized party vectors, block by block
-        rows, raw, joint = _sender_stage(input_amps, dist_channel, sender)
+        rows, raw, joint = _sender_stage(input_amps, sender)
         ci, a = live = np.nonzero(~(raw < NULL_PROB_EPS))
         norms, overlaps = map(np.concatenate, zip(*(_norms_and_overlaps(u, input_amps) for u in _receiver_rows(
             phases[a] * rows[ci[:, None], a[:, None], gather[a]], receivers, steps, frame))))
-    else:  # one product of the input's bilinears and the forms, whose plan proved the sender checks
+    else:  # one product of the input's bilinears and the forms
         x, y = input_amps.tolist()
         xy = x.conjugate() * y
         values = np.dot([(x.conjugate() * x).real, (y.conjugate() * y).real, xy.real, xy.imag], forms)

@@ -117,6 +117,19 @@ class TestValidation:
         spec = pure_channel(Variant.CUSTOM, 2, {"11": SQ, "00": SQ}, Endpoint.SENDER_FIRST)
         assert spec.faithfulness_guaranteed is False
 
+    @pytest.mark.parametrize("build", [
+        lambda n: pure_channel(Variant.PARITY, n, {"01": 1.0}, Endpoint.SENDER_FIRST),
+        lambda n: mixed_channel(Variant.PARITY, n, Endpoint.SENDER_FIRST, [(1.0, {"01": 1.0})]),
+    ], ids=["pure", "mixed"])
+    def test_party_count_must_be_an_integer(self, build):
+        # A float count equal to the support length once passed, and failed the first run
+        # inside a bit shift; a numpy integer still passes, held as a plain int.
+        with pytest.raises(ChannelValidationError, match="parties.*2.0"):
+            build(2.0)
+        spec = build(np.int64(2))
+        assert type(spec.n_parties) is int and spec == build(2)
+        assert build_channel_component(spec.components[0], spec.variant, spec.endpoint, spec.n_parties).num_qubits == 3
+
     def test_empty_components_rejected(self):
         with pytest.raises(ChannelValidationError, match="components"):
             ChannelSpec(Variant.PARITY, 1, Endpoint.SENDER_FIRST, ())

@@ -94,14 +94,14 @@ def fresh_plans():
 
 
 def scale_party_vectors(monkeypatch, factor):
-    """Patch the sender plans so that every party vector comes out times ``factor``:
-    their distribution phases are scaled, and pair plans built after the patch (use
-    ``fresh_plans``) take their starts and forms from them."""
+    """Patch the sender plans, after their proof, so that every party vector comes out
+    times ``factor``: their distribution phases are scaled, and pair plans built after
+    the patch (use ``fresh_plans``) take their checks, starts and forms from them."""
     plan = protocol._sender_plan
 
     def scaled(dist):
-        states, weights, gather, phases = plan(dist)
-        return states, weights, gather, phases * factor
+        (states, weights, gather, phases), *basis = plan(dist)
+        return (states, weights, gather, phases * factor), *basis
 
     monkeypatch.setattr(protocol, "_sender_plan", scaled)
 
@@ -393,8 +393,8 @@ def kernel_sender_rows(inp, dist):
     """``_sender_stage`` and ``_party_vectors`` in ``reference_sender_rows``' form. Each live
     party vector is built alone, as a sampled run builds its drawn one, and must equal, byte
     for byte, the same vector from the one pass over every live row an exhaustive run makes."""
-    plan = _sender_plan(dist)
-    rows, raw, joint = _sender_stage(inp.to_state().amps, dist, plan)
+    plan = _sender_plan(dist)[0]
+    rows, raw, joint = _sender_stage(inp.to_state().amps, plan)
     stacked = iter(_party_vectors(rows, raw, plan[2:], *np.nonzero(~(raw < NULL_PROB_EPS))))
     out = []
     for (ci, a), prob, r in zip(np.ndindex(raw.shape), joint.ravel().tolist(), raw.ravel().tolist()):
@@ -449,9 +449,9 @@ class TestSenderRows:
             False, False, True, True] + [False] * 4
 
     def test_checks_kept(self, monkeypatch, fresh_plans):
-        # The qubit caps are checked before any channel state is built, the
-        # joint state must be normalized, and a channel whose family promises
-        # 1/4 per sender outcome is refused when it does not deliver it.
+        # The qubit caps are checked before any channel state is built; then the
+        # sender plan refuses a joint state that is not normalized, and a channel
+        # whose family promises 1/4 per sender outcome but does not deliver it.
         def refuse(*args):
             raise RuntimeError("channel state built above a cap")
 
@@ -464,14 +464,15 @@ class TestSenderRows:
                                ghz_channel(n, Endpoint.RECEIVER_LAST), mode=mode, seed=0)
         monkeypatch.undo()
         dist, conc = bell_pair_channels()
-        with pytest.raises(ValueError, match="sender joint state not normalized"):
-            _sender_stage(np.array([1.0, 1.0]), dist, _sender_plan(dist))
-        basis = StateVector(2, np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))  # no Bell pair
-        monkeypatch.setattr(protocol, "build_channel_component", lambda *args: basis)
-        with pytest.raises(ValueError, match="expected 1/4"):
-            distribute(InputQubit(1, 0), dist)
-        with pytest.raises(ValueError, match="expected 1/4"):
-            run_end_to_end(InputQubit(1, 0), dist, conc)
+        basis = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)  # no Bell pair
+        for amps, refusal in ((2 * basis, "sender joint state not normalized"), (basis, "expected 1/4")):
+            monkeypatch.setattr(protocol, "build_channel_component", lambda *args, amps=amps: SimpleNamespace(amps=amps))
+            with pytest.raises(ValueError, match=refusal):
+                _sender_plan(dist)
+            with pytest.raises(ValueError, match=refusal):
+                distribute(InputQubit(1, 0), dist)
+            with pytest.raises(ValueError, match=refusal):
+                run_end_to_end(InputQubit(1, 0), dist, conc)
 
     def test_vecdot_is_per_row_vdot(self):
         # The stage reads every row's probability from one np.vecdot over the
@@ -506,9 +507,9 @@ class TestSenderRows:
 
     @pytest.mark.parametrize("name", ["telecloning-smolin", "custom-null"])
     def test_sampled_run_builds_no_state_vector(self, name, monkeypatch):
-        # InputQubit checked the input's norm when it was made and a sampled
-        # run checks its drawn party vector's norm itself, so it builds no
-        # validated StateVector; distribute builds the input's and one per
+        # InputQubit checked the input's norm when it was made and the pair's
+        # plan proved every drawn party vector's norm, so a sampled run builds
+        # no validated StateVector; distribute builds the input's and one per
         # live branch.
         built = []
         monkeypatch.setattr(protocol, "StateVector", lambda *args: built.append(args) or StateVector(*args))
@@ -611,40 +612,75 @@ class TestConcentrationKernels:
         assert not perm.flags.writeable and not phase.flags.writeable
 
 
-# The message each exhaustive path refuses a fault with: the plan checks a pair's branch
-# maps once, when it builds their forms, and a pair too large to hold forms checks every
-# trial's total probability.
+# The message each exhaustive path refuses a fault in its branch maps with: the plan checks
+# a pair's maps once, when it builds their forms, and a pair too large to hold forms checks
+# every trial's total probability.
 PATH_REFUSALS = (("forms", "branch maps do not conserve probability"),
                  ("kernel", "branch probabilities sum to"))
 
 
+def sampled_only_pair():
+    """A staircase pair at n = 7, past the exhaustive cap: only sampled runs reach it."""
+    gen = np.random.default_rng(45)
+    return tuple(random_channel(Variant.DOMINO, 7, e, gen) for e in (Endpoint.SENDER_FIRST, Endpoint.RECEIVER_LAST))
+
+
+def assert_plan_refuses(dist, conc, refusal):
+    """The pair's plan refuses with ``refusal`` while it is built, and so does a run of
+    each mode the pair's size allows: no trial runs on a plan that failed its checks.
+    Returns the plan's refusal."""
+    with pytest.raises(ValueError, match=refusal) as refused:
+        protocol._pair_plan(dist, conc)
+    for mode in ("exhaustive", "sampled")[dist.n_parties > MAX_EXHAUSTIVE_PARTIES:]:
+        with pytest.raises(ValueError, match=refusal):
+            run_end_to_end(InputQubit(1, 0), dist, conc, mode=mode, seed=0)
+    return refused.value
+
+
+def corrupt_sender_states(monkeypatch, corrupt):
+    """Patch channel builds so that each sender-side state is ``corrupt`` of its amplitudes."""
+    build = protocol.build_channel_component
+
+    def patched(comp, variant, endpoint, n):
+        amps = build(comp, variant, endpoint, n).amps
+        return SimpleNamespace(amps=corrupt(amps) if endpoint is Endpoint.SENDER_FIRST else amps)
+
+    monkeypatch.setattr(protocol, "build_channel_component", patched)
+
+
+QUARTER = r"outcome phi\+ has conditional probability (\S+), expected 1/4"
+
+# Sender states the plan's proof refuses: scaled or NaN ones break the joint state's norm, and
+# |+...+>, which gives 1/4 per outcome on |0> and |1> but not on |+>, breaks 1/4 on a channel
+# that promises it, so only a proof for every input, not the basis rows, refuses it.
+SENDER_CORRUPTIONS = {
+    "scaled": (lambda amps: 1.1 * amps, "sender joint state not normalized"),
+    "nan": (lambda amps: math.nan * amps, "sender joint state not normalized"),
+    "plus": (lambda amps: np.full(len(amps), len(amps) ** -0.5, dtype=complex), QUARTER),
+}
+
+
 class TestNormChecks:
-    # Exhaustive runs check that a pair's branch maps conserve probability for every
-    # input, when its plan builds them, and that each trial's branch probabilities sum to
-    # 1; a pair too large to hold forms reaches only the second. Sampled runs check the
-    # drawn party vector and the joint state; the receiver row they finish is a Bell row
-    # of that checked joint state, times an exact Pauli phase. Each check refuses an
-    # unnormalized or NaN vector.
+    # Plans check all that does not depend on the input, once for every path: _sender_plan
+    # proves the sender checks for every input, and _pair_plan proves the norms of every
+    # sampled trajectory's party vector and joint state. So each fault below is refused
+    # while the plan is built, before any trial of either mode runs. An exhaustive trial
+    # still checks that its branch probabilities sum to 1.
     @pytest.mark.parametrize("bad", [1.1, math.nan])
     def test_distributed_state(self, monkeypatch, fresh_plans, bad):
         dist, conc = bell_pair_channels()
         scale_party_vectors(monkeypatch, bad)
-        for path, refusal in PATH_REFUSALS:
-            force_path(monkeypatch, path, dist.n_parties)
-            with pytest.raises(ValueError, match=refusal):
-                run_end_to_end(InputQubit(1, 0), dist, conc)
+        assert_plan_refuses(dist, conc, "distributed state not normalized")
 
     @pytest.mark.parametrize("bad", [1.1, math.nan])
     def test_sampled_distributed_state(self, monkeypatch, fresh_plans, bad):
-        dist, conc = bell_pair_channels()
+        # At a size only sampled runs reach, whose trajectories check no norm themselves.
         scale_party_vectors(monkeypatch, bad)
-        force_path(monkeypatch, "kernel", dist.n_parties)  # no forms, whose check would refuse first
-        with pytest.raises(ValueError, match="distributed state not normalized"):
-            run_end_to_end(InputQubit(1, 0), dist, conc, mode="sampled", seed=0)
+        assert_plan_refuses(*sampled_only_pair(), "distributed state not normalized")
 
     @pytest.mark.parametrize("bad", [1.1, math.nan])
     def test_joint_state(self, monkeypatch, fresh_plans, bad):
-        # Scaled receiver states: each path refuses them, and so does a sampled run.
+        # Scaled receiver states, on a pair that holds forms and on a sampled-only one.
         build = protocol.build_channel_component
 
         def scaled(comp, variant, endpoint, n):
@@ -652,13 +688,8 @@ class TestNormChecks:
             return SimpleNamespace(amps=amps * bad if endpoint is Endpoint.RECEIVER_LAST else amps)
 
         monkeypatch.setattr(protocol, "build_channel_component", scaled)
-        dist, conc = bell_pair_channels()
-        for path, refusal in PATH_REFUSALS:
-            force_path(monkeypatch, path, dist.n_parties)
-            with pytest.raises(ValueError, match=refusal):
-                run_end_to_end(InputQubit(1, 0), dist, conc)
-        with pytest.raises(ValueError, match="joint state not normalized"):
-            run_end_to_end(InputQubit(1, 0), dist, conc, mode="sampled", seed=0)
+        for dist, conc in (bell_pair_channels(), sampled_only_pair()):
+            assert_plan_refuses(dist, conc, "joint state not normalized")
 
     def test_start_missing_a_key(self, monkeypatch):
         # A start that leaves out a string a party vector holds loses that string's
@@ -666,66 +697,74 @@ class TestNormChecks:
         # refuses its branch probabilities' total.
         dist, conc = telecloning_channel(), smolin_channel()
         sender, receivers, weights, ckeys, ((gather, phases), _, table, forms) = plan = protocol._pair_plan(dist, conc)
+        basis = _sender_plan(dist)[1:]
 
         def start(keep):  # gather[0] is the start's strings: phi+ flips no bit
             steps = _step_plan.__wrapped__(gather[0][keep].tobytes(), ckeys, dist.n_parties)
             return (gather[:, keep], phases[:, keep]), steps, table
 
         every = np.arange(gather.shape[1])
-        assert np.array_equal(protocol._pair_forms(dist, sender, receivers, weights, start(every)), forms)
+        assert np.array_equal(protocol._pair_forms(*basis, receivers, weights, start(every)), forms)
         with pytest.raises(ValueError, match=PATH_REFUSALS[0][1]):
-            protocol._pair_forms(dist, sender, receivers, weights, start(every[1:]))
+            protocol._pair_forms(*basis, receivers, weights, start(every[1:]))
         monkeypatch.setattr(protocol, "_pair_plan", lambda *pair: (*plan[:4], (*start(every[1:]), None)))
         with pytest.raises(ValueError, match=PATH_REFUSALS[1][1]):
             run_end_to_end(random_input(np.random.default_rng(37)), dist, conc)
 
     @pytest.mark.parametrize("bad", [1.1, math.nan])
     def test_held_sender_rows(self, monkeypatch, fresh_plans, bad):
-        # A plan that holds forms proves the sender checks for every input when it is built,
-        # refusing with the texts a kernel-path trial's check gives: a sender state scaled or
-        # NaN breaks the joint state's norm, and |++>, which gives 1/4 per outcome on |0> and
-        # |1> but not on |+>, breaks 1/4 on a channel that promises it.
+        # On a pair that holds forms, a sender state scaled by ``bad``, or |++>, is refused
+        # while the plan is built; the 1/4 refusal names the worst outcome probability of
+        # any input, 0 or 1/2, which no basis input reaches.
         dist, conc = bell_pair_channels()
-        build = protocol.build_channel_component
+        for corrupt, refusal in ((lambda amps: bad * amps, SENDER_CORRUPTIONS["scaled"][1]),
+                                 SENDER_CORRUPTIONS["plus"]):
+            with monkeypatch.context() as patch:
+                corrupt_sender_states(patch, corrupt)
+                refused = assert_plan_refuses(dist, conc, refusal)
+        assert abs(abs(4.0 * float(re.fullmatch(QUARTER, str(refused))[1]) - 1.0) - 1.0) <= 1e-15
 
-        def sender_state(amps):
-            def patched(comp, variant, endpoint, n):
-                if endpoint is Endpoint.SENDER_FIRST:
-                    return SimpleNamespace(amps=amps)
-                return build(comp, variant, endpoint, n)
-            return patched
-
-        quarter = r"outcome phi\+ has conditional probability (\S+), expected 1/4"
-        for amps, refusal in ((bad * build(dist.components[0], dist.variant, dist.endpoint, 1).amps,
-                               "sender joint state not normalized"), (np.full(4, 0.5, dtype=complex), quarter)):
-            monkeypatch.setattr(protocol, "build_channel_component", sender_state(amps))
-            force_path(monkeypatch, "forms", dist.n_parties)
-            with pytest.raises(ValueError, match=refusal) as refused:
-                protocol._pair_plan(dist, conc)
-            force_path(monkeypatch, "kernel", dist.n_parties)
-            protocol._pair_plan(dist, conc)  # no forms, so each trial checks its own sender rows
-            with pytest.raises(ValueError, match=refusal):
-                run_end_to_end(NULL_SENDER_INPUT, dist, conc)
-        # |++> passes on |0>; the plan names an input's worst outcome probability, 0 or 1/2.
-        assert len(run_end_to_end(InputQubit(1, 0), dist, conc)) == 16
-        assert abs(abs(4.0 * float(re.fullmatch(quarter, str(refused.value))[1]) - 1.0) - 1.0) <= 1e-15
+    @pytest.mark.parametrize("corruption", list(SENDER_CORRUPTIONS))
+    @pytest.mark.parametrize("place", ["parity-n5-kernel", "domino-n7-sampled", "distribute"])
+    def test_sender_proof_precedes_every_trial(self, place, corruption, monkeypatch, fresh_plans):
+        # At sizes no forms plan reaches, and in distribute, the sender plan refuses a
+        # corrupted sender state with the texts of its proof: the sender stage has run on
+        # the basis inputs only, never on the trial's input.
+        corrupt, refusal = SENDER_CORRUPTIONS[corruption]
+        gen = np.random.default_rng(46)
+        if place == "parity-n5-kernel":
+            pair = tuple(random_channel(Variant.PARITY, 5, e, gen) for e in (Endpoint.SENDER_FIRST, Endpoint.RECEIVER_LAST))
+            assert protocol._pair_plan(*pair)[4][3] is None  # too large for forms: the kernel path
+        else:
+            pair = sampled_only_pair()
+        inputs, stage = [], protocol._sender_stage
+        monkeypatch.setattr(protocol, "_sender_stage", lambda amps, plan: inputs.append(amps.tolist()) or stage(amps, plan))
+        corrupt_sender_states(monkeypatch, corrupt)
+        protocol._pair_plan.cache_clear()
+        inp = random_input(gen)
+        with pytest.raises(ValueError, match=refusal):
+            if place == "distribute":
+                distribute(inp, pair[0])
+            else:
+                run_end_to_end(inp, *pair, mode="sampled" if "sampled" in place else "exhaustive", seed=0)
+        assert inputs == [[1, 0], [0, 1]]
 
     def test_nan_and_tolerance_edges(self, monkeypatch, fresh_plans):
         # Party vectors whose squared norms are 1 + scale * NORM_ATOL: just inside the
-        # bound, each mode runs on each path; just past it, or NaN, each check refuses them.
+        # bound, each mode runs on each exhaustive path; just past it, or NaN, the plan
+        # refuses them while it is built.
         dist, conc = bell_pair_channels()
-        checks = [(path, refusal, "exhaustive") for path, refusal in PATH_REFUSALS]
-        checks.append(("kernel", "distributed state not normalized", "sampled"))
         for scale in (0.9, -0.9, 1.1, -1.1, math.nan):
-            for path, refusal, mode in checks:
-                with monkeypatch.context() as patch:
-                    scale_party_vectors(patch, math.sqrt(1.0 + scale * NORM_ATOL))
+            with monkeypatch.context() as patch:
+                scale_party_vectors(patch, math.sqrt(1.0 + scale * NORM_ATOL))
+                if not abs(scale) < 1.0:
+                    protocol._pair_plan.cache_clear()
+                    assert_plan_refuses(dist, conc, "distributed state not normalized")
+                    continue
+                for path in ("forms", "kernel"):
                     force_path(patch, path, dist.n_parties)
-                    if abs(scale) < 1.0:
+                    for mode in ("exhaustive", "sampled"):
                         assert run_end_to_end(InputQubit(1, 0), dist, conc, mode=mode, seed=0)
-                        continue
-                    with pytest.raises(ValueError, match=refusal):
-                        run_end_to_end(InputQubit(1, 0), dist, conc, mode=mode, seed=0)
 
 
 class TestConcentrate:
@@ -1165,7 +1204,7 @@ class TestPairPlan:
         assert np.array_equal(sender[2][0], np.arange(1 << dist.n_parties))  # phi+ flips no bit
         start = set(gather[0].tolist())
         for qubit in (inp, InputQubit(1, 0), InputQubit(0, 1), NULL_SENDER_INPUT):
-            rows, raw, _ = _sender_stage(qubit.to_state().amps, dist, sender)
+            rows, raw, _ = _sender_stage(qubit.to_state().amps, sender)
             for vec in _party_vectors(rows, raw, sender[2:], *np.nonzero(~(raw < NULL_PROB_EPS))):
                 assert set(np.flatnonzero(vec).tolist()) <= start
 

@@ -31,7 +31,6 @@ EVALUATOR_INTERNALS = frozenset({
     "_pair_forms",
     "_BILINEAR",
     "_extreme",
-    "_check_sender",
     "_receiver_table",
     "_pauli_frame",
     "_PAULI_FRAMES",

@@ -1010,3 +1010,18 @@ class TestNearNullInputs:
             runs, verify_mod._oracle_columns(senders, maps, dist, conc, vecs, vecs[:, None]))
         assert not extra
         assert devs.max() <= 1e-12, devs.max()
+
+
+@pytest.mark.parametrize("verdict", [
+    lambda trials: check_faithful(ghz_channel(1, Endpoint.SENDER_FIRST), ghz_channel(1, Endpoint.RECEIVER_LAST),
+                                  trials=trials, seed=0),
+    lambda trials: oracle_agreement(ghz_channel(1, Endpoint.SENDER_FIRST), ghz_channel(1, Endpoint.RECEIVER_LAST),
+                                    trials=trials, seed=0),
+    lambda trials: clone_fidelity_verdict(trials=trials, seed=0),
+    lambda trials: verify_smolin(seed=0, trials=trials),
+], ids=["check_faithful", "oracle_agreement", "clone_fidelity_verdict", "verify_smolin"])
+def test_negative_trials_refused(verdict):
+    # Each verdict draws its inputs with random_inputs, which names a negative count
+    # instead of letting numpy refuse a negative dimension.
+    with pytest.raises(ValueError, match="input count must be >= 0, got -1"):
+        verdict(-1)
