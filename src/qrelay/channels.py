@@ -148,6 +148,11 @@ class ChannelSpec:
             raise ChannelValidationError(f"parties: n_parties must be an integer, got {self.n_parties!r}") from None
         except ValueError as exc:
             raise ChannelValidationError(str(exc)) from None
+        if not isinstance(self.components, (tuple, list)) or not all(isinstance(c, Component) for c in self.components):
+            raise ChannelValidationError(f"components: expected a sequence of Component, got {self.components!r}")
+        # Held as a tuple, and list- or dict-valued coeffs by make_component's rule, so the spec can be hashed.
+        object.__setattr__(self, "components", tuple(
+            c if isinstance(c.coeffs, tuple) else make_component(c.weight, c.coeffs) for c in self.components))
         _validate_spec(self)
         # Cached: the generated hash walks every component, and each run looks its pair plan up.
         object.__setattr__(self, "_hash", hash((self.variant, self.n_parties, self.endpoint, self.components)))

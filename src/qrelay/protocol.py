@@ -20,11 +20,12 @@ one cached ``_pair_plan`` per channel pair. Both modes keep the joint state on i
 take each Bell measurement with the one kernel ``_live_pair_rows``: ``_receiver_rows`` keeps all
 four outcomes of every step, ``_sampled_rows`` the one it draws. Each branch and sender row is linear
 in the input, so its probability and overlap with the input are fixed forms on the input's four
-bilinears: a small, well-conditioned pair's plan holds them (``_pair_forms``), and an exhaustive run on
-it is one real product. Other runs take every sender row from one batched ``_sender_stage``. Plans prove
-for every path and input all that the input does not change: ``_sender_plan`` the sender checks, ``_pair_plan``
-the sampled norms. A trial only checks, if exhaustive, its branch total, and ends in one ``_finish_rows``.
-``run_end_to_end`` turns the rows into reports and ``distribute`` exposes distribution alone.
+bilinears: a small, well-conditioned pair's plan holds them (``_pair_forms``), and an exhaustive run on it is one
+real product, read as views and keyed by the plan's slots, with no null sender row. Other runs take every sender row
+from one batched ``_sender_stage``. Plans prove for every path and input all that the input does not change:
+``_sender_plan`` the sender checks, ``_pair_plan`` the sampled norms. A trial only checks, if exhaustive, its branch
+total, and ends in one ``_finish_rows``, which skips its masks when no branch is null. ``run_end_to_end`` turns the
+rows into reports and ``distribute`` exposes distribution alone.
 """
 
 from __future__ import annotations
@@ -366,12 +367,13 @@ def _finish_rows(norms: np.ndarray, overlaps: np.ndarray, party_raw, weights) ->
     """The one finish of every path, called once per trial: unnormalized receiver rows u, given by |u|^2 and
     |<in|u>|^2, of party vectors with raw probabilities ``party_raw`` to joint probabilities (``weights`` times
     raw |u|^2 / party_raw) and fidelities |<in|u>|^2 / |u|^2, a (nested) list of Python floats with None on a
-    null branch (raw or joint)."""
+    null branch (raw or joint). With none null, the same division unmasked: a NaN row stays live, NaN fidelity."""
     raw = norms / party_raw
     joint = weights * raw
     null = (raw < NULL_PROB_EPS) | (joint <= NULL_PROB_EPS)
-    fids = overlaps / np.where(null, 1.0, norms)
-    return joint, np.where(null, None, fids).tolist() if null.any() else fids.tolist()
+    if not null.any():
+        return joint, (overlaps / norms).tolist()
+    return joint, np.where(null, None, overlaps / np.where(null, 1.0, norms)).tolist()
 
 
 def _sampled_rows(input_amps: np.ndarray, channel: ChannelSpec, plan: tuple, gen: np.random.Generator) -> list[tuple]:
@@ -433,9 +435,10 @@ def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
     of ``dist``; the receiver states (c, k) and weights (c,) of ``conc`` on the k channel strings any component
     holds (both receiver bits kept so rows never narrow to one column, which rounds unlike the dense rows) and
     those keys (intp bytes); and, at exhaustive sizes, the start: the sender frames on the party strings a
-    corrected sender row can reach, the uncached ``_step_plan`` from them, the ``_receiver_table``, and the
-    ``_pair_forms`` if its branch maps fit one block (16 d c 4^n amplitudes: pure pairs to n = 4 and
-    telecloning->Smolin) and are well-conditioned, else None. Each channel state is built here once per plan."""
+    corrected sender row can reach, the uncached ``_step_plan`` from them, the ``_receiver_table``, the ``_pair_forms``
+    if its branch maps fit one block (16 d c 4^n amplitudes: pure pairs to n = 4 and telecloning->Smolin) and are
+    well-conditioned, else None, and the report key (flattened component index, sender outcome) of each of the 4 d c
+    slots (sender row, receiver component), in report order. Each channel state is built here once per plan."""
     n, variant = conc.n_parties, conc.variant
     if dist.n_parties != n:
         raise ValueError(f"party mismatch: distribution has {dist.n_parties}, concentration has {n}")
@@ -461,7 +464,9 @@ def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
         start = ((gather.take(pkeys, axis=1), phases.take(pkeys, axis=1)),
                  _step_plan.__wrapped__(pkeys.tobytes(), ckeys.tobytes(), n), _receiver_table(variant, n))
         fits = 16 * len(states) * len(receivers) << 2 * n <= _BLOCK_AMPS
-        start += (_pair_forms(basis_rows, sender_forms, receivers, weights, start) if fits else None,)
+        start += (_pair_forms(basis_rows, sender_forms, receivers, weights, start) if fits else None,
+                  tuple((ci * len(weights) + cj, alice) for ci in range(len(states)) for alice in BELL_OUTCOMES
+                        for cj in range(len(weights))))
     for arr in (receivers, weights, *(start[0] if start else ())):
         arr.setflags(write=False)
     return sender, receivers, weights, ckeys.tobytes(), start
@@ -470,15 +475,13 @@ def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
 def _branch_rows(
     input_qubit: InputQubit, dist_channel: ChannelSpec, conc_channel: ChannelSpec, mode: str, seed
 ) -> list[tuple]:
-    """``run_end_to_end``'s branches as block rows in report order, each
-    (flattened component index, sender outcome, joint probabilities,
-    fidelities with None on a null branch, party outcome tuples, receiver
-    corrections), the last four parallel columns of Python values. A null
-    sender branch is one row with no party outcomes and no correction. The caps
-    are checked before the pair's ``_pair_plan`` checks the pair and builds any state.
-    An exhaustive trial reads each live slot's |u|^2 and |<in|u>|^2 from its plan's forms,
-    as views, or from the kernel's blocks, concatenated, then finishes them in one
-    ``_finish_rows`` call and checks their total once."""
+    """``run_end_to_end``'s branches as block rows in report order, each (flattened component index, sender outcome,
+    joint probabilities, fidelities with None on a null branch, party outcome tuples, receiver corrections), the last
+    four parallel columns of Python values. A null sender branch is one row with no party outcomes and no correction.
+    The caps are checked before the pair's ``_pair_plan`` checks the pair and builds any state. An exhaustive trial
+    reads each live slot's |u|^2 and |<in|u>|^2 from one product of its plan's forms, or from the kernel's blocks,
+    finishes them in one ``_finish_rows`` call, checks their total once and keys its rows by the plan's slots. A forms
+    plan nulls no sender row: only the kernel path inserts null sender rows."""
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     if mode == "sampled" and seed is None:
@@ -491,38 +494,40 @@ def _branch_rows(
 
     sender, receivers, weights, _, start = plan = _pair_plan(dist_channel, conc_channel)
     # InputQubit checked the norm when it was made; the plan's sender proof and the branch total repeat it.
-    input_amps = np.array([input_qubit.alpha, input_qubit.beta], dtype=complex)
     if mode == "sampled":
-        return _sampled_rows(input_amps, conc_channel, plan, as_rng(seed))
-    (gather, phases), steps, (frame, outcomes, labels), forms = start
-    n_conc = len(receivers)
+        return _sampled_rows(np.array([input_qubit.alpha, input_qubit.beta], dtype=complex), conc_channel, plan,
+                             as_rng(seed))
+    (gather, phases), steps, (frame, outcomes, labels), forms, keys = start
+    n_conc, nulls = len(receivers), []
     if forms is None:  # too large for forms: the kernel on this trial's unnormalized party vectors, block by block
+        input_amps = np.array([input_qubit.alpha, input_qubit.beta], dtype=complex)
         rows, raw, joint = _sender_stage(input_amps, sender)
-        ci, a = live = np.nonzero(~(raw < NULL_PROB_EPS))
-        norms, overlaps = map(np.concatenate, zip(*(_norms_and_overlaps(u, input_amps) for u in _receiver_rows(
-            phases[a] * rows[ci[:, None], a[:, None], gather[a]], receivers, steps, frame))))
+        null = raw < NULL_PROB_EPS
+        ci, a = live = np.nonzero(~null)
+        norms, overlaps = (np.concatenate(x).reshape(len(ci), n_conc, -1) for x in zip(*(
+            _norms_and_overlaps(u, input_amps) for u in _receiver_rows(
+                phases[a] * rows[ci[:, None], a[:, None], gather[a]], receivers, steps, frame))))
+        slot_raw, slot_weights = raw[live][:, None, None], joint[live][:, None, None] * weights[:, None]
+        nulls = [(k, keys[k * n_conc], prob) for k, prob in zip(np.flatnonzero(null).tolist(), joint[null].tolist())]
+        keys = [key for key, dead in zip(keys, null.repeat(n_conc).tolist()) if not dead]
     else:  # one product of the input's bilinears and the forms
-        x, y = input_amps.tolist()
+        x, y = complex(input_qubit.alpha), complex(input_qubit.beta)
         xy = x.conjugate() * y
         values = np.dot([(x.conjugate() * x).real, (y.conjugate() * y).real, xy.real, xy.imag], forms)
-        raw = values[:4 * len(sender[0])].reshape(-1, 4)
-        # Read as views: no sender row can be null, as each raw is at least _FORMS_CONDITION times its
-        # Gram's largest eigenvalue, itself at least 1/4.
-        joint, live = sender[1] * raw, (slice(None),) * 2
-        norms, re, im = values[raw.size:].reshape(3, raw.size * n_conc, -1)
+        raw = values[:len(keys) // n_conc].reshape(-1, 4)
+        norms, re, im = values[raw.size:].reshape(3, raw.size, n_conc, -1)
         overlaps = re * re + im * im
-    probs, nulls = joint.ravel().tolist(), (raw < NULL_PROB_EPS).ravel().tolist()
+        # No sender row is null, as each raw is >= _FORMS_CONDITION / 4 (_pair_forms): slots broadcast the rows.
+        slot_raw, slot_weights = raw.reshape(-1, 1, 1), (sender[1] * raw).reshape(-1, 1, 1) * weights[:, None]
     # A row u of sender row (ci, a) has raw = |u|^2 / raw[ci, a]: its party vector was not normalized.
-    slot_raw, slot_weights = raw[live].repeat(n_conc)[:, None], (joint[live][..., None] * weights).reshape(-1, 1)
     joints, fids = _finish_rows(norms, overlaps, slot_raw, slot_weights)
-    total = sum(itertools.compress(probs, nulls)) + joints.sum()
+    total = sum(prob for *_, prob in nulls) + joints.sum()
     if not abs(total - 1.0) <= NORM_ATOL:
         raise ValueError(f"branch probabilities sum to {total}, expected 1")
-    slots, out = zip(joints.tolist(), fids), []
-    for k, (prob, is_null) in enumerate(zip(probs, nulls)):
-        index, alice = k // 4 * n_conc, BELL_OUTCOMES[k % 4]
-        out += [(index, alice, [prob], [None], ((),), (None,))] if is_null else [
-            (index + cj, alice, *next(slots), outcomes, labels) for cj in range(n_conc)]
+    out = [(index, alice, joint, fid, outcomes, labels) for (index, alice), joint, fid in zip(
+        keys, joints.reshape(len(keys), -1).tolist(), itertools.chain.from_iterable(fids))]
+    for j, (k, key, prob) in enumerate(nulls):  # a null sender row is one row, after the k - j live rows' slots
+        out.insert((k - j) * n_conc + j, (*key, [prob], [None], ((),), (None,)))
     return out
 
 

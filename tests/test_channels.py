@@ -9,6 +9,7 @@ from qrelay.channels import (
     TELECLONING_SIDE_AMP,
     ChannelSpec,
     ChannelValidationError,
+    Component,
     Endpoint,
     Ensemble,
     Variant,
@@ -133,6 +134,24 @@ class TestValidation:
     def test_empty_components_rejected(self):
         with pytest.raises(ChannelValidationError, match="components"):
             ChannelSpec(Variant.PARITY, 1, Endpoint.SENDER_FIRST, ())
+
+    @pytest.mark.parametrize("coeffs", [(("0", 1.0),), [("0", 1.0)], [["0", 1]], {"0": 1.0}],
+                             ids=["tuple", "list", "list-pairs", "dict"])
+    def test_list_valued_components_are_held_as_tuples(self, coeffs):
+        # A list of components, or a Component whose coeffs is a list, once passed validation
+        # and failed the cached hash: each is now held as make_component would hold it.
+        want = pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.SENDER_FIRST)
+        for comps in ([Component(1.0, coeffs)], (Component(1.0, coeffs),)):
+            spec = ChannelSpec(Variant.PARITY, 1, Endpoint.SENDER_FIRST, comps)
+            assert type(spec.components) is tuple and type(spec.components[0].coeffs) is tuple
+            assert spec == want and hash(spec) == hash(want)
+            assert build_channel_component(spec.components[0], spec.variant, spec.endpoint, 1).num_qubits == 2
+
+    @pytest.mark.parametrize("components", [({"0": 1.0},), [(1.0, {"0": 1.0})], None, "0"],
+                             ids=["dict", "pair", "none", "string"])
+    def test_components_must_be_components(self, components):
+        with pytest.raises(ChannelValidationError, match="components"):
+            ChannelSpec(Variant.PARITY, 1, Endpoint.SENDER_FIRST, components)
 
     def test_string_variant_and_endpoint_coerced(self):
         spec = pure_channel("parity", 1, {"0": 1.0}, "sender")

@@ -40,6 +40,7 @@ from qrelay.protocol import (
     InputQubit,
     _distribution_frame,
     _extreme,
+    _finish_rows,
     _live_pair_rows,
     _party_vectors,
     _receiver_table,
@@ -696,7 +697,7 @@ class TestNormChecks:
         # amplitudes: the plan refuses forms built on it, and a trial on the kernel path
         # refuses its branch probabilities' total.
         dist, conc = telecloning_channel(), smolin_channel()
-        sender, receivers, weights, ckeys, ((gather, phases), _, table, forms) = plan = protocol._pair_plan(dist, conc)
+        sender, receivers, weights, ckeys, ((gather, phases), _, table, forms, keys) = plan = protocol._pair_plan(dist, conc)
         basis = _sender_plan(dist)[1:]
 
         def start(keep):  # gather[0] is the start's strings: phi+ flips no bit
@@ -707,7 +708,7 @@ class TestNormChecks:
         assert np.array_equal(protocol._pair_forms(*basis, receivers, weights, start(every)), forms)
         with pytest.raises(ValueError, match=PATH_REFUSALS[0][1]):
             protocol._pair_forms(*basis, receivers, weights, start(every[1:]))
-        monkeypatch.setattr(protocol, "_pair_plan", lambda *pair: (*plan[:4], (*start(every[1:]), None)))
+        monkeypatch.setattr(protocol, "_pair_plan", lambda *pair: (*plan[:4], (*start(every[1:]), None, keys)))
         with pytest.raises(ValueError, match=PATH_REFUSALS[1][1]):
             run_end_to_end(random_input(np.random.default_rng(37)), dist, conc)
 
@@ -1200,7 +1201,7 @@ class TestPairPlan:
         # so every live vector's nonzeros must lie there, for any input.
         inp, dist = case
         conc = random_channel(dist.variant, dist.n_parties, Endpoint.RECEIVER_LAST, np.random.default_rng(38))
-        sender, _, _, _, ((gather, _), _, _, _) = protocol._pair_plan(dist, conc)
+        sender, _, _, _, ((gather, _), *_) = protocol._pair_plan(dist, conc)
         assert np.array_equal(sender[2][0], np.arange(1 << dist.n_parties))  # phi+ flips no bit
         start = set(gather[0].tolist())
         for qubit in (inp, InputQubit(1, 0), InputQubit(0, 1), NULL_SENDER_INPUT):
@@ -1326,6 +1327,81 @@ class TestPairPlan:
             branch_amps = 4 * branches  # one 2x2 map per branch
             assert branch_amps <= protocol._BLOCK_AMPS
         assert branch_amps == protocol._BLOCK_AMPS
+
+
+def forms_invariant_pairs():
+    """Pairs for the forms trial's sender-row invariant: ``path_cases()``, custom pairs (pure on
+    every support, and two-component mixtures), and 48 seeded random parity and staircase pairs
+    at n = 1..4, even parity included."""
+    gen = np.random.default_rng(47)
+    pairs = list(path_cases().values())
+    pairs += [full_support_pair(n, gen) for n in (1, 2, 3)]
+    for n in (1, 2, 3):
+        supports = [format(i, f"0{n}b") for i in range(1 << n)]
+        pairs.append(tuple(mixed_channel(Variant.CUSTOM, n, endpoint, [
+            (w, dict(zip(supports, random_state(gen, n)))) for w in (0.3, 0.7)])
+            for endpoint in (Endpoint.SENDER_FIRST, Endpoint.RECEIVER_LAST)))
+    for variant, n, _ in itertools.product((Variant.PARITY, Variant.DOMINO), range(1, 5), range(6)):
+        pairs.append(tuple(random_channel(variant, n, e, gen) for e in (Endpoint.SENDER_FIRST, Endpoint.RECEIVER_LAST)))
+    return pairs
+
+
+class TestFormsInvariant:
+    def test_forms_plans_null_no_sender_row(self):
+        # A forms trial reads its sender rows as views, with no null test. That rests on the
+        # conditioning rule: each sender row's smallest raw probability over unit inputs (the
+        # _extreme farthest from +inf) is at least _FORMS_CONDITION times its largest
+        # eigenvalue, which is at least 1/4, so far above NULL_PROB_EPS. An ill-conditioned
+        # pair (custom-null nulls sender rows at |+>) holds no forms.
+        assert protocol._FORMS_CONDITION / 4 > 1e9 * NULL_PROB_EPS
+        held = 0
+        for dist, conc in forms_invariant_pairs():
+            sender, _, _, _, start = protocol._pair_plan(dist, conc)
+            if start[3] is None:
+                continue
+            held += 1
+            lowest = _extreme(start[3][:, :4 * len(sender[0])], math.inf)
+            assert np.all(lowest >= protocol._FORMS_CONDITION / 4), (dist, conc, lowest.min())
+        assert held >= 55
+
+
+class TestFinishRows:
+    # _finish_rows skips its masks when no branch is null: the same division, so the same
+    # floats, with a NaN row live and a row at NULL_PROB_EPS flagged as the masks flag it.
+    def test_unmasked_is_the_masked_finish(self):
+        gen = np.random.default_rng(48)
+        for rows, width in ((1, 1), (4, 16), (12, 64)):
+            norms = gen.uniform(1e-6, 1.0, size=(rows, width))
+            overlaps = norms * gen.uniform(0.0, 1.0, size=(rows, width))
+            party_raw, weights = gen.uniform(0.1, 1.0, size=(2, rows, 1))
+            joint, fids = _finish_rows(norms, overlaps, party_raw, weights)
+            # The same rows below one null row (norm 0) take the masked path.
+            masked_joint, masked_fids = _finish_rows(*(np.concatenate([np.zeros((1, width)), x]) for x in (
+                norms, overlaps)), *(np.concatenate([[[1.0]], x]) for x in (party_raw, weights)))
+            assert masked_fids[0] == [None] * width
+            assert masked_joint[1:].tobytes() == joint.tobytes()
+            assert [[f.hex() for f in row] for row in masked_fids[1:]] == [[f.hex() for f in row] for row in fids]
+
+    def test_nan_row_stays_live(self):
+        # A NaN norm or overlap is no null branch, on either path: its fidelity is NaN.
+        norms, overlaps = np.array([math.nan, 0.5]), np.array([0.2, math.nan])
+        for extra in ((), (0.0,)):
+            joint, fids = _finish_rows(np.append(norms, extra), np.append(overlaps, extra), 1.0, 1.0)
+            assert math.isnan(fids[0]) and math.isnan(fids[1]) and fids[2:] == [None] * len(extra)
+            assert math.isnan(joint[0]) and joint[1] == 0.5
+
+    def test_rows_at_the_null_threshold(self):
+        # raw < NULL_PROB_EPS or joint <= NULL_PROB_EPS is null: at the threshold exactly,
+        # a raw of NULL_PROB_EPS is live unless its joint is NULL_PROB_EPS too.
+        eps = NULL_PROB_EPS
+        cases = [  # norm, weight, null
+            (eps, 1.0, True), (eps, 2.0, False), (np.nextafter(eps, 0.0), 2.0, True),
+            (2 * eps, 0.5, True), (np.nextafter(2 * eps, 1.0), 0.5, False)]
+        norms, weights, nulls = map(np.array, zip(*cases))
+        for rows in (slice(None), ~nulls):  # with null rows, and without
+            _, fids = _finish_rows(norms[rows], norms[rows] / 2, 1.0, weights[rows])
+            assert [f is None for f in fids] == nulls[rows].tolist()
+            assert all(f == 0.5 for f in fids if f is not None)
 
 
 def full_support_pair(n, gen):
