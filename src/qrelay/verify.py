@@ -14,6 +14,8 @@ own maps.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import math
 import operator
@@ -277,6 +279,22 @@ def _oracle_maps(dist: ChannelSpec, conc: ChannelSpec) -> tuple[np.ndarray, np.n
     return senders, np.array([[_branch_maps(s, r, gates, n) for r in receivers] for s in senders])
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector; resume it on exit only if it ran
+    on entry. A verdict runs under it, as every collection would scan again
+    each report the verdict holds. A report holds only numbers, enums and
+    shared tuples, in no reference cycle, so the pause frees nothing later."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def check_faithful(
     dist: ChannelSpec,
     conc: ChannelSpec,
@@ -326,12 +344,28 @@ def check_faithful(
 _BATCH_BRANCHES = 1 << 16
 
 
+@lru_cache(maxsize=16)
+def _oracle_keys(nd: int, nc: int, n: int) -> tuple[np.ndarray, ...]:
+    """The report key of every oracle slot of a shape, as three read-only
+    (nd, 4, nc 4^n + 1) columns: component index, sender outcome and party
+    outcomes, over (sender component, sender outcome, each receiver component's
+    outcome tuples, then the sender row's null record with no party outcomes)."""
+    rows = 4**n
+    d, a, k = np.indices((nd, 4, nc * rows + 1))
+    outcomes = np.fromiter(_outcome_tuples(n) + ((),), dtype=object, count=rows + 1)
+    keys = (d * nc + k // rows % nc, np.array(BELL_OUTCOMES, dtype=object)[a],
+            outcomes[np.where(k < nc * rows, k % rows, rows)])
+    for column in keys:
+        column.setflags(write=False)
+    return keys
+
+
 def _oracle_columns(senders, maps, dist: ChannelSpec, conc: ChannelSpec, inputs, bras):
     """Every oracle branch of a batch of inputs (t, 2), trial by trial in the
-    evaluator's report order: (branches per trial, (component index, sender
-    outcome, party outcomes) keys, joint probabilities, null flags,
-    fidelities). A null sender branch is one record with no party outcomes;
-    a null branch's fidelity is meaningless.
+    evaluator's report order: (branches per trial, ``_oracle_keys``' three key
+    columns as lists, joint probabilities, null flags, fidelities). A null
+    sender branch is its row's null record alone, a live one its branches; a
+    null branch's fidelity is meaningless.
 
     A branch's fidelity is the largest |<b|v>|^2 / |v|^2 of its receiver
     vector v over its trial's bras b, given as (t, m, 2)."""
@@ -350,18 +384,14 @@ def _oracle_columns(senders, maps, dist: ChannelSpec, conc: ChannelSpec, inputs,
     joint = (sender_joint[..., None, None] * w_c[:, None] * raw_c).reshape(shape)
     null = (raw_c < NULL_PROB_EPS).reshape(shape) | (joint <= NULL_PROB_EPS)  # the evaluator's rule
     fid = (overlap / np.where(raw_c < NULL_PROB_EPS, 1.0, norm)).reshape(shape)
-    joint[dead, 0] = sender_joint[dead]
-    null[dead, 0] = True
-    keep = np.ones(shape, dtype=bool)
-    keep[dead, 1:] = False
-    _, d, a, k = np.indices(shape)
-    outcome = np.where(dead[..., None], rows, k % rows)[keep]
-    keys = zip(
-        (d * nc + k // rows)[keep].tolist(),
-        map(BELL_OUTCOMES.__getitem__, a[keep].tolist()),
-        map((_outcome_tuples(dist.n_parties) + ((),)).__getitem__, outcome.tolist()),
-    )
-    return keep.sum(axis=(1, 2, 3)).tolist(), list(keys), joint[keep], null[keep], fid[keep]
+    # Each sender row's null record follows its branches; a trial keeps one or the other.
+    keep = np.concatenate([np.repeat(~dead[..., None], nc * rows, axis=-1), dead[..., None]], axis=-1)
+    joint = np.concatenate([joint, sender_joint[..., None]], axis=-1)[keep]
+    null = np.concatenate([null, np.ones_like(dead)[..., None]], axis=-1)[keep]
+    fid = np.concatenate([fid, np.zeros_like(sender_joint)[..., None]], axis=-1)[keep]
+    keys = tuple(np.broadcast_to(column, keep.shape)[keep].tolist()
+                 for column in _oracle_keys(nd, nc, dist.n_parties))
+    return keep.sum(axis=(1, 2, 3)).tolist(), keys, joint, null, fid
 
 
 # Stands in for a report the evaluator did not return; its key is no branch's.
@@ -378,8 +408,10 @@ def _deviations(runs, columns) -> tuple[np.ndarray, list, bool]:
     slots = list(itertools.chain.from_iterable(
         run[:count] + [_MISSING] * (count - len(run)) for run, count in zip(runs, counts)
     ))
-    found = [(r.component_index, r.alice_outcome, r.bob_outcomes) for r in slots]
-    misplaced = False if found == keys else np.array(list(map(operator.ne, found, keys)))
+    found = ([r.component_index for r in slots], [r.alice_outcome for r in slots], [r.bob_outcomes for r in slots])
+    # Whole columns compare at C speed; only a column that differs goes position by position.
+    misplaced = reduce(operator.or_, [np.array(list(map(operator.ne, got, want)))
+                                      for got, want in zip(found, keys) if got != want], False)
     ev_fid = np.array([r.fidelity for r in slots], dtype=object)
     ev_null = np.equal(ev_fid, None)
     ev_fid[ev_null] = 0.0
@@ -390,6 +422,7 @@ def _deviations(runs, columns) -> tuple[np.ndarray, list, bool]:
     return np.where(misplaced, 1.0, dev), slots, extra
 
 
+@_collector_paused()
 def oracle_agreement(
     dist: ChannelSpec,
     conc: ChannelSpec,
@@ -479,14 +512,13 @@ def even_n_counterexample(
     inputs = np.array([[input_qubit.alpha, input_qubit.beta]], dtype=complex)
     # Each Pauli is Hermitian, so its bra <in|g is the conjugate of g|in>.
     bras = np.array([_ORACLE_GATE[letter] for letter in _CORR_LETTER]) @ inputs[0]
-    _, keys, joint, null, best = _oracle_columns(senders, maps, dist, conc, inputs, bras[None])
+    _, (index, alice, bobs), joint, null, best = _oracle_columns(senders, maps, dist, conc, inputs, bras[None])
     examined = ~null & (joint > WITNESS_PROB_FLOOR)
     flagged = np.flatnonzero(examined & (best <= EVEN_N_FID_CEILING))
     labels = dict(zip(_outcome_tuples(n), _receiver_labels(conc.variant, n)))
     witnesses = tuple(
-        OutcomeReport(index, alice, bobs, float(joint[k]), labels[bobs], float(best[k]))
+        OutcomeReport(index[k], alice[k], bobs[k], float(joint[k]), labels[bobs[k]], float(best[k]))
         for k in flagged[:MAX_EVEN_N_WITNESSES].tolist()
-        for index, alice, bobs in [keys[k]]
     )
     worst = float(np.min(best[examined], initial=1.0))
     return Verdict(

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import inspect
 import itertools
 import json
@@ -437,6 +438,50 @@ class TestOracleAgreement:
         assert v.passed
 
 
+def bell_pair():
+    return (pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.SENDER_FIRST),
+            pure_channel(Variant.PARITY, 1, {"0": 1.0}, Endpoint.RECEIVER_LAST))
+
+
+COLLECTING_VERDICTS = {
+    "check_faithful": lambda: check_faithful(*bell_pair(), trials=2, seed=0),
+    "oracle_agreement": lambda: oracle_agreement(*bell_pair(), trials=2, seed=0),
+    "verify_smolin": lambda: verify_smolin(seed=0, trials=2),  # nests check_faithful
+}
+
+
+class TestCollectorPause:
+    # The verdicts pause the cyclic garbage collector while they hold reports and
+    # must leave it as they found it: on, off by the caller's choice, or on after
+    # an evaluator that raises mid-trial.
+    @pytest.fixture
+    def keep_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("case", ["enabled", "disabled", "raises"])
+    @pytest.mark.parametrize("verdict", list(COLLECTING_VERDICTS))
+    def test_state_restored(self, verdict, case, monkeypatch, keep_collector):
+        evaluate, during = verify_mod.run_end_to_end, []
+
+        def spy(*args, **kwargs):
+            during.append(gc.isenabled())
+            if case == "raises" and len(during) == 2:
+                raise RuntimeError("evaluator failed mid-trial")
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(verify_mod, "run_end_to_end", spy)
+        (gc.disable if case == "disabled" else gc.enable)()
+        if case == "raises":
+            with pytest.raises(RuntimeError, match="mid-trial"):
+                COLLECTING_VERDICTS[verdict]()
+        else:
+            COLLECTING_VERDICTS[verdict]()
+        assert gc.isenabled() == (case != "disabled")
+        assert during == [False, False]
+
+
 def assert_matches_reference(dist, conc, trials, seed, tolerance=ORACLE_TOL):
     """The support-pair oracle and the dense per-branch reference give the
     same verdict over the same branches, and where the reference passes both
@@ -508,6 +553,17 @@ class TestOracleMatchesPerBranchLoop:
         v, _ = assert_matches_reference(dist, conc, trials=2, seed=0)
         assert v.passed
         assert v.details["branches_compared"] == 2 * (2 + 6 * 2 * 16)
+
+    def test_custom_null_mixed_batch(self, monkeypatch):
+        # Trials alternate a random input and |+>, so one batch holds trials with
+        # null sender records and trials without: each trial places its own.
+        draw = verify_mod.random_inputs
+        monkeypatch.setattr(verify_mod, "random_inputs", lambda gen, count: [
+            InputQubit(SQ, SQ) if k % 2 else inp for k, inp in enumerate(draw(gen, count))])
+        dist, conc = custom_null_pair()
+        v, _ = assert_matches_reference(dist, conc, trials=4, seed=0)
+        assert v.passed
+        assert v.details["branches_compared"] == 2 * (2 * 4 * 2 * 16) + 2 * (2 + 6 * 2 * 16)
 
     def test_mixed_on_both_sides(self):
         gen = np.random.default_rng(62)
