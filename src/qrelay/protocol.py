@@ -212,16 +212,12 @@ def _distribution_frame(variant: Variant, outcome: BellOutcome, n: int) -> tuple
     return perm, phase
 
 
-# As many plans as _pair_plan holds pairs, each about 2^(n+8) d bytes: at most 128 KiB per component at the
-# sizes runs reach (n <= 9); only distribute reaches further, to 64 MiB per component at n = 18.
-@lru_cache(maxsize=32)
 def _sender_plan(channel: ChannelSpec) -> tuple:
     """What the sender stage needs of ``channel`` besides the input, read-only: its component states
     (d, 2^(n+1)) and weights (d, 1), and its four ``_distribution_frame``s as one (4, 2^n) gather
     index and phase table. Refuses a receiver-side channel, or one past the cap, before any state. Then proves,
     at the worst unit input (``_extreme``), that each component's sender maps S_a have sum_a S_a^dagger S_a = I
-    (and S_a^dagger S_a = I/4 where the family promises it). Also returns the basis rows (2d, 4, 2^n) and forms,
-    read-only too. Cached, so ``distribute`` and every ``_pair_plan`` of a channel share one plan."""
+    (and S_a^dagger S_a = I/4 where the family promises it). Also returns the basis rows (2d, 4, 2^n) and forms."""
     if channel.endpoint is not Endpoint.SENDER_FIRST:
         raise ValueError("distribution needs a sender-side channel (endpoint 'sender')")
     n = channel.n_parties
@@ -241,8 +237,6 @@ def _sender_plan(channel: ChannelSpec) -> tuple:
         for outcome, prob in zip(BELL_OUTCOMES, probs if channel.faithfulness_guaranteed else ()):
             if not abs(4.0 * prob - 1.0) < PROB_SANITY_ATOL:
                 raise ValueError(f"outcome {outcome.value} has conditional probability {prob}, expected 1/4")
-    rows.setflags(write=False)
-    forms.setflags(write=False)
     return plan, rows, forms
 
 
@@ -274,8 +268,8 @@ def _party_vectors(rows: np.ndarray, raw: np.ndarray, frames: tuple, ci, a) -> n
 
 def distribute(input_qubit: InputQubit, channel: ChannelSpec) -> list[BranchState]:
     """Run the distribution phase: one BranchState per (component, sender
-    outcome), outcomes in Bell order within each component, from the
-    channel's cached ``_sender_plan``: a repeated call builds no state."""
+    outcome), outcomes in Bell order within each component. Each call builds
+    the channel's states and proves its sender checks: no plan is kept."""
     plan = _sender_plan(channel)[0]
     rows, raw, joint = _sender_stage(input_qubit.to_state().amps, plan)
     live = ~(raw < NULL_PROB_EPS)

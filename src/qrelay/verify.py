@@ -284,7 +284,8 @@ def _collector_paused():
     """Pause the cyclic garbage collector; resume it on exit only if it ran
     on entry. A verdict runs under it, as every collection would scan again
     each report the verdict holds. A report holds only numbers, enums and
-    shared tuples, in no reference cycle, so the pause frees nothing later."""
+    shared tuples, in no reference cycle, so the pause frees nothing later.
+    The pause is process-wide: another thread's cyclic garbage waits too."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -306,7 +307,9 @@ def check_faithful(
     """Exhaustively enumerate every branch for ``trials`` random inputs and
     check that each nonzero branch reconstructs the input and that branch
     probabilities sum to one. worst_deviation is the larger of the worst
-    fidelity gap and the worst probability-sum gap."""
+    fidelity gap and the worst probability-sum gap. Pauses the cyclic garbage
+    collector for the whole process, every thread included, until it returns
+    (``_collector_paused``)."""
     worst = 0.0
     prob_gap = 0.0
     branches_checked = 0
@@ -344,28 +347,13 @@ def check_faithful(
 _BATCH_BRANCHES = 1 << 16
 
 
-@lru_cache(maxsize=16)
-def _oracle_keys(nd: int, nc: int, n: int) -> tuple[np.ndarray, ...]:
-    """The report key of every oracle slot of a shape, as three read-only
-    (nd, 4, nc 4^n + 1) columns: component index, sender outcome and party
-    outcomes, over (sender component, sender outcome, each receiver component's
-    outcome tuples, then the sender row's null record with no party outcomes)."""
-    rows = 4**n
-    d, a, k = np.indices((nd, 4, nc * rows + 1))
-    outcomes = np.fromiter(_outcome_tuples(n) + ((),), dtype=object, count=rows + 1)
-    keys = (d * nc + k // rows % nc, np.array(BELL_OUTCOMES, dtype=object)[a],
-            outcomes[np.where(k < nc * rows, k % rows, rows)])
-    for column in keys:
-        column.setflags(write=False)
-    return keys
-
-
 def _oracle_columns(senders, maps, dist: ChannelSpec, conc: ChannelSpec, inputs, bras):
     """Every oracle branch of a batch of inputs (t, 2), trial by trial in the
-    evaluator's report order: (branches per trial, ``_oracle_keys``' three key
-    columns as lists, joint probabilities, null flags, fidelities). A null
-    sender branch is its row's null record alone, a live one its branches; a
-    null branch's fidelity is meaningless.
+    evaluator's report order: (branches per trial, the component index,
+    sender outcome and party outcomes of each branch as three lists, joint
+    probabilities, null flags, fidelities). A null sender branch is its row's
+    null record alone, with no party outcomes, a live one its branches; a null
+    branch's fidelity is meaningless.
 
     A branch's fidelity is the largest |<b|v>|^2 / |v|^2 of its receiver
     vector v over its trial's bras b, given as (t, m, 2)."""
@@ -389,8 +377,12 @@ def _oracle_columns(senders, maps, dist: ChannelSpec, conc: ChannelSpec, inputs,
     joint = np.concatenate([joint, sender_joint[..., None]], axis=-1)[keep]
     null = np.concatenate([null, np.ones_like(dead)[..., None]], axis=-1)[keep]
     fid = np.concatenate([fid, np.zeros_like(sender_joint)[..., None]], axis=-1)[keep]
-    keys = tuple(np.broadcast_to(column, keep.shape)[keep].tolist()
-                 for column in _oracle_keys(nd, nc, dist.n_parties))
+    # The keys of one trial's slots, built per call as object columns and read by every trial.
+    d, a, k = np.indices(keep.shape[1:])
+    outcomes = np.fromiter(_outcome_tuples(dist.n_parties) + ((),), dtype=object, count=rows + 1)
+    columns = (d * nc + k // rows % nc, np.array(BELL_OUTCOMES, dtype=object)[a],
+               outcomes[np.where(k < nc * rows, k % rows, rows)])  # the null record's outcomes are ()
+    keys = tuple(np.broadcast_to(column, keep.shape)[keep].tolist() for column in columns)
     return keep.sum(axis=(1, 2, 3)).tolist(), keys, joint, null, fid
 
 
@@ -439,7 +431,9 @@ def oracle_agreement(
     The evaluator's reports must come in the oracle's branch order: a report
     whose component or outcomes differ from the oracle branch at its
     position, and a missing or extra report, each count as deviation 1.0.
-    Raises as ``_oracle_maps`` does.
+    Raises as ``_oracle_maps`` does. Pauses the cyclic garbage collector for
+    the whole process, every thread included, until it returns
+    (``_collector_paused``).
     """
     senders, maps = _oracle_maps(dist, conc)
     inputs = random_inputs(seed, trials)

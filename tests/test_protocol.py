@@ -87,15 +87,10 @@ def bell_pair_channels():
 
 @pytest.fixture
 def fresh_plans():
-    """Clears the sender and channel-pair plans before and after a test that patches
-    a channel state, so none is built from the real state or outlives the patch."""
-    clear_plans()
+    """Clears the channel-pair plans before and after a test that patches a
+    channel state, so none is built from the real state or outlives the patch."""
+    protocol._pair_plan.cache_clear()
     yield
-    clear_plans()
-
-
-def clear_plans():
-    _sender_plan.cache_clear()  # the cached function, even while a test patches protocol's binding
     protocol._pair_plan.cache_clear()
 
 
@@ -292,23 +287,6 @@ class TestDistribute:
                 want[int(flipped, 2)] += inp.beta * amp
             for branch in distribute(inp, spec):
                 assert equal_up_to_phase(branch.state.amps, want), (variant, branch.outcomes)
-
-    def test_builds_each_component_once(self, monkeypatch, fresh_plans):
-        # distribute reads the channel's cached sender plan: two calls on a
-        # two-component mixture build each component once and give the same
-        # branches, and a run with that channel as its sender builds only the
-        # receiver's components.
-        built = []
-        build = protocol.build_channel_component
-        monkeypatch.setattr(protocol, "build_channel_component", lambda *args: built.append(args[0]) or build(*args))
-        dist, conc = dict(agreement_cases())["custom-null"]
-        inp = random_input(np.random.default_rng(47))
-        first, second = (distribute(inp, dist) for _ in range(2))
-        assert built == list(dist.components)
-        assert [(b.joint_prob, b.state and b.state.amps.tobytes()) for b in first] == [
-            (b.joint_prob, b.state and b.state.amps.tobytes()) for b in second]
-        run_end_to_end(inp, dist, conc)
-        assert built == list(dist.components) + list(conc.components)
 
     def test_probabilities_sum_to_one(self):
         gen = np.random.default_rng(31)
@@ -763,7 +741,7 @@ class TestNormChecks:
         inputs, stage = [], protocol._sender_stage
         monkeypatch.setattr(protocol, "_sender_stage", lambda amps, plan: inputs.append(amps.tolist()) or stage(amps, plan))
         corrupt_sender_states(monkeypatch, corrupt)
-        clear_plans()
+        protocol._pair_plan.cache_clear()
         inp = random_input(gen)
         with pytest.raises(ValueError, match=refusal):
             if place == "distribute":
