@@ -15,17 +15,17 @@ bits, and a family enters them only as its count of marked parties
 (``_marked_parties``). Branch enumeration is exhaustive (all outcome tuples
 with their joint probabilities) or sampled (one trajectory drawn from them).
 
-``_branch_rows`` is the one way into concentration. A run reads all it needs but its input from
-one cached ``_pair_plan`` per channel pair. Both modes keep the joint state on its live strings and
-take each Bell measurement with the one kernel ``_live_pair_rows``: ``_receiver_rows`` keeps all
-four outcomes of every step, ``_sampled_rows`` the one it draws. Each branch and sender row is linear
-in the input, so its probability and overlap with the input are fixed forms on the input's four
-bilinears: a small, well-conditioned pair's plan holds them (``_pair_forms``), and an exhaustive run on it is one
-real product, read as views and keyed by the plan's slots, with no null sender row. Other runs take every sender row
-from one batched ``_sender_stage``. Plans prove for every path and input all that the input does not change:
-``_sender_plan`` the sender checks, ``_pair_plan`` the sampled norms. A trial only checks, if exhaustive, its branch
-total, and ends in one ``_finish_rows``, which skips its masks when no branch is null. ``run_end_to_end`` turns the
-rows into reports and ``distribute`` exposes distribution alone.
+``_branch_rows`` is the one way into concentration. A run reads all it needs but its input from one cached
+``_pair_plan`` per channel pair, the evaluator's one per-channel cache. Both modes start the joint state on the
+plan's start strings, follow its ``_step_plan`` and take each Bell measurement with the one kernel
+``_live_pair_rows``: ``_receiver_rows`` keeps all four outcomes of every step, ``_sampled_rows`` the one it draws.
+Each branch and sender row is linear in the input, so its probability and overlap with the input are fixed forms on
+the input's four bilinears: a small, well-conditioned pair's plan holds them (``_pair_forms``), and an exhaustive
+run on it is one real product, read as views and keyed by the plan's slots, with no null sender row. Other runs take
+every sender row from one batched ``_sender_stage``. Plans prove for every path and input all that the input does
+not change: ``_sender_plan`` the sender checks, ``_pair_plan`` the sampled norms. A trial only checks, if
+exhaustive, its branch total, and ends in one ``_finish_rows``, which skips its masks when no branch is null.
+``run_end_to_end`` turns the rows into reports and ``distribute`` exposes distribution alone.
 """
 
 from __future__ import annotations
@@ -296,22 +296,18 @@ def _receiver_table(variant: Variant, n: int) -> tuple:
     return (perm, phase), outcomes, labels
 
 
-# Plans for 8 starts. Step 1 places at most 2^n x 2^(n+1) amplitudes and each later step a quarter
-# as many: a plan holds at most 5.4 MiB of indices at n = 9, 43 MiB for all 8; staircases < 20 KiB.
-@lru_cache(maxsize=8)
-def _step_plan(pkeys: bytes, ckeys: bytes, n: int) -> tuple:
-    """Every Bell step of a trajectory whose joint state starts on the sorted party and
-    channel keys ``pkeys`` and ``ckeys`` (intp bytes) of n and n + 1 bits: per step, each
-    amplitude's flat index in the (2, 2, r, c) grid of top party bit, top channel bit and
-    the r and c keys left (None when a reshape puts it there), and those keys."""
-    pkeys, ckeys = np.frombuffer(pkeys, dtype=np.intp), np.frombuffer(ckeys, dtype=np.intp)
+def _step_plan(pkeys: np.ndarray, ckeys: np.ndarray, n: int) -> tuple:
+    """Every Bell step of a joint state that starts on the sorted party and channel keys
+    ``pkeys`` and ``ckeys`` of n and n + 1 bits: per step, each amplitude's flat index in the
+    (2, 2, r, c) grid of top party bit, top channel bit and the r and c keys left (None when a
+    reshape puts it there), and those keys, read-only."""
     plan = []
     for bits in range(n, 0, -1):
         splits = []  # per axis: the keys left, each key's top bit and place among them, their count
         for keys, b in ((pkeys, bits), (ckeys, bits + 1)):
             rest = keys & ((1 << (b - 1)) - 1)
             union = np.flatnonzero(np.bincount(rest))  # the distinct rests, sorted
-            union.setflags(write=False)  # every caller shares the cached arrays
+            union.setflags(write=False)  # every run on the pair shares its plan's arrays
             splits.append((union, keys >> (b - 1), np.searchsorted(union, rest), len(union)))
         (pnew, ptop, ppos, r), (cnew, ctop, cpos, c) = splits
         place = None  # both halves of each split hold the same keys
@@ -376,32 +372,31 @@ def _finish_rows(norms: np.ndarray, overlaps: np.ndarray, party_raw, weights) ->
     return joint, np.where(null, None, overlaps / np.where(null, 1.0, norms)).tolist()
 
 
-def _sampled_rows(input_amps: np.ndarray, channel: ChannelSpec, plan: tuple, gen: np.random.Generator) -> list[tuple]:
+def _sampled_rows(input_amps: np.ndarray, variant: Variant, plan: tuple, gen: np.random.Generator) -> list[tuple]:
     """One trajectory drawn under the Born rule, as ``_branch_rows`` rows, from the ``_sender_stage`` rows and the
-    pair's ``_pair_plan``, which proved its norms (``channel`` the concentration channel): the sender row, then the
+    pair's ``_pair_plan``, which proved its norms (``variant`` the concentration channel's): the sender row, then the
     one party vector drawn, a receiver component (of a mixture) and one outcome per party. A null sender row is one
-    row with no party outcomes; [] when every outcome of a step is null. The joint state stays on its live strings,
-    stepping through the cached ``_step_plan`` of the strings it starts on."""
-    sender, receivers, weights, ckeys, _ = plan
+    row with no party outcomes; [] when every outcome of a step is null. The joint state starts on the plan's start
+    strings, exact zeros where the drawn vector has none, and steps through the start's step plan."""
+    sender, receivers, weights, (frames, steps, *_) = plan
     rows, raw, joint = _sender_stage(input_amps, sender)
     probs = joint.ravel()
     ci, a = divmod(_born_pick(probs / probs.sum(), gen), 4)
     alice, prob = BELL_OUTCOMES[a], float(joint[ci, a])
     if raw[ci, a] < NULL_PROB_EPS:
         return [(ci * len(weights), alice, [prob], [None], ((),), (None,))]
-    party = _party_vectors(rows, raw, sender[2:], np.intp(ci), np.intp(a))
+    party = _party_vectors(rows, raw, frames, np.intp(ci), np.intp(a))
     cj = _born_pick(weights / weights.sum(), gen) if len(weights) > 1 else 0
-    pkeys = np.flatnonzero(party)
-    mat = np.multiply.outer(party[pkeys], receivers[cj])
+    mat = np.multiply.outer(party, receivers[cj])
     outcomes: tuple[BellOutcome, ...] = ()
-    for step in _step_plan(pkeys.tobytes(), ckeys, channel.n_parties):
+    for step in steps:
         pair = _live_pair_rows(mat, step)
         pick = _draw_outcome(pair.reshape(4, -1), gen)
         if pick is None:
             return []
         mat = pair[pick]
         outcomes += (BELL_OUTCOMES[pick],)
-    label = concentration_correction(channel.variant, outcomes)
+    label = concentration_correction(variant, outcomes)
     perm, phase = _PAULI_FRAMES[label]
     conc_joint, fids = _finish_rows(*_norms_and_overlaps(phase * mat[:, perm], input_amps), 1.0, prob * weights[cj])
     return [(ci * len(weights) + cj, alice, conc_joint.tolist(), fids, (outcomes,), (label,))]
@@ -429,16 +424,20 @@ def _pair_forms(rows, sender_forms, receivers: np.ndarray, weights: np.ndarray, 
     return forms
 
 
-@lru_cache(maxsize=32)  # a verify suite's pairs, or a benchmark pool's: a few KiB each, forms <= 200 KiB
+# A verify suite's pairs, or a benchmark pool's. A staircase or parity plan at n = 9 holds under 150 KiB, and forms
+# at most 200 KiB, but an irregular custom pair's step plan at n = 9 may hold up to 5.4 MiB (3.1 MiB measured with
+# 250 of 512 support strings), so 32 such plans could hold about 170 MiB. No workload holds one.
+@lru_cache(maxsize=32)
 def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
     """Checks a channel pair, then holds all a run on it needs but its input, read-only: the ``_sender_plan``
     of ``dist``; the receiver states (c, k) and weights (c,) of ``conc`` on the k channel strings any component
-    holds (both receiver bits kept so rows never narrow to one column, which rounds unlike the dense rows) and
-    those keys (intp bytes); and, at exhaustive sizes, the start: the sender frames on the party strings a
-    corrected sender row can reach, the uncached ``_step_plan`` from them, the ``_receiver_table``, the ``_pair_forms``
-    if its branch maps fit one block (16 d c 4^n amplitudes: pure pairs to n = 4 and telecloning->Smolin) and are
-    well-conditioned, else None, and the report key (flattened component index, sender outcome) of each of the 4 d c
-    slots (sender row, receiver component), in report order. Each channel state is built here once per plan."""
+    holds (both receiver bits kept so rows never narrow to one column, which rounds unlike the dense rows); at
+    every size, the start both modes share: the sender frames on the party strings a corrected sender row can
+    reach and the ``_step_plan`` from those and the channel strings; and, at exhaustive sizes, the
+    ``_receiver_table``, the ``_pair_forms`` if its branch maps fit one block (16 d c 4^n amplitudes: pure pairs to
+    n = 4 and telecloning->Smolin) and are well-conditioned, else None, and the report key (flattened component
+    index, sender outcome) of each of the 4 d c slots (sender row, receiver component), in report order. Each
+    channel state is built here once per plan."""
     n, variant = conc.n_parties, conc.variant
     if dist.n_parties != n:
         raise ValueError(f"party mismatch: distribution has {dist.n_parties}, concentration has {n}")
@@ -451,25 +450,25 @@ def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
     weights = np.array([c.weight for c in conc.components])
     ckeys = (2 * np.flatnonzero(receivers.reshape(len(receivers), -1, 2).any(axis=(0, 2)))[:, None]
              + np.arange(2)).ravel()
-    receivers, start = receivers.take(ckeys, axis=1), None  # take, not [:, ckeys]: C order
+    receivers = receivers.take(ckeys, axis=1)  # take, not [:, ckeys]: C order
     states, _, gather, phases = sender
     # Every sampled norm: a party vector is a unit sender row, permuted, times phases; a joint state it x a receiver.
     if not np.all(abs(abs(phases) ** 2 - 1.0) <= NORM_ATOL):
         raise ValueError("distributed state not normalized")
     if not np.all(abs(np.vecdot(receivers, receivers).real - 1.0) <= NORM_ATOL):
         raise ValueError("joint state not normalized")
+    # The strings either endpoint branch of a component holds, seen through each outcome's frame.
+    pkeys = np.flatnonzero(states.reshape(len(states), 2, -1).any(axis=(0, 1))[gather].any(axis=0))
+    start = (gather.take(pkeys, axis=1), phases.take(pkeys, axis=1)), _step_plan(pkeys, ckeys, n)
     if n <= MAX_EXHAUSTIVE_PARTIES:  # sampled runs reach sizes whose tables are too large
-        # The strings either endpoint branch of a component holds, seen through each outcome's frame.
-        pkeys = np.flatnonzero(states.reshape(len(states), 2, -1).any(axis=(0, 1))[gather].any(axis=0))
-        start = ((gather.take(pkeys, axis=1), phases.take(pkeys, axis=1)),
-                 _step_plan.__wrapped__(pkeys.tobytes(), ckeys.tobytes(), n), _receiver_table(variant, n))
+        start += (_receiver_table(variant, n),)
         fits = 16 * len(states) * len(receivers) << 2 * n <= _BLOCK_AMPS
         start += (_pair_forms(basis_rows, sender_forms, receivers, weights, start) if fits else None,
                   tuple((ci * len(weights) + cj, alice) for ci in range(len(states)) for alice in BELL_OUTCOMES
                         for cj in range(len(weights))))
-    for arr in (receivers, weights, *(start[0] if start else ())):
+    for arr in (receivers, weights, *start[0]):
         arr.setflags(write=False)
-    return sender, receivers, weights, ckeys.tobytes(), start
+    return sender, receivers, weights, start
 
 
 def _branch_rows(
@@ -492,11 +491,11 @@ def _branch_rows(
     if mode == "sampled" and 2 * n + 1 > DEFAULT_QUBIT_CAP:
         raise CapacityError(f"joint state would need {2 * n + 1} qubits, cap is {DEFAULT_QUBIT_CAP}")
 
-    sender, receivers, weights, _, start = plan = _pair_plan(dist_channel, conc_channel)
+    sender, receivers, weights, start = plan = _pair_plan(dist_channel, conc_channel)
     # InputQubit checked the norm when it was made; the plan's sender proof and the branch total repeat it.
     if mode == "sampled":
-        return _sampled_rows(np.array([input_qubit.alpha, input_qubit.beta], dtype=complex), conc_channel, plan,
-                             as_rng(seed))
+        return _sampled_rows(np.array([input_qubit.alpha, input_qubit.beta], dtype=complex), conc_channel.variant,
+                             plan, as_rng(seed))
     (gather, phases), steps, (frame, outcomes, labels), forms, keys = start
     n_conc, nulls = len(receivers), []
     if forms is None:  # too large for forms: the kernel on this trial's unnormalized party vectors, block by block

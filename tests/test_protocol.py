@@ -339,9 +339,10 @@ class TestDistribute:
         # The sender branch a sampled run keeps must be the exhaustive branch
         # Generator.choice picks from the same generator: the same component
         # and outcome (and joint probability, when null), and the same party
-        # vector built by the run's one _party_vectors call, with the generator
-        # where choice leaves it: nothing draws between that call and the
-        # receiver draw.
+        # vector, on the plan's start strings, built by the run's one
+        # _party_vectors call, with the generator where choice leaves it:
+        # nothing draws between that call and the receiver draw. The branch
+        # state is zero off the start.
         handed = []
         vectors = protocol._party_vectors
 
@@ -352,6 +353,7 @@ class TestDistribute:
 
         monkeypatch.setattr(protocol, "_party_vectors", spy)
         dist, conc = dict(agreement_cases())[name]
+        strings = protocol._pair_plan(dist, conc)[3][0][0][0]  # phi+ flips no bit: the start's strings
         gen = np.random.default_rng(26)
         for seed in range(50):
             inp = NULL_SENDER_INPUT if name == "custom-null" else random_input(gen)
@@ -368,7 +370,8 @@ class TestDistribute:
             else:
                 ((ci, party, state),) = calls
                 assert ci == want.component_index
-                assert np.array_equal(party, want.state.amps)
+                assert np.array_equal(party, want.state.amps[strings])
+                assert not np.delete(want.state.amps, strings).any()
                 assert state == want_gen.bit_generator.state
 
 
@@ -529,6 +532,12 @@ def normalized_rows(vecs):
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
 
+def live_channel_keys(receivers):
+    """The channel strings any of the receiver states (c, 2**(n+1)) holds, in receiver-bit
+    pairs, as a pair plan keeps them."""
+    return np.flatnonzero(np.repeat(receivers.reshape(len(receivers), -1, 2).any(axis=(0, 2)), 2))
+
+
 @st.composite
 def kernel_cases(draw):
     """(n, variant, k normalized party states (k, 2**n), c normalized receiver states
@@ -549,7 +558,7 @@ def kernel_cases(draw):
         receivers = np.array([build_channel_component(
             random_channel(Variant.DOMINO, n, Endpoint.RECEIVER_LAST, gen).components[0],
             Variant.DOMINO, Endpoint.RECEIVER_LAST, n).amps for _ in range(c)])
-        ckeys = np.flatnonzero(np.repeat(receivers.reshape(c, -1, 2).any(axis=(0, 2)), 2))
+        ckeys = live_channel_keys(receivers)
     parties = np.zeros((k, 1 << n), dtype=complex)
     parties[:, pkeys] = gen.normal(size=(k, len(pkeys))) + 1j * gen.normal(size=(k, len(pkeys)))
     for amps in (parties, receivers):
@@ -572,7 +581,7 @@ def exhaustive_and_reference(n, variant, parties, receivers, pkeys, ckeys):
     those keys, and the dense joint states through the batched Bell-bra product and the
     matrix Paulis that the live-string kernel and the receiver frame replaced."""
     frame, _, labels = _receiver_table(variant, n)
-    steps = _step_plan.__wrapped__(pkeys.tobytes(), ckeys.tobytes(), n)
+    steps = _step_plan(pkeys, ckeys, n)
     live = parties.take(pkeys, axis=1), receivers.take(ckeys, axis=1)  # C order, as plans hold them
     got = np.concatenate(list(protocol._receiver_rows(*live, steps, frame)))
     dense = (parties[:, None, :, None] * receivers[:, None, :]).reshape(-1, 2 << (2 * n))
@@ -697,18 +706,20 @@ class TestNormChecks:
         # amplitudes: the plan refuses forms built on it, and a trial on the kernel path
         # refuses its branch probabilities' total.
         dist, conc = telecloning_channel(), smolin_channel()
-        sender, receivers, weights, ckeys, ((gather, phases), _, table, forms, keys) = plan = protocol._pair_plan(dist, conc)
+        sender, receivers, weights, ((gather, phases), _, table, forms, keys) = plan = protocol._pair_plan(dist, conc)
         basis = _sender_plan(dist)[1:]
+        ckeys = live_channel_keys(np.array([build_channel_component(
+            c, conc.variant, conc.endpoint, conc.n_parties).amps for c in conc.components]))
 
         def start(keep):  # gather[0] is the start's strings: phi+ flips no bit
-            steps = _step_plan.__wrapped__(gather[0][keep].tobytes(), ckeys, dist.n_parties)
+            steps = _step_plan(gather[0][keep], ckeys, dist.n_parties)
             return (gather[:, keep], phases[:, keep]), steps, table
 
         every = np.arange(gather.shape[1])
         assert np.array_equal(protocol._pair_forms(*basis, receivers, weights, start(every)), forms)
         with pytest.raises(ValueError, match=PATH_REFUSALS[0][1]):
             protocol._pair_forms(*basis, receivers, weights, start(every[1:]))
-        monkeypatch.setattr(protocol, "_pair_plan", lambda *pair: (*plan[:4], (*start(every[1:]), None, keys)))
+        monkeypatch.setattr(protocol, "_pair_plan", lambda *pair: (*plan[:3], (*start(every[1:]), None, keys)))
         with pytest.raises(ValueError, match=PATH_REFUSALS[1][1]):
             run_end_to_end(random_input(np.random.default_rng(37)), dist, conc)
 
@@ -735,7 +746,7 @@ class TestNormChecks:
         gen = np.random.default_rng(46)
         if place == "parity-n5-kernel":
             pair = tuple(random_channel(Variant.PARITY, 5, e, gen) for e in (Endpoint.SENDER_FIRST, Endpoint.RECEIVER_LAST))
-            assert protocol._pair_plan(*pair)[4][3] is None  # too large for forms: the kernel path
+            assert protocol._pair_plan(*pair)[3][3] is None  # too large for forms: the kernel path
         else:
             pair = sampled_only_pair()
         inputs, stage = [], protocol._sender_stage
@@ -1128,6 +1139,37 @@ def path_cases():
     return cases
 
 
+def irregular_custom_mixture(n, endpoint, gen):
+    """A two-component custom channel whose components hold different random supports of
+    12 strings each, with generic coefficients."""
+    comps = []
+    for weight in (0.35, 0.65):
+        keys = gen.choice(1 << n, size=12, replace=False)
+        amps = gen.normal(size=12) + 1j * gen.normal(size=12)
+        comps.append((weight, dict(zip([format(k, f"0{n}b") for k in keys], amps / np.linalg.norm(amps)))))
+    return mixed_channel(Variant.CUSTOM, n, endpoint, comps)
+
+
+def sampled_start_cases():
+    """Pairs whose sampled runs start on a plan's start: staircase and parity pairs at n = 7, 8
+    and 9, past the exhaustive cap, a custom pair at n = 8 whose sender components hold
+    different supports, so that the start holds more strings than any one branch, and custom-null."""
+    gen = np.random.default_rng(51)
+    ends = Endpoint.SENDER_FIRST, Endpoint.RECEIVER_LAST
+    cases = {f"{v.value}-n{n}": tuple(random_channel(v, n, e, gen) for e in ends)
+             for v in (Variant.DOMINO, Variant.PARITY) for n in (7, 8, 9)}
+    cases["custom-mixture-n8"] = tuple(irregular_custom_mixture(8, e, gen) for e in ends)
+    cases["custom-null"] = dict(agreement_cases())["custom-null"]
+    return cases
+
+
+def array_bytes(plan):
+    """The bytes of every array a (nested) plan tuple holds."""
+    if isinstance(plan, np.ndarray):
+        return plan.nbytes
+    return sum(map(array_bytes, plan)) if isinstance(plan, tuple) else 0
+
+
 class TestForms:
     def test_forms_are_the_input_quadratics(self):
         # (_BILINEAR @ M.ravel()) . b is <in|M|in> on the input's bilinears b for any 2x2 M,
@@ -1197,17 +1239,39 @@ class TestPairPlan:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(sender_cases())
     def test_start_holds_every_live_party_vector(self, case):
-        # Exhaustive runs gather party vectors on the plan's start strings only,
+        # Runs of both modes gather party vectors on the plan's start strings only,
         # so every live vector's nonzeros must lie there, for any input.
         inp, dist = case
         conc = random_channel(dist.variant, dist.n_parties, Endpoint.RECEIVER_LAST, np.random.default_rng(38))
-        sender, _, _, _, ((gather, _), *_) = protocol._pair_plan(dist, conc)
+        sender, _, _, ((gather, _), *_) = protocol._pair_plan(dist, conc)
         assert np.array_equal(sender[2][0], np.arange(1 << dist.n_parties))  # phi+ flips no bit
         start = set(gather[0].tolist())
         for qubit in (inp, InputQubit(1, 0), InputQubit(0, 1), NULL_SENDER_INPUT):
             rows, raw, _ = _sender_stage(qubit.to_state().amps, sender)
             for vec in _party_vectors(rows, raw, sender[2:], *np.nonzero(~(raw < NULL_PROB_EPS))):
                 assert set(np.flatnonzero(vec).tolist()) <= start
+
+    @pytest.mark.parametrize("name", list(sampled_start_cases()))
+    def test_start_covers_every_sampled_party_vector(self, name):
+        # Sampled runs start on the plan's start strings at every size, so every nonzero
+        # amplitude of every distribution branch must lie there; over basis, |+> and random
+        # inputs the branches reach every start string, so the start holds no string too many.
+        dist, conc = sampled_start_cases()[name]
+        start = set(protocol._pair_plan(dist, conc)[3][0][0][0].tolist())  # phi+ flips no bit
+        reached = set()
+        for inp in (InputQubit(1, 0), InputQubit(0, 1), NULL_SENDER_INPUT, random_input(np.random.default_rng(49))):
+            for branch in distribute(inp, dist):
+                if branch.state is not None:
+                    reached.update(np.flatnonzero(branch.state.amps).tolist())
+        assert reached == start
+
+    def test_plans_at_the_sampled_cap_stay_small(self):
+        # Every pair plan holds its start's step plan at every size: a staircase and a parity
+        # plan at n = 9 each hold under 256 KiB of arrays, steps included.
+        gen = np.random.default_rng(50)
+        for variant in (Variant.DOMINO, Variant.PARITY):
+            pair = tuple(random_channel(variant, 9, e, gen) for e in (Endpoint.SENDER_FIRST, Endpoint.RECEIVER_LAST))
+            assert array_bytes(protocol._pair_plan(*pair)) < 256 << 10
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_block_size_leaves_rows_unchanged(self, n, monkeypatch, fresh_plans):
@@ -1225,7 +1289,7 @@ class TestPairPlan:
         stacked = [report_fields(r) for r in run_end_to_end(inp, dist, conc)]
         force_path(monkeypatch, "kernel", n)
         assert [report_fields(r) for r in run_end_to_end(inp, dist, conc)] == stacked
-        assert protocol._pair_plan(dist, conc)[4][3] is None
+        assert protocol._pair_plan(dist, conc)[3][3] is None
 
     @pytest.mark.parametrize("name", list(path_cases()))
     def test_maps_match_the_kernel(self, name, monkeypatch, fresh_plans):
@@ -1239,7 +1303,7 @@ class TestPairPlan:
         for path in ("forms", "kernel"):
             force_path(monkeypatch, path, dist.n_parties)
             runs.append([run_end_to_end(inp, dist, conc) for inp in inputs])
-            assert (protocol._pair_plan(dist, conc)[4][3] is None) == (path == "kernel" or name in ILL_CONDITIONED)
+            assert (protocol._pair_plan(dist, conc)[3][3] is None) == (path == "kernel" or name in ILL_CONDITIONED)
         for forms, kernel in zip(*runs):
             assert len(forms) == len(kernel)
             for f, k in zip(forms, kernel):
@@ -1297,7 +1361,7 @@ class TestPairPlan:
         # fit, so the kernel runs and the evaluator agrees with the oracle near |+>.
         dist, conc = path_cases()["custom-null"]
         force_path(monkeypatch, "forms", dist.n_parties)
-        assert protocol._pair_plan(dist, conc)[4][3] is None
+        assert protocol._pair_plan(dist, conc)[3][3] is None
         for offset in (1e-4, 1e-5, 1e-6, 3e-7, 1e-7):
             theta = math.pi / 4 + offset
             inp = InputQubit(math.cos(theta), math.sin(theta))
@@ -1313,7 +1377,7 @@ class TestPairPlan:
         gen = np.random.default_rng(42)
         domino6 = (random_channel(Variant.DOMINO, 6, Endpoint.SENDER_FIRST, gen),
                    random_channel(Variant.DOMINO, 6, Endpoint.RECEIVER_LAST, gen))
-        assert protocol._pair_plan(*domino6)[4][3] is None
+        assert protocol._pair_plan(*domino6)[3][3] is None
         comps = [dict(random_channel(Variant.DOMINO, 4, Endpoint.RECEIVER_LAST, gen).components[0].coeffs)
                  for _ in range(2)]
         full = (random_channel(Variant.DOMINO, 4, Endpoint.SENDER_FIRST, gen),
@@ -1321,7 +1385,7 @@ class TestPairPlan:
         cases = [path_cases()[name] for name in ("parity-n1", "domino-n4", "telecloning-smolin")] + [full]
         for dist, conc in cases:
             plan = protocol._pair_plan(dist, conc)
-            sender, forms = plan[0], plan[4][3]
+            sender, forms = plan[0], plan[3][3]
             branches = 4 * len(sender[0]) * len(conc.components) << 2 * dist.n_parties
             assert forms.shape == (4, 4 * len(sender[0]) + 3 * branches) and not forms.flags.writeable
             branch_amps = 4 * branches  # one 2x2 map per branch
@@ -1356,7 +1420,7 @@ class TestFormsInvariant:
         assert protocol._FORMS_CONDITION / 4 > 1e9 * NULL_PROB_EPS
         held = 0
         for dist, conc in forms_invariant_pairs():
-            sender, _, _, _, start = protocol._pair_plan(dist, conc)
+            sender, _, _, start = protocol._pair_plan(dist, conc)
             if start[3] is None:
                 continue
             held += 1
@@ -1423,6 +1487,8 @@ def sampled_cases():
     yield "telecloning-smolin", (telecloning_channel(), smolin_channel())
     # Mixtures on both sides; the |+> input nulls two sender branches.
     yield "custom-null", dict(agreement_cases())["custom-null"]
+    # Sender components on different supports: the plan's start holds more strings than the drawn vector.
+    yield "custom-mixture-n8", sampled_start_cases()["custom-mixture-n8"]
 
 
 def report_fields(r):
@@ -1467,7 +1533,7 @@ class TestSampledLiveStrings:
         mat[rng.random(mat.shape) < data.draw(st.floats(0.0, 1.0))] = 0.0
         dense = np.zeros((1 << n, 2 << n, *stack), dtype=complex)
         dense[np.ix_(pkeys, ckeys)] = mat
-        plan = _step_plan(pkeys.tobytes(), ckeys.tobytes(), n)
+        plan = _step_plan(pkeys, ckeys, n)
         assert len(plan) == n
         for bits, step in zip(range(n, 0, -1), plan):
             states = dense.reshape(1 << bits, 2 << bits, -1)
@@ -1485,10 +1551,11 @@ class TestSampledLiveStrings:
             mat, dense = rows[k], want[k].reshape(1 << (bits - 1), 1 << bits, *stack)
             pkeys, ckeys = pleft, cleft
 
-    def test_fewer_live_strings_get_their_own_plan(self):
-        # Plans are keyed by the live strings a trajectory starts on, so an
-        # input of |0> or a zero channel coefficient gets a plan of its own and
-        # still matches the dense trajectory bit for bit.
+    def test_fewer_live_strings_run_on_the_plan_start(self):
+        # A trajectory starts on the plan's start strings, which may hold more
+        # than the drawn party vector: with an input of |0> or a zero channel
+        # coefficient the extra strings are exact zeros, and the trajectory
+        # still matches the dense one bit for bit.
         gen = np.random.default_rng(25)
         domino = tuple(random_channel(Variant.DOMINO, 5, endpoint, gen)
                        for endpoint in (Endpoint.SENDER_FIRST, Endpoint.RECEIVER_LAST))
@@ -1501,26 +1568,11 @@ class TestSampledLiveStrings:
         inp = random_input(gen)
         for before, after in (((inp, *domino), (InputQubit(1, 0), *domino)),
                               ((inp, *custom), (inp, custom[0], holed))):
-            _step_plan.cache_clear()
-            plans = []
             for args in (before, after):
                 for seed in range(5):
                     fast = run_end_to_end(*args, mode="sampled", seed=seed)
                     assert [report_fields(r) for r in fast] == [
                         report_fields(r) for r in dense_sampled(*args, seed)], seed
-                plans.append(_step_plan.cache_info().currsize)
-            assert plans[1] > plans[0]
-
-    def test_plan_cache_stays_bounded(self):
-        # More distinct starts than the cache holds evict old plans; the cache
-        # never grows past its bound.
-        maxsize = _step_plan.cache_info().maxsize
-        assert maxsize is not None
-        ckeys = np.arange(8)
-        for start in range(1, maxsize + 5):
-            _step_plan(np.flatnonzero([start >> b & 1 for b in range(4)]).tobytes(), ckeys.tobytes(), 2)
-            assert _step_plan.cache_info().currsize <= maxsize
-        assert _step_plan.cache_info().currsize == maxsize
 
     def test_domino_trajectory_holds_no_dense_joint_state(self):
         # A staircase pair has n supports, so a trajectory at n = 9 needs a

@@ -6,7 +6,8 @@ Each SRC is a directory holding the ``qrelay`` package (``src`` of a checkout). 
 loaded side by side in one process, as two separately named packages, and each runs the same
 fixed list of channel pairs (drawn from its own ``random_channel`` with the same seeds) and
 inputs in both modes: exhaustive runs on pairs whose plans hold forms and on larger pairs,
-sampled trajectories at n = 1..9. One line per mode and pair kind gives the branch count, whether
+sampled trajectories at n = 1..9, and on a custom mixture at n = 8 whose sender components hold
+different supports. One line per mode and pair kind gives the branch count, whether
 every key (component, sender and party outcomes, correction) matches, the null flips, how many
 joint probabilities and fidelities are identical floats, and the largest gap of each. Exits 1
 unless every report of the two trees is the same, float for float.
@@ -24,7 +25,7 @@ import numpy as np
 
 EXHAUSTIVE = [("parity", 1), ("domino", 2), ("parity", 3), ("domino", 4),  # their plans hold forms
               ("parity", 5), ("domino", 5), ("domino", 6)]  # the kernel on every trial
-SAMPLED = [("domino", n) for n in range(1, 10)] + [("parity", n) for n in (1, 3, 5, 7)]
+SAMPLED = [("domino", n) for n in range(1, 10)] + [("parity", n) for n in (1, 3, 5, 7, 9)]
 SAMPLED_RUNS = 4  # trajectories per pair and input
 
 
@@ -38,6 +39,17 @@ def load(src: str, name: str):
     return package
 
 
+def custom_mixture(q, n: int, endpoint, gen):
+    """A two-component custom channel whose components hold different random supports of 12 strings:
+    a sampled run starts on strings that the drawn party vector does not hold."""
+    comps = []
+    for weight in (0.35, 0.65):
+        keys = gen.choice(1 << n, size=12, replace=False)
+        amps = gen.normal(size=12) + 1j * gen.normal(size=12)
+        comps.append((weight, dict(zip((format(k, f"0{n}b") for k in keys), amps / np.linalg.norm(amps)))))
+    return q.mixed_channel(q.Variant.CUSTOM, n, endpoint, comps)
+
+
 def pairs(q, seed: int):
     """(kind, mode, dist, conc) for every pair run at ``seed``."""
     gen = np.random.default_rng(seed)
@@ -47,6 +59,7 @@ def pairs(q, seed: int):
             v = q.Variant(variant)
             pair = q.random_channel(v, n, sender, gen), q.random_channel(v, n, receiver, gen)
             yield f"{variant}-n{n}", mode, *pair
+    yield "custom-mixture-n8", "sampled", *(custom_mixture(q, 8, e, gen) for e in (sender, receiver))
     sq = 1 / math.sqrt(2)
     # The |+> input nulls two sender rows of the first component.
     null = (q.mixed_channel(q.Variant.CUSTOM, 2, sender, [(0.5, {"00": sq, "11": sq}),
