@@ -34,11 +34,11 @@ from qrelay.channels import (
 )
 import qrelay.protocol as protocol
 from qrelay.protocol import (
-    _BILINEAR,
     _PAULI_FRAMES,
     MAX_EXHAUSTIVE_PARTIES,
     InputQubit,
     _distribution_frame,
+    _bilinear,
     _extreme,
     _finish_rows,
     _live_pair_rows,
@@ -107,12 +107,12 @@ def scale_party_vectors(monkeypatch, factor):
     monkeypatch.setattr(protocol, "_sender_plan", scaled)
 
 
-def force_path(monkeypatch, path, n):
-    """Clear the pair plans and set the block budget so that a pair of n parties built
-    next holds its forms ("forms") or runs the kernel on every trial ("kernel");
-    use with ``fresh_plans``, so that no plan built under the patch outlives the test."""
+def force_path(monkeypatch, path):
+    """Clear the pair plans and set the forms budget so that a pair built next holds its
+    forms ("forms"; a pure pair at n = 6 takes 1.5 MiB) or runs the kernel on every trial
+    ("kernel"); use with ``fresh_plans``, so that no plan built under the patch outlives the test."""
     protocol._pair_plan.cache_clear()
-    monkeypatch.setattr(protocol, "_BLOCK_AMPS", 1 << 20 if path == "forms" else 2 << (2 * n))
+    monkeypatch.setattr(protocol, "_FORMS_BYTES", 1 << 24 if path == "forms" else 0)
 
 
 class TestInputQubit:
@@ -635,6 +635,13 @@ def sampled_only_pair():
     return tuple(random_channel(Variant.DOMINO, 7, e, gen) for e in (Endpoint.SENDER_FIRST, Endpoint.RECEIVER_LAST))
 
 
+def receiver_mixture_pair(variant, n, weights, gen):
+    """A random pure sender channel and a receiver mixture of random pure components, one per weight."""
+    comps = [dict(random_channel(variant, n, Endpoint.RECEIVER_LAST, gen).components[0].coeffs) for _ in weights]
+    return (random_channel(variant, n, Endpoint.SENDER_FIRST, gen),
+            mixed_channel(variant, n, Endpoint.RECEIVER_LAST, list(zip(weights, comps))))
+
+
 def assert_plan_refuses(dist, conc, refusal):
     """The pair's plan refuses with ``refusal`` while it is built, and so does a run of
     each mode the pair's size allows: no trial runs on a plan that failed its checks.
@@ -706,7 +713,7 @@ class TestNormChecks:
         # amplitudes: the plan refuses forms built on it, and a trial on the kernel path
         # refuses its branch probabilities' total.
         dist, conc = telecloning_channel(), smolin_channel()
-        sender, receivers, weights, ((gather, phases), _, table, forms, keys) = plan = protocol._pair_plan(dist, conc)
+        sender, receivers, weights, ((gather, phases), _, table, held, keys) = plan = protocol._pair_plan(dist, conc)
         basis = _sender_plan(dist)[1:]
         ckeys = live_channel_keys(np.array([build_channel_component(
             c, conc.variant, conc.endpoint, conc.n_parties).amps for c in conc.components]))
@@ -716,7 +723,8 @@ class TestNormChecks:
             return (gather[:, keep], phases[:, keep]), steps, table
 
         every = np.arange(gather.shape[1])
-        assert np.array_equal(protocol._pair_forms(*basis, receivers, weights, start(every)), forms)
+        forms, columns = protocol._pair_forms(*basis, receivers, weights, start(every))
+        assert np.array_equal(forms, held[0]) and columns is held[1] is None  # no branch is null for every input
         with pytest.raises(ValueError, match=PATH_REFUSALS[0][1]):
             protocol._pair_forms(*basis, receivers, weights, start(every[1:]))
         monkeypatch.setattr(protocol, "_pair_plan", lambda *pair: (*plan[:3], (*start(every[1:]), None, keys)))
@@ -745,7 +753,7 @@ class TestNormChecks:
         corrupt, refusal = SENDER_CORRUPTIONS[corruption]
         gen = np.random.default_rng(46)
         if place == "parity-n5-kernel":
-            pair = tuple(random_channel(Variant.PARITY, 5, e, gen) for e in (Endpoint.SENDER_FIRST, Endpoint.RECEIVER_LAST))
+            pair = receiver_mixture_pair(Variant.PARITY, 5, (0.4, 0.6), gen)
             assert protocol._pair_plan(*pair)[3][3] is None  # too large for forms: the kernel path
         else:
             pair = sampled_only_pair()
@@ -774,7 +782,7 @@ class TestNormChecks:
                     assert_plan_refuses(dist, conc, "distributed state not normalized")
                     continue
                 for path in ("forms", "kernel"):
-                    force_path(patch, path, dist.n_parties)
+                    force_path(patch, path)
                     for mode in ("exhaustive", "sampled"):
                         assert run_end_to_end(InputQubit(1, 0), dist, conc, mode=mode, seed=0)
 
@@ -1121,7 +1129,8 @@ ILL_CONDITIONED = frozenset({"custom-null"})
 
 def path_cases():
     """Pairs for comparing the map path with the kernel path: pure pairs at n = 1..5,
-    receiver mixtures, and the custom pair whose |+> input nulls sender rows."""
+    receiver mixtures, and the custom pair whose |+> input nulls sender rows. Even
+    parity and staircases from n = 4 have branches null for every input."""
     gen = np.random.default_rng(40)
     cases = {f"{v.value}-n{n}": (random_channel(v, n, Endpoint.SENDER_FIRST, gen),
                                  random_channel(v, n, Endpoint.RECEIVER_LAST, gen))
@@ -1136,6 +1145,8 @@ def path_cases():
     # Even parity is unfaithful, so its branch maps are not multiples of I.
     cases["parity-n2"] = (random_channel(Variant.PARITY, 2, Endpoint.SENDER_FIRST, gen),
                           random_channel(Variant.PARITY, 2, Endpoint.RECEIVER_LAST, gen))
+    cases["domino-n5"] = (random_channel(Variant.DOMINO, 5, Endpoint.SENDER_FIRST, gen),
+                          random_channel(Variant.DOMINO, 5, Endpoint.RECEIVER_LAST, gen))
     return cases
 
 
@@ -1170,9 +1181,13 @@ def array_bytes(plan):
     return sum(map(array_bytes, plan)) if isinstance(plan, tuple) else 0
 
 
+# The forms of a 2x2 M are this matrix times M.ravel(); _bilinear takes the product as exact adds.
+BILINEAR = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0]])
+
+
 class TestForms:
     def test_forms_are_the_input_quadratics(self):
-        # (_BILINEAR @ M.ravel()) . b is <in|M|in> on the input's bilinears b for any 2x2 M,
+        # _bilinear(M) . b is <in|M|in> on the input's bilinears b for any 2x2 M,
         # real for a Hermitian H, whose _extreme is the eigenvalue farthest from the target:
         # the bound the plan's checks read, as <in|H|in> lies between the eigenvalues.
         rng = np.random.default_rng(44)
@@ -1182,13 +1197,25 @@ class TestForms:
             vec = np.array([inp.alpha, inp.beta])
             cross = np.conj(vec[0]) * vec[1]
             b = np.array([abs(vec[0]) ** 2, abs(vec[1]) ** 2, cross.real, cross.imag])
-            assert (_BILINEAR @ m.ravel()) @ b == pytest.approx(np.vdot(vec, m @ vec), abs=1e-12)
-            forms = _BILINEAR @ h.ravel()
+            assert _bilinear(m) @ b == pytest.approx(np.vdot(vec, m @ vec), abs=1e-12)
+            forms = _bilinear(h)
             assert not forms.imag.any()
             lo, hi = np.linalg.eigvalsh(h)
             assert lo - 1e-12 <= forms.real @ b <= hi + 1e-12
             for target, farthest in ((lo - 1.0, hi), ((lo + hi) / 2 - 0.1, hi), ((lo + hi) / 2 + 0.1, lo)):
                 assert _extreme(forms.real, target) == pytest.approx(farthest, abs=1e-12)
+
+    def test_exact_adds_are_the_product(self):
+        # _bilinear gives the complex product's floats on a stack of matrices with exact zeros
+        # among their parts, as branch maps have; only a zero's sign may differ.
+        rng = np.random.default_rng(52)
+        m = rng.normal(size=(2, 2, 300)) + 1j * rng.normal(size=(2, 2, 300))
+        m.real[rng.random(m.shape) < 0.3] = 0.0
+        m.imag[rng.random(m.shape) < 0.3] = 0.0
+        m[..., ::7] = 0.0
+        got, want = _bilinear(m), BILINEAR @ m.transpose(2, 0, 1).reshape(-1, 4).T
+        assert np.array_equal(got, want)
+        assert sign_free_bytes(got) == sign_free_bytes(want)
 
 
 class TestPairPlan:
@@ -1278,17 +1305,19 @@ class TestPairPlan:
         # A block holds whole states' worth of receiver components, so a
         # three-component mixture fills blocks unevenly; every report must be
         # the same floats as with one joint state per block. Both runs take the
-        # kernel path: the first budget is one amplitude short of the forms.
+        # kernel path: the first blocks hold 23 joint states, 7 vectors' worth.
         gen = np.random.default_rng(35 + n)
         comps = [dict(random_channel(Variant.DOMINO, n, Endpoint.RECEIVER_LAST, gen).components[0].coeffs)
                  for _ in range(3)]
         conc = mixed_channel(Variant.DOMINO, n, Endpoint.RECEIVER_LAST, list(zip((0.2, 0.3, 0.5), comps)))
         dist = random_channel(Variant.DOMINO, n, Endpoint.SENDER_FIRST, gen)
         inp = random_input(gen)
-        monkeypatch.setattr(protocol, "_BLOCK_AMPS", (16 * 3 << 2 * n) - 1)
-        stacked = [report_fields(r) for r in run_end_to_end(inp, dist, conc)]
-        force_path(monkeypatch, "kernel", n)
-        assert [report_fields(r) for r in run_end_to_end(inp, dist, conc)] == stacked
+        force_path(monkeypatch, "kernel")
+        runs = []
+        for block_amps in ((16 * 3 << 2 * n) - 1, 2 << 2 * n):
+            monkeypatch.setattr(protocol, "_BLOCK_AMPS", block_amps)
+            runs.append([report_fields(r) for r in run_end_to_end(inp, dist, conc)])
+        assert runs[0] == runs[1]
         assert protocol._pair_plan(dist, conc)[3][3] is None
 
     @pytest.mark.parametrize("name", list(path_cases()))
@@ -1301,7 +1330,7 @@ class TestPairPlan:
         inputs = [InputQubit(1, 0), NULL_SENDER_INPUT, *random_inputs(np.random.default_rng(41), 3)]
         runs = []
         for path in ("forms", "kernel"):
-            force_path(monkeypatch, path, dist.n_parties)
+            force_path(monkeypatch, path)
             runs.append([run_end_to_end(inp, dist, conc) for inp in inputs])
             assert (protocol._pair_plan(dist, conc)[3][3] is None) == (path == "kernel" or name in ILL_CONDITIONED)
         for forms, kernel in zip(*runs):
@@ -1327,7 +1356,7 @@ class TestPairPlan:
         gen = np.random.default_rng(43)
         inputs = [InputQubit(1, 0), NULL_SENDER_INPUT, random_input(gen)]
         for path in ("forms", "kernel"):
-            force_path(monkeypatch, path, dist.n_parties)
+            force_path(monkeypatch, path)
             protocol._pair_plan(dist, conc)
             for inp in inputs:
                 calls.clear()
@@ -1350,7 +1379,7 @@ class TestPairPlan:
         monkeypatch.setattr(protocol, "_receiver_rows", corrupt)
         dist, conc = telecloning_channel(), smolin_channel()
         for path, refusal in PATH_REFUSALS:
-            force_path(monkeypatch, path, dist.n_parties)
+            force_path(monkeypatch, path)
             with pytest.raises(ValueError, match=refusal):
                 run_end_to_end(InputQubit(1, 0), dist, conc)
 
@@ -1360,7 +1389,7 @@ class TestPairPlan:
         # fidelities 1e-9 to 1e-4 off the oracle's. Its plan holds no forms even where they
         # fit, so the kernel runs and the evaluator agrees with the oracle near |+>.
         dist, conc = path_cases()["custom-null"]
-        force_path(monkeypatch, "forms", dist.n_parties)
+        force_path(monkeypatch, "forms")
         assert protocol._pair_plan(dist, conc)[3][3] is None
         for offset in (1e-4, 1e-5, 1e-6, 3e-7, 1e-7):
             theta = math.pi / 4 + offset
@@ -1369,28 +1398,77 @@ class TestPairPlan:
             v = oracle_agreement(dist, conc, trials=1, seed=0)
             assert v.passed and v.worst_deviation <= 1e-14, (offset, v.worst_deviation)
 
-    def test_maps_only_where_they_fit_one_block(self):
-        # The memory rule: a plan holds forms only if its branch maps fit one kernel block,
-        # so a domino n = 6 plan holds none and runs the kernel on each trial, while a
-        # domino n = 4 pair with a two-component receiver fills the block exactly. The
-        # forms are one column per sender row, then three per branch.
+    def test_forms_only_within_the_byte_budget(self):
+        # The memory rule: a plan holds forms only if all of them, 32 (S + 3B) bytes for S
+        # sender rows and B branches, fit _FORMS_BYTES, so every pure pair to n = 5 holds
+        # them, while domino n = 6 and a two-component domino n = 5 mixture run the kernel
+        # on each trial. The held forms are one column per sender row, then three per branch
+        # the plan keeps, read-only: never more than the budget, less at staircases.
         gen = np.random.default_rng(42)
-        domino6 = (random_channel(Variant.DOMINO, 6, Endpoint.SENDER_FIRST, gen),
-                   random_channel(Variant.DOMINO, 6, Endpoint.RECEIVER_LAST, gen))
-        assert protocol._pair_plan(*domino6)[3][3] is None
-        comps = [dict(random_channel(Variant.DOMINO, 4, Endpoint.RECEIVER_LAST, gen).components[0].coeffs)
-                 for _ in range(2)]
-        full = (random_channel(Variant.DOMINO, 4, Endpoint.SENDER_FIRST, gen),
-                mixed_channel(Variant.DOMINO, 4, Endpoint.RECEIVER_LAST, list(zip((0.4, 0.6), comps))))
-        cases = [path_cases()[name] for name in ("parity-n1", "domino-n4", "telecloning-smolin")] + [full]
-        for dist, conc in cases:
+        pure = {f"{v.value}-n{n}": tuple(random_channel(v, n, e, gen) for e in (Endpoint.SENDER_FIRST,
+                                                                                Endpoint.RECEIVER_LAST))
+                for v, n in ((Variant.PARITY, 5), (Variant.DOMINO, 5), (Variant.DOMINO, 6))}
+        mixtures = {f"domino-n{n}-mixed": receiver_mixture_pair(Variant.DOMINO, n, (0.4, 0.6), gen) for n in (4, 5)}
+        cases = {**{name: path_cases()[name] for name in ("parity-n1", "domino-n4", "telecloning-smolin")},
+                 **pure, **mixtures}
+        for name, (dist, conc) in cases.items():
             plan = protocol._pair_plan(dist, conc)
-            sender, forms = plan[0], plan[3][3]
-            branches = 4 * len(sender[0]) * len(conc.components) << 2 * dist.n_parties
-            assert forms.shape == (4, 4 * len(sender[0]) + 3 * branches) and not forms.flags.writeable
-            branch_amps = 4 * branches  # one 2x2 map per branch
-            assert branch_amps <= protocol._BLOCK_AMPS
-        assert branch_amps == protocol._BLOCK_AMPS
+            senders, held = 4 * len(plan[0][0]), plan[3][3]
+            full = 32 * (senders + 3 * (senders * len(conc.components) << 2 * dist.n_parties))
+            assert (held is not None) == (full <= protocol._FORMS_BYTES), name
+            if held is not None:
+                forms, columns = held
+                kept = (forms.shape[1] - senders) // 3
+                assert forms.shape == (4, senders + 3 * kept) and not forms.flags.writeable, name
+                assert forms.nbytes <= full <= protocol._FORMS_BYTES, name
+                if columns is None:
+                    assert kept == senders * len(conc.components) << 2 * dist.n_parties, name
+                else:
+                    assert columns.shape == (3, senders, len(conc.components), 4**dist.n_parties), name
+                    assert not columns.flags.writeable, name
+        assert {name for name, pair in cases.items() if protocol._pair_plan(*pair)[3][3] is None} == {
+            "domino-n6", "domino-n5-mixed"}
+
+    @pytest.mark.parametrize("name, share", [("domino-n4", 1 / 8), ("domino-n5", 5 / 16), ("parity-n2", 1 / 2),
+                                             ("parity-n3", 0), ("parity-n5", 0), ("telecloning-smolin", 0)])
+    def test_plan_drops_exactly_the_zero_maps(self, name, share, monkeypatch, fresh_plans):
+        # A branch whose map K is zero is null for every input; the plan drops exactly those,
+        # the branches the kernel reads as exactly zero at both |0> and |1>, K's columns.
+        # Each kept branch reads its own three values of the product, in order; the dropped
+        # ones read the zero appended past it.
+        dist, conc = path_cases()[name]
+        force_path(monkeypatch, "kernel")
+        zero = np.logical_and(*([r.joint_prob == 0.0 for r in run_end_to_end(inp, dist, conc)]
+                                for inp in (InputQubit(1, 0), InputQubit(0, 1))))
+        force_path(monkeypatch, "forms")
+        plan = protocol._pair_plan(dist, conc)
+        (forms, columns), senders, kept = plan[3][3], 4 * len(plan[0][0]), np.count_nonzero(~zero)
+        assert zero.mean() == share and (columns is None) == (share == 0)
+        assert forms.shape == (4, senders + 3 * kept)
+        if columns is not None:
+            columns = columns.reshape(3, -1)
+            assert np.array_equal(columns[:, ~zero], senders + np.arange(3 * kept).reshape(3, -1))
+            assert np.all(columns[:, zero] == forms.shape[1])
+
+    @pytest.mark.parametrize("bad", [1e-4, math.nan])
+    def test_corrupted_dropped_maps_are_refused(self, bad, monkeypatch, fresh_plans):
+        # The plan checks conservation on every branch before it drops the zero maps, so
+        # an amplitude set on a branch it would drop is refused as any other.
+        dist, conc = path_cases()["domino-n4"]
+        force_path(monkeypatch, "forms")
+        forms, columns = protocol._pair_plan(dist, conc)[3][3]
+        dead = np.flatnonzero(columns[0].ravel() == forms.shape[1])[0]  # the first branch the plan drops
+        rows = protocol._receiver_rows
+
+        def corrupt(*args):
+            blocks = np.concatenate([*rows(*args)])
+            blocks.reshape(-1, 2)[dead, 0] += bad
+            return iter([blocks])
+
+        protocol._pair_plan.cache_clear()
+        monkeypatch.setattr(protocol, "_receiver_rows", corrupt)
+        with pytest.raises(ValueError, match=PATH_REFUSALS[0][1]):
+            protocol._pair_plan(dist, conc)
 
 
 def forms_invariant_pairs():
@@ -1424,7 +1502,7 @@ class TestFormsInvariant:
             if start[3] is None:
                 continue
             held += 1
-            lowest = _extreme(start[3][:, :4 * len(sender[0])], math.inf)
+            lowest = _extreme(start[3][0][:, :4 * len(sender[0])], math.inf)
             assert np.all(lowest >= protocol._FORMS_CONDITION / 4), (dist, conc, lowest.min())
         assert held >= 55
 

@@ -29,7 +29,7 @@ EVALUATOR_INTERNALS = frozenset({
     "_norms_and_overlaps",
     "_receiver_rows",
     "_pair_forms",
-    "_BILINEAR",
+    "_bilinear",
     "_extreme",
     "_receiver_table",
     "_pauli_frame",

@@ -5,9 +5,11 @@
 Each SRC is a directory holding the ``qrelay`` package (``src`` of a checkout). Both trees are
 loaded side by side in one process, as two separately named packages, and each runs the same
 fixed list of channel pairs (drawn from its own ``random_channel`` with the same seeds) and
-inputs in both modes: exhaustive runs on pairs whose plans hold forms and on larger pairs,
-sampled trajectories at n = 1..9, and on a custom mixture at n = 8 whose sender components hold
-different supports. One line per mode and pair kind gives the branch count, whether
+inputs in both modes: exhaustive runs on pairs whose plans hold forms (pure pairs to n = 5 and
+telecloning->Smolin) and on pairs that run the kernel on every trial (domino n = 6, a two-component
+domino receiver mixture at n = 5, and the ill-conditioned custom-null), sampled trajectories at
+n = 1..9, and on a custom mixture at n = 8 whose sender components hold different supports. One
+line per mode and pair kind gives the branch count, whether
 every key (component, sender and party outcomes, correction) matches, the null flips, how many
 joint probabilities and fidelities are identical floats, and the largest gap of each. Exits 1
 unless every report of the two trees is the same, float for float.
@@ -23,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-EXHAUSTIVE = [("parity", 1), ("domino", 2), ("parity", 3), ("domino", 4),  # their plans hold forms
-              ("parity", 5), ("domino", 5), ("domino", 6)]  # the kernel on every trial
+EXHAUSTIVE = [("parity", 1), ("domino", 2), ("parity", 3), ("domino", 4), ("parity", 5), ("domino", 5),  # forms
+              ("domino", 6)]  # the kernel on every trial
 SAMPLED = [("domino", n) for n in range(1, 10)] + [("parity", n) for n in (1, 3, 5, 7, 9)]
 SAMPLED_RUNS = 4  # trajectories per pair and input
 
@@ -60,6 +62,10 @@ def pairs(q, seed: int):
             pair = q.random_channel(v, n, sender, gen), q.random_channel(v, n, receiver, gen)
             yield f"{variant}-n{n}", mode, *pair
     yield "custom-mixture-n8", "sampled", *(custom_mixture(q, 8, e, gen) for e in (sender, receiver))
+    # Two receiver components at n = 5 make forms too large to hold: the kernel on every trial at that size.
+    comps = [dict(q.random_channel(q.Variant.DOMINO, 5, receiver, gen).components[0].coeffs) for _ in range(2)]
+    yield "domino-n5-mixed", "exhaustive", q.random_channel(q.Variant.DOMINO, 5, sender, gen), q.mixed_channel(
+        q.Variant.DOMINO, 5, receiver, list(zip((0.4, 0.6), comps)))
     sq = 1 / math.sqrt(2)
     # The |+> input nulls two sender rows of the first component.
     null = (q.mixed_channel(q.Variant.CUSTOM, 2, sender, [(0.5, {"00": sq, "11": sq}),
