@@ -21,11 +21,11 @@ plan's start strings, follow its ``_step_plan`` and take each Bell measurement w
 ``_live_pair_rows``: ``_receiver_rows`` keeps all four outcomes of every step, ``_sampled_rows`` the one it draws.
 Each branch and sender row is linear in the input, so its probability and overlap with the input are fixed forms on
 the input's four bilinears: a well-conditioned pair's plan holds them if they fit ``_FORMS_BYTES`` (every pure pair
-to n = 5), less the branches null for every input (``_pair_forms``), and an exhaustive run on it is one real
-product, read as views and keyed by the plan's slots, with no null sender row. Other runs take every sender row from
-one batched ``_sender_stage``. Plans prove for every path and input all that the input does not change:
-``_sender_plan`` the sender checks, ``_pair_plan`` the sampled norms. A trial only checks, if exhaustive, its branch
-total, and ends in one ``_finish_rows``, which skips its masks when no branch is null.
+to n = 5, ``_pair_forms``), and an exhaustive run on it is one real product, read as views and keyed by the plan's
+slots, with no null sender row. Other runs take every sender row from one batched ``_sender_stage``. Plans prove
+for every path and input all that the input does not change: ``_sender_plan`` the sender checks, ``_pair_plan`` the
+sampled norms. A trial only checks, if exhaustive, its branch total, and ends in one ``_finish_rows``, which skips
+its masks when no branch is null.
 ``run_end_to_end`` turns the rows into reports and ``distribute`` exposes distribution alone.
 """
 
@@ -61,9 +61,9 @@ MAX_EXHAUSTIVE_PARTIES = 6
 # joint state at the party cap.
 _BLOCK_AMPS = 1 << (2 * MAX_EXHAUSTIVE_PARTIES + 1)
 
-# A plan holds forms only if all of them, 32 (S + 3B) bytes for S sender rows and B branches, fit this budget
-# before it drops its null branches: every pure pair to n = 5 (384 KiB) and telecloning->Smolin. Domino n = 6
-# (1.5 MiB) and two-component n = 5 mixtures (768 KiB) run the kernel, as their forms would raise peak memory.
+# A plan holds forms only if all of them, 32 (S + 3B) bytes for S sender rows and B branches, fit this budget:
+# every pure pair to n = 5 (384 KiB) and telecloning->Smolin. Domino n = 6 (1.5 MiB) and two-component n = 5
+# mixtures (768 KiB) run the kernel, as their forms would raise peak memory.
 _FORMS_BYTES = 1 << 19
 
 PROB_SANITY_ATOL = 1e-9
@@ -413,14 +413,11 @@ def _sampled_rows(input_amps: np.ndarray, variant: Variant, plan: tuple, gen: np
 
 
 def _pair_forms(rows, sender_forms, receivers: np.ndarray, weights: np.ndarray, start: tuple):
-    """The S sender rows' and L kept branches' forms on a trial's bilinears b (``_bilinear``), read-only (4, S + 3L),
-    from ``_sender_plan``'s basis rows and forms: ``b @ forms`` is each sender row's raw probability, then, in
-    ``_receiver_rows`` order, each kept branch's |K in|^2 (K^dagger K for its 2x2 map K) and the real and imaginary
-    parts of <in|K in>. Refuses unless at the worst unit input (``_extreme``) each sender component has sum
-    w_c K^dagger K = I. None if a Gram is too ill-conditioned (``_FORMS_CONDITION``) for the forms to keep their
-    digits. Both checks read all B branches; then the forms drop each branch whose Gram is exactly zero: K = 0, null
-    for every input. Returns the forms and None if none is dropped, else, read-only (3, S, c, 4^n), where each
-    branch's three values lie in ``b @ forms`` with a zero appended: a dropped branch's at that zero."""
+    """The S sender rows' and B branches' forms on a trial's bilinears b (``_bilinear``), read-only (4, S + 3B), from
+    ``_sender_plan``'s basis rows and forms: ``b @ forms`` is each sender row's raw probability, then, in
+    ``_receiver_rows`` order, each branch's |K in|^2 (K^dagger K for its 2x2 map K) and the real and imaginary parts
+    of <in|K in>. Refuses unless at the worst unit input (``_extreme``) each sender component has sum w_c K^dagger K
+    = I. None if a Gram is too ill-conditioned (``_FORMS_CONDITION``) for the forms to keep their digits."""
     (gather, phases), steps, (frame, _, _) = start
     parties = (phases * rows[:, np.arange(4)[:, None], gather]).reshape(-1, gather.shape[1])
     maps = np.concatenate([*_receiver_rows(parties, receivers, steps, frame)]).reshape(2, -1, 2)
@@ -428,26 +425,19 @@ def _pair_forms(rows, sender_forms, receivers: np.ndarray, weights: np.ndarray, 
     total = np.einsum("fdacb,c->fd", grams.reshape(*sender_forms.shape, len(weights), -1), weights)
     if not np.all(abs(_extreme(total, 1.0) - 1.0) <= NORM_ATOL):
         raise ValueError("branch maps do not conserve probability")
-    every = np.concatenate([sender_forms.reshape(4, -1), grams], axis=1)
-    if not np.all(_extreme(every, math.inf) >= _FORMS_CONDITION * _extreme(every, -math.inf)):
+    grams = np.concatenate([sender_forms.reshape(4, -1), grams], axis=1)
+    if not np.all(_extreme(grams, math.inf) >= _FORMS_CONDITION * _extreme(grams, -math.inf)):
         return None
-    live = grams.any(axis=0)
-    overlaps = _bilinear(maps.transpose(2, 0, 1).compress(live, axis=2))  # K[r, x] is maps[x, branch, r]
-    forms = np.concatenate([sender_forms.reshape(4, -1), grams[:, live], overlaps.real, overlaps.imag], axis=1)
+    overlaps = _bilinear(maps.transpose(2, 0, 1))  # K[r, x] is maps[x, branch, r]
+    forms = np.concatenate([grams, overlaps.real, overlaps.imag], axis=1)
     forms.setflags(write=False)
-    if live.all():
-        return forms, None
-    senders, kept = sender_forms[0].size, np.count_nonzero(live)
-    columns = np.where(live, senders + kept * np.arange(3)[:, None] + np.cumsum(live) - 1, forms.shape[1])
-    columns = columns.reshape(3, senders, len(weights), -1)
-    columns.setflags(write=False)
-    return forms, columns
+    return forms
 
 
 # A verify suite's pairs, or a benchmark pool's. A staircase or parity plan at n = 9 holds under 150 KiB, and forms
-# at most _FORMS_BYTES per plan and their places a quarter of that (20 MiB over 32 plans), but an irregular custom
-# pair's step plan at n = 9 may hold up to 5.4 MiB (3.1 MiB measured with 250 of 512 support strings), so 32 such
-# plans could hold about 170 MiB. No workload holds one.
+# at most _FORMS_BYTES per plan (16 MiB over 32 plans), but an irregular custom pair's step plan at n = 9 may hold up
+# to 5.4 MiB (3.1 MiB measured with 250 of 512 support strings), so 32 such plans could hold about 170 MiB. No
+# workload holds one.
 @lru_cache(maxsize=32)
 def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
     """Checks a channel pair, then holds all a run on it needs but its input, read-only: the ``_sender_plan``
@@ -499,9 +489,9 @@ def _branch_rows(
     joint probabilities, fidelities with None on a null branch, party outcome tuples, receiver corrections), the last
     four parallel columns of Python values. A null sender branch is one row with no party outcomes and no correction.
     The caps are checked before the pair's ``_pair_plan`` checks the pair and builds any state. An exhaustive trial
-    reads each live slot's |u|^2 and |<in|u>|^2 from one product of its plan's forms (zero where the plan dropped a
-    branch), or from the kernel's blocks, finishes them in one ``_finish_rows`` call, checks their total once and keys
-    its rows by the plan's slots. A forms plan nulls no sender row: only the kernel path inserts null sender rows."""
+    reads each live slot's |u|^2 and |<in|u>|^2 from one product of its plan's forms, or from the kernel's blocks,
+    finishes them in one ``_finish_rows`` call, checks their total once and keys its rows by the plan's slots. A forms
+    plan nulls no sender row: only the kernel path inserts null sender rows."""
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     if mode == "sampled" and seed is None:
@@ -517,9 +507,9 @@ def _branch_rows(
     if mode == "sampled":
         return _sampled_rows(np.array([input_qubit.alpha, input_qubit.beta], dtype=complex), conc_channel.variant,
                              plan, as_rng(seed))
-    (gather, phases), steps, (frame, outcomes, labels), held, keys = start
+    (gather, phases), steps, (frame, outcomes, labels), forms, keys = start
     n_conc, nulls = len(receivers), []
-    if held is None:  # too large for forms: the kernel on this trial's unnormalized party vectors, block by block
+    if forms is None:  # too large for forms: the kernel on this trial's unnormalized party vectors, block by block
         input_amps = np.array([input_qubit.alpha, input_qubit.beta], dtype=complex)
         rows, raw, joint = _sender_stage(input_amps, sender)
         null = raw < NULL_PROB_EPS
@@ -531,18 +521,11 @@ def _branch_rows(
         nulls = [(k, keys[k * n_conc], prob) for k, prob in zip(np.flatnonzero(null).tolist(), joint[null].tolist())]
         keys = [key for key, dead in zip(keys, null.repeat(n_conc).tolist()) if not dead]
     else:  # one product of the input's bilinears and the forms
-        forms, columns = held
         x, y = complex(input_qubit.alpha), complex(input_qubit.beta)
         xy = x.conjugate() * y
-        b, senders = [(x.conjugate() * x).real, (y.conjugate() * y).real, xy.real, xy.imag], len(keys) // n_conc
-        if columns is None:
-            values = np.dot(b, forms)
-            norms, re, im = values[senders:].reshape(3, senders, n_conc, -1)
-        else:  # a branch the plan dropped, null for every input, reads the zero past the product
-            values = np.zeros(forms.shape[1] + 1)
-            np.dot(b, forms, out=values[:-1])
-            norms, re, im = values.take(columns)
-        raw = values[:senders].reshape(-1, 4)
+        values = np.dot([(x.conjugate() * x).real, (y.conjugate() * y).real, xy.real, xy.imag], forms)
+        raw = values[:len(keys) // n_conc].reshape(-1, 4)
+        norms, re, im = values[raw.size:].reshape(3, raw.size, n_conc, -1)
         overlaps = re * re + im * im
         # No sender row is null, as each raw is >= _FORMS_CONDITION / 4 (_pair_forms): slots broadcast the rows.
         slot_raw, slot_weights = raw.reshape(-1, 1, 1), (sender[1] * raw).reshape(-1, 1, 1) * weights[:, None]

@@ -713,7 +713,7 @@ class TestNormChecks:
         # amplitudes: the plan refuses forms built on it, and a trial on the kernel path
         # refuses its branch probabilities' total.
         dist, conc = telecloning_channel(), smolin_channel()
-        sender, receivers, weights, ((gather, phases), _, table, held, keys) = plan = protocol._pair_plan(dist, conc)
+        sender, receivers, weights, ((gather, phases), _, table, forms, keys) = plan = protocol._pair_plan(dist, conc)
         basis = _sender_plan(dist)[1:]
         ckeys = live_channel_keys(np.array([build_channel_component(
             c, conc.variant, conc.endpoint, conc.n_parties).amps for c in conc.components]))
@@ -723,8 +723,7 @@ class TestNormChecks:
             return (gather[:, keep], phases[:, keep]), steps, table
 
         every = np.arange(gather.shape[1])
-        forms, columns = protocol._pair_forms(*basis, receivers, weights, start(every))
-        assert np.array_equal(forms, held[0]) and columns is held[1] is None  # no branch is null for every input
+        assert np.array_equal(protocol._pair_forms(*basis, receivers, weights, start(every)), forms)
         with pytest.raises(ValueError, match=PATH_REFUSALS[0][1]):
             protocol._pair_forms(*basis, receivers, weights, start(every[1:]))
         monkeypatch.setattr(protocol, "_pair_plan", lambda *pair: (*plan[:3], (*start(every[1:]), None, keys)))
@@ -1129,8 +1128,7 @@ ILL_CONDITIONED = frozenset({"custom-null"})
 
 def path_cases():
     """Pairs for comparing the map path with the kernel path: pure pairs at n = 1..5,
-    receiver mixtures, and the custom pair whose |+> input nulls sender rows. Even
-    parity and staircases from n = 4 have branches null for every input."""
+    receiver mixtures, and the custom pair whose |+> input nulls sender rows."""
     gen = np.random.default_rng(40)
     cases = {f"{v.value}-n{n}": (random_channel(v, n, Endpoint.SENDER_FIRST, gen),
                                  random_channel(v, n, Endpoint.RECEIVER_LAST, gen))
@@ -1402,8 +1400,8 @@ class TestPairPlan:
         # The memory rule: a plan holds forms only if all of them, 32 (S + 3B) bytes for S
         # sender rows and B branches, fit _FORMS_BYTES, so every pure pair to n = 5 holds
         # them, while domino n = 6 and a two-component domino n = 5 mixture run the kernel
-        # on each trial. The held forms are one column per sender row, then three per branch
-        # the plan keeps, read-only: never more than the budget, less at staircases.
+        # on each trial. The held forms are one column per sender row, then three per branch,
+        # read-only: exactly the size the rule read from the pair's shape.
         gen = np.random.default_rng(42)
         pure = {f"{v.value}-n{n}": tuple(random_channel(v, n, e, gen) for e in (Endpoint.SENDER_FIRST,
                                                                                 Endpoint.RECEIVER_LAST))
@@ -1413,62 +1411,14 @@ class TestPairPlan:
                  **pure, **mixtures}
         for name, (dist, conc) in cases.items():
             plan = protocol._pair_plan(dist, conc)
-            senders, held = 4 * len(plan[0][0]), plan[3][3]
-            full = 32 * (senders + 3 * (senders * len(conc.components) << 2 * dist.n_parties))
-            assert (held is not None) == (full <= protocol._FORMS_BYTES), name
-            if held is not None:
-                forms, columns = held
-                kept = (forms.shape[1] - senders) // 3
-                assert forms.shape == (4, senders + 3 * kept) and not forms.flags.writeable, name
-                assert forms.nbytes <= full <= protocol._FORMS_BYTES, name
-                if columns is None:
-                    assert kept == senders * len(conc.components) << 2 * dist.n_parties, name
-                else:
-                    assert columns.shape == (3, senders, len(conc.components), 4**dist.n_parties), name
-                    assert not columns.flags.writeable, name
+            senders, forms = 4 * len(plan[0][0]), plan[3][3]
+            branches = senders * len(conc.components) << 2 * dist.n_parties
+            assert (forms is not None) == (32 * (senders + 3 * branches) <= protocol._FORMS_BYTES), name
+            if forms is not None:
+                assert forms.shape == (4, senders + 3 * branches) and not forms.flags.writeable, name
+                assert forms.nbytes == 32 * (senders + 3 * branches), name
         assert {name for name, pair in cases.items() if protocol._pair_plan(*pair)[3][3] is None} == {
             "domino-n6", "domino-n5-mixed"}
-
-    @pytest.mark.parametrize("name, share", [("domino-n4", 1 / 8), ("domino-n5", 5 / 16), ("parity-n2", 1 / 2),
-                                             ("parity-n3", 0), ("parity-n5", 0), ("telecloning-smolin", 0)])
-    def test_plan_drops_exactly_the_zero_maps(self, name, share, monkeypatch, fresh_plans):
-        # A branch whose map K is zero is null for every input; the plan drops exactly those,
-        # the branches the kernel reads as exactly zero at both |0> and |1>, K's columns.
-        # Each kept branch reads its own three values of the product, in order; the dropped
-        # ones read the zero appended past it.
-        dist, conc = path_cases()[name]
-        force_path(monkeypatch, "kernel")
-        zero = np.logical_and(*([r.joint_prob == 0.0 for r in run_end_to_end(inp, dist, conc)]
-                                for inp in (InputQubit(1, 0), InputQubit(0, 1))))
-        force_path(monkeypatch, "forms")
-        plan = protocol._pair_plan(dist, conc)
-        (forms, columns), senders, kept = plan[3][3], 4 * len(plan[0][0]), np.count_nonzero(~zero)
-        assert zero.mean() == share and (columns is None) == (share == 0)
-        assert forms.shape == (4, senders + 3 * kept)
-        if columns is not None:
-            columns = columns.reshape(3, -1)
-            assert np.array_equal(columns[:, ~zero], senders + np.arange(3 * kept).reshape(3, -1))
-            assert np.all(columns[:, zero] == forms.shape[1])
-
-    @pytest.mark.parametrize("bad", [1e-4, math.nan])
-    def test_corrupted_dropped_maps_are_refused(self, bad, monkeypatch, fresh_plans):
-        # The plan checks conservation on every branch before it drops the zero maps, so
-        # an amplitude set on a branch it would drop is refused as any other.
-        dist, conc = path_cases()["domino-n4"]
-        force_path(monkeypatch, "forms")
-        forms, columns = protocol._pair_plan(dist, conc)[3][3]
-        dead = np.flatnonzero(columns[0].ravel() == forms.shape[1])[0]  # the first branch the plan drops
-        rows = protocol._receiver_rows
-
-        def corrupt(*args):
-            blocks = np.concatenate([*rows(*args)])
-            blocks.reshape(-1, 2)[dead, 0] += bad
-            return iter([blocks])
-
-        protocol._pair_plan.cache_clear()
-        monkeypatch.setattr(protocol, "_receiver_rows", corrupt)
-        with pytest.raises(ValueError, match=PATH_REFUSALS[0][1]):
-            protocol._pair_plan(dist, conc)
 
 
 def forms_invariant_pairs():
@@ -1502,7 +1452,7 @@ class TestFormsInvariant:
             if start[3] is None:
                 continue
             held += 1
-            lowest = _extreme(start[3][0][:, :4 * len(sender[0])], math.inf)
+            lowest = _extreme(start[3][:, :4 * len(sender[0])], math.inf)
             assert np.all(lowest >= protocol._FORMS_CONDITION / 4), (dist, conc, lowest.min())
         assert held >= 55
 
