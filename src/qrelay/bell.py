@@ -3,8 +3,6 @@ labels and (x, z) bits that outcome-driven corrections are stated on."""
 
 from __future__ import annotations
 
-import bisect
-import itertools
 from enum import Enum
 
 import numpy as np
@@ -95,23 +93,25 @@ _PICK_ATOL = float(np.finfo(float).eps) ** 0.5  # how far from 1 Generator.choic
 
 def _born_pick(p, gen: np.random.Generator) -> int:
     """``int(Generator.choice(len(p), p=p))`` for a 1-D float ``p``, without its argument
-    handling: the same cdf, summed in order and divided by its last entry, searched at
-    one ``gen.random()``, so the index and the generator's stream are unchanged. Refuses
-    what ``choice`` refuses: a NaN, a negative entry or a sum over sqrt(eps) from 1."""
-    cdf = list(itertools.accumulate(p))
-    if not abs(cdf[-1] - 1.0) <= _PICK_ATOL or min(p) < 0.0:
-        raise ValueError(f"probabilities must be non-negative and sum to 1, got {list(p)}")
-    return bisect.bisect_right([c / cdf[-1] for c in cdf], gen.random())
+    handling: the same cdf, summed in order by ``cumsum`` and divided by its last entry,
+    searched on the right at one ``gen.random()``, so the index and the generator's stream
+    are unchanged, and a pick among 2^n entries runs in numpy. Refuses what ``choice``
+    refuses: a NaN, a negative entry or a sum over sqrt(eps) from 1."""
+    p = np.asarray(p, dtype=float)
+    cdf = p.cumsum()
+    if not abs(cdf[-1] - 1.0) <= _PICK_ATOL or p.min() < 0.0:
+        raise ValueError(f"probabilities must be non-negative and sum to 1, got sum {cdf[-1]} and least {p.min()}")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(gen.random(), side="right"))
 
 
-def _draw_outcome(rows: np.ndarray, gen: np.random.Generator) -> int | None:
-    """Born-rule pick among unnormalized Bell rows (4, r): the outcome index,
-    or None when every outcome is below ``NULL_PROB_EPS``. On Python floats,
-    summed left to right as numpy sums under 8 entries (``sum`` compensates
-    from Python 3.12): the pick made on the numpy-normalized probabilities."""
-    p = [0.0 if x < NULL_PROB_EPS else x for x in np.einsum("kr,kr->k", rows.conj(), rows).real.tolist()]
-    total = p[0] + p[1] + p[2] + p[3]
+def _born_draw(p: np.ndarray, gen: np.random.Generator) -> int | None:
+    """Born-rule pick among unnormalized probabilities ``p``, each below ``NULL_PROB_EPS``
+    taken as 0: the index ``_born_pick`` picks on them normalized, or None when every
+    entry is null. A NaN passes the floor and the sum, and ``_born_pick`` refuses it."""
+    p = np.where(p < NULL_PROB_EPS, 0.0, p)
+    total = p.sum()
     if total <= 0.0:
         return None
-    return _born_pick([x / total for x in p], gen)
-
+    p /= total
+    return _born_pick(p, gen)

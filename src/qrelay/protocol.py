@@ -16,9 +16,11 @@ bits, and a family enters them only as its count of marked parties
 with their joint probabilities) or sampled (one trajectory drawn from them).
 
 ``_branch_rows`` is the one way into concentration. A run reads all it needs but its input from one cached
-``_pair_plan`` per channel pair, the evaluator's one per-channel cache. Both modes start the joint state on the
-plan's start strings, follow its ``_step_plan`` and take each Bell measurement with the one kernel
-``_live_pair_rows``: ``_receiver_rows`` keeps all four outcomes of every step, ``_sampled_rows`` the one it draws.
+``_pair_plan`` per channel pair, the evaluator's one per-channel cache, and both modes work on the plan's start
+strings. Exhaustive runs follow the start's ``_step_plan`` and take every outcome of each Bell measurement with the
+one kernel ``_live_pair_rows`` (``_receiver_rows``). A sampled run (``_sampled_rows``) draws all the parties' outcomes
+in two picks: a Bell measurement is CNOT then H, so the outcomes' bit-flip bits x have an XOR-convolution marginal
+over the start's party and channel strings, and given x their phase bits z a Walsh-Hadamard one.
 Each branch and sender row is linear in the input, so its probability and overlap with the input are fixed forms on
 the input's four bilinears: a well-conditioned pair's plan holds them if they fit ``_FORMS_BYTES`` (every pure pair
 to n = 5, ``_pair_forms``), and an exhaustive run on it is one real product, read as views and keyed by the plan's
@@ -48,8 +50,8 @@ from .bell import (
     PauliLabel,
     _FROM_XZ,
     _TO_XZ,
+    _born_draw,
     _born_pick,
-    _draw_outcome,
     as_rng,
 )
 from .channels import ChannelSpec, Endpoint, Variant, build_channel_component
@@ -176,16 +178,29 @@ def distribution_correction(
     return (_FROM_XZ[x, z],) * marked + (_FROM_XZ[x, 0],) * (n_parties - marked)
 
 
+def _correction_bits(x: int, z: int, n: int, marked: int) -> tuple[int, int]:
+    """The receiver correction X^a Z^b as its bits (a, b), for n party outcomes whose byproducts X^x_i Z^z_i have
+    their bits in the ints x and z, party 1 most significant: a is the XOR of the ``marked`` leading parties' x bits
+    (``_marked_parties``) and b the XOR of every z bit."""
+    return (x >> (n - marked)).bit_count() & 1, z.bit_count() & 1
+
+
+# The party outcome whose byproduct has bits (x, z), at index 2 x + z: phi+, phi-, psi+, psi-.
+_OUTCOME_OF_BITS = tuple(sorted(BELL_OUTCOMES, key=lambda o: _TO_XZ[CORRECTION_FOR_OUTCOME[o]]))
+
+
 def concentration_correction(variant: Variant, outcomes) -> PauliLabel:
     """Single receiver-side correction folding all parties' outcomes: with
     each outcome's byproduct X^x Z^z, X to the XOR of the marked parties'
-    x bits (``_marked_parties``) and Z to the XOR of every party's z bit.
+    x bits and Z to the XOR of every party's z bit (``_correction_bits``).
     """
     bits = [_TO_XZ[CORRECTION_FOR_OUTCOME[o]] for o in outcomes]
     if not bits:
         raise ValueError("at least one outcome required")
-    x = sum(ox for ox, _ in bits[:_marked_parties(variant, len(bits))]) & 1
-    return _FROM_XZ[x, sum(oz for _, oz in bits) & 1]
+    x = z = 0
+    for ox, oz in bits:
+        x, z = 2 * x + ox, 2 * z + oz
+    return _FROM_XZ[_correction_bits(x, z, len(bits), _marked_parties(variant, len(bits)))]
 
 
 def _pauli_frame(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,8 +213,9 @@ def _pauli_frame(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return perm, phase
 
 
-# Looked up per label like PAULI_MATRICES: a cache keyed by label would run Enum.__hash__ in Python.
-_PAULI_FRAMES = {label: _pauli_frame(mat) for label, mat in PAULI_MATRICES.items()}
+# Keyed by each Pauli's (x, z) bits (``_TO_XZ``), so a trajectory looks its frame up without running
+# Enum.__hash__ in Python.
+_PAULI_FRAMES = {_TO_XZ[label]: _pauli_frame(mat) for label, mat in PAULI_MATRICES.items()}
 
 
 def _distribution_frame(variant: Variant, outcome: BellOutcome, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +231,7 @@ def _distribution_frame(variant: Variant, outcome: BellOutcome, n: int) -> tuple
     perm = index.copy()
     phase = np.ones(1 << n, dtype=complex)
     for i, label in enumerate(distribution_correction(variant, outcome, n)):
-        pauli_perm, pauli_phase = _PAULI_FRAMES[label]
+        pauli_perm, pauli_phase = _PAULI_FRAMES[_TO_XZ[label]]
         shift = n - 1 - i
         phase *= pauli_phase[(index >> shift) & 1]
         perm ^= int(pauli_perm[0]) << shift  # 1 where the Pauli flips the bit
@@ -298,7 +314,7 @@ def _receiver_table(variant: Variant, n: int) -> tuple:
     by 2k. Returns (frame, outcomes, labels)."""
     outcomes = tuple(itertools.product(BELL_OUTCOMES, repeat=n))
     labels = tuple(concentration_correction(variant, o) for o in outcomes)
-    perms, phases = zip(*(_PAULI_FRAMES[label] for label in labels))
+    perms, phases = zip(*(_PAULI_FRAMES[_TO_XZ[label]] for label in labels))
     perm = (np.array(perms) + 2 * np.arange(len(perms))[:, None]).ravel()
     phase = np.concatenate(phases)
     perm.setflags(write=False)
@@ -382,13 +398,27 @@ def _finish_rows(norms: np.ndarray, overlaps: np.ndarray, party_raw, weights) ->
     return joint, np.where(null, None, overlaps / np.where(null, 1.0, norms)).tolist()
 
 
-def _sampled_rows(input_amps: np.ndarray, variant: Variant, plan: tuple, gen: np.random.Generator) -> list[tuple]:
+@lru_cache(maxsize=None)
+def _walsh_signs(n: int) -> np.ndarray:
+    """The Walsh-Hadamard signs (-1)^(z.s) of n-bit strings, row s and column z, read-only int8 (2^n, 2^n): 256 KiB
+    at n = 9, built on a sampled run's first use."""
+    strings = np.arange(1 << n)
+    signs = (1 - 2 * (np.bitwise_count(strings[:, None] & strings) & 1)).astype(np.int8)
+    signs.setflags(write=False)
+    return signs
+
+
+def _sampled_rows(input_amps: np.ndarray, conc: ChannelSpec, plan: tuple, gen: np.random.Generator) -> list[tuple]:
     """One trajectory drawn under the Born rule, as ``_branch_rows`` rows, from the ``_sender_stage`` rows and the
-    pair's ``_pair_plan``, which proved its norms (``variant`` the concentration channel's): the sender row, then the
-    one party vector drawn, a receiver component (of a mixture) and one outcome per party. A null sender row is one
-    row with no party outcomes; [] when every outcome of a step is null. The joint state starts on the plan's start
-    strings, exact zeros where the drawn vector has none, and steps through the start's step plan."""
-    sender, receivers, weights, (frames, steps, *_) = plan
+    pair's ``_pair_plan``, which proved its norms: the sender row, then the one party vector p drawn and a receiver
+    component R (of a mixture), then every party's outcome in two picks over the start's party strings s and channel
+    strings. A Bell measurement is CNOT then H, so party i's outcome (x_i, z_i) (``_OUTCOME_OF_BITS``) pairs s with
+    channel string s ^ x and signs it by (-1)^(z.s). So P(x) = sum_s |p(s)|^2 |R(s ^ x)|^2, one ``bincount`` over
+    the string pairs' XORs, and the receiver vector of (x, z) is A(x, z) = 2^(-n/2) sum_s p(s) R(s ^ x) (-1)^(z.s)
+    over the strings paired at x, one product of their signs, whose squared norms the z pick takes. A null sender row
+    is one row with no party outcomes; [] when every x, or every z of the drawn x, is null (``_born_draw``)."""
+    sender, receivers, weights, (frames, (pkeys, ukeys, places, string_norms), *_) = plan
+    n = conc.n_parties
     rows, raw, joint = _sender_stage(input_amps, sender)
     probs = joint.ravel()
     ci, a = divmod(_born_pick(probs / probs.sum(), gen), 4)
@@ -397,19 +427,27 @@ def _sampled_rows(input_amps: np.ndarray, variant: Variant, plan: tuple, gen: np
         return [(ci * len(weights), alice, [prob], [None], ((),), (None,))]
     party = _party_vectors(rows, raw, frames, np.intp(ci), np.intp(a))
     cj = _born_pick(weights / weights.sum(), gen) if len(weights) > 1 else 0
-    mat = np.multiply.outer(party, receivers[cj])
-    outcomes: tuple[BellOutcome, ...] = ()
-    for step in steps:
-        pair = _live_pair_rows(mat, step)
-        pick = _draw_outcome(pair.reshape(4, -1), gen)
-        if pick is None:
-            return []
-        mat = pair[pick]
-        outcomes += (BELL_OUTCOMES[pick],)
-    label = concentration_correction(variant, outcomes)
-    perm, phase = _PAULI_FRAMES[label]
-    conc_joint, fids = _finish_rows(*_norms_and_overlaps(phase * mat[:, perm], input_amps), 1.0, prob * weights[cj])
-    return [(ci * len(weights) + cj, alice, conc_joint.tolist(), fids, (outcomes,), (label,))]
+    receiver = receivers[cj].reshape(-1, 2)  # (channel string, receiver bit)
+    pairs = np.multiply.outer(abs(party) ** 2, string_norms[cj])
+    x = _born_draw(np.bincount(np.bitwise_xor.outer(pkeys, ukeys).ravel(), pairs.ravel(), minlength=1 << n), gen)
+    if x is None:
+        return []
+    t = places[pkeys ^ x]  # the place of each party string's partner s ^ x among the channel strings, or -1
+    s = np.flatnonzero(t >= 0)
+    # 2^(n/2) A(x, z): the real and imaginary parts of each receiver bit (rows) for every z (columns). einsum sums
+    # in its own loop: unpinned OpenBLAS may thread this product for milliseconds at parity n = 9.
+    amps = np.einsum("kc,kz->cz", (party[s, None] * receiver[t[s]]).view(float),
+                     _walsh_signs(n).take(pkeys[s], axis=0).astype(float))
+    z = _born_draw(np.square(amps).sum(axis=0) * 0.5 ** n, gen)
+    if z is None:
+        return []
+    bits = _correction_bits(x, z, n, _marked_parties(conc.variant, n))
+    perm, phase = _PAULI_FRAMES[bits]
+    u = phase * np.ascontiguousarray(amps[:, z]).view(complex)[None, perm]  # times 2^(n/2): scale |u|^2 exactly
+    norms, overlaps = _norms_and_overlaps(u, input_amps)
+    conc_joint, fids = _finish_rows(norms * 0.5 ** n, overlaps * 0.5 ** n, 1.0, prob * weights[cj])
+    outcomes = tuple(_OUTCOME_OF_BITS[2 * (x >> k & 1) + (z >> k & 1)] for k in range(n - 1, -1, -1))
+    return [(ci * len(weights) + cj, alice, conc_joint.tolist(), fids, (outcomes,), (_FROM_XZ[bits],))]
 
 
 def _pair_forms(rows, sender_forms, receivers: np.ndarray, weights: np.ndarray, start: tuple):
@@ -418,7 +456,7 @@ def _pair_forms(rows, sender_forms, receivers: np.ndarray, weights: np.ndarray, 
     ``_receiver_rows`` order, each branch's |K in|^2 (K^dagger K for its 2x2 map K) and the real and imaginary parts
     of <in|K in>. Refuses unless at the worst unit input (``_extreme``) each sender component has sum w_c K^dagger K
     = I. None if a Gram is too ill-conditioned (``_FORMS_CONDITION``) for the forms to keep their digits."""
-    (gather, phases), steps, (frame, _, _) = start
+    (gather, phases), _, steps, (frame, _, _) = start
     parties = (phases * rows[:, np.arange(4)[:, None], gather]).reshape(-1, gather.shape[1])
     maps = np.concatenate([*_receiver_rows(parties, receivers, steps, frame)]).reshape(2, -1, 2)
     grams = _bilinear(np.einsum("x...r,y...r->xy...", maps.conj(), maps)).real
@@ -434,17 +472,19 @@ def _pair_forms(rows, sender_forms, receivers: np.ndarray, weights: np.ndarray, 
     return forms
 
 
-# A verify suite's pairs, or a benchmark pool's. A staircase or parity plan at n = 9 holds under 150 KiB, and forms
-# at most _FORMS_BYTES per plan (16 MiB over 32 plans), but an irregular custom pair's step plan at n = 9 may hold up
-# to 5.4 MiB (3.1 MiB measured with 250 of 512 support strings), so 32 such plans could hold about 170 MiB. No
-# workload holds one.
+# A verify suite's pairs, or a benchmark pool's. Forms take at most _FORMS_BYTES per plan (16 MiB over 32 plans), and
+# only exhaustive sizes hold a step plan. At n = 9 a staircase plan holds 71 KiB of arrays, a parity plan 144 KiB and
+# an irregular custom pair on 250 of 512 strings 125 KiB; the Walsh signs, 256 KiB at n = 9, are shared by every
+# plan of a size.
 @lru_cache(maxsize=32)
 def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
     """Checks a channel pair, then holds all a run on it needs but its input, read-only: the ``_sender_plan``
     of ``dist``; the receiver states (c, k) and weights (c,) of ``conc`` on the k channel strings any component
     holds (both receiver bits kept so rows never narrow to one column, which rounds unlike the dense rows); at
     every size, the start both modes share: the sender frames on the party strings a corrected sender row can
-    reach and the ``_step_plan`` from those and the channel strings; and, at exhaustive sizes, the
+    reach, and the sampled draw's tables: those party strings, the channel strings without their receiver bit, each
+    n-bit string's place among the channel strings (-1 if none) and each channel string's squared norm per receiver
+    component; and, at exhaustive sizes, the ``_step_plan`` from the party and channel keys, the
     ``_receiver_table``, the ``_pair_forms`` if all of them fit ``_FORMS_BYTES`` (32 (4 d + 12 d c 4^n) bytes: pure
     pairs to n = 5 and telecloning->Smolin) and are well-conditioned, else None, and the report key (flattened
     component index, sender outcome) of each of the 4 d c slots (sender row, receiver component), in report order.
@@ -459,9 +499,11 @@ def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
         raise ValueError("concentration needs a receiver-side channel (endpoint 'receiver')")
     receivers = np.array([build_channel_component(c, variant, conc.endpoint, n).amps for c in conc.components])
     weights = np.array([c.weight for c in conc.components])
-    ckeys = (2 * np.flatnonzero(receivers.reshape(len(receivers), -1, 2).any(axis=(0, 2)))[:, None]
-             + np.arange(2)).ravel()
+    ukeys = np.flatnonzero(receivers.reshape(len(receivers), -1, 2).any(axis=(0, 2)))
+    ckeys = (2 * ukeys[:, None] + np.arange(2)).ravel()
     receivers = receivers.take(ckeys, axis=1)  # take, not [:, ckeys]: C order
+    places = np.full(1 << n, -1)
+    places[ukeys] = np.arange(len(ukeys))
     states, _, gather, phases = sender
     # Every sampled norm: a party vector is a unit sender row, permuted, times phases; a joint state it x a receiver.
     if not np.all(abs(abs(phases) ** 2 - 1.0) <= NORM_ATOL):
@@ -470,14 +512,15 @@ def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
         raise ValueError("joint state not normalized")
     # The strings either endpoint branch of a component holds, seen through each outcome's frame.
     pkeys = np.flatnonzero(states.reshape(len(states), 2, -1).any(axis=(0, 1))[gather].any(axis=0))
-    start = (gather.take(pkeys, axis=1), phases.take(pkeys, axis=1)), _step_plan(pkeys, ckeys, n)
-    if n <= MAX_EXHAUSTIVE_PARTIES:  # sampled runs reach sizes whose tables are too large
-        start += (_receiver_table(variant, n),)
+    string_norms = (abs(receivers.reshape(len(receivers), -1, 2)) ** 2).sum(axis=2)
+    start = (gather.take(pkeys, axis=1), phases.take(pkeys, axis=1)), (pkeys, ukeys, places, string_norms)
+    if n <= MAX_EXHAUSTIVE_PARTIES:  # what the exhaustive kernel reads
+        start += (_step_plan(pkeys, ckeys, n), _receiver_table(variant, n))
         fits = 32 * (4 * len(states) + 3 * (4 * len(states) * len(receivers) << 2 * n)) <= _FORMS_BYTES
         start += (_pair_forms(basis_rows, sender_forms, receivers, weights, start) if fits else None,
                   tuple((ci * len(weights) + cj, alice) for ci in range(len(states)) for alice in BELL_OUTCOMES
                         for cj in range(len(weights))))
-    for arr in (receivers, weights, *start[0]):
+    for arr in (receivers, weights, *start[0], *start[1]):
         arr.setflags(write=False)
     return sender, receivers, weights, start
 
@@ -505,9 +548,9 @@ def _branch_rows(
     sender, receivers, weights, start = plan = _pair_plan(dist_channel, conc_channel)
     # InputQubit checked the norm when it was made; the plan's sender proof and the branch total repeat it.
     if mode == "sampled":
-        return _sampled_rows(np.array([input_qubit.alpha, input_qubit.beta], dtype=complex), conc_channel.variant,
+        return _sampled_rows(np.array([input_qubit.alpha, input_qubit.beta], dtype=complex), conc_channel,
                              plan, as_rng(seed))
-    (gather, phases), steps, (frame, outcomes, labels), forms, keys = start
+    (gather, phases), _, steps, (frame, outcomes, labels), forms, keys = start
     n_conc, nulls = len(receivers), []
     if forms is None:  # too large for forms: the kernel on this trial's unnormalized party vectors, block by block
         input_amps = np.array([input_qubit.alpha, input_qubit.beta], dtype=complex)
@@ -558,7 +601,8 @@ def run_end_to_end(
     measurement; reports follow component, sender outcome, receiver
     component and party outcomes in order, with one record per null sender
     branch. Sampled mode draws one sender branch, one receiver component and
-    one outcome per party.
+    then every party's outcome in two picks: their bit-flip bits, then their
+    phase bits.
     """
     reports: list[OutcomeReport] = []
     for index, alice, joint, fids, outcomes, labels in _branch_rows(

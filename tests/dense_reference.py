@@ -334,13 +334,21 @@ def choice_branch(input_qubit, dist, gen):
     return branches[int(gen.choice(len(branches), p=probs / probs.sum()))]
 
 
+# The bit-flip and phase bits (x, z) of each Bell outcome, in BELL_OUTCOMES order (phi+, psi+, psi-, phi-): the
+# bra <Bell_k| pairs party bit s with channel bit s ^ x_k and signs it by (-1)^(z_k s).
+BELL_X_BITS, BELL_Z_BITS = np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1])
+
+
 def dense_sampled(input_qubit, dist, conc, seed):
     """``run_end_to_end(mode="sampled")``'s reports from the dense trajectory:
     the same draws from the same generator (sender branch, receiver
-    component, then one Born-rule pick per party), each party's Bell rows
-    taken with ``pair_rows`` from the full ``tensor`` of the party state
-    and the receiver channel, and the receiver Pauli applied as a matrix by
-    ``matrix_corrected_rows`` before the evaluator's one finish."""
+    component), then the parties' outcome tuple in two ``gen.choice`` picks
+    from the exhaustive rows of the full ``tensor`` of the party state and the
+    receiver channel (``batched_pair_rows``): its bit-flip bits x, party 1
+    most significant, from their marginal, then its phase bits z from the rows
+    at x, each probability below ``NULL_PROB_EPS`` taken as 0. The receiver
+    Pauli is applied as a matrix by ``matrix_corrected_rows`` before the
+    evaluator's one finish."""
     gen = as_rng(seed)
     db = choice_branch(input_qubit, dist, gen)
     n, n_conc = conc.n_parties, len(conc.components)
@@ -352,21 +360,25 @@ def dense_sampled(input_qubit, dist, conc, seed):
         cj = int(gen.choice(n_conc, p=weights / weights.sum()))
     comp = conc.components[cj]
     amps = tensor(db.state, build_channel_component(comp, conc.variant, Endpoint.RECEIVER_LAST, n)).amps
-    outcomes = ()
-    for step in range(n):
-        # Registers left: party qubits step+1..n, then channel qubits and the
-        # receiver, so the next pair is (1, n - step + 1).
-        rows = pair_rows(amps, 2 * (n - step) + 1, 1, n - step + 1)
-        probs = np.einsum("kr,kr->k", rows.conj(), rows).real
-        probs[probs < NULL_PROB_EPS] = 0.0
-        total = probs.sum()
-        if total <= 0.0:
-            return []
-        k = int(gen.choice(4, p=probs / total))
-        amps = rows[k]
-        outcomes += (BELL_OUTCOMES[k],)
+    rows = batched_pair_rows(amps[None], n)[0]  # lexicographic Bell order, party 1 most significant
+    digits = [(np.arange(4**n) >> 2 * (n - 1 - i)) & 3 for i in range(n)]
+    x, z = (sum(bits[d] << (n - 1 - i) for i, d in enumerate(digits)) for bits in (BELL_X_BITS, BELL_Z_BITS))
+    probs = np.zeros((1 << n, 1 << n))
+    probs[x, z] = np.einsum("kr,kr->k", rows.conj(), rows).real
+    px = probs.sum(axis=1)
+    px[px < NULL_PROB_EPS] = 0.0
+    if px.sum() <= 0.0:
+        return []
+    xi = int(gen.choice(1 << n, p=px / px.sum()))
+    pz = probs[xi].copy()
+    pz[pz < NULL_PROB_EPS] = 0.0
+    if pz.sum() <= 0.0:
+        return []
+    zi = int(gen.choice(1 << n, p=pz / pz.sum()))
+    (k,) = np.flatnonzero((x == xi) & (z == zi))
+    outcomes = tuple(BELL_OUTCOMES[d[k]] for d in digits)
     label = concentration_correction(conc.variant, outcomes)
-    u = matrix_corrected_rows(amps[None, :], PAULI_MATRICES[label][None])
+    u = matrix_corrected_rows(rows[k][None], PAULI_MATRICES[label][None])
     joint, (fid,) = _finish_rows(*_norms_and_overlaps(u, input_qubit.to_state().amps), 1.0, db.joint_prob * comp.weight)
     return [OutcomeReport(
         db.component_index * n_conc + cj, db.outcomes[0], outcomes, float(joint[0]), label, fid)]

@@ -1,11 +1,8 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrelay import bell
 from qrelay.bell import (
     BELL_OUTCOMES,
     CORRECTION_FOR_OUTCOME,
@@ -14,8 +11,8 @@ from qrelay.bell import (
     BellOutcome,
     PauliLabel,
     as_rng,
+    _born_draw,
     _born_pick,
-    _draw_outcome,
     bell_vector,
 )
 from qrelay.statevec import StateVector
@@ -93,12 +90,13 @@ class TestProjectBell:
 
 
 class TestMeasureSampled:
-    # _draw_outcome is the Born-rule pick behind every sampled trajectory; it
-    # is given the four rows of one pair, here from the dense pair_rows.
+    # _born_draw is the Born-rule pick behind every sampled draw; here it picks
+    # one pair's outcome from the squared norms of its four rows, taken from the
+    # dense pair_rows.
     @staticmethod
     def sample_pair(amps, num_qubits, q1, q2, gen):
         rows = pair_rows(amps, num_qubits, q1, q2)
-        k = _draw_outcome(rows, gen)
+        k = _born_draw(np.einsum("kr,kr->k", rows.conj(), rows).real, gen)
         return None if k is None else (k, rows[k])
 
     def test_deterministic_for_seed(self):
@@ -146,14 +144,31 @@ _WEIGHTS = st.one_of(
 )
 
 
+
+
+def _long_weights(seed):
+    """512 weights, as many as a sampled draw's bit strings at n = 9, from one seed: a drawn
+    share of them are _WEIGHTS' fixed values, the rest uniform (a hypothesis list of 512
+    floats takes seconds to draw)."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(512)
+    fixed = rng.random(512) < rng.random()
+    weights[fixed] = rng.choice([0.0, NULL_PROB_EPS / 10, NULL_PROB_EPS, NULL_PROB_EPS * 10, 1.0], size=fixed.sum())
+    return weights.tolist()
+
+
+# Weights for a pick: up to 16 from _WEIGHTS (a pair's four outcomes, sender rows, mixtures), or 512.
+_PICK_WEIGHTS = st.one_of(st.lists(_WEIGHTS, min_size=1, max_size=16), st.integers(0, 2**32 - 1).map(_long_weights))
+
+
 class TestBornPick:
     # _born_pick stands in for Generator.choice(len(p), p=p) in every sampled
     # draw; reports stay bit-identical only while it picks the same index and
     # leaves the generator in the same state.
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.one_of(
-        st.lists(_WEIGHTS, min_size=1, max_size=16).filter(lambda w: sum(w) > 0.0),
-        st.integers(1, 16).flatmap(lambda k: st.integers(0, k - 1).map(
+        _PICK_WEIGHTS.filter(lambda w: sum(w) > 0.0),
+        st.sampled_from([1, 2, 4, 16, 512]).flatmap(lambda k: st.integers(0, k - 1).map(
             lambda hot: [float(i == hot) for i in range(k)])),  # one-hot
     ), st.integers(0, 2**32 - 1))
     def test_matches_generator_choice(self, weights, seed):
@@ -166,7 +181,8 @@ class TestBornPick:
         assert _born_pick(p.tolist(), np.random.default_rng(seed)) == got
         assert got_gen.random() == want_gen.random()
 
-    @pytest.mark.parametrize("p", [[0.5, np.nan, 0.5], [1.2, -0.2], [0.5, 0.4], [0.5, 0.6], [np.inf, 0.0]])
+    @pytest.mark.parametrize("p", [[0.5, np.nan, 0.5], [1.2, -0.2], [0.5, 0.4], [0.5, 0.6], [np.inf, 0.0],
+                                   [1 / 512] * 511 + [np.nan], [0.5] + [-0.5 / 511] * 511 + [1.0]])
     def test_refuses_what_choice_refuses(self, p):
         p = np.array(p)
         with pytest.raises(ValueError):
@@ -175,38 +191,31 @@ class TestBornPick:
             _born_pick(p, np.random.default_rng(0))
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(st.lists(_WEIGHTS, min_size=4, max_size=4), st.integers(1, 4), st.integers(0, 2**32 - 1))
-    def test_draw_outcome_matches_generator_choice(self, weights, r, seed):
-        # _draw_outcome floors, sums and normalizes on Python floats; it must
-        # pick what Generator.choice(4, p=...) picks on the numpy-normalized
-        # probabilities, null outcomes, entries near NULL_PROB_EPS and
-        # all-null rows included, and leave the generator where choice does.
-        rng = np.random.default_rng(seed)
-        unit = rng.normal(size=(4, r)) + 1j * rng.normal(size=(4, r))
-        rows = np.sqrt(weights)[:, None] * unit / np.linalg.norm(unit, axis=1, keepdims=True)
-        probs = np.einsum("kr,kr->k", rows.conj(), rows).real
-        probs[probs < NULL_PROB_EPS] = 0.0
+    @given(_PICK_WEIGHTS, st.integers(0, 2**32 - 1))
+    def test_born_draw_matches_generator_choice(self, weights, seed):
+        # _born_draw floors, sums and normalizes; it must pick what
+        # Generator.choice(len(p), p=...) picks on the floored, normalized
+        # probabilities, entries near NULL_PROB_EPS and all-null ones included,
+        # and leave the generator where choice does.
         got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
-        passed = []  # the probabilities _draw_outcome hands to _born_pick
-        with mock.patch.object(bell, "_born_pick", lambda p, gen: passed.append(p) or _born_pick(p, gen)):
-            got = _draw_outcome(rows, got_gen)
-        want = None if probs.sum() <= 0.0 else int(want_gen.choice(4, p=probs / probs.sum()))
+        probs = np.array(weights)
+        got = _born_draw(probs, got_gen)
+        probs[probs < NULL_PROB_EPS] = 0.0
+        want = None if probs.sum() <= 0.0 else int(want_gen.choice(len(probs), p=probs / probs.sum()))
         assert got == want
-        assert passed == ([] if want is None else [(probs / probs.sum()).tolist()])
         assert got is None or type(got) is int
         assert got_gen.random() == want_gen.random()
 
     def test_nan_rows_raise(self):
-        rows = np.full((4, 2), np.nan, dtype=complex)
         with pytest.raises(ValueError):
-            _draw_outcome(rows, np.random.default_rng(0))
+            _born_draw(np.full(512, np.nan), np.random.default_rng(0))
 
     def test_one_nan_row_raises(self):
-        # A NaN outcome passes the floor and the sum, and _born_pick refuses it.
-        rows = np.full((4, 2), 0.5, dtype=complex)
-        rows[2] = np.nan
+        # A NaN entry passes the floor and the sum, and _born_pick refuses it.
+        probs = np.full(512, 1 / 512)
+        probs[200] = np.nan
         with pytest.raises(ValueError):
-            _draw_outcome(rows, np.random.default_rng(0))
+            _born_draw(probs, np.random.default_rng(0))
 
 
 class TestTeleportationIdentity:

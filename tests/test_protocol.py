@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import re
@@ -16,6 +17,9 @@ from qrelay.bell import (
     PAULI_MATRICES,
     BellOutcome,
     PauliLabel,
+    _BELL_BRAS,
+    _FROM_XZ,
+    _TO_XZ,
 )
 from qrelay.channels import (
     Endpoint,
@@ -34,11 +38,13 @@ from qrelay.channels import (
 )
 import qrelay.protocol as protocol
 from qrelay.protocol import (
+    _OUTCOME_OF_BITS,
     _PAULI_FRAMES,
     MAX_EXHAUSTIVE_PARTIES,
     InputQubit,
     _distribution_frame,
     _bilinear,
+    _correction_bits,
     _extreme,
     _finish_rows,
     _live_pair_rows,
@@ -60,6 +66,8 @@ from qrelay.verify import oracle_agreement
 
 from conftest import equal_up_to_phase, random_state
 from dense_reference import (
+    BELL_X_BITS,
+    BELL_Z_BITS,
     apply_1q,
     batched_pair_rows,
     choice_branch,
@@ -245,6 +253,28 @@ class TestConcentrationCorrection:
                     want = want @ PAULI_MATRICES[CORRECTION_FOR_OUTCOME[o]]
             got = PAULI_MATRICES[concentration_correction(variant, outcomes)]
             assert equal_up_to_phase(got, want), outcomes
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_bits_rule_is_the_correction(self, variant, n):
+        # A sampled trajectory reads its receiver correction from its outcome tuple's bits
+        # (x, z), party 1 most significant, and each party's outcome from _OUTCOME_OF_BITS:
+        # on every outcome tuple, with bits from the dense reference's own Bell table, that
+        # gives back the tuple and concentration_correction's label.
+        marked = protocol._marked_parties(variant, n)
+        for outcomes in itertools.product(BELL_OUTCOMES, repeat=n):
+            x, z = (sum(int(bits[o.index]) << (n - 1 - i) for i, o in enumerate(outcomes))
+                    for bits in (BELL_X_BITS, BELL_Z_BITS))
+            assert tuple(_OUTCOME_OF_BITS[2 * (x >> k & 1) + (z >> k & 1)] for k in range(n - 1, -1, -1)) == outcomes
+            assert _FROM_XZ[_correction_bits(x, z, n, marked)] is concentration_correction(variant, outcomes)
+
+    def test_outcome_bits_are_the_bell_bras(self):
+        # <Bell| of the outcome with bits (x, z) pairs party bit s with channel bit s ^ x and
+        # signs it by (-1)^(z s): the identity the sampled draw rests on.
+        for x, z in itertools.product((0, 1), repeat=2):
+            bra = _BELL_BRAS[_OUTCOME_OF_BITS[2 * x + z].index]
+            want = [(t == s ^ x) * (-1) ** (z * s) * SQ for s in (0, 1) for t in (0, 1)]
+            assert np.allclose(bra, want, rtol=0, atol=1e-16), (x, z)
 
 
 class TestDistribute:
@@ -617,7 +647,7 @@ class TestConcentrationKernels:
 
     @pytest.mark.parametrize("label", list(PauliLabel), ids=lambda p: p.value)
     def test_pauli_frame_is_the_matrix(self, label):
-        perm, phase = _PAULI_FRAMES[label]
+        perm, phase = _PAULI_FRAMES[_TO_XZ[label]]
         assert np.array_equal(phase[:, None] * np.eye(2)[perm], PAULI_MATRICES[label])
         assert not perm.flags.writeable and not phase.flags.writeable
 
@@ -713,14 +743,15 @@ class TestNormChecks:
         # amplitudes: the plan refuses forms built on it, and a trial on the kernel path
         # refuses its branch probabilities' total.
         dist, conc = telecloning_channel(), smolin_channel()
-        sender, receivers, weights, ((gather, phases), _, table, forms, keys) = plan = protocol._pair_plan(dist, conc)
+        sender, receivers, weights, ((gather, phases), strings, _, table, forms, keys) = plan = protocol._pair_plan(
+            dist, conc)
         basis = _sender_plan(dist)[1:]
         ckeys = live_channel_keys(np.array([build_channel_component(
             c, conc.variant, conc.endpoint, conc.n_parties).amps for c in conc.components]))
 
         def start(keep):  # gather[0] is the start's strings: phi+ flips no bit
             steps = _step_plan(gather[0][keep], ckeys, dist.n_parties)
-            return (gather[:, keep], phases[:, keep]), steps, table
+            return (gather[:, keep], phases[:, keep]), strings, steps, table
 
         every = np.arange(gather.shape[1])
         assert np.array_equal(protocol._pair_forms(*basis, receivers, weights, start(every)), forms)
@@ -753,7 +784,7 @@ class TestNormChecks:
         gen = np.random.default_rng(46)
         if place == "parity-n5-kernel":
             pair = receiver_mixture_pair(Variant.PARITY, 5, (0.4, 0.6), gen)
-            assert protocol._pair_plan(*pair)[3][3] is None  # too large for forms: the kernel path
+            assert protocol._pair_plan(*pair)[3][4] is None  # too large for forms: the kernel path
         else:
             pair = sampled_only_pair()
         inputs, stage = [], protocol._sender_stage
@@ -1291,12 +1322,21 @@ class TestPairPlan:
         assert reached == start
 
     def test_plans_at_the_sampled_cap_stay_small(self):
-        # Every pair plan holds its start's step plan at every size: a staircase and a parity
-        # plan at n = 9 each hold under 256 KiB of arrays, steps included.
+        # Past the exhaustive cap a plan holds no step plan, only the draw's keys and small
+        # tables: a staircase, a parity and an irregular custom pair on 250 of 512 strings
+        # each hold under 256 KiB of arrays at n = 9, and only exhaustive sizes hold steps.
         gen = np.random.default_rng(50)
-        for variant in (Variant.DOMINO, Variant.PARITY):
-            pair = tuple(random_channel(variant, 9, e, gen) for e in (Endpoint.SENDER_FIRST, Endpoint.RECEIVER_LAST))
-            assert array_bytes(protocol._pair_plan(*pair)) < 256 << 10
+        ends = Endpoint.SENDER_FIRST, Endpoint.RECEIVER_LAST
+        pairs = [tuple(random_channel(variant, 9, e, gen) for e in ends)
+                 for variant in (Variant.DOMINO, Variant.PARITY)]
+        strings = [format(k, "09b") for k in gen.choice(512, size=250, replace=False)]
+        amps = gen.normal(size=250) + 1j * gen.normal(size=250)
+        pairs.append(tuple(pure_channel(Variant.CUSTOM, 9, dict(zip(strings, amps / np.linalg.norm(amps))), e)
+                           for e in ends))
+        for pair in pairs:
+            plan = protocol._pair_plan(*pair)
+            assert len(plan[3]) == 2 and array_bytes(plan) < 256 << 10
+        assert len(protocol._pair_plan(*path_cases()["domino-n5"])[3]) == 6
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_block_size_leaves_rows_unchanged(self, n, monkeypatch, fresh_plans):
@@ -1316,7 +1356,7 @@ class TestPairPlan:
             monkeypatch.setattr(protocol, "_BLOCK_AMPS", block_amps)
             runs.append([report_fields(r) for r in run_end_to_end(inp, dist, conc)])
         assert runs[0] == runs[1]
-        assert protocol._pair_plan(dist, conc)[3][3] is None
+        assert protocol._pair_plan(dist, conc)[3][4] is None
 
     @pytest.mark.parametrize("name", list(path_cases()))
     def test_maps_match_the_kernel(self, name, monkeypatch, fresh_plans):
@@ -1330,7 +1370,7 @@ class TestPairPlan:
         for path in ("forms", "kernel"):
             force_path(monkeypatch, path)
             runs.append([run_end_to_end(inp, dist, conc) for inp in inputs])
-            assert (protocol._pair_plan(dist, conc)[3][3] is None) == (path == "kernel" or name in ILL_CONDITIONED)
+            assert (protocol._pair_plan(dist, conc)[3][4] is None) == (path == "kernel" or name in ILL_CONDITIONED)
         for forms, kernel in zip(*runs):
             assert len(forms) == len(kernel)
             for f, k in zip(forms, kernel):
@@ -1388,7 +1428,7 @@ class TestPairPlan:
         # fit, so the kernel runs and the evaluator agrees with the oracle near |+>.
         dist, conc = path_cases()["custom-null"]
         force_path(monkeypatch, "forms")
-        assert protocol._pair_plan(dist, conc)[3][3] is None
+        assert protocol._pair_plan(dist, conc)[3][4] is None
         for offset in (1e-4, 1e-5, 1e-6, 3e-7, 1e-7):
             theta = math.pi / 4 + offset
             inp = InputQubit(math.cos(theta), math.sin(theta))
@@ -1411,13 +1451,13 @@ class TestPairPlan:
                  **pure, **mixtures}
         for name, (dist, conc) in cases.items():
             plan = protocol._pair_plan(dist, conc)
-            senders, forms = 4 * len(plan[0][0]), plan[3][3]
+            senders, forms = 4 * len(plan[0][0]), plan[3][4]
             branches = senders * len(conc.components) << 2 * dist.n_parties
             assert (forms is not None) == (32 * (senders + 3 * branches) <= protocol._FORMS_BYTES), name
             if forms is not None:
                 assert forms.shape == (4, senders + 3 * branches) and not forms.flags.writeable, name
                 assert forms.nbytes == 32 * (senders + 3 * branches), name
-        assert {name for name, pair in cases.items() if protocol._pair_plan(*pair)[3][3] is None} == {
+        assert {name for name, pair in cases.items() if protocol._pair_plan(*pair)[3][4] is None} == {
             "domino-n6", "domino-n5-mixed"}
 
 
@@ -1449,10 +1489,10 @@ class TestFormsInvariant:
         held = 0
         for dist, conc in forms_invariant_pairs():
             sender, _, _, start = protocol._pair_plan(dist, conc)
-            if start[3] is None:
+            if start[4] is None:
                 continue
             held += 1
-            lowest = _extreme(start[3][:, :4 * len(sender[0])], math.inf)
+            lowest = _extreme(start[4][:, :4 * len(sender[0])], math.inf)
             assert np.all(lowest >= protocol._FORMS_CONDITION / 4), (dist, conc, lowest.min())
         assert held >= 55
 
@@ -1525,9 +1565,25 @@ def report_fields(r):
             None if r.fidelity is None else r.fidelity.hex())
 
 
+def report_key(r):
+    """A report's key, (flattened component index, sender outcome, party outcomes)."""
+    return r.component_index, r.alice_outcome, r.bob_outcomes
+
+
+def assert_rows_agree(got, want, context):
+    """Reports with the same keys and corrections, and joint probabilities and fidelities within 1e-15:
+    the sampled draw sums each row in another order than the exhaustive or dense rows."""
+    assert [(report_key(r), r.correction) for r in got] == [(report_key(r), r.correction) for r in want], context
+    for a, b in zip(got, want):
+        assert abs(a.joint_prob - b.joint_prob) <= 1e-15, context
+        assert (a.fidelity is None) == (b.fidelity is None), context
+        assert a.fidelity is None or abs(a.fidelity - b.fidelity) <= 1e-15, context
+
+
 class TestSampledLiveStrings:
-    # Sampled trajectories hold the joint state on its live party and
-    # channel strings; they must equal the dense trajectory bit for bit.
+    # Sampled trajectories draw every party's outcome in two picks over the start's live
+    # party and channel strings; from the same generator they must draw the dense
+    # trajectory's keys, with its floats to 1e-15, as they sum in another order.
     @pytest.mark.parametrize("name", [name for name, _ in sampled_cases()])
     def test_matches_dense_trajectory(self, name):
         dist, conc = dict(sampled_cases())[name]
@@ -1536,8 +1592,7 @@ class TestSampledLiveStrings:
         for seed in range(10):
             inp = NULL_SENDER_INPUT if name == "custom-null" else random_input(gen)
             fast = run_end_to_end(inp, dist, conc, mode="sampled", seed=seed)
-            slow = dense_sampled(inp, dist, conc, seed)
-            assert [report_fields(r) for r in fast] == [report_fields(r) for r in slow], seed
+            assert_rows_agree(fast, dense_sampled(inp, dist, conc, seed), seed)
             components.add(fast[0].component_index)
         if len(dist.components) * len(conc.components) > 1:
             assert len(components) > 1  # the draws reach more than one component pair
@@ -1545,11 +1600,11 @@ class TestSampledLiveStrings:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 4), st.data())
     def test_live_step_matches_dense_rows(self, n, data):
-        # Every step of a plan gives the dense pair_rows rows exactly, at the
-        # keys it leaves, with zeros everywhere else, whichever outcome the
-        # trajectory goes on with, for each state of a stack along trailing
-        # axes, as exhaustive runs hold one. Channel keys come in receiver-bit
-        # pairs, as _pair_plan's live keys keep them.
+        # Every step of an exhaustive plan gives the dense pair_rows rows exactly,
+        # at the keys it leaves, with zeros everywhere else, whichever outcome
+        # goes on, for each state of a stack along trailing axes, as exhaustive
+        # runs hold one. Channel keys come in receiver-bit pairs, as
+        # _pair_plan's live keys keep them.
         masks = [data.draw(st.lists(st.booleans(), min_size=1 << n, max_size=1 << n)
                            .filter(any)) for _ in range(2)]
         pkeys = np.flatnonzero(masks[0])
@@ -1580,10 +1635,10 @@ class TestSampledLiveStrings:
             pkeys, ckeys = pleft, cleft
 
     def test_fewer_live_strings_run_on_the_plan_start(self):
-        # A trajectory starts on the plan's start strings, which may hold more
+        # A trajectory draws over the plan's start strings, which may hold more
         # than the drawn party vector: with an input of |0> or a zero channel
         # coefficient the extra strings are exact zeros, and the trajectory
-        # still matches the dense one bit for bit.
+        # still draws the dense one's keys, with its floats to 1e-15.
         gen = np.random.default_rng(25)
         domino = tuple(random_channel(Variant.DOMINO, 5, endpoint, gen)
                        for endpoint in (Endpoint.SENDER_FIRST, Endpoint.RECEIVER_LAST))
@@ -1599,8 +1654,7 @@ class TestSampledLiveStrings:
             for args in (before, after):
                 for seed in range(5):
                     fast = run_end_to_end(*args, mode="sampled", seed=seed)
-                    assert [report_fields(r) for r in fast] == [
-                        report_fields(r) for r in dense_sampled(*args, seed)], seed
+                    assert_rows_agree(fast, dense_sampled(*args, seed), seed)
 
     def test_domino_trajectory_holds_no_dense_joint_state(self):
         # A staircase pair has n supports, so a trajectory at n = 9 needs a
@@ -1620,6 +1674,48 @@ class TestSampledLiveStrings:
             tracemalloc.stop()
         dense_bytes = np.dtype(complex).itemsize << (2 * n + 1)
         assert peak < dense_bytes // 16
+
+
+def small_draw_cases():
+    """``path_cases()`` and ``sampled_cases()`` at exhaustive sizes, named by their source."""
+    cases = {f"path-{name}": pair for name, pair in path_cases().items()}
+    cases.update((f"sampled-{name}", pair) for name, pair in sampled_cases()
+                 if pair[0].n_parties <= MAX_EXHAUSTIVE_PARTIES)
+    return cases
+
+
+class TestSampledDraw:
+    # A trajectory draws its outcome tuple's bit-flip bits x, then its phase bits z (a Bell
+    # measurement is CNOT then H). Each drawn row must be the same tree's exhaustive row of
+    # its key, and the keys must come at the exhaustive joint probabilities.
+    @pytest.mark.parametrize("name", list(small_draw_cases()))
+    def test_rows_are_the_exhaustive_rows(self, name):
+        dist, conc = small_draw_cases()[name]
+        gen = np.random.default_rng(52)
+        for inp in (NULL_SENDER_INPUT, InputQubit(1, 0), random_input(gen)):
+            rows = {report_key(r): r for r in run_end_to_end(inp, dist, conc)}
+            for seed in range(10):
+                got = run_end_to_end(inp, dist, conc, mode="sampled", seed=seed)
+                assert_rows_agree(got, [rows[report_key(r)] for r in got], (inp, seed))
+
+    @pytest.mark.parametrize("variant, n", [(Variant.PARITY, 3), (Variant.DOMINO, 4)], ids=["parity-n3", "domino-n4"])
+    def test_frequencies_match_the_exhaustive_joint(self, variant, n):
+        # 4,000 trajectories from one generator land on live branches only, and Pearson's
+        # statistic over the live branches lies within five standard deviations of its
+        # mean, with the multinomial variance 2 (K - 1) + (sum 1/p - K^2 - 2 K + 2) / N.
+        gen = np.random.default_rng(53)
+        dist, conc = (random_channel(variant, n, e, gen) for e in (Endpoint.SENDER_FIRST, Endpoint.RECEIVER_LAST))
+        inp, draws = random_input(gen), 4000
+        probs = {report_key(r): r.joint_prob for r in run_end_to_end(inp, dist, conc) if r.fidelity is not None}
+        counts = collections.Counter(report_key(r) for _ in range(draws)
+                                     for r in run_end_to_end(inp, dist, conc, mode="sampled", seed=gen))
+        assert set(counts) <= set(probs)
+        p = np.array(list(probs.values()))
+        observed = np.array([counts[key] for key in probs])
+        stat = float(((observed - draws * p) ** 2 / (draws * p)).sum())
+        k = len(p)
+        variance = 2 * (k - 1) + ((1 / p).sum() - k * k - 2 * k + 2) / draws
+        assert abs(stat - (k - 1)) <= 5 * math.sqrt(variance), (stat, k)
 
 
 class TestReportFieldTypes:

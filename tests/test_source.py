@@ -40,13 +40,16 @@ EVALUATOR_INTERNALS = frozenset({
     "_party_vectors",
     "_pair_plan",
     "_sampled_rows",
+    "_walsh_signs",
     "_step_plan",
     "_live_pair_rows",
-    "_draw_outcome",
+    "_born_draw",
     "_born_pick",
     "concentration_correction",
     "distribution_correction",
     "_marked_parties",
+    "_correction_bits",
+    "_OUTCOME_OF_BITS",
 })
 
 # The evaluator's Bell and Pauli literals: the oracle declares its own, so a
@@ -112,7 +115,7 @@ def test_dense_reference_draws_with_generator_choice():
     # it draws with Generator.choice itself, never through the evaluator's pick.
     text = (SRC.parents[1] / "tests" / "dense_reference.py").read_text(encoding="utf-8")
     assert ".choice(" in text
-    assert [name for name in ("_born_pick", "_draw_outcome") if name in text] == []
+    assert [name for name in ("_born_pick", "_born_draw") if name in text] == []
 
 
 def test_oracle_names_no_evaluator_literal():
