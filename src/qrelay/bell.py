@@ -98,20 +98,29 @@ def _born_pick(p, gen: np.random.Generator) -> int:
     are unchanged, and a pick among 2^n entries runs in numpy. Refuses what ``choice``
     refuses: a NaN, a negative entry or a sum over sqrt(eps) from 1."""
     p = np.asarray(p, dtype=float)
+    if p.min() < 0.0:
+        raise ValueError(f"probabilities must be non-negative, got least {p.min()}")
+    return _cdf_pick(p, gen)
+
+
+def _cdf_pick(p: np.ndarray, gen: np.random.Generator) -> int:
+    """``_born_pick`` on a float array ``p`` with no negative entry: its cdf, sum check and search."""
     cdf = p.cumsum()
-    if not abs(cdf[-1] - 1.0) <= _PICK_ATOL or p.min() < 0.0:
-        raise ValueError(f"probabilities must be non-negative and sum to 1, got sum {cdf[-1]} and least {p.min()}")
+    if not abs(cdf[-1] - 1.0) <= _PICK_ATOL:
+        raise ValueError(f"probabilities must sum to 1, got sum {cdf[-1]}")
     cdf /= cdf[-1]
     return int(cdf.searchsorted(gen.random(), side="right"))
 
 
 def _born_draw(p: np.ndarray, gen: np.random.Generator) -> int | None:
-    """Born-rule pick among unnormalized probabilities ``p``, each below ``NULL_PROB_EPS``
-    taken as 0: the index ``_born_pick`` picks on them normalized, or None when every
-    entry is null. A NaN passes the floor and the sum, and ``_born_pick`` refuses it."""
+    """Born-rule pick among unnormalized probabilities ``p`` (any shape, read flat), each
+    below ``NULL_PROB_EPS`` taken as 0: the index ``_born_pick`` picks on them normalized,
+    or None when every entry is null. The floor leaves no negative entry, so the pick skips
+    ``_born_pick``'s conversion and sign check; a NaN passes the floor and the sum, and the
+    sum check refuses it."""
     p = np.where(p < NULL_PROB_EPS, 0.0, p)
     total = p.sum()
     if total <= 0.0:
         return None
     p /= total
-    return _born_pick(p, gen)
+    return _cdf_pick(p, gen)

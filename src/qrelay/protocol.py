@@ -22,12 +22,14 @@ one kernel ``_live_pair_rows`` (``_receiver_rows``). A sampled run (``_sampled_r
 in two picks: a Bell measurement is CNOT then H, so the outcomes' bit-flip bits x have an XOR-convolution marginal
 over the start's party and channel strings, and given x their phase bits z a Walsh-Hadamard one.
 Each branch and sender row is linear in the input, so its probability and overlap with the input are fixed forms on
-the input's four bilinears: a well-conditioned pair's plan holds them if they fit ``_FORMS_BYTES`` (every pure pair
-to n = 5, ``_pair_forms``), and an exhaustive run on it is one real product, read as views and keyed by the plan's
-slots, with no null sender row. Other runs take every sender row from one batched ``_sender_stage``. Plans prove
-for every path and input all that the input does not change: ``_sender_plan`` the sender checks, ``_pair_plan`` the
-sampled norms. A trial only checks, if exhaustive, its branch total, and ends in one ``_finish_rows``, which skips
-its masks when no branch is null.
+the input's four bilinears. Every plan holds the sender rows' forms and, per sender row, the linear map from the
+input to its party vector on the start strings, so a sampled run draws its sender row and builds its one party
+vector from them. A well-conditioned pair's plan also holds the branches' forms if they fit ``_FORMS_BYTES`` (every
+pure pair to n = 5, ``_pair_forms``), and an exhaustive run on it is one real product, read as views and keyed by
+the plan's slots, with no null sender row. Other exhaustive runs take every sender row from one batched
+``_sender_stage``. Plans prove for every path and input all that the input does not change: ``_sender_plan`` the
+sender checks, ``_pair_plan`` the sampled norms. A trial only checks, if exhaustive, its branch total, and ends in
+one ``_finish_rows``, which skips its masks when no branch is null.
 ``run_end_to_end`` turns the rows into reports and ``distribute`` exposes distribution alone.
 """
 
@@ -284,10 +286,10 @@ def _extreme(forms: np.ndarray, target: float) -> np.ndarray:
 
 
 def _party_vectors(rows: np.ndarray, raw: np.ndarray, frames: tuple, ci, a) -> np.ndarray:
-    """The corrected, normalized party vectors of the live sender rows (ci, a), numpy integers or
-    index arrays: each gathered through its outcome's gather index in ``frames`` (a ``_sender_plan``'s
-    or, on its start strings, a ``_pair_plan``'s), over the root of its raw probability, times the
-    frame's phases; (k,) or (m, k) for k gathered strings."""
+    """``distribute``'s corrected, normalized party vectors of the live sender rows (ci, a), numpy
+    integers or index arrays: each gathered through its outcome's gather index in a ``_sender_plan``'s
+    ``frames``, over the root of its raw probability, times the frame's phases; (k,) or (m, k) for k
+    gathered strings."""
     gather, phases = frames
     return phases[a] * (rows[ci[..., None], a[..., None], gather[a]] / np.sqrt(raw[ci, a])[..., None])
 
@@ -388,8 +390,9 @@ def _norms_and_overlaps(u: np.ndarray, input_amps: np.ndarray) -> tuple[np.ndarr
 def _finish_rows(norms: np.ndarray, overlaps: np.ndarray, party_raw, weights) -> tuple[np.ndarray, list]:
     """The one finish of every path, called once per trial: unnormalized receiver rows u, given by |u|^2 and
     |<in|u>|^2, of party vectors with raw probabilities ``party_raw`` to joint probabilities (``weights`` times
-    raw |u|^2 / party_raw) and fidelities |<in|u>|^2 / |u|^2, a (nested) list of Python floats with None on a
-    null branch (raw or joint). With none null, the same division unmasked: a NaN row stays live, NaN fidelity."""
+    raw |u|^2 / party_raw) and fidelities |<in|u>|^2 / |u|^2, a (nested) list of Python floats, or one for scalar
+    rows, with None on a null branch (raw or joint). With none null, the same division unmasked: a NaN row stays
+    live, NaN fidelity."""
     raw = norms / party_raw
     joint = weights * raw
     null = (raw < NULL_PROB_EPS) | (joint <= NULL_PROB_EPS)
@@ -408,24 +411,33 @@ def _walsh_signs(n: int) -> np.ndarray:
     return signs
 
 
-def _sampled_rows(input_amps: np.ndarray, conc: ChannelSpec, plan: tuple, gen: np.random.Generator) -> list[tuple]:
-    """One trajectory drawn under the Born rule, as ``_branch_rows`` rows, from the ``_sender_stage`` rows and the
-    pair's ``_pair_plan``, which proved its norms: the sender row, then the one party vector p drawn and a receiver
-    component R (of a mixture), then every party's outcome in two picks over the start's party strings s and channel
-    strings. A Bell measurement is CNOT then H, so party i's outcome (x_i, z_i) (``_OUTCOME_OF_BITS``) pairs s with
-    channel string s ^ x and signs it by (-1)^(z.s). So P(x) = sum_s |p(s)|^2 |R(s ^ x)|^2, one ``bincount`` over
-    the string pairs' XORs, and the receiver vector of (x, z) is A(x, z) = 2^(-n/2) sum_s p(s) R(s ^ x) (-1)^(z.s)
-    over the strings paired at x, one product of their signs, whose squared norms the z pick takes. A null sender row
-    is one row with no party outcomes; [] when every x, or every z of the drawn x, is null (``_born_draw``)."""
-    sender, receivers, weights, (frames, (pkeys, ukeys, places, string_norms), *_) = plan
+def _drawn_party_vector(input_amps: np.ndarray, party_map: np.ndarray, raw: float) -> np.ndarray:
+    """A sampled trajectory's one party vector: the drawn sender row's corrected, normalized vector on the plan's
+    start strings, (alpha, beta) @ its ``_pair_plan`` party map (2, k) over the root of its raw probability."""
+    return input_amps @ party_map / math.sqrt(raw)
+
+
+def _sampled_rows(input_amps: np.ndarray, bilinears: list, conc: ChannelSpec, plan: tuple,
+                  gen: np.random.Generator) -> list[tuple]:
+    """One trajectory drawn under the Born rule, as ``_branch_rows`` rows, from the input's amplitudes and
+    ``bilinears`` (``_bilinear``) and the pair's ``_pair_plan``, which proved its norms. The sender row is drawn from
+    the weighted raw probabilities ``bilinears @ forms`` of the plan's sender forms, each below ``NULL_PROB_EPS`` taken
+    as 0 (``_born_draw``), so no null row is drawn; its party vector p is (alpha, beta) @ its party map, over the root
+    of its raw probability. Then a receiver component R (of a mixture), then every party's outcome in two picks over
+    the start's party strings s and channel strings. A Bell measurement is CNOT then H, so party i's outcome
+    (x_i, z_i) (``_OUTCOME_OF_BITS``) pairs s with channel string s ^ x and signs it by (-1)^(z.s). So
+    P(x) = sum_s |p(s)|^2 |R(s ^ x)|^2, one ``bincount`` over the string pairs' XORs, and the receiver vector of
+    (x, z) is A(x, z) = 2^(-n/2) sum_s p(s) R(s ^ x) (-1)^(z.s) over the strings paired at x, one product of their
+    signs, whose squared norms the z pick takes. The drawn row is finished on scalars. [] when every x, or every z
+    of the drawn x, is null."""
+    sender, receivers, weights, (_, (pkeys, ukeys, places, string_norms, forms, maps), *_) = plan
     n = conc.n_parties
-    rows, raw, joint = _sender_stage(input_amps, sender)
-    probs = joint.ravel()
-    ci, a = divmod(_born_pick(probs / probs.sum(), gen), 4)
-    alice, prob = BELL_OUTCOMES[a], float(joint[ci, a])
-    if raw[ci, a] < NULL_PROB_EPS:
-        return [(ci * len(weights), alice, [prob], [None], ((),), (None,))]
-    party = _party_vectors(rows, raw, frames, np.intp(ci), np.intp(a))
+    raw = np.dot(bilinears, forms)
+    joint = sender[1] * raw.reshape(-1, 4)
+    k = _born_draw(joint, gen)  # the plan proved that the rows sum to 1 for every input, so one is live
+    ci, a = divmod(k, 4)
+    alice, prob = BELL_OUTCOMES[a], joint.item(k)
+    party = _drawn_party_vector(input_amps, maps[ci, a], raw.item(k))
     cj = _born_pick(weights / weights.sum(), gen) if len(weights) > 1 else 0
     receiver = receivers[cj].reshape(-1, 2)  # (channel string, receiver bit)
     pairs = np.multiply.outer(abs(party) ** 2, string_norms[cj])
@@ -438,16 +450,16 @@ def _sampled_rows(input_amps: np.ndarray, conc: ChannelSpec, plan: tuple, gen: n
     # in its own loop: unpinned OpenBLAS may thread this product for milliseconds at parity n = 9.
     amps = np.einsum("kc,kz->cz", (party[s, None] * receiver[t[s]]).view(float),
                      _walsh_signs(n).take(pkeys[s], axis=0).astype(float))
-    z = _born_draw(np.square(amps).sum(axis=0) * 0.5 ** n, gen)
+    norms = np.square(amps).sum(axis=0) * 0.5 ** n  # |A(x, z)|^2: 2^(-n) is exact
+    z = _born_draw(norms, gen)
     if z is None:
         return []
     bits = _correction_bits(x, z, n, _marked_parties(conc.variant, n))
     perm, phase = _PAULI_FRAMES[bits]
-    u = phase * np.ascontiguousarray(amps[:, z]).view(complex)[None, perm]  # times 2^(n/2): scale |u|^2 exactly
-    norms, overlaps = _norms_and_overlaps(u, input_amps)
-    conc_joint, fids = _finish_rows(norms * 0.5 ** n, overlaps * 0.5 ** n, 1.0, prob * weights[cj])
-    outcomes = tuple(_OUTCOME_OF_BITS[2 * (x >> k & 1) + (z >> k & 1)] for k in range(n - 1, -1, -1))
-    return [(ci * len(weights) + cj, alice, conc_joint.tolist(), fids, (outcomes,), (_FROM_XZ[bits],))]
+    u = phase * np.ascontiguousarray(amps[:, z]).view(complex)[perm]  # times 2^(n/2): scale |<in|u>|^2 exactly
+    conc_joint, fid = _finish_rows(norms[z], abs(np.vdot(input_amps, u)) ** 2 * 0.5 ** n, 1.0, prob * weights[cj])
+    outcomes = tuple(_OUTCOME_OF_BITS[2 * (x >> i & 1) + (z >> i & 1)] for i in range(n - 1, -1, -1))
+    return [(ci * len(weights) + cj, alice, [conc_joint.item()], [fid], (outcomes,), (_FROM_XZ[bits],))]
 
 
 def _pair_forms(rows, sender_forms, receivers: np.ndarray, weights: np.ndarray, start: tuple):
@@ -473,18 +485,21 @@ def _pair_forms(rows, sender_forms, receivers: np.ndarray, weights: np.ndarray, 
 
 
 # A verify suite's pairs, or a benchmark pool's. Forms take at most _FORMS_BYTES per plan (16 MiB over 32 plans), and
-# only exhaustive sizes hold a step plan. At n = 9 a staircase plan holds 71 KiB of arrays, a parity plan 144 KiB and
-# an irregular custom pair on 250 of 512 strings 125 KiB; the Walsh signs, 256 KiB at n = 9, are shared by every
-# plan of a size.
+# only exhaustive sizes hold a step plan. At n = 9 a staircase plan holds 73 KiB of arrays, a parity plan 208 KiB (64
+# KiB of them its party map) and an irregular custom pair on 250 of 512 strings 174 KiB; the Walsh signs, 256 KiB at
+# n = 9, are shared by every plan of a size.
 @lru_cache(maxsize=32)
 def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
     """Checks a channel pair, then holds all a run on it needs but its input, read-only: the ``_sender_plan``
     of ``dist``; the receiver states (c, k) and weights (c,) of ``conc`` on the k channel strings any component
     holds (both receiver bits kept so rows never narrow to one column, which rounds unlike the dense rows); at
-    every size, the start both modes share: the sender frames on the party strings a corrected sender row can
+    every size, the start both modes share: the sender frames on the k party strings a corrected sender row can
     reach, and the sampled draw's tables: those party strings, the channel strings without their receiver bit, each
-    n-bit string's place among the channel strings (-1 if none) and each channel string's squared norm per receiver
-    component; and, at exhaustive sizes, the ``_step_plan`` from the party and channel keys, the
+    n-bit string's place among the channel strings (-1 if none), each channel string's squared norm per receiver
+    component, the d sender components' raw-probability forms (4, 4 d) (``_sender_plan``'s) and, per (component,
+    sender outcome), its party map (d, 4, 2, k): the basis rows gathered through the outcome's frame, times its
+    phases, so that (alpha, beta) @ map is the corrected party vector times the root of its raw probability;
+    and, at exhaustive sizes, the ``_step_plan`` from the party and channel keys, the
     ``_receiver_table``, the ``_pair_forms`` if all of them fit ``_FORMS_BYTES`` (32 (4 d + 12 d c 4^n) bytes: pure
     pairs to n = 5 and telecloning->Smolin) and are well-conditioned, else None, and the report key (flattened
     component index, sender outcome) of each of the 4 d c slots (sender row, receiver component), in report order.
@@ -513,14 +528,18 @@ def _pair_plan(dist: ChannelSpec, conc: ChannelSpec) -> tuple:
     # The strings either endpoint branch of a component holds, seen through each outcome's frame.
     pkeys = np.flatnonzero(states.reshape(len(states), 2, -1).any(axis=(0, 1))[gather].any(axis=0))
     string_norms = (abs(receivers.reshape(len(receivers), -1, 2)) ** 2).sum(axis=2)
-    start = (gather.take(pkeys, axis=1), phases.take(pkeys, axis=1)), (pkeys, ukeys, places, string_norms)
+    frames = gather.take(pkeys, axis=1), phases.take(pkeys, axis=1)
+    # Each sender row's corrected party vector on the start strings, unnormalized, is (alpha, beta) @ its map (2, k).
+    party_maps = (frames[1] * basis_rows[:, np.arange(4)[:, None], frames[0]]).reshape(2, len(states), 4, -1)
+    start = frames, (pkeys, ukeys, places, string_norms, sender_forms.reshape(4, -1),
+                     np.ascontiguousarray(party_maps.transpose(1, 2, 0, 3)))
     if n <= MAX_EXHAUSTIVE_PARTIES:  # what the exhaustive kernel reads
         start += (_step_plan(pkeys, ckeys, n), _receiver_table(variant, n))
         fits = 32 * (4 * len(states) + 3 * (4 * len(states) * len(receivers) << 2 * n)) <= _FORMS_BYTES
         start += (_pair_forms(basis_rows, sender_forms, receivers, weights, start) if fits else None,
                   tuple((ci * len(weights) + cj, alice) for ci in range(len(states)) for alice in BELL_OUTCOMES
                         for cj in range(len(weights))))
-    for arr in (receivers, weights, *start[0], *start[1]):
+    for arr in (receivers, weights, *frames, *start[1]):
         arr.setflags(write=False)
     return sender, receivers, weights, start
 
@@ -530,7 +549,8 @@ def _branch_rows(
 ) -> list[tuple]:
     """``run_end_to_end``'s branches as block rows in report order, each (flattened component index, sender outcome,
     joint probabilities, fidelities with None on a null branch, party outcome tuples, receiver corrections), the last
-    four parallel columns of Python values. A null sender branch is one row with no party outcomes and no correction.
+    four parallel columns of Python values. A null sender branch of an exhaustive run is one row with no party outcomes
+    and no correction; a sampled run draws no null sender row.
     The caps are checked before the pair's ``_pair_plan`` checks the pair and builds any state. An exhaustive trial
     reads each live slot's |u|^2 and |<in|u>|^2 from one product of its plan's forms, or from the kernel's blocks,
     finishes them in one ``_finish_rows`` call, checks their total once and keys its rows by the plan's slots. A forms
@@ -547,13 +567,15 @@ def _branch_rows(
 
     sender, receivers, weights, start = plan = _pair_plan(dist_channel, conc_channel)
     # InputQubit checked the norm when it was made; the plan's sender proof and the branch total repeat it.
+    x, y = complex(input_qubit.alpha), complex(input_qubit.beta)
+    xy = x.conjugate() * y
+    bilinears = [(x.conjugate() * x).real, (y.conjugate() * y).real, xy.real, xy.imag]
     if mode == "sampled":
-        return _sampled_rows(np.array([input_qubit.alpha, input_qubit.beta], dtype=complex), conc_channel,
-                             plan, as_rng(seed))
+        return _sampled_rows(np.array([x, y]), bilinears, conc_channel, plan, as_rng(seed))
     (gather, phases), _, steps, (frame, outcomes, labels), forms, keys = start
     n_conc, nulls = len(receivers), []
     if forms is None:  # too large for forms: the kernel on this trial's unnormalized party vectors, block by block
-        input_amps = np.array([input_qubit.alpha, input_qubit.beta], dtype=complex)
+        input_amps = np.array([x, y])
         rows, raw, joint = _sender_stage(input_amps, sender)
         null = raw < NULL_PROB_EPS
         ci, a = live = np.nonzero(~null)
@@ -564,9 +586,7 @@ def _branch_rows(
         nulls = [(k, keys[k * n_conc], prob) for k, prob in zip(np.flatnonzero(null).tolist(), joint[null].tolist())]
         keys = [key for key, dead in zip(keys, null.repeat(n_conc).tolist()) if not dead]
     else:  # one product of the input's bilinears and the forms
-        x, y = complex(input_qubit.alpha), complex(input_qubit.beta)
-        xy = x.conjugate() * y
-        values = np.dot([(x.conjugate() * x).real, (y.conjugate() * y).real, xy.real, xy.imag], forms)
+        values = np.dot(bilinears, forms)
         raw = values[:len(keys) // n_conc].reshape(-1, 4)
         norms, re, im = values[raw.size:].reshape(3, raw.size, n_conc, -1)
         overlaps = re * re + im * im
@@ -600,9 +620,9 @@ def run_end_to_end(
     every receiver component and takes every outcome of each party's Bell
     measurement; reports follow component, sender outcome, receiver
     component and party outcomes in order, with one record per null sender
-    branch. Sampled mode draws one sender branch, one receiver component and
-    then every party's outcome in two picks: their bit-flip bits, then their
-    phase bits.
+    branch. Sampled mode draws one live sender branch, one receiver
+    component and then every party's outcome in two picks: their bit-flip
+    bits, then their phase bits.
     """
     reports: list[OutcomeReport] = []
     for index, alice, joint, fids, outcomes, labels in _branch_rows(

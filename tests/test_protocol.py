@@ -366,43 +366,44 @@ class TestDistribute:
 
     @pytest.mark.parametrize("name", ["telecloning-smolin", "custom-null"])
     def test_sampled_is_the_exhaustive_branch_choice_draws(self, name, monkeypatch):
-        # The sender branch a sampled run keeps must be the exhaustive branch
-        # Generator.choice picks from the same generator: the same component
-        # and outcome (and joint probability, when null), and the same party
-        # vector, on the plan's start strings, built by the run's one
-        # _party_vectors call, with the generator where choice leaves it:
-        # nothing draws between that call and the receiver draw. The branch
-        # state is zero off the start.
-        handed = []
-        vectors = protocol._party_vectors
+        # A sampled run's first draw is its sender row, picked as Generator.choice picks
+        # among the exhaustive sender rows' joint probabilities, w times the plan's sender
+        # forms on the input's bilinears, each below NULL_PROB_EPS taken as 0: the same
+        # (component, outcome), with the generator where choice leaves it. Those
+        # probabilities are distribute's within 1e-15, and a row that distribute nulls
+        # (the |+> input nulls two of custom-null's) is never drawn.
+        draws = []
+        draw = protocol._born_draw
 
-        def spy(rows, raw, plan, ci, a):
-            vec = vectors(rows, raw, plan, ci, a)
-            handed.append((ci, vec, got_gen.bit_generator.state))
-            return vec
+        def spy(p, gen):
+            k = draw(p, gen)
+            draws.append((k, gen.bit_generator.state))
+            return k
 
-        monkeypatch.setattr(protocol, "_party_vectors", spy)
+        monkeypatch.setattr(protocol, "_born_draw", spy)
         dist, conc = dict(agreement_cases())[name]
-        strings = protocol._pair_plan(dist, conc)[3][0][0][0]  # phi+ flips no bit: the start's strings
+        plan = protocol._pair_plan(dist, conc)
+        weights, forms = plan[0][1].ravel().repeat(4), plan[3][1][4]
         gen = np.random.default_rng(26)
+        nulls = 0
         for seed in range(50):
             inp = NULL_SENDER_INPUT if name == "custom-null" else random_input(gen)
+            x, y = complex(inp.alpha), complex(inp.beta)
+            xy = x.conjugate() * y
+            joint = weights * np.dot([(x.conjugate() * x).real, (y.conjugate() * y).real, xy.real, xy.imag], forms)
+            branches = distribute(inp, dist)
+            assert np.abs(joint - [b.joint_prob for b in branches]).max() <= 1e-15
+            joint[joint < NULL_PROB_EPS] = 0.0
             got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
-            handed.clear()
+            draws.clear()
             (got,) = run_end_to_end(inp, dist, conc, mode="sampled", seed=got_gen)
-            calls = handed[:]  # choice_branch's distribute calls the spy too
-            want = choice_branch(inp, dist, want_gen)
+            want = int(want_gen.choice(len(joint), p=joint / joint.sum()))
+            assert draws[0] == (want, want_gen.bit_generator.state), seed
             assert (got.component_index // len(conc.components), got.alice_outcome) == (
-                want.component_index, want.outcomes[0]), seed
-            if want.state is None:
-                assert (calls, got.bob_outcomes, got.joint_prob.hex()) == ([], (), want.joint_prob.hex())
-                assert got_gen.bit_generator.state == want_gen.bit_generator.state
-            else:
-                ((ci, party, state),) = calls
-                assert ci == want.component_index
-                assert np.array_equal(party, want.state.amps[strings])
-                assert not np.delete(want.state.amps, strings).any()
-                assert state == want_gen.bit_generator.state
+                want // 4, BELL_OUTCOMES[want % 4]), seed
+            assert branches[want].state is not None and got.bob_outcomes, seed
+            nulls += sum(b.state is None for b in branches)
+        assert (nulls > 0) == (name == "custom-null")
 
 
 def reference_sender_rows(inp, dist):
@@ -522,22 +523,47 @@ class TestSenderRows:
 
     @pytest.mark.parametrize("name", ["telecloning-smolin", "custom-null"])
     def test_sampled_builds_one_party_vector(self, name, monkeypatch):
-        # One vector, for the drawn row; distribute builds every live branch's
-        # in one call.
-        built = []
-        build = protocol._party_vectors
-        monkeypatch.setattr(protocol, "_party_vectors",
-                            lambda *args: built.append(np.size(args[3])) or build(*args))
+        # One vector per trajectory, for the drawn row, from its plan party map: distribute's
+        # vector of that branch on the plan's start strings within 1e-15, and that vector is
+        # zero off them. distribute builds every live branch's in one call.
+        built, sizes = [], []
+        build, vectors = protocol._drawn_party_vector, protocol._party_vectors
+
+        def spy(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(protocol, "_drawn_party_vector", spy)
+        monkeypatch.setattr(protocol, "_party_vectors", lambda *args: sizes.append(np.size(args[3])) or vectors(*args))
         dist, conc = dict(agreement_cases())[name]
+        strings = protocol._pair_plan(dist, conc)[3][0][0][0]  # phi+ flips no bit: the start's strings
         gen = np.random.default_rng(28)
         for seed in range(10):
             inp = NULL_SENDER_INPUT if name == "custom-null" else random_input(gen)
             built.clear()
-            run_end_to_end(inp, dist, conc, mode="sampled", seed=seed)
-            assert built == [1]
-        built.clear()
+            (got,) = run_end_to_end(inp, dist, conc, mode="sampled", seed=seed)
+            (party,) = built
+            branch = distribute(inp, dist)[4 * (got.component_index // len(conc.components)) + got.alice_outcome.index]
+            assert np.abs(party - branch.state.amps[strings]).max() <= 1e-15, seed
+            assert not np.delete(branch.state.amps, strings).any()
+        sizes.clear()
         branches = distribute(inp, dist)
-        assert built == [sum(b.state is not None for b in branches)]
+        assert sizes == [sum(b.state is not None for b in branches)]
+
+    @pytest.mark.parametrize("place", ["telecloning-smolin", "custom-null", "domino-n7"])
+    def test_sampled_run_takes_no_sender_stage(self, place, monkeypatch, fresh_plans):
+        # A trajectory reads its sender rows from the pair's plan: the sender stage runs on
+        # the basis inputs only, while the plan is built, never on a trajectory's input, and
+        # no trajectory gathers party vectors from sender rows.
+        dist, conc = sampled_only_pair() if place == "domino-n7" else dict(agreement_cases())[place]
+        inputs, stage, vectors = [], protocol._sender_stage, protocol._party_vectors
+        monkeypatch.setattr(protocol, "_sender_stage", lambda amps, plan: inputs.append(amps.tolist()) or stage(amps, plan))
+        monkeypatch.setattr(protocol, "_party_vectors", lambda *args: inputs.append("vectors") or vectors(*args))
+        gen = np.random.default_rng(30)
+        for seed in range(10):
+            inp = NULL_SENDER_INPUT if place == "custom-null" else random_input(gen)
+            assert len(run_end_to_end(inp, dist, conc, mode="sampled", seed=seed)) == 1
+        assert inputs == [[1, 0], [0, 1]]
 
     @pytest.mark.parametrize("name", ["telecloning-smolin", "custom-null"])
     def test_sampled_run_builds_no_state_vector(self, name, monkeypatch):

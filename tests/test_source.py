@@ -38,6 +38,7 @@ EVALUATOR_INTERNALS = frozenset({
     "_sender_plan",
     "_sender_stage",
     "_party_vectors",
+    "_drawn_party_vector",
     "_pair_plan",
     "_sampled_rows",
     "_walsh_signs",
@@ -45,6 +46,7 @@ EVALUATOR_INTERNALS = frozenset({
     "_live_pair_rows",
     "_born_draw",
     "_born_pick",
+    "_cdf_pick",
     "concentration_correction",
     "distribution_correction",
     "_marked_parties",
@@ -115,7 +117,7 @@ def test_dense_reference_draws_with_generator_choice():
     # it draws with Generator.choice itself, never through the evaluator's pick.
     text = (SRC.parents[1] / "tests" / "dense_reference.py").read_text(encoding="utf-8")
     assert ".choice(" in text
-    assert [name for name in ("_born_pick", "_born_draw") if name in text] == []
+    assert [name for name in ("_born_pick", "_born_draw", "_cdf_pick") if name in text] == []
 
 
 def test_oracle_names_no_evaluator_literal():

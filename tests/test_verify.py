@@ -1067,6 +1067,24 @@ class TestNearNullInputs:
         assert not extra
         assert devs.max() <= 1e-12, devs.max()
 
+    @pytest.mark.parametrize("pair", ["custom-null", *NEAR_NULL_PAIRS])
+    def test_sampled_rows_are_the_exhaustive_rows(self, pair):
+        # A trajectory draws its sender row from the plan's sender forms, also where a
+        # sender row or a branch map nearly vanishes: each drawn row must be the exhaustive
+        # row of its key within the 1e-12 the oracle is held to above, and no trajectory
+        # may draw a key whose exhaustive branch is null.
+        dist, conc = custom_null_pair() if pair == "custom-null" else random_pair(*NEAR_NULL_PAIRS[pair])
+        for v in near_null_inputs(verify_mod._oracle_maps(dist, conc)[1]):
+            inp = InputQubit(*v.tolist())
+            rows = {(r.component_index, r.alice_outcome, r.bob_outcomes): r for r in run_end_to_end(inp, dist, conc)}
+            for seed in range(10):
+                (got,) = run_end_to_end(inp, dist, conc, mode="sampled", seed=seed)
+                want = rows[got.component_index, got.alice_outcome, got.bob_outcomes]
+                assert want.fidelity is not None and got.fidelity is not None, (v, seed)
+                assert got.correction is want.correction
+                assert abs(got.joint_prob - want.joint_prob) <= 1e-12, (v, seed)
+                assert abs(got.fidelity - want.fidelity) <= 1e-12, (v, seed)
+
 
 @pytest.mark.parametrize("verdict", [
     lambda trials: check_faithful(ghz_channel(1, Endpoint.SENDER_FIRST), ghz_channel(1, Endpoint.RECEIVER_LAST),
